@@ -5,7 +5,8 @@ Subcommands:
 * ``run <config.json>``: execute the configured experiment, write a run
   directory (record.json, results.csv, trace.csv for iterative runs).
 * ``report <run_dir>``: print a summary of a recorded run.
-* ``list-families``: show the map families, experiments, and gauges.
+* ``list-families``: show the map families, experiments, and gauges, with
+  each family parameter and experiment option.
 * ``validate <config.json>``: schema-check a config without running it.
 
 Exit codes: 0 success (converged / satisfied / all checks pass), 2 a
@@ -18,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -26,6 +28,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,13 +41,10 @@ from .conjugacy import (
 )
 from .families import (
     FAMILIES,
-    BumpSpec,
+    REQUIRED,
     FamilySpec,
-    build_contraction_pair,
-    build_lozi,
-    build_perturbed_linear,
+    Param,
     build_pure_linear,
-    build_translation,
 )
 from .funcspace import (
     BUILTIN_TRIPLE_NAMES,
@@ -75,17 +75,6 @@ from .koopman import (
 
 __all__ = ["main", "load_config", "ConfigError", "EXPERIMENTS", "TRACE_COLUMNS"]
 
-EXPERIMENTS = (
-    "validate",
-    "eigen_check",
-    "picard",
-    "lozi_membership",
-    "koenigs",
-    "abel",
-    "wandering",
-    "fk_sweep",
-)
-
 TRACE_COLUMNS = ("n", "rho_increment", "conj_residual", "fk_envelope",
                  "compact_bound")
 
@@ -109,33 +98,6 @@ _TOP_KEYS = {
     "output_dir": False,
     "options": False,
 }
-
-_SAMPLING_KEYS = ("window_radius", "grid_points_per_axis",
-                  "quasirandom_count", "exhaustion_levels", "seed")
-
-_TOLERANCE_KEYS = tuple(f.name for f in dataclasses.fields(Tolerances))
-
-_FAMILY_PARAMS = {
-    "contraction_pair": ({"eta"}, {"bump_center", "bump_halfwidth"}),
-    "lozi": ({"a", "b"}, {"norm"}),
-    "pure_linear": ({"scale"}, {"lo"}),
-    "translation": ({"offset"}, set()),
-    "perturbed_linear": ({"scale"},
-                         {"dim", "bump_center", "bump_halfwidth",
-                          "bump_height"}),
-}
-
-_EXPERIMENT_OPTIONS = {
-    "validate": {"gauge"},
-    "eigen_check": {"alpha", "gauge"},
-    "picard": {"alpha", "h0", "n_max", "n_bnd"},
-    "lozi_membership": set(),
-    "koenigs": {"use", "multiplier", "n_max"},
-    "abel": {"inner_radius", "residual_tol"},
-    "wandering": {"cloud", "covering_radius", "nu", "n_max"},
-    "fk_sweep": {"epsilons", "Cs", "k_max"},
-}
-
 
 def _check_keys(obj: dict, path: str, allowed, required=()):
     unknown = sorted(set(obj) - set(allowed))
@@ -167,18 +129,80 @@ def _string(val, path: str) -> str:
     return val
 
 
+def _numbers(val, path: str) -> list:
+    if not isinstance(val, list):
+        raise ConfigError(f"{path}: expected a list of numbers, got {val!r}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(val)]
+
+
+def _vector(val, path: str):
+    return _numbers(val, path) if isinstance(val, list) else _number(val, path)
+
+
+def _points(val, path: str) -> np.ndarray:
+    """A nonempty list of points, each a number or a list of numbers."""
+    rows = [_vector(v, f"{path}[{i}]") for i, v in enumerate(val)] \
+        if isinstance(val, list) else []
+    if not rows or len({np.shape(row) for row in rows}) > 1:
+        raise ConfigError(f"{path}: expected a nonempty list of points of "
+                          f"one dimension, got {val!r}")
+    pts = np.asarray(rows, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+_KINDS = {"number": _number, "integer": _integer, "string": _string,
+          "numbers": _numbers, "vector": _vector, "points": _points}
+
+
+def _typed(schema: dict, given, path: str) -> dict:
+    """Check ``given`` against a name -> Param schema; return typed values."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _check_keys(given, path, schema,
+                [k for k, p in schema.items() if p.default is REQUIRED])
+    out = {}
+    for key, val in given.items():
+        param = schema[key]
+        out[key] = _KINDS[param.kind](val, f"{path}.{key}")
+        if param.choices and out[key] not in param.choices:
+            raise ConfigError(
+                f"{path}.{key}: expected one of "
+                f"{', '.join(map(repr, param.choices))}, got {val!r}")
+    return out
+
+
+def _fields_schema(cls) -> dict:
+    """Optional config entries for the numeric fields of a dataclass."""
+    return {f.name: Param("integer" if f.type is int else "number", "", None)
+            for f in dataclasses.fields(cls)}
+
+
+def _call(fn: Callable, kwargs: dict, path: str):
+    """fn(**kwargs), with its ValueError reported against the config path."""
+    try:
+        return fn(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
     experiment: str
-    family: FamilySpec | None
+    family: FamilySpec | None    # typed params, as given
+    built: object                # the family's builder output, or None
     scheme: SampleScheme
     tol: Tolerances
     output_dir: str | None
-    options: dict
+    options: dict                # typed, every option's default filled in
 
 
 def parse_config(raw: dict, source: str = "config") -> RunConfig:
+    """Schema-check a config, build its family and run the experiment checks.
+
+    Every check happens here, so a config that parses is one the
+    experiment honours in full.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
     _check_keys(raw, source, _TOP_KEYS,
@@ -189,72 +213,57 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
                           " (this tool reads schema 1)")
 
     experiment = _string(raw["experiment"], f"{source}.experiment")
-    if experiment not in EXPERIMENTS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"{source}.experiment: unknown experiment "
                           f"{experiment!r} (one of: {', '.join(EXPERIMENTS)})")
+    exp = _EXPERIMENTS[experiment]
 
-    family = None
+    family = built = None
     if "family" in raw:
-        if experiment == "fk_sweep":
-            raise ConfigError(f"{source}.family: fk_sweep takes no family")
+        if not exp.families:
+            raise ConfigError(f"{source}.family: {experiment} takes no family")
         fam = raw["family"]
         if not isinstance(fam, dict):
             raise ConfigError(f"{source}.family: expected an object")
         _check_keys(fam, f"{source}.family", ("name", "params"), ("name",))
         name = _string(fam["name"], f"{source}.family.name")
-        if name not in _FAMILY_PARAMS:
+        if name not in FAMILIES:
             raise ConfigError(
                 f"{source}.family.name: unknown family {name!r} "
-                f"(one of: {', '.join(sorted(_FAMILY_PARAMS))})")
-        params = fam.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{source}.family.params: expected an object")
-        req, opt = _FAMILY_PARAMS[name]
-        _check_keys(params, f"{source}.family.params", req | opt, req)
-        family = FamilySpec(family=name, params=dict(params))
-    elif experiment != "fk_sweep":
+                f"(one of: {', '.join(sorted(FAMILIES))})")
+        if name not in exp.families:
+            raise ConfigError(
+                f"{source}.family.name: experiment {experiment!r} needs "
+                f"family {' or '.join(map(repr, exp.families))}, got {name!r}")
+        path = f"{source}.family.params"
+        family = FamilySpec(family=name, params=_typed(
+            FAMILIES[name].params, fam.get("params", {}), path))
+        built = _call(FAMILIES[name].builder, family.params, path)
+    elif exp.families:
         raise ConfigError(f"{source}: experiment {experiment!r} needs a family")
 
-    sampling = raw.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise ConfigError(f"{source}.sampling: expected an object")
-    _check_keys(sampling, f"{source}.sampling", _SAMPLING_KEYS)
-    scheme_kwargs = {"window_radius": 8.0}
-    for key in _SAMPLING_KEYS:
-        if key not in sampling:
-            continue
-        if key == "window_radius":
-            scheme_kwargs[key] = _number(sampling[key], f"{source}.sampling.{key}")
-        else:
-            scheme_kwargs[key] = _integer(sampling[key], f"{source}.sampling.{key}")
-    try:
-        scheme = SampleScheme(**scheme_kwargs)
-    except ValueError as e:
-        raise ConfigError(f"{source}.sampling: {e}") from e
-
-    tols = raw.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError(f"{source}.tolerances: expected an object")
-    _check_keys(tols, f"{source}.tolerances", _TOLERANCE_KEYS)
-    tol_kwargs = {k: _number(v, f"{source}.tolerances.{k}")
-                  for k, v in tols.items()}
-    try:
-        tol = dataclasses.replace(Tolerances(), **tol_kwargs)
-    except ValueError as e:
-        raise ConfigError(f"{source}.tolerances: {e}") from e
+    path = f"{source}.sampling"
+    scheme = _call(SampleScheme, {"window_radius": 8.0, **_typed(
+        _fields_schema(SampleScheme), raw.get("sampling", {}), path)}, path)
+    path = f"{source}.tolerances"
+    tol = _call(Tolerances, _typed(_fields_schema(Tolerances),
+                                   raw.get("tolerances", {}), path), path)
 
     output_dir = None
     if "output_dir" in raw:
         output_dir = _string(raw["output_dir"], f"{source}.output_dir")
 
-    options = raw.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError(f"{source}.options: expected an object")
-    _check_keys(options, f"{source}.options", _EXPERIMENT_OPTIONS[experiment])
+    options = {k: p.default for k, p in exp.options.items()}
+    options.update(_typed(exp.options, raw.get("options", {}),
+                          f"{source}.options"))
 
-    return RunConfig(raw=raw, experiment=experiment, family=family,
-                     scheme=scheme, tol=tol, output_dir=output_dir,
-                     options=dict(options))
+    cfg = RunConfig(raw=raw, experiment=experiment, family=family,
+                    built=built, scheme=scheme, tol=tol,
+                    output_dir=output_dir, options=options)
+    for violated, problem in exp.checks:
+        if violated(cfg):
+            raise ConfigError(f"{source}.{problem}")
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -270,55 +279,13 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw, source=p.name)
 
 
-# ---------------------------------------------------------------------------
-# family construction helpers
+def _is_pair(cfg: RunConfig) -> bool:
+    # contraction_pair brings its own f, g, gauge and alpha
+    return cfg.family.family == "contraction_pair"
 
 
-def _build_single_map(spec: FamilySpec, path: str):
-    p = spec.params
-    if spec.family == "lozi":
-        return build_lozi(float(p["a"]), float(p["b"]),
-                          norm=p.get("norm", "euclidean"))
-    if spec.family == "pure_linear":
-        domain = None
-        if "lo" in p:
-            lo = _number(p["lo"], f"{path}.lo")
-            domain = Domain(dim=1, region="half_line", bounds=((lo, np.inf),))
-        return build_pure_linear(_number(p["scale"], f"{path}.scale"), domain)
-    if spec.family == "translation":
-        off = p["offset"]
-        if isinstance(off, (int, float)) and not isinstance(off, bool):
-            off = [off]
-        return build_translation(np.asarray(off, dtype=float))
-    if spec.family == "perturbed_linear":
-        dim = int(p.get("dim", 1))
-        scale = _number(p["scale"], f"{path}.scale")
-        height = float(p.get("bump_height", 0.0))
-        pert = None
-        if height > 0:
-            pert = BumpSpec(center=float(p.get("bump_center", 2.0)),
-                            halfwidth=float(p.get("bump_halfwidth", 1.0)),
-                            height=height)
-        return build_perturbed_linear(scale * np.eye(dim), pert, dim=dim)
-    raise ConfigError(f"{path}: family {spec.family!r} does not define a "
-                      "single map")
-
-
-def _require_family(cfg: RunConfig, allowed: tuple):
-    if cfg.family is None or cfg.family.family not in allowed:
-        have = "none" if cfg.family is None else repr(cfg.family.family)
-        raise ConfigError(
-            f"experiment {cfg.experiment!r} needs family "
-            f"{' or '.join(map(repr, allowed))}, got {have}")
-    return cfg.family
-
-
-def _gauge_for(cfg: RunConfig, domain: Domain):
-    name = cfg.options.get("gauge", "linear_plus")
-    if name not in BUILTIN_TRIPLE_NAMES:
-        raise ConfigError(f"config.options.gauge: unknown gauge {name!r} "
-                          f"(one of: {', '.join(BUILTIN_TRIPLE_NAMES)})")
-    return builtin_triple(name, domain)
+def _given(cfg: RunConfig, option: str) -> bool:
+    return option in cfg.raw.get("options", {})
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +318,27 @@ def _eigen_dict(rep) -> dict:
     }
 
 
+_GAUGE = Param("string", "built-in gauge for families without their own",
+               "linear_plus", BUILTIN_TRIPLE_NAMES)
+
+
+def _triple(cfg: RunConfig) -> tuple:
+    """(growth, r, cross, phi, notes): the pair's own, else the gauge option's."""
+    if _is_pair(cfg):
+        b = cfg.built
+        return b.growth, b.r, b.cross, b.phi, b.notes
+    return *builtin_triple(cfg.options["gauge"], cfg.built.domain), ()
+
+
 def _exp_validate(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, tuple(_FAMILY_PARAMS))
-    warnings = ()
-    if spec.family == "contraction_pair":
-        if "gauge" in cfg.options:
-            raise ConfigError("config.options.gauge: contraction_pair carries "
-                              "its own gauge")
-        bundle = build_contraction_pair(float(spec.params["eta"]),
-                                        **{k: float(v) for k, v in
-                                           spec.params.items() if k != "eta"})
-        growth, r, cross, phi, domain = (bundle.growth, bundle.r, bundle.cross,
-                                         bundle.phi, bundle.domain)
-        warnings = bundle.notes
-    else:
-        mp = _build_single_map(spec, "config.family.params")
-        growth, r, cross, phi = _gauge_for(cfg, mp.domain)
-        domain = mp.domain
+    """Sampled check of the scale/growth pair and the gauge."""
+    growth, r, cross, phi, warnings = _triple(cfg)
     scale_rep = validate_scale_pair(growth, r, cross, cfg.scheme, cfg.tol)
-    gauge_rep = validate_gauge(phi, growth, domain, cfg.scheme, cfg.tol)
+    gauge_rep = validate_gauge(phi, growth, cfg.built.domain, cfg.scheme,
+                               cfg.tol)
     passed = scale_rep.passed and gauge_rep.passed
     results = {
-        "family": spec.family,
+        "family": cfg.family.family,
         "scale_pair": scale_rep.as_dict(),
         "gauge": gauge_rep.as_dict(),
         "passed": passed,
@@ -382,61 +348,39 @@ def _exp_validate(cfg: RunConfig) -> Outcome:
 
 
 def _exp_eigen_check(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, tuple(_FAMILY_PARAMS))
-    warnings = ()
-    if spec.family == "contraction_pair":
-        bundle = build_contraction_pair(float(spec.params["eta"]))
-        alpha = float(cfg.options.get("alpha", bundle.alpha))
-        rep = check_p_alpha(bundle.f, bundle.g, bundle.phi, bundle.r, alpha,
-                            cfg.scheme, cfg.tol)
-        warnings = bundle.notes
+    """Eigenvalue gate at alpha, for f (and g when the family has one)."""
+    _, r, _, phi, warnings = _triple(cfg)
+    alpha = cfg.options["alpha"]
+    if _is_pair(cfg):
+        f, g = cfg.built.f, cfg.built.g
+        alpha = cfg.built.alpha if alpha is None else alpha
     else:
-        if "alpha" not in cfg.options:
-            raise ConfigError("config.options.alpha: required for "
-                              "eigen_check outside contraction_pair")
-        mp = _build_single_map(spec, "config.family.params")
-        _, r, _, phi = _gauge_for(cfg, mp.domain)
-        rep = check_p_alpha(mp, None, phi, r,
-                            float(cfg.options["alpha"]), cfg.scheme, cfg.tol)
-    results = {"family": spec.family, "eigen": _eigen_dict(rep)}
+        f, g = cfg.built, None
+    rep = check_p_alpha(f, g, phi, r, alpha, cfg.scheme, cfg.tol)
+    results = {"family": cfg.family.family, "eigen": _eigen_dict(rep)}
     return Outcome(exit_code=0 if rep.satisfied else 2, results=results,
                    warnings=warnings)
 
 
 def _exp_picard(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, ("contraction_pair",))
-    bundle = build_contraction_pair(
-        float(spec.params["eta"]),
-        **{k: float(v) for k, v in spec.params.items() if k != "eta"})
-    alpha = float(cfg.options.get("alpha", bundle.alpha))
-    h0_name = cfg.options.get("h0", "g")
-    if h0_name == "g":
-        h0 = bundle.g
-    elif h0_name == "identity":
-        h0 = identity(bundle.domain)
-    else:
-        raise ConfigError("config.options.h0: expected 'g' or 'identity', "
-                          f"got {h0_name!r}")
+    """Gated Picard iteration for the conjugacy of g to f."""
+    bundle, opts = cfg.built, cfg.options
+    alpha = bundle.alpha if opts["alpha"] is None else opts["alpha"]
+    h0 = bundle.g if opts["h0"] == "g" else identity(bundle.domain)
     est = EstimateContext(domain=bundle.domain, scheme=cfg.scheme,
                           phi=bundle.phi, r=bundle.r, cross=bundle.cross,
                           tol=cfg.tol)
-    pctx = PicardContext(
-        est=est, alpha=alpha,
-        n_max=int(cfg.options.get("n_max", 200)),
-        n_bnd=int(cfg.options.get("n_bnd", 32)),
-    )
+    pctx = PicardContext(est=est, alpha=alpha, n_max=opts["n_max"],
+                         n_bnd=opts["n_bnd"])
     res = picard_solve(bundle.f, bundle.g, h0, pctx)
     tr = res.trace
-    trace_rows = tuple(
-        {"n": s.n, "rho_increment": s.rho_increment,
-         "conj_residual": s.conj_residual, "fk_envelope": s.fk_envelope,
-         "compact_bound": s.compact_bound}
-        for s in tr.steps)
+    trace_rows = tuple({c: getattr(s, c) for c in TRACE_COLUMNS}
+                       for s in tr.steps)
     results = {
-        "family": spec.family,
+        "family": cfg.family.family,
         "eta": bundle.eta,
         "alpha": alpha,
-        "h0": h0_name,
+        "h0": opts["h0"],
         "verdict": tr.verdict,
         "n_steps": tr.n_steps,
         "delta": tr.constants.delta,
@@ -457,9 +401,9 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
 
 
 def _exp_lozi_membership(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, ("lozi",))
-    mp = _build_single_map(spec, "config.family.params")
-    _, r, cross, phi = _gauge_for(cfg, mp.domain)
+    """Group membership, r-Lipschitz constant and round trip of a Lozi map."""
+    mp = cfg.built
+    _, r, cross, phi = builtin_triple(_GAUGE.default, mp.domain)
     verdict = group_membership(mp, phi, r, cfg.scheme, cfg.tol)
     lam = r_lipschitz(mp, r, cfg.scheme, cfg.tol)
     coeff = None
@@ -467,8 +411,8 @@ def _exp_lozi_membership(cfg: RunConfig) -> Outcome:
         coeff = koopman_lambda(verdict.forward.value, phi, cross)
     pts = doubling_sample_sets(mp.domain, cfg.scheme)[0][1]
     results = {
-        "family": spec.family,
-        "params": dict(spec.params),
+        "family": cfg.family.family,
+        "params": dict(cfg.family.params),
         "verdict": verdict.verdict,
         "displacement_forward": _displacement_dict(verdict.forward),
         "displacement_inverse": _displacement_dict(verdict.inverse),
@@ -481,32 +425,24 @@ def _exp_lozi_membership(cfg: RunConfig) -> Outcome:
 
 
 def _exp_koenigs(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, ("contraction_pair", "pure_linear"))
-    if spec.family == "contraction_pair":
-        bundle = build_contraction_pair(float(spec.params["eta"]))
-        use = cfg.options.get("use", "g")
-        if use not in ("f", "g"):
-            raise ConfigError("config.options.use: expected 'f' or 'g', "
-                              f"got {use!r}")
-        mp = bundle.g if use == "g" else bundle.f
-        multiplier = float(cfg.options.get("multiplier", bundle.eta))
+    """Koenigs linearization at the attracting fixed point 0."""
+    opts = cfg.options
+    if _is_pair(cfg):
+        mp, multiplier = getattr(cfg.built, opts["use"]), cfg.built.eta
     else:
-        scale = _number(spec.params["scale"], "config.family.params.scale")
-        if not 0.0 < scale < 1.0:
-            raise ConfigError("config.family.params.scale: the linearization "
-                              "needs scale in (0, 1)")
-        mp = _build_single_map(spec, "config.family.params")
-        multiplier = float(cfg.options.get("multiplier", scale))
-    fixed_point = np.zeros(mp.domain.dim)
+        mp, multiplier = cfg.built, cfg.family.params["scale"]
+    if opts["multiplier"] is not None:
+        multiplier = opts["multiplier"]
     try:
         _, rep = koenigs_eigenfunction(
-            mp, fixed_point, multiplier, cfg.scheme,
-            n_max=int(cfg.options.get("n_max", 100)), tol=cfg.tol)
+            mp, np.zeros(mp.domain.dim), multiplier, cfg.scheme,
+            n_max=opts["n_max"], tol=cfg.tol)
     except ConvergenceError as e:
         return Outcome(exit_code=2, results={
-            "family": spec.family, "converged": False, "reason": str(e)})
+            "family": cfg.family.family, "converged": False,
+            "reason": str(e)})
     results = {
-        "family": spec.family,
+        "family": cfg.family.family,
         "multiplier": multiplier,
         "converged": rep.converged,
         "n_steps": rep.n_steps,
@@ -518,16 +454,10 @@ def _exp_koenigs(cfg: RunConfig) -> Outcome:
 
 
 def _exp_abel(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, ("pure_linear",))
-    if "lo" in spec.params:
-        raise ConfigError("config.family.params.lo: the shift check manages "
-                          "its own domain")
-    scale = _number(spec.params["scale"], "config.family.params.scale")
-    if not (scale > 0 and scale != 1.0):
-        raise ConfigError("config.family.params.scale: need scale > 0 and "
-                          "scale != 1")
-    inner = float(cfg.options.get("inner_radius", 0.125))
-    domain = Domain(dim=1, region="box_minus_ball", inner_radius=inner)
+    """Abel equation for log|x| / log(scale) on the box minus a ball."""
+    scale = cfg.family.params["scale"]
+    domain = Domain(dim=1, region="box_minus_ball",
+                    inner_radius=cfg.options["inner_radius"])
     mp = build_pure_linear(scale, domain)
     log_scale = np.log(scale)
 
@@ -536,7 +466,7 @@ def _exp_abel(cfg: RunConfig) -> Outcome:
 
     rep = abel_check(mp, varphi, cfg.scheme)
     results = {
-        "family": spec.family,
+        "family": cfg.family.family,
         "scale": scale,
         "residual": rep.residual,
         "worst_point": [float(v) for v in rep.worst_point],
@@ -545,30 +475,18 @@ def _exp_abel(cfg: RunConfig) -> Outcome:
         low = schroeder_functional_check(mp, cfg.scheme)
         results["log_margin"] = low.margin
         results["contraction_factor"] = low.contraction_factor
-    residual_tol = float(cfg.options.get("residual_tol", 1e-9))
-    code = 0 if rep.residual <= residual_tol else 2
+    code = 0 if rep.residual <= cfg.options["residual_tol"] else 2
     return Outcome(exit_code=code, results=results)
 
 
 def _exp_wandering(cfg: RunConfig) -> Outcome:
-    spec = _require_family(cfg, ("translation", "pure_linear"))
-    mp = _build_single_map(spec, "config.family.params")
-    if "cloud" not in cfg.options or "covering_radius" not in cfg.options:
-        raise ConfigError("config.options: wandering needs 'cloud' and "
-                          "'covering_radius'")
-    cloud = np.asarray(cfg.options["cloud"], dtype=float)
-    if cloud.ndim == 1:
-        cloud = cloud[:, None]
-    if cloud.ndim != 2 or cloud.shape[1] != mp.domain.dim:
-        raise ConfigError("config.options.cloud: expected points of dimension "
-                          f"{mp.domain.dim}")
-    rep = wandering_check(
-        mp, cloud,
-        covering_radius=float(cfg.options["covering_radius"]),
-        nu=int(cfg.options.get("nu", 1)),
-        n_max=int(cfg.options.get("n_max", 8)))
+    """Sampled wandering check of an iterated point cloud."""
+    opts = cfg.options
+    rep = wandering_check(cfg.built, opts["cloud"],
+                          covering_radius=opts["covering_radius"],
+                          nu=opts["nu"], n_max=opts["n_max"])
     results = {
-        "family": spec.family,
+        "family": cfg.family.family,
         "verdict": rep.verdict,
         "collision_pair": None if rep.collision_pair is None
         else list(rep.collision_pair),
@@ -580,20 +498,18 @@ def _exp_wandering(cfg: RunConfig) -> Outcome:
 
 
 def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
+    """Increment-envelope grid over (epsilon, C) at the taming threshold."""
     opts = cfg.options
-    epsilons = [float(e) for e in opts.get("epsilons", (1e-3, 1e-2, 1e-1))]
-    cs = [float(c) for c in opts.get("Cs", (0.3, 0.5, 0.9))]
-    k_max = int(opts.get("k_max", 64))
     header = ("epsilon", "C", "threshold_n", "a_m", "tail", "bound",
               "max_envelope", "ok")
     rows = []
     grid = []
     all_ok = True
-    for eps in epsilons:
-        for c in cs:
+    for eps in opts["epsilons"]:
+        for c in opts["Cs"]:
             n_star = envelope_threshold(eps, c)
             env = cauchy_envelope(m=n_star + 1, n=n_star, epsilon=eps, C=c,
-                                  k_max=k_max)
+                                  k_max=opts["k_max"])
             max_env = max(env.values)
             ok = bool(max_env <= 2.0 * eps + cfg.tol.tau_env)
             all_ok = all_ok and ok
@@ -607,16 +523,88 @@ def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
                    results_rows=(header, rows))
 
 
-_DISPATCH = {
-    "validate": _exp_validate,
-    "eigen_check": _exp_eigen_check,
-    "picard": _exp_picard,
-    "lozi_membership": _exp_lozi_membership,
-    "koenigs": _exp_koenigs,
-    "abel": _exp_abel,
-    "wandering": _exp_wandering,
-    "fk_sweep": _exp_fk_sweep,
+# ---------------------------------------------------------------------------
+# registry: the experiments a config can name
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Runner, allowed families and typed options of one experiment.
+
+    ``checks`` cover what the option types cannot express.  They run at
+    parse time, so the runner gets typed values and re-checks nothing.
+    """
+
+    run: Callable[[RunConfig], Outcome]
+    families: tuple
+    options: dict                   # name -> Param
+    checks: tuple = ()              # (violated(cfg) -> bool, problem)
+
+
+def _default_of(fn: Callable, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+_OWN_GAUGE = (lambda c: _is_pair(c) and _given(c, "gauge"),
+              "options.gauge: contraction_pair carries its own gauge")
+
+_EXPERIMENTS = {
+    "validate": Experiment(_exp_validate, tuple(FAMILIES),
+                           {"gauge": _GAUGE}, (_OWN_GAUGE,)),
+    "eigen_check": Experiment(_exp_eigen_check, tuple(FAMILIES), {
+        "alpha": Param("number", "gate exponent > 1; contraction_pair has "
+                       "its own, other families need one", None),
+        "gauge": _GAUGE,
+    }, (_OWN_GAUGE,
+        (lambda c: not _is_pair(c) and c.options["alpha"] is None,
+         "options.alpha: required for eigen_check outside contraction_pair"))),
+    "picard": Experiment(_exp_picard, ("contraction_pair",), {
+        "alpha": Param("number", "gate exponent > 1; default: the family's",
+                       None),
+        "h0": Param("string", "initial map", "g", ("g", "identity")),
+        "n_max": Param("integer", "step budget",
+                       _default_of(PicardContext, "n_max")),
+        "n_bnd": Param("integer", "boundedness probe over |n| <= n_bnd",
+                       _default_of(PicardContext, "n_bnd")),
+    }),
+    "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {}),
+    "koenigs": Experiment(_exp_koenigs, ("contraction_pair", "pure_linear"), {
+        "use": Param("string", "which contraction_pair map to linearize",
+                     "g", ("f", "g")),
+        "multiplier": Param("number", "in (0, 1); default: eta or scale",
+                            None),
+        "n_max": Param("integer", "step budget",
+                       _default_of(koenigs_eigenfunction, "n_max")),
+    }, ((lambda c: not _is_pair(c) and _given(c, "use"),
+         "options.use: only contraction_pair has two maps to choose from"),
+        (lambda c: not (_is_pair(c) or 0.0 < c.family.params["scale"] < 1.0),
+         "family.params.scale: the linearization needs scale in (0, 1)"))),
+    "abel": Experiment(_exp_abel, ("pure_linear",), {
+        "inner_radius": Param("number", "radius of the ball cut out at 0",
+                              0.125),
+        "residual_tol": Param("number", "largest residual that passes", 1e-9),
+    }, ((lambda c: "lo" in c.family.params,
+         "family.params.lo: the shift check manages its own domain"),
+        (lambda c: not (c.family.params["scale"] > 0
+                        and c.family.params["scale"] != 1.0),
+         "family.params.scale: need scale > 0 and scale != 1"))),
+    "wandering": Experiment(_exp_wandering, ("translation", "pure_linear"), {
+        "cloud": Param("points", "sample points of the compact"),
+        "covering_radius": Param("number", "covering radius of the cloud"),
+        "nu": Param("integer", "smallest iterate gap checked, >= 1", 1),
+        "n_max": Param("integer", "largest iterate checked", 8),
+    }, ((lambda c: c.options["cloud"].shape[1] != c.built.domain.dim,
+         "options.cloud: points must have the family's dimension"),)),
+    "fk_sweep": Experiment(_exp_fk_sweep, (), {
+        "epsilons": Param("numbers", "envelope seeds, > 0",
+                          (1e-3, 1e-2, 1e-1)),
+        "Cs": Param("numbers", "contraction factors in (0, 1)",
+                    (0.3, 0.5, 0.9)),
+        "k_max": Param("integer", "envelope steps", 64),
+    }),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +718,7 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    outcome = _DISPATCH[cfg.experiment](cfg)
+    outcome = _EXPERIMENTS[cfg.experiment].run(cfg)
     wall = time.perf_counter() - start
 
     _write_record(outdir, cfg, outcome, wall)
@@ -778,16 +766,31 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _param_line(name: str, param: Param) -> str:
+    if param.default is REQUIRED:
+        note = "required"
+    elif param.default is None:
+        note = "optional"
+    else:
+        note = f"default {param.default!r}"
+    if param.choices:
+        note += f"; one of {', '.join(map(repr, param.choices))}"
+    return f"    {name} ({param.kind}, {note}): {param.doc}"
+
+
 def cmd_list_families(args) -> int:
     print("families:")
     for name in sorted(FAMILIES):
-        info = FAMILIES[name]
-        print(f"  {name}: {info['description']}")
-        for pname, desc in info["params"].items():
-            print(f"    {pname}: {desc}")
-        for pname, desc in info.get("optional", {}).items():
-            print(f"    [{pname}]: {desc}")
-    print("experiments:", ", ".join(EXPERIMENTS))
+        fam = FAMILIES[name]
+        print(f"  {name}: {fam.description}")
+        for pname, param in fam.params.items():
+            print(_param_line(pname, param))
+    print("experiments:")
+    for name, exp in _EXPERIMENTS.items():
+        families = ", ".join(exp.families) or "none"
+        print(f"  {name} [families: {families}]: {exp.run.__doc__}")
+        for oname, param in exp.options.items():
+            print(_param_line(oname, param))
     print("gauges:", ", ".join(BUILTIN_TRIPLE_NAMES))
     return 0
 

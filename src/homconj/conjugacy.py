@@ -21,6 +21,7 @@ from .homspace import (
     Homeo,
     InequalityReport,
     MembershipVerdict,
+    _triangle_coefficients,
     compose,
     group_membership,
     invert,
@@ -64,8 +65,8 @@ class GateConstants:
 
     @property
     def A(self) -> float:
-        return max(self.a * self.beta,
-                   self.b * self.beta / self.m + self.beta / self.gamma)
+        return max(_triangle_coefficients(self.a, self.b, self.beta,
+                                          self.gamma, self.m))
 
     @property
     def threshold(self) -> float:
@@ -125,12 +126,21 @@ class CauchyEnvelope:
         return self.values[k]
 
 
-def cauchy_envelope(m: int, n: int, epsilon: float, C: float,
-                    k_max: int) -> CauchyEnvelope:
+def _envelope_tail(m: int, epsilon: float, C: float) -> tuple:
+    """(a_m, tail) for seed step m; the tail is inf when a_m >= 1."""
     if not 0.0 < C < 1.0:
         raise ValueError("C must lie in (0, 1)")
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    a_m = C ** (m + 1) * (1.0 + 1.0 / epsilon) + C
+    if a_m >= 1.0:
+        return a_m, np.inf
+    return a_m, C ** m * (epsilon / (1.0 - a_m) + 1.0 / (1.0 - C))
+
+
+def cauchy_envelope(m: int, n: int, epsilon: float, C: float,
+                    k_max: int) -> CauchyEnvelope:
+    a_m, tail = _envelope_tail(m, epsilon, C)
     if m < 1 or n < 0 or k_max < 0:
         raise ValueError("m >= 1, n >= 0, k_max >= 0 required")
     values = [float(epsilon)]
@@ -139,11 +149,6 @@ def cauchy_envelope(m: int, n: int, epsilon: float, C: float,
         prev = values[-1]
         values.append(power * prev + power + prev)
         power *= C
-    a_m = C ** (m + 1) * (1.0 + 1.0 / epsilon) + C
-    if a_m < 1.0:
-        tail = C ** m * (epsilon / (1.0 - a_m) + 1.0 / (1.0 - C))
-    else:
-        tail = np.inf
     return CauchyEnvelope(
         m=m, n=n, epsilon=float(epsilon), C=float(C), values=tuple(values),
         a_m=float(a_m), tail=float(tail), bound=float(epsilon + tail),
@@ -156,16 +161,8 @@ def envelope_threshold(epsilon: float, C: float, cap: int = 100_000) -> int:
     Taming means a_m < 1 and the telescoped tail at most epsilon, so the
     whole envelope stays at or below 2 * epsilon.
     """
-    if not 0.0 < C < 1.0:
-        raise ValueError("C must lie in (0, 1)")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
     for m in range(1, cap + 1):
-        a_m = C ** (m + 1) * (1.0 + 1.0 / epsilon) + C
-        if a_m >= 1.0:
-            continue
-        tail = C ** m * (epsilon / (1.0 - a_m) + 1.0 / (1.0 - C))
-        if tail <= epsilon:
+        if _envelope_tail(m, epsilon, C)[1] <= epsilon:
             return m - 1
     raise RuntimeError("no taming seed step found below the cap")
 
@@ -289,14 +286,16 @@ class PicardContext:
             raise ValueError("n_max >= 1 and n_bnd >= 0 required")
 
 
-def _failed(verdict, constants, alpha, eigen, gate, margin, bound_pre=None,
-            notes=()):
-    return IterationTrace(
+def _failed(h0, verdict, constants, alpha, eigen, gate, margin,
+            bound_pre=None) -> ConjugacyResult:
+    trace = IterationTrace(
         steps=(), verdict=verdict, constants=constants, alpha=alpha,
         eigen=eigen, failed_gate=gate, gate_margin=margin, anchor=None,
         eps_monitor=None, anchored=(), incrementally_bounded=None,
-        bound_pre=bound_pre, bound_post=None, notes=tuple(notes),
+        bound_pre=bound_pre, bound_post=None,
     )
+    return ConjugacyResult(h=h0, trace=trace, membership=None,
+                           residual=np.nan)
 
 
 def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
@@ -333,24 +332,18 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     if eigen is not None and not eigen.satisfied:
         margin = min(eigen.min_slack_f,
                      np.inf if eigen.min_slack_g is None else eigen.min_slack_g)
-        trace = _failed("gate_failed", constants, ctx.alpha, eigen,
-                        "eigenvalue_gate", float(margin))
-        return ConjugacyResult(h=h0, trace=trace, membership=None,
-                               residual=np.nan)
+        return _failed(h0, "gate_failed", constants, ctx.alpha, eigen,
+                       "eigenvalue_gate", float(margin))
 
     if not constants.gate_passes:
         margin = constants.threshold - constants.delta
-        trace = _failed("gate_failed", constants, ctx.alpha, eigen,
-                        "initial_defect", float(margin))
-        return ConjugacyResult(h=h0, trace=trace, membership=None,
-                               residual=np.nan)
+        return _failed(h0, "gate_failed", constants, ctx.alpha, eigen,
+                       "initial_defect", float(margin))
 
     bound_pre = negative_iterates_bound(f, g, h0, inner, ctx.n_bnd, tol)
     if bound_pre.flagged:
-        trace = _failed("unbounded_on_compacts", constants, ctx.alpha, eigen,
-                        "iterate_boundedness", None, bound_pre=bound_pre)
-        return ConjugacyResult(h=h0, trace=trace, membership=None,
-                               residual=np.nan)
+        return _failed(h0, "unbounded_on_compacts", constants, ctx.alpha,
+                       eigen, "iterate_boundedness", None, bound_pre)
 
     steps = []
     anchored = []

@@ -13,6 +13,7 @@ bisection, the perturbed linear map by a damped fixed-point iteration.
 Both are deterministic and run to machine-level brackets.
 """
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,15 +23,17 @@ from .funcspace import (
     CrossConstants,
     Domain,
     Gauge,
-    GrowthFn,
-    ScaleFn,
+    RadialFn,
     builtin_triple,
 )
-from .homspace import Homeo, primitive
+from .homspace import Homeo, _triangle_coefficients, primitive
 
 __all__ = [
     "BumpSpec",
+    "Family",
     "FamilySpec",
+    "Param",
+    "REQUIRED",
     "ContractionPairBundle",
     "bump_eval",
     "bump_lipschitz",
@@ -105,8 +108,8 @@ class ContractionPairBundle:
     g: Homeo
     domain: Domain
     phi: Gauge
-    r: ScaleFn
-    growth: GrowthFn
+    r: RadialFn
+    growth: RadialFn
     cross: CrossConstants
     alpha: float
     eps: float
@@ -148,8 +151,8 @@ def build_contraction_pair(eta: float,
     eps2_cap = np.sqrt(eta) / alpha - eta
     eps2 = 0.5 * min(eta, eps2_cap)
 
-    A = max(cross.a * phi.beta,
-            cross.b * phi.beta / phi.m + phi.beta / phi.gamma)
+    A = max(_triangle_coefficients(cross.a, cross.b, phi.beta, phi.gamma,
+                                   phi.m))
     amp_caps = (
         eta * eta / A,
         eps2 * bump_halfwidth / BUMP_SLOPE_FACTOR,
@@ -253,8 +256,8 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     d = T.shape[0] if dim is None else dim
-    if T.shape != (d, d):
-        raise ValueError("T must be square and match dim")
+    if d < 1 or T.shape != (d, d):
+        raise ValueError("T must be square and match dim >= 1")
     smin = float(np.linalg.svd(T, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("T must be invertible")
@@ -324,35 +327,84 @@ def build_translation(offset, domain: Domain | None = None) -> Homeo:
     return primitive(domain, fwd, inv, f"x+{np.array2string(off, precision=3)}")
 
 
-# descriptor table for the CLI; ranges are inclusive unless open by nature
+# ---------------------------------------------------------------------------
+# registry: the families a config can name
+
+
+REQUIRED = inspect.Parameter.empty
+
+
+@dataclass(frozen=True)
+class Param:
+    """Kind of JSON value (the CLI parses each kind), default (or REQUIRED)
+    and one-line doc of a config parameter or option."""
+
+    kind: str
+    doc: str
+    default: object = REQUIRED
+    choices: tuple = ()
+
+
+@dataclass(frozen=True)
+class Family:
+    """A family a config can name: its builder, description and parameters."""
+
+    builder: Callable
+    description: str
+    params: dict      # name -> Param
+
+
+def _family(builder: Callable, description: str, **params) -> Family:
+    """Family whose parameter defaults are read off the builder's signature."""
+    sig = inspect.signature(builder).parameters
+    return Family(builder, description, {
+        name: Param(kind, doc, sig[name].default)
+        for name, (kind, doc) in params.items()})
+
+
+def _pure_linear_family(scale: float, lo: float | None = None) -> Homeo:
+    domain = None
+    if lo is not None:
+        domain = Domain(dim=1, region="half_line", bounds=((lo, np.inf),))
+    return build_pure_linear(scale, domain)
+
+
+def _perturbed_linear_family(scale: float, dim: int = 1,
+                             bump_center: float = 2.0,
+                             bump_halfwidth: float = 1.0,
+                             bump_height: float = 0.0) -> Homeo:
+    bump = None
+    if bump_height != 0.0:
+        bump = BumpSpec(center=bump_center, halfwidth=bump_halfwidth,
+                        height=bump_height)
+    return build_perturbed_linear(scale * np.eye(dim), bump, dim=dim)
+
+
 FAMILIES = {
-    "contraction_pair": {
-        "description": "half-line contraction eta*x and its bump-perturbed twin",
-        "params": {"eta": "(0, 1), required"},
-        "optional": {"bump_center": "> bump_halfwidth, default 2.0",
-                     "bump_halfwidth": "> 0, default 1.0"},
-    },
-    "lozi": {
-        "description": "planar piecewise-linear map (1 - a|x| + y, b x)",
-        "params": {"a": "real, required", "b": "nonzero, required"},
-        "optional": {},
-    },
-    "perturbed_linear": {
-        "description": "T x + bump, inverted by damped fixed-point iteration",
-        "params": {"scale": "nonzero diagonal value of T, required"},
-        "optional": {"dim": "1 or 2, default 1",
-                     "bump_center": "radial bump center, default 2.0",
-                     "bump_halfwidth": "default 1.0",
-                     "bump_height": "default 0.0 (no bump)"},
-    },
-    "pure_linear": {
-        "description": "x -> scale * x",
-        "params": {"scale": "nonzero, required"},
-        "optional": {"lo": "half-line lower bound; if set, domain is [lo, inf)"},
-    },
-    "translation": {
-        "description": "x -> x + offset",
-        "params": {"offset": "real, required"},
-        "optional": {},
-    },
+    "contraction_pair": _family(
+        build_contraction_pair,
+        "half-line contraction eta*x and its bump-perturbed twin",
+        eta=("number", "in (0, 1)"),
+        bump_center=("number", "bump centre, > bump_halfwidth"),
+        bump_halfwidth=("number", "bump half-width, > 0")),
+    "lozi": _family(
+        build_lozi, "planar piecewise-linear map (1 - a|x| + y, b x)",
+        a=("number", "real"),
+        b=("number", "nonzero"),
+        norm=("string", "'euclidean' or 'sup'")),
+    "perturbed_linear": _family(
+        _perturbed_linear_family,
+        "T x + bump, inverted by damped fixed-point iteration",
+        scale=("number", "nonzero diagonal value of T"),
+        dim=("integer", "dimension"),
+        bump_center=("number", "radial bump centre"),
+        bump_halfwidth=("number", "bump half-width, > 0"),
+        bump_height=("number", "bump height, >= 0; 0 means no bump")),
+    "pure_linear": _family(
+        _pure_linear_family, "x -> scale * x",
+        scale=("number", "nonzero"),
+        lo=("number", "if set, the domain is the half line [lo, inf)")),
+    "translation": _family(
+        build_translation, "x -> x + offset",
+        offset=("vector", "a number or one per axis")),
 }

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "RadialFn",
     "ScaleFn",
     "GrowthFn",
     "CrossConstants",
@@ -31,6 +32,7 @@ __all__ = [
     "Tolerances",
     "ConditionCheck",
     "ValidationReport",
+    "make_radial",
     "make_scale",
     "make_growth",
     "gauge_from_growth",
@@ -72,8 +74,8 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
-class ScaleFn:
-    """Scale function r acting on nonnegative reals, vectorized."""
+class RadialFn:
+    """Scale function r or growth function R on nonnegative reals, vectorized."""
 
     eval: Callable[[np.ndarray], np.ndarray]
     kind: str = "user_closure"
@@ -82,15 +84,7 @@ class ScaleFn:
         return self.eval(u)
 
 
-@dataclass(frozen=True)
-class GrowthFn:
-    """Growth function R acting on nonnegative reals, vectorized."""
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    kind: str = "user_closure"
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.eval(u)
+ScaleFn = GrowthFn = RadialFn
 
 
 @dataclass(frozen=True)
@@ -112,16 +106,14 @@ _BUILTIN_EVALS = {
 }
 
 
-def make_scale(kind: str) -> ScaleFn:
+def make_radial(kind: str) -> RadialFn:
+    """Built-in scale or growth function by name."""
     if kind not in _BUILTIN_EVALS:
-        raise ValueError(f"unknown scale kind {kind!r}")
-    return ScaleFn(eval=_BUILTIN_EVALS[kind], kind=kind)
+        raise ValueError(f"unknown scale or growth kind {kind!r}")
+    return RadialFn(eval=_BUILTIN_EVALS[kind], kind=kind)
 
 
-def make_growth(kind: str) -> GrowthFn:
-    if kind not in _BUILTIN_EVALS:
-        raise ValueError(f"unknown growth kind {kind!r}")
-    return GrowthFn(eval=_BUILTIN_EVALS[kind], kind=kind)
+make_scale = make_growth = make_radial
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ class Gauge:
         return self.eval(pts)
 
 
-def gauge_from_growth(growth: GrowthFn, domain: Domain, beta: float,
+def gauge_from_growth(growth: RadialFn, domain: Domain, beta: float,
                       gamma: float, m: float, label: str = "") -> Gauge:
     """Gauge phi(x) = R(|x|) with the cone constants supplied by the caller."""
 
@@ -233,7 +225,13 @@ def gauge_from_growth(growth: GrowthFn, domain: Domain, beta: float,
                  label=label or f"{growth.kind}(|x|)")
 
 
-BUILTIN_TRIPLE_NAMES = ("sqrt_plus", "linear_plus")
+# growth kind -> cross constants (a, b) against the identity scale
+_BUILTIN_TRIPLES = {
+    "sqrt_plus": CrossConstants(a=1.0, b=1.25),
+    "linear_plus": CrossConstants(a=1.0, b=1.0),
+}
+
+BUILTIN_TRIPLE_NAMES = tuple(_BUILTIN_TRIPLES)
 
 
 def builtin_triple(name: str, domain: Domain):
@@ -243,19 +241,11 @@ def builtin_triple(name: str, domain: Domain):
     cone constants beta = 2, gamma = 1/2, floor m = 1.
     ``linear_plus``: R(u) = u + 1, r = identity, a = 1, b = 1, same cone.
     """
-    if name == "sqrt_plus":
-        growth = make_growth("sqrt_plus")
-        r = make_scale("identity")
-        cross = CrossConstants(a=1.0, b=1.25)
-        phi = gauge_from_growth(growth, domain, beta=2.0, gamma=0.5, m=1.0)
-        return growth, r, cross, phi
-    if name == "linear_plus":
-        growth = make_growth("linear_plus")
-        r = make_scale("identity")
-        cross = CrossConstants(a=1.0, b=1.0)
-        phi = gauge_from_growth(growth, domain, beta=2.0, gamma=0.5, m=1.0)
-        return growth, r, cross, phi
-    raise ValueError(f"unknown builtin triple {name!r}")
+    if name not in _BUILTIN_TRIPLES:
+        raise ValueError(f"unknown builtin triple {name!r}")
+    growth = make_radial(name)
+    phi = gauge_from_growth(growth, domain, beta=2.0, gamma=0.5, m=1.0)
+    return growth, make_radial("identity"), _BUILTIN_TRIPLES[name], phi
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +430,18 @@ def _u_samples(scheme: SampleScheme) -> np.ndarray:
     return np.unique(np.concatenate(us))
 
 
-def _u_pairs(u: np.ndarray, scheme: SampleScheme, cap: int = 250_000):
-    n = u.shape[0]
+def _pair_indices(n: int, cap: int) -> tuple:
+    """All index pairs (i, j), i == j included, of n items or, past ``cap``
+    pairs, of an evenly strided subset."""
     if n * n <= cap:
-        a = np.repeat(u, n)
-        b = np.tile(u, n)
+        i = np.repeat(np.arange(n), n)
+        j = np.tile(np.arange(n), n)
     else:
         stride = int(np.ceil(n / np.sqrt(cap)))
-        sub = u[::stride]
-        a = np.repeat(sub, sub.shape[0])
-        b = np.tile(sub, sub.shape[0])
-    return a, b
+        sub = np.arange(0, n, stride)
+        i = np.repeat(sub, sub.shape[0])
+        j = np.tile(sub, sub.shape[0])
+    return i, j
 
 
 def _worst(excess: np.ndarray, args) -> tuple:
@@ -459,7 +450,23 @@ def _worst(excess: np.ndarray, args) -> tuple:
     return vals
 
 
-def validate_scale_pair(growth: GrowthFn, scale: ScaleFn, cross: CrossConstants,
+def _sup_check(name: str, excess: np.ndarray, args,
+               tol: Tolerances) -> ConditionCheck:
+    """Condition excess <= tau_abs on every sample, witnessed at the worst."""
+    worst = float(np.max(excess)) if excess.size else 0.0
+    return ConditionCheck(name, worst <= tol.tau_abs, max(0.0, worst),
+                          _worst(excess, args) if excess.size else None)
+
+
+def _positive_check(name: str, vals: np.ndarray,
+                    u: np.ndarray) -> ConditionCheck:
+    """Condition vals > 0 on every sample, witnessed at the most negative."""
+    ok = bool(np.all(vals > 0))
+    margin = max(0.0, float(-np.min(vals))) if vals.size else 0.0
+    return ConditionCheck(name, ok, margin, None if ok else _worst(-vals, (u,)))
+
+
+def validate_scale_pair(growth: RadialFn, scale: RadialFn, cross: CrossConstants,
                         scheme: SampleScheme,
                         tol: Tolerances = Tolerances()) -> ValidationReport:
     """Sampled verification of the scale/growth axioms and the cross bound.
@@ -469,57 +476,28 @@ def validate_scale_pair(growth: GrowthFn, scale: ScaleFn, cross: CrossConstants,
     """
     u = _u_samples(scheme)
     upos = u[u > 0]
-    ru = scale.eval(u)
     Ru = growth.eval(u)
-    checks = []
-
+    i, j = _pair_indices(u.shape[0], 250_000)
+    a_u, b_u = u[i], u[j]
+    lo, hi = np.minimum(a_u, b_u), np.maximum(a_u, b_u)
     r0 = float(np.abs(scale.eval(np.array([0.0]))[0]))
-    checks.append(ConditionCheck(
-        "r_zero_at_origin", r0 <= tol.tau_abs, max(0.0, r0), (0.0,)))
-
-    rpos = scale.eval(upos)
-    pos_ok = bool(np.all(rpos > 0)) if upos.size else True
-    worst = None if pos_ok or not upos.size else _worst(-rpos, (upos,))
-    checks.append(ConditionCheck(
-        "r_positive_off_origin", pos_ok,
-        max(0.0, float(-np.min(rpos))) if upos.size else 0.0, worst))
-
-    a_u, b_u = _u_pairs(u, scheme)
-    lo = np.minimum(a_u, b_u)
-    hi = np.maximum(a_u, b_u)
-    mono = scale.eval(lo) - scale.eval(hi)
-    mono_excess = float(np.max(mono)) if mono.size else 0.0
-    checks.append(ConditionCheck(
-        "r_nondecreasing", mono_excess <= tol.tau_abs, max(0.0, mono_excess),
-        _worst(mono, (lo, hi)) if mono.size else None))
-
-    sub = scale.eval(a_u + b_u) - scale.eval(a_u) - scale.eval(b_u)
-    sub_excess = float(np.max(sub)) if sub.size else 0.0
-    checks.append(ConditionCheck(
-        "r_subadditive", sub_excess <= tol.tau_abs, max(0.0, sub_excess),
-        _worst(sub, (a_u, b_u)) if sub.size else None))
-
-    R_ok = bool(np.all(Ru > 0))
-    checks.append(ConditionCheck(
-        "R_positive", R_ok, max(0.0, float(-np.min(Ru))),
-        None if R_ok else _worst(-Ru, (u,))))
-
-    Rsub = growth.eval(a_u + b_u) - growth.eval(a_u) - growth.eval(b_u)
-    Rsub_excess = float(np.max(Rsub)) if Rsub.size else 0.0
-    checks.append(ConditionCheck(
-        "R_subadditive", Rsub_excess <= tol.tau_abs, max(0.0, Rsub_excess),
-        _worst(Rsub, (a_u, b_u)) if Rsub.size else None))
-
-    crossv = Ru - cross.a * ru - cross.b
-    cross_excess = float(np.max(crossv))
-    checks.append(ConditionCheck(
-        "cross_bound", cross_excess <= tol.tau_abs, max(0.0, cross_excess),
-        _worst(crossv, (u,))))
-
-    return ValidationReport(checks=tuple(checks))
+    return ValidationReport(checks=(
+        ConditionCheck("r_zero_at_origin", r0 <= tol.tau_abs, max(0.0, r0),
+                       (0.0,)),
+        _positive_check("r_positive_off_origin", scale.eval(upos), upos),
+        _sup_check("r_nondecreasing", scale.eval(lo) - scale.eval(hi),
+                   (lo, hi), tol),
+        _sup_check("r_subadditive", scale.eval(a_u + b_u) - scale.eval(a_u)
+                   - scale.eval(b_u), (a_u, b_u), tol),
+        _positive_check("R_positive", Ru, u),
+        _sup_check("R_subadditive", growth.eval(a_u + b_u) - growth.eval(a_u)
+                   - growth.eval(b_u), (a_u, b_u), tol),
+        _sup_check("cross_bound", Ru - cross.a * scale.eval(u) - cross.b,
+                   (u,), tol),
+    ))
 
 
-def validate_gauge(phi: Gauge, growth: GrowthFn, domain: Domain,
+def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
                    scheme: SampleScheme,
                    tol: Tolerances = Tolerances()) -> ValidationReport:
     """Sampled verification of the gauge conditions.
@@ -528,12 +506,10 @@ def validate_gauge(phi: Gauge, growth: GrowthFn, domain: Domain,
     window-doubling diagnostic (the minimum of phi over the outer shell has
     to grow as the window doubles).
     """
-    checks = []
     shell_mins = []
-    floor_excess = -np.inf
-    lower_excess = -np.inf
-    upper_excess = -np.inf
-    floor_witness = lower_witness = upper_witness = None
+    # condition -> (largest excess over the levels, witness point)
+    worst = dict.fromkeys(("floor_m", "cone_lower", "cone_upper"),
+                          (-np.inf, None))
 
     for radius, pts in doubling_sample_sets(domain, scheme):
         vals = phi.eval(pts)
@@ -542,34 +518,20 @@ def validate_gauge(phi: Gauge, growth: GrowthFn, domain: Domain,
         norms = domain.norm_of(pts)
         Rn = growth.eval(norms)
 
-        fe = phi.m - vals
-        i = int(np.argmax(fe))
-        if fe[i] > floor_excess:
-            floor_excess, floor_witness = float(fe[i]), tuple(pts[i])
-
-        le = phi.gamma * Rn - vals
-        i = int(np.argmax(le))
-        if le[i] > lower_excess:
-            lower_excess, lower_witness = float(le[i]), tuple(pts[i])
-
-        ue = vals - phi.beta * Rn
-        i = int(np.argmax(ue))
-        if ue[i] > upper_excess:
-            upper_excess, upper_witness = float(ue[i]), tuple(pts[i])
+        for name, excess in (("floor_m", phi.m - vals),
+                             ("cone_lower", phi.gamma * Rn - vals),
+                             ("cone_upper", vals - phi.beta * Rn)):
+            i = int(np.argmax(excess))
+            if excess[i] > worst[name][0]:
+                worst[name] = (float(excess[i]), tuple(pts[i]))
 
         shell = norms >= 0.5 * radius
         shell_mins.append(float(np.min(vals[shell])) if np.any(shell)
                           else float(np.min(vals)))
 
-    checks.append(ConditionCheck(
-        "floor_m", floor_excess <= tol.tau_abs,
-        max(0.0, floor_excess), floor_witness))
-    checks.append(ConditionCheck(
-        "cone_lower", lower_excess <= tol.tau_abs,
-        max(0.0, lower_excess), lower_witness))
-    checks.append(ConditionCheck(
-        "cone_upper", upper_excess <= tol.tau_abs,
-        max(0.0, upper_excess), upper_witness))
+    checks = [ConditionCheck(name, excess <= tol.tau_abs, max(0.0, excess),
+                             witness)
+              for name, (excess, witness) in worst.items()]
 
     grew = shell_mins[-1] > shell_mins[0] + tol.tau_abs
     checks.append(ConditionCheck(

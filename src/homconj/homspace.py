@@ -23,6 +23,7 @@ from .funcspace import (
     SampleScheme,
     ScaleFn,
     Tolerances,
+    doubling_radii,
     doubling_sample_sets,
     exhaustion_sets,
 )
@@ -231,6 +232,26 @@ def _classify(trace, kappa_div: float, tau_abs: float,
     return "finite"
 
 
+def _combined(*labels: str) -> str:
+    """Finiteness of a joint estimate: divergent, else undetermined, else finite."""
+    return next((k for k in ("divergent", "undetermined") if k in labels),
+                "finite")
+
+
+def _shell_trace(radii, ratio: np.ndarray, shell: np.ndarray) -> tuple:
+    """(radius, sup of ``ratio`` over entries with ``shell`` <= radius).
+
+    An empty shell gives NaN, so empty inputs give the all-NaN trace that
+    :func:`_classify` labels "undetermined".
+    """
+    trace = []
+    for radius in radii:
+        mask = shell <= radius * (1.0 + 1e-9)
+        value = float(np.max(ratio[mask])) if np.any(mask) else np.nan
+        trace.append((float(radius), value))
+    return tuple(trace)
+
+
 def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
                  tol: Tolerances = Tolerances()) -> DisplacementEstimate:
     """Displacement of f relative to (phi, r) on the sample window.
@@ -243,22 +264,15 @@ def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
     The growth of the trace decides the finiteness label.
     """
     if f.is_identity:
-        trace = tuple((float(rad), 0.0)
-                      for rad in (scheme.window_radius * 2 ** j for j in range(4)))
+        trace = tuple((float(rad), 0.0) for rad in doubling_radii(scheme))
         return DisplacementEstimate(0.0, None, "finite", trace, 0)
 
     sets = doubling_sample_sets(f.domain, scheme)
     ratio, kept, dropped = _ratio_profile(f, phi, r, sets[-1][1])
+    trace = _shell_trace(doubling_radii(scheme), ratio, f.domain.norm_of(kept))
     if ratio.size == 0:
-        trace = tuple((float(radius), np.nan) for radius, _ in sets)
         return DisplacementEstimate(np.nan, None, "undetermined", trace,
                                     dropped)
-    norms = f.domain.norm_of(kept)
-    trace = []
-    for radius, _ in sets:
-        mask = norms <= radius * (1.0 + 1e-9)
-        value = float(np.max(ratio[mask])) if np.any(mask) else np.nan
-        trace.append((float(radius), value))
     i = int(np.argmax(ratio))
     best, argmax = float(ratio[i]), kept[i]
 
@@ -266,7 +280,7 @@ def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
     value = best if np.isfinite(best) else np.nan
     if finiteness == "undetermined":
         value = np.nan
-    return DisplacementEstimate(value, argmax, finiteness, tuple(trace), dropped)
+    return DisplacementEstimate(value, argmax, finiteness, trace, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +312,18 @@ def premetric(f: Homeo, g: Homeo, phi: Gauge, r: ScaleFn,
     """
     left = displacement(compose(f, invert(g)), phi, r, scheme, tol)
     right = displacement(compose(invert(f), g), phi, r, scheme, tol)
-    if left.finiteness == "divergent" or right.finiteness == "divergent":
-        finiteness = "divergent"
-    elif left.finiteness == "undetermined" or right.finiteness == "undetermined":
-        finiteness = "undetermined"
-    else:
-        finiteness = "finite"
+    finiteness = _combined(left.finiteness, right.finiteness)
     rho = np.inf if finiteness == "divergent" else (
         np.nan if finiteness == "undetermined"
         else max(left.value, right.value))
     return PremetricEstimate(rho, left, right, finiteness)
+
+
+def _triangle_coefficients(a: float, b: float, beta: float, gamma: float,
+                           m: float) -> tuple:
+    """Product and affine coefficients (a*beta, b*beta/m + beta/gamma) of
+    the relaxed triangle inequality; the gate constant A is their max."""
+    return a * beta, b * beta / m + beta / gamma
 
 
 def koopman_lambda(disp_value: float, phi: Gauge, cross: CrossConstants) -> float:
@@ -318,9 +334,9 @@ def koopman_lambda(disp_value: float, phi: Gauge, cross: CrossConstants) -> floa
     """
     if not np.isfinite(disp_value):
         raise ValueError("koopman_lambda needs a finite displacement value")
-    return (cross.a * phi.beta * disp_value
-            + cross.b * phi.beta / phi.m
-            + phi.beta / phi.gamma)
+    product, affine = _triangle_coefficients(cross.a, cross.b, phi.beta,
+                                             phi.gamma, phi.m)
+    return product * disp_value + affine
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +355,19 @@ class EstimateContext:
     tol: Tolerances = Tolerances()
 
     @property
+    def _coefficients(self) -> tuple:
+        return _triangle_coefficients(self.cross.a, self.cross.b,
+                                      self.phi.beta, self.phi.gamma,
+                                      self.phi.m)
+
+    @property
     def affine_coeff(self) -> float:
         # coefficient of the linear term in the relaxed triangle inequality
-        return (self.cross.b * self.phi.beta / self.phi.m
-                + self.phi.beta / self.phi.gamma)
+        return self._coefficients[1]
 
     @property
     def product_coeff(self) -> float:
-        return self.cross.a * self.phi.beta
+        return self._coefficients[0]
 
 
 @dataclass(frozen=True)
@@ -412,13 +433,8 @@ def group_membership(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
                      tol: Tolerances = Tolerances()) -> MembershipVerdict:
     fwd = displacement(f, phi, r, scheme, tol)
     inv = displacement(invert(f), phi, r, scheme, tol)
-    kinds = {fwd.finiteness, inv.finiteness}
-    if "divergent" in kinds:
-        verdict = "non_member"
-    elif "undetermined" in kinds:
-        verdict = "undetermined"
-    else:
-        verdict = "member"
+    verdict = {"divergent": "non_member", "undetermined": "undetermined",
+               "finite": "member"}[_combined(fwd.finiteness, inv.finiteness)]
     return MembershipVerdict(verdict, fwd, inv)
 
 

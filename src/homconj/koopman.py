@@ -20,9 +20,11 @@ from .funcspace import (
     SampleScheme,
     ScaleFn,
     Tolerances,
+    _pair_indices,
+    doubling_radii,
     doubling_sample_sets,
 )
-from .homspace import EvaluationError, Homeo, _classify
+from .homspace import EvaluationError, Homeo, _classify, _shell_trace
 
 __all__ = [
     "ConvergenceError",
@@ -69,19 +71,6 @@ class RLipschitzEstimate:
         return self.finiteness == "finite"
 
 
-def _pair_indices(n: int, cap: int) -> tuple:
-    if n * n <= cap:
-        i = np.repeat(np.arange(n), n)
-        j = np.tile(np.arange(n), n)
-    else:
-        stride = int(np.ceil(n / np.sqrt(cap)))
-        sub = np.arange(0, n, stride)
-        i = np.repeat(sub, sub.shape[0])
-        j = np.tile(sub, sub.shape[0])
-    keep = i != j
-    return i[keep], j[keep]
-
-
 def _near_partners(pts: np.ndarray, domain: Domain, seed: int) -> np.ndarray:
     # random pairs biased toward small separations; scale shrinks per block
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1729]))
@@ -104,12 +93,12 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
     sample table; the trace restricts that single profile to the doubling
     shells (a pair belongs to the shell holding its outer point), so trace
     growth reflects where the steep pairs live.  Degenerate pairs (zero
-    scale separation) are skipped.  Classification follows the same
-    three-doubling growth rule as displacement.
+    scale separation, each point with itself among them) are skipped.
+    Classification follows the same three-doubling growth rule as
+    displacement.
     """
     domain = f.domain
-    sets = doubling_sample_sets(domain, scheme)
-    pts = sets[-1][1]
+    pts = doubling_sample_sets(domain, scheme)[-1][1]
     partners = _near_partners(pts, domain, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
@@ -127,25 +116,23 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
     ok2 = sep > 0
     x, y, shell, sep = x[ok2], y[ok2], shell[ok2], sep[ok2]
     total_pairs = int(x.shape[0])
+    radii = doubling_radii(scheme)
     if total_pairs == 0:
-        trace = tuple((float(radius), np.nan) for radius, _ in sets)
-        return RLipschitzEstimate(np.nan, None, "undetermined", trace, 0)
+        # no pairs left: every shell is empty
+        return RLipschitzEstimate(np.nan, None, "undetermined",
+                                  _shell_trace(radii, sep, shell), 0)
     fx, fy = f.forward(x), f.forward(y)
     if np.any(~np.isfinite(fx)) or np.any(~np.isfinite(fy)):
         raise EvaluationError(f"map {f.label!r} not finite on pair samples")
     ratio = r.eval(domain.norm_of(fx - fy)) / sep
 
-    trace = []
-    for radius, _ in sets:
-        mask = shell <= radius * (1.0 + 1e-9)
-        value = float(np.max(ratio[mask])) if np.any(mask) else np.nan
-        trace.append((float(radius), value))
+    trace = _shell_trace(radii, ratio, shell)
     k = int(np.argmax(ratio))
     best = float(ratio[k])
     witness = (x[k].copy(), y[k].copy())
 
     finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-    return RLipschitzEstimate(best, witness, finiteness, tuple(trace), total_pairs)
+    return RLipschitzEstimate(best, witness, finiteness, trace, total_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,35 +183,28 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
     """
     if not alpha > 1.0:
         raise ValueError("the gate needs alpha > 1")
-    lam_f = r_lipschitz(f, r, scheme, tol)
-    if lam_f.finiteness == "divergent":
-        raise ValueError("r-Lipschitz estimate of f diverges")
-    slack_f, worst_f = _slack_profile(f, phi, lam_f.value, alpha, scheme)
 
-    lam_g_val = None
-    slack_g = None
-    worst_g = None
+    def gate(T: Homeo, name: str) -> tuple:
+        lam = r_lipschitz(T, r, scheme, tol)
+        if lam.finiteness == "divergent":
+            raise ValueError(f"r-Lipschitz estimate of {name} diverges")
+        slack, worst = _slack_profile(T, phi, lam.value, alpha, scheme)
+        return lam, slack, worst, lam.finite and slack >= -tol.tau_abs
+
+    lam_f, slack_f, worst_pt, f_ok = gate(f, "f")
+    lam_g = slack_g = None
     g_ok = True
     if g is not None:
-        lam_g = r_lipschitz(g, r, scheme, tol)
-        if lam_g.finiteness == "divergent":
-            raise ValueError("r-Lipschitz estimate of g diverges")
-        lam_g_val = lam_g.value
-        slack_g, worst_g = _slack_profile(g, phi, lam_g.value, alpha, scheme)
-        g_ok = lam_g.finite and slack_g >= -tol.tau_abs
-
-    satisfied = bool(lam_f.finite and slack_f >= -tol.tau_abs and g_ok)
-    if g is not None and slack_g is not None and slack_g < slack_f:
-        worst_pt = worst_g
-    else:
-        worst_pt = worst_f
+        lam_g, slack_g, worst_g, g_ok = gate(g, "g")
+        if slack_g < slack_f:
+            worst_pt = worst_g
     return EigenReport(
         alpha=float(alpha),
         lambda_f=float(lam_f.value),
-        lambda_g=None if lam_g_val is None else float(lam_g_val),
+        lambda_g=None if lam_g is None else float(lam_g.value),
         min_slack_f=float(slack_f),
         min_slack_g=None if slack_g is None else float(slack_g),
-        satisfied=satisfied,
+        satisfied=bool(f_ok and g_ok),
         worst_point=worst_pt,
     )
 
@@ -387,7 +367,7 @@ def _cloud_stretch(before: np.ndarray, after: np.ndarray, domain: Domain) -> flo
     n = before.shape[0]
     i, j = _pair_indices(n, 40_000)
     sep = domain.norm_of(before[i] - before[j])
-    ok = sep > 0
+    ok = sep > 0    # drops coincident points, each point with itself too
     if not np.any(ok):
         return 1.0
     out = domain.norm_of(after[i] - after[j])[ok] / sep[ok]
@@ -413,25 +393,12 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     for n in range(1, n_max + 1):
         for m in range(0, n - nu + 1):
             diff = clouds[n][:, None, :] - clouds[m][None, :, :]
-            if domain.norm == "sup":
-                dist = np.max(np.abs(diff), axis=2)
-            else:
-                dist = np.sqrt(np.sum(diff * diff, axis=2))
-            d = float(np.min(dist))
+            d = float(np.min(domain.norm_of(diff.reshape(-1, diff.shape[2]))))
             min_sep = min(min_sep, d - radii[n] - radii[m])
             if d <= radii[n] + radii[m]:
-                return WanderingReport(
-                    verdict="collision",
-                    collision_pair=(n, m),
-                    min_separation=float(min_sep),
-                    radii_trace=tuple(radii),
-                )
-    return WanderingReport(
-        verdict="wandering",
-        collision_pair=None,
-        min_separation=float(min_sep),
-        radii_trace=tuple(radii),
-    )
+                return WanderingReport("collision", (n, m), float(min_sep),
+                                       tuple(radii))
+    return WanderingReport("wandering", None, float(min_sep), tuple(radii))
 
 
 @dataclass(frozen=True)

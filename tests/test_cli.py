@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 
 from homconj.cli import (
+    _EXPERIMENTS,
     ConfigError,
+    EXPERIMENTS,
     TRACE_COLUMNS,
     load_config,
     main,
     parse_config,
 )
+from homconj.families import FAMILIES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,6 +94,81 @@ def test_parse_rejects_picard_variations(mutate, fragment):
     mutate(payload)
     with pytest.raises(ConfigError, match=fragment):
         parse_config(payload)
+
+
+def _cfg(experiment, family=None, **options):
+    payload = {"schema": 1, "experiment": experiment, "options": options}
+    if family is not None:
+        payload["family"] = {"name": family[0], "params": family[1]}
+    return payload
+
+
+PAIR = ("contraction_pair", {"eta": 0.25})
+
+# each of these used to pass validate, then crash or be half honoured by run
+REJECTED = [
+    (_cfg("picard", ("contraction_pair", {"eta": "abc"})),
+     "eta: expected a number"),
+    (_cfg("picard", PAIR, n_max=2.7), "n_max: expected an integer"),
+    (_cfg("picard", ("lozi", {"a": 1.4, "b": 0.3})),
+     "needs family 'contraction_pair'"),
+    (_cfg("validate", PAIR, gauge="sqrt_plus"), "carries its own gauge"),
+    (_cfg("eigen_check", PAIR, gauge="sqrt_plus"), "carries its own gauge"),
+    (_cfg("validate", ("pure_linear", {"scale": 2.0}), gauge="cubic"),
+     "gauge: expected one of"),
+    (_cfg("picard", PAIR, h0="zero"), "h0: expected one of"),
+    (_cfg("koenigs", ("pure_linear", {"scale": 2.0})),
+     "linearization needs scale"),
+    (_cfg("koenigs", ("pure_linear", {"scale": 0.5}), use="f"),
+     "options.use"),
+    (_cfg("wandering", ("translation", {"offset": 1.0}),
+          covering_radius=0.025), "missing required key"),
+    (_cfg("wandering", ("translation", {"offset": 1.0}), cloud=[[1.0, 2.0]],
+          covering_radius=0.025), "points must have"),
+    (_cfg("eigen_check", ("pure_linear", {"scale": 2.0})),
+     "alpha: required"),
+    (_cfg("lozi_membership", ("lozi", {"a": 1.4, "b": 0.3,
+                                       "norm": "manhattan"})),
+     "unknown norm"),
+    (_cfg("validate", ("perturbed_linear", {"scale": 2.0, "dim": "two"})),
+     "dim: expected an integer"),
+    (_cfg("validate", ("perturbed_linear", {"scale": 2.0, "dim": 0})),
+     "dim >= 1"),
+]
+REJECTED_IDS = [f"{p['experiment']}-{frag}" for p, frag in REJECTED]
+
+
+@pytest.mark.parametrize("payload, fragment", REJECTED, ids=REJECTED_IDS)
+def test_parse_rejects_what_run_would_not_honour(payload, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(payload)
+
+
+@pytest.mark.parametrize("payload, fragment", REJECTED, ids=REJECTED_IDS)
+def test_rejected_config_fails_validate_and_run(tmp_path, payload, fragment):
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["validate", cfg]) == 2
+    out = tmp_path / "runs"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_bump_parameters_reach_eigen_check_and_koenigs(tmp_path):
+    sampling = picard_payload()["sampling"]
+    results = {}
+    for exp in ("eigen_check", "koenigs"):
+        for center in (2.0, 5.0):
+            payload = _cfg(exp, ("contraction_pair",
+                                 {"eta": 0.25, "bump_center": center}))
+            payload["sampling"] = sampling
+            out = tmp_path / f"{exp}-{center}"
+            assert main(["run", write_cfg(tmp_path, payload),
+                         "--out", str(out)]) == 0
+            record = json.loads((only_run_dir(out) / "record.json").read_text())
+            results[exp, center] = record["results"]
+    lam = [results["eigen_check", c]["eigen"]["lambda_g"] for c in (2.0, 5.0)]
+    assert lam[0] != lam[1]
+    assert results["koenigs", 2.0] != results["koenigs", 5.0]
 
 
 def test_bundled_configs_all_parse():
@@ -212,7 +290,11 @@ def test_report_missing_dir(tmp_path, capsys):
 def test_list_families(capsys):
     assert main(["list-families"]) == 0
     out = capsys.readouterr().out
-    for name in ("contraction_pair", "lozi", "pure_linear", "translation",
-                 "perturbed_linear"):
-        assert name in out
-    assert "picard" in out
+    for name in list(FAMILIES) + list(EXPERIMENTS):
+        assert f"\n  {name}" in out
+    entries = [p for fam in FAMILIES.values() for p in fam.params]
+    entries += [o for exp in _EXPERIMENTS.values() for o in exp.options]
+    for name in entries:
+        assert f"\n    {name} (" in out
+    assert "norm (string, default 'euclidean')" in out
+    assert "n_max (integer, default 200)" in out
