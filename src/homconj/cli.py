@@ -548,6 +548,23 @@ def _default_of(fn: Callable, name: str):
 _OWN_GAUGE = (lambda c: _is_pair(c) and _given(c, "gauge"),
               "options.gauge: contraction_pair carries its own gauge")
 
+
+def _in_range(option: str, ok: Callable, expected: str) -> tuple:
+    """Check that a set option (every entry, for a list) satisfies ``ok``.
+
+    These repeat the library's own range checks at parse time, so a config
+    that validates never fails them at run time.
+    """
+    def violated(cfg: RunConfig) -> bool:
+        val = cfg.options[option]
+        vals = val if isinstance(val, (list, tuple)) else [val]
+        return val is not None and not all(ok(v) for v in vals)
+    return violated, f"options.{option}: {expected}"
+
+
+_ALPHA = _in_range("alpha", lambda a: a > 1.0, "must exceed 1")
+_N_MAX = _in_range("n_max", lambda n: n >= 1, "must be >= 1")
+
 _EXPERIMENTS = {
     "validate": Experiment(_exp_validate, tuple(FAMILIES),
                            {"gauge": _GAUGE}, (_OWN_GAUGE,)),
@@ -555,7 +572,7 @@ _EXPERIMENTS = {
         "alpha": Param("number", "gate exponent > 1; contraction_pair has "
                        "its own, other families need one", None),
         "gauge": _GAUGE,
-    }, (_OWN_GAUGE,
+    }, (_OWN_GAUGE, _ALPHA,
         (lambda c: not _is_pair(c) and c.options["alpha"] is None,
          "options.alpha: required for eigen_check outside contraction_pair"))),
     "picard": Experiment(_exp_picard, ("contraction_pair",), {
@@ -566,7 +583,8 @@ _EXPERIMENTS = {
                        _default_of(PicardContext, "n_max")),
         "n_bnd": Param("integer", "boundedness probe over |n| <= n_bnd",
                        _default_of(PicardContext, "n_bnd")),
-    }),
+    }, (_ALPHA, _N_MAX,
+        _in_range("n_bnd", lambda n: n >= 0, "must be >= 0"))),
     "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {}),
     "koenigs": Experiment(_exp_koenigs, ("contraction_pair", "pure_linear"), {
         "use": Param("string", "which contraction_pair map to linearize",
@@ -575,7 +593,9 @@ _EXPERIMENTS = {
                             None),
         "n_max": Param("integer", "step budget",
                        _default_of(koenigs_eigenfunction, "n_max")),
-    }, ((lambda c: not _is_pair(c) and _given(c, "use"),
+    }, (_N_MAX,
+        _in_range("multiplier", lambda m: 0.0 < m < 1.0, "must lie in (0, 1)"),
+        (lambda c: not _is_pair(c) and _given(c, "use"),
          "options.use: only contraction_pair has two maps to choose from"),
         (lambda c: not (_is_pair(c) or 0.0 < c.family.params["scale"] < 1.0),
          "family.params.scale: the linearization needs scale in (0, 1)"))),
@@ -583,7 +603,8 @@ _EXPERIMENTS = {
         "inner_radius": Param("number", "radius of the ball cut out at 0",
                               0.125),
         "residual_tol": Param("number", "largest residual that passes", 1e-9),
-    }, ((lambda c: "lo" in c.family.params,
+    }, (_in_range("inner_radius", lambda r: r > 0.0, "must be positive"),
+        (lambda c: "lo" in c.family.params,
          "family.params.lo: the shift check manages its own domain"),
         (lambda c: not (c.family.params["scale"] > 0
                         and c.family.params["scale"] != 1.0),
@@ -593,15 +614,19 @@ _EXPERIMENTS = {
         "covering_radius": Param("number", "covering radius of the cloud"),
         "nu": Param("integer", "smallest iterate gap checked, >= 1", 1),
         "n_max": Param("integer", "largest iterate checked", 8),
-    }, ((lambda c: c.options["cloud"].shape[1] != c.built.domain.dim,
-         "options.cloud: points must have the family's dimension"),)),
+    }, (_in_range("nu", lambda n: n >= 1, "must be >= 1"),
+        _in_range("covering_radius", lambda r: r > 0.0, "must be positive"),
+        (lambda c: c.options["cloud"].shape[1] != c.built.domain.dim,
+         "options.cloud: points must have the family's dimension"))),
     "fk_sweep": Experiment(_exp_fk_sweep, (), {
         "epsilons": Param("numbers", "envelope seeds, > 0",
                           (1e-3, 1e-2, 1e-1)),
         "Cs": Param("numbers", "contraction factors in (0, 1)",
                     (0.3, 0.5, 0.9)),
         "k_max": Param("integer", "envelope steps", 64),
-    }),
+    }, (_in_range("epsilons", lambda e: e > 0.0, "must be positive"),
+        _in_range("Cs", lambda c: 0.0 < c < 1.0, "must lie in (0, 1)"),
+        _in_range("k_max", lambda k: k >= 0, "must be >= 0"))),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)

@@ -21,6 +21,7 @@ from .homspace import (
     Homeo,
     InequalityReport,
     MembershipVerdict,
+    _chain_memo,
     _triangle_coefficients,
     compose,
     group_membership,
@@ -190,18 +191,24 @@ class BoundReport:
 def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
                             n_bnd: int,
                             tol: Tolerances = Tolerances()) -> BoundReport:
+    """Sup norms of f^n∘h0∘g^-n over ``pts`` for |n| <= n_bnd.
+
+    Runs under a chain memo, so the orbits g^-n(pts) and g^n(pts) are
+    walked once, not once per n.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     domain = h0.domain
-    values = {0: float(np.max(domain.norm_of(h0.forward(pts))))}
-    pos = h0
-    neg = h0
-    f_inv = invert(f)
-    g_inv = invert(g)
-    for n in range(1, n_bnd + 1):
-        pos = compose(compose(f, pos), g_inv)
-        neg = compose(compose(f_inv, neg), g)
-        values[n] = float(np.max(domain.norm_of(pos.forward(pts))))
-        values[-n] = float(np.max(domain.norm_of(neg.forward(pts))))
+    with _chain_memo():
+        values = {0: float(np.max(domain.norm_of(h0.forward(pts))))}
+        pos = h0
+        neg = h0
+        f_inv = invert(f)
+        g_inv = invert(g)
+        for n in range(1, n_bnd + 1):
+            pos = compose(compose(f, pos), g_inv)
+            neg = compose(compose(f_inv, neg), g)
+            values[n] = float(np.max(domain.norm_of(pos.forward(pts))))
+            values[-n] = float(np.max(domain.norm_of(neg.forward(pts))))
     half = max(v for k, v in values.items() if abs(k) <= n_bnd // 2)
     full = max(values.values())
     flagged = bool(full > tol.kappa_div * half + tol.tau_abs)
@@ -305,15 +312,25 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     Stops when both the increment rho(h_{n+1}, h_n) and the conjugation
     residual drop below tol_conj.  Never weakens a gate: a failed gate or a
     flagged boundedness probe ends the run with the corresponding verdict
-    and no iteration steps.
+    and no iteration steps.  Everything after the eigenvalue gate runs
+    under one chain memo (see homspace), so each step costs one new
+    inverse orbit step per sample table instead of n.
     """
+    eigen = ctx.eigen_report
+    if eigen is None and ctx.verify_eigen:
+        est = ctx.est
+        eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
+                              est.tol)
+    # the gate's pair clouds are fresh arrays that the memo would only pin
+    with _chain_memo():
+        return _gated_picard(f, g, h0, ctx, eigen)
+
+
+def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
+                  eigen: EigenReport | None) -> ConjugacyResult:
     est = ctx.est
     tol = est.tol
     C = 1.0 / ctx.alpha
-
-    eigen = ctx.eigen_report
-    if eigen is None and ctx.verify_eigen:
-        eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme, tol)
 
     levels = exhaustion_sets(est.domain, est.scheme)
     inner = next((k for k in levels if k.shape[0] > 0), None)
@@ -352,6 +369,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     envelope = None
     h_anchor = None
     h = h0
+    neg = h0
+    f_inv = invert(f)
     verdict = "budget_exhausted"
     residual = np.nan
     f_chain_domain = est.domain
@@ -382,9 +401,9 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             anchored.append((n, float(observed), float(env_val)))
 
         compact = float(np.max(f_chain_domain.norm_of(h_next.forward(inner))))
-        neg_iter = _negative_iterate(f, g, h0, n + 1)
+        neg = compose(compose(f_inv, neg), g)
         compact = max(compact, float(np.max(
-            f_chain_domain.norm_of(neg_iter.forward(inner)))))
+            f_chain_domain.norm_of(neg.forward(inner)))))
 
         steps.append(StepRecord(
             n=n, rho_increment=float(inc), conj_residual=float(residual),
@@ -418,11 +437,3 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     membership = group_membership(h, est.phi, est.r, est.scheme, tol)
     return ConjugacyResult(h=h, trace=trace, membership=membership,
                            residual=float(residual))
-
-
-def _negative_iterate(f: Homeo, g: Homeo, h0: Homeo, n: int) -> Homeo:
-    out = h0
-    f_inv = invert(f)
-    for _ in range(n):
-        out = compose(compose(f_inv, out), g)
-    return out

@@ -16,6 +16,7 @@ built-in scale functions and are not checked numerically; user-supplied
 closures are trusted on this point.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -129,6 +130,7 @@ class Domain:
     """Closed region of R^d that the homeomorphisms act on.
 
     ``bounds`` holds one (lo, hi) interval per axis; infinities are allowed.
+    Any sequence of pairs is accepted and stored as a tuple of float pairs.
     ``half_line`` is the one-dimensional ray [lo, inf).  ``box_minus_ball``
     removes the open ball of ``inner_radius`` around the origin, which the
     functional checks that need 0 excluded rely on.
@@ -155,7 +157,9 @@ class Domain:
                 bounds = ((0.0, np.inf),)
             else:
                 bounds = tuple((-np.inf, np.inf) for _ in range(self.dim))
-            object.__setattr__(self, "bounds", bounds)
+        # one canonical form, so equal domains compare and hash equal
+        object.__setattr__(self, "bounds", tuple(
+            (float(lo), float(hi)) for lo, hi in bounds))
         if len(self.bounds) != self.dim:
             raise ValueError("bounds must give one interval per axis")
         for lo, hi in self.bounds:
@@ -357,11 +361,26 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
     return tuple(scheme.window_radius * (2 ** j) for j in range(DOUBLINGS + 1))
 
 
-def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> list:
+# Sample tables are memoized per (Domain, SampleScheme).  A Picard run
+# asks for the same few tables dozens of times, and the chain memo of
+# homspace keys its work on the identity of these arrays.  Tables of a
+# 2-d window hold a few thousand rows, so 64 keys stay small.
+_TABLE_CACHE_SIZE = 64
+
+
+def _read_only(pts: np.ndarray) -> np.ndarray:
+    pts.flags.writeable = False
+    return pts
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     """Cumulative sample sets for the window and its three doublings.
 
     Each set contains the previous one, so sup estimates taken level by
-    level are nondecreasing by construction.
+    level are nondecreasing by construction.  Returns a tuple of
+    (radius, points) pairs.  Memoized on (domain, scheme): equal keys get
+    the same read-only arrays.
     """
     sets = []
     acc = None
@@ -369,19 +388,24 @@ def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> list:
         pts = sample_points(domain, scheme, radius=radius)
         acc = pts if acc is None else np.unique(
             np.concatenate([acc, pts], axis=0), axis=0)
-        sets.append((radius, acc))
-    return sets
+        sets.append((radius, _read_only(acc)))
+    return tuple(sets)
 
 
-def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> list:
-    """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the base window."""
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
+    """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the base window.
+
+    Memoized on (domain, scheme): equal keys get the same tuple of
+    read-only arrays.
+    """
     base = sample_points(domain, scheme)
     norms = domain.norm_of(base)
     out = []
     for k in range(scheme.exhaustion_levels + 1):
         cut = min(scheme.window_radius, float(2 ** k))
-        out.append(base[norms <= cut * (1.0 + 1e-12)])
-    return out
+        out.append(_read_only(base[norms <= cut * (1.0 + 1e-12)]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

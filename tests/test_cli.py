@@ -134,6 +134,23 @@ REJECTED = [
      "dim: expected an integer"),
     (_cfg("validate", ("perturbed_linear", {"scale": 2.0, "dim": 0})),
      "dim >= 1"),
+    # option ranges the library enforces only at run time
+    (_cfg("picard", PAIR, alpha=0.5), "alpha: must exceed 1"),
+    (_cfg("picard", PAIR, n_max=0), "n_max: must be >= 1"),
+    (_cfg("picard", PAIR, n_bnd=-1), "n_bnd: must be >= 0"),
+    (_cfg("eigen_check", PAIR, alpha=0.5), "alpha: must exceed 1"),
+    (_cfg("koenigs", PAIR, multiplier=1.5), "multiplier: must lie in"),
+    (_cfg("koenigs", ("pure_linear", {"scale": 0.5}), n_max=0),
+     "n_max: must be >= 1"),
+    (_cfg("wandering", ("translation", {"offset": 1.0}), cloud=[1.0],
+          covering_radius=0.025, nu=0), "nu: must be >= 1"),
+    (_cfg("wandering", ("translation", {"offset": 1.0}), cloud=[1.0],
+          covering_radius=0.0), "covering_radius: must be positive"),
+    (_cfg("abel", ("pure_linear", {"scale": 0.5}), inner_radius=0.0),
+     "inner_radius: must be positive"),
+    (_cfg("fk_sweep", epsilons=[0.1, 0.0]), "epsilons: must be positive"),
+    (_cfg("fk_sweep", Cs=[1.5]), "Cs: must lie in"),
+    (_cfg("fk_sweep", k_max=-1), "k_max: must be >= 0"),
 ]
 REJECTED_IDS = [f"{p['experiment']}-{frag}" for p, frag in REJECTED]
 

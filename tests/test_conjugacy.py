@@ -6,10 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homconj import (
+    Domain,
+    DomainMismatchError,
     EstimateContext,
     GateConstants,
     PicardContext,
     SampleScheme,
+    Tolerances,
+    build_contraction_pair,
     cauchy_envelope,
     compose,
     conjugacy_operator,
@@ -17,6 +21,7 @@ from homconj import (
     contraction_check,
     envelope_threshold,
     identity,
+    invert,
     negative_iterates_bound,
     picard_solve,
     premetric,
@@ -253,3 +258,54 @@ def test_picard_limits_from_two_seeds_differ_by_g(half_dom, sqrt_triple,
     gap = premetric(shifted, from_g.h, phi, r, scheme_fast)
     assert gap.finite
     assert gap.rho < 1e-7
+
+
+def test_picard_inverse_work_is_linear_in_steps():
+    # criterion 11's sampling; tol_conj = 1e-300 is never met, so both runs
+    # spend their whole budget
+    b = build_contraction_pair(0.25)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                          quasirandom_count=8, exhaustion_levels=2, seed=7)
+    est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
+                          cross=b.cross, tol=Tolerances(tol_conj=1e-300))
+    atom = b.g.chain[0][0]
+    inverse, calls = atom.inv, []
+
+    def counted(p):
+        calls.append(p.shape[0])
+        return inverse(p)
+
+    atom.inv = counted
+    used = {}
+    for n_max in (20, 40):
+        del calls[:]
+        ctx = PicardContext(est=est, alpha=b.alpha, n_max=n_max,
+                            verify_eigen=False)
+        res = picard_solve(b.f, b.g, b.g, ctx)
+        assert res.trace.verdict == "budget_exhausted"
+        assert res.trace.n_steps == n_max
+        used[n_max] = len(calls)
+    # re-walking h_n = f^n∘h0∘g^-n on every use costs about 150 per step
+    assert (used[40] - used[20]) / 20 <= 8
+
+
+def test_picard_leaves_no_chain_memo_open(bundle_025, scheme_fast):
+    f, g = bundle_025.f, bundle_025.g
+    est = EstimateContext(domain=bundle_025.domain, scheme=scheme_fast,
+                          phi=bundle_025.phi, r=bundle_025.r,
+                          cross=bundle_025.cross)
+    ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=3,
+                        verify_eigen=False)
+    fg = compose(f, invert(g))
+    pts = sample_points(bundle_025.domain, scheme_fast)
+
+    def assert_closed():
+        first, second = fg.forward(pts), fg.forward(pts)
+        assert first is not second
+        assert first.flags.writeable
+
+    picard_solve(f, g, g, ctx)
+    assert_closed()
+    with pytest.raises(DomainMismatchError):
+        picard_solve(f, g, identity(Domain(dim=1)), ctx)
+    assert_closed()

@@ -12,11 +12,14 @@ from homconj import (
     SampleScheme,
     Tolerances,
     builtin_triple,
+    compose,
     doubling_sample_sets,
     exhaustion_sets,
     gauge_from_growth,
+    identity,
     make_growth,
     make_scale,
+    primitive,
     sample_points,
     validate_gauge,
     validate_scale_pair,
@@ -76,6 +79,18 @@ def test_domain_contains():
     assert bool(punctured.contains(np.array([[1.0, 0.0]]))[0])
 
 
+def test_domain_bounds_are_normalized():
+    # a list of lists, ints and numpy scalars give the same hashable domain
+    as_list = Domain(dim=1, bounds=[[0, 5]])
+    as_tuple = Domain(dim=1, bounds=((0.0, np.float64(5.0)),))
+    assert as_list.bounds == ((0.0, 5.0),)
+    assert all(type(v) is float for v in as_list.bounds[0])
+    assert as_list == as_tuple
+    assert hash(as_list) == hash(as_tuple)
+    f = primitive(as_list, lambda p: p + 1.0, lambda p: p - 1.0, "shift")
+    assert compose(f, identity(as_tuple)).domain == as_tuple
+
+
 def test_gauge_constructor_ordering():
     growth = make_growth("linear_plus")
     dom = Domain(dim=1)
@@ -121,6 +136,23 @@ def test_doubling_sets_are_nested(half_dom):
 def test_doubling_radii():
     sch = SampleScheme(window_radius=3.0)
     assert doubling_radii(sch) == (3.0, 6.0, 12.0, 24.0)
+
+
+def test_sample_tables_are_memoized_read_only(half_dom):
+    def key():
+        return half_dom, SampleScheme(window_radius=4.0, seed=3,
+                                      grid_points_per_axis=11,
+                                      quasirandom_count=8)
+
+    for table, arrays in ((doubling_sample_sets, lambda t: [p for _, p in t]),
+                          (exhaustion_sets, list)):
+        first = table(*key())
+        assert table(*key()) is first   # equal keys, the very same arrays
+        fresh = table.__wrapped__(*key())
+        for pts, ref in zip(arrays(first), arrays(fresh), strict=True):
+            assert np.array_equal(pts, ref)
+            with pytest.raises(ValueError):
+                pts[0, 0] = 1.0
 
 
 def test_exhaustion_sets_nested(half_dom):

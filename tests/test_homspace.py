@@ -22,7 +22,8 @@ from homconj import (
     roundtrip_error,
     sample_points,
 )
-from homconj.homspace import sup_ratio
+from homconj import homspace
+from homconj.homspace import _chain_memo, sup_ratio
 
 from conftest import bump_member, seeded_members
 
@@ -77,6 +78,69 @@ def test_roundtrip_error_exact_inverse(half_dom):
     f = scaling(half_dom, 3.0)
     pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
     assert roundtrip_error(f, pts) < 1e-12
+
+
+# ===================================================================
+# chain memo
+# ===================================================================
+
+def _iterates(half_dom, n):
+    """h_k = f^k∘h0∘g^-k for k = 1..n, with a call counter on g's inverse."""
+    f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
+    g = bump_member(half_dom, 3.0, 0.5, 0.2, "g")
+    atom = g.chain[0][0]
+    inverse, calls = atom.inv, []
+
+    def counted(p):
+        calls.append(p.shape[0])
+        return inverse(p)
+
+    atom.inv = counted
+    h, hs = bump_member(half_dom, 4.0, 1.0, 0.25, "h0"), []
+    for _ in range(n):
+        h = compose(compose(f, h), invert(g))
+        hs.append(h)
+    return hs, calls
+
+
+def test_chain_memo_walks_each_suffix_once(half_dom):
+    pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
+    hs, calls = _iterates(half_dom, 8)
+    plain = [h.forward(pts) for h in hs]
+    assert len(calls) == sum(range(1, 9))
+    assert all(p.flags.writeable for p in plain)
+    del calls[:]
+    with _chain_memo():
+        cached = [h.forward(pts) for h in hs]
+        with _chain_memo():     # a nested memo is the outer one
+            again = [h.forward(pts) for h in hs]
+    assert len(calls) == 8      # g^-k(pts) once for each k
+    for p, c, a in zip(plain, cached, again):
+        assert a is c and not c.flags.writeable
+        assert c.tobytes() == p.tobytes()
+    assert hs[-1].forward(pts) is not hs[-1].forward(pts)
+
+
+def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
+    pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
+    hs, calls = _iterates(half_dom, 12)
+    plain = [h.forward(pts) for h in hs]
+    del calls[:]
+    # room for 30 images: the longest walk needs 26, all twelve iterates
+    # together about 100, so the f-towers of old iterates are evicted
+    cap = 30 * pts.nbytes
+    monkeypatch.setattr(homspace, "_MEMO_BYTES", cap)
+    with _chain_memo():
+        memo = homspace._MEMO.get()
+        for rep in range(2):
+            for h, p in zip(hs, plain):
+                assert h.forward(pts).tobytes() == p.tobytes()
+                assert memo.nbytes <= cap
+            if rep == 0:
+                # walked in Picard order, each iterate renews the orbit
+                # images g^-k(pts) it passes through, and the least
+                # recently used image goes first, so none is recomputed
+                assert len(calls) == 12
 
 
 # ===================================================================
