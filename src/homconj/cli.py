@@ -613,11 +613,13 @@ _EXPERIMENTS = {
         "cloud": Param("points", "sample points of the compact"),
         "covering_radius": Param("number", "covering radius of the cloud"),
         "nu": Param("integer", "smallest iterate gap checked, >= 1", 1),
-        "n_max": Param("integer", "largest iterate checked", 8),
+        "n_max": Param("integer", "largest iterate checked, >= nu", 8),
     }, (_in_range("nu", lambda n: n >= 1, "must be >= 1"),
         _in_range("covering_radius", lambda r: r > 0.0, "must be positive"),
         (lambda c: c.options["cloud"].shape[1] != c.built.domain.dim,
-         "options.cloud: points must have the family's dimension"))),
+         "options.cloud: points must have the family's dimension"),
+        (lambda c: c.options["n_max"] < c.options["nu"],
+         "options.n_max: must be >= nu, or no pair of iterates is compared"))),
     "fk_sweep": Experiment(_exp_fk_sweep, (), {
         "epsilons": Param("numbers", "envelope seeds, > 0",
                           (1e-3, 1e-2, 1e-1)),

@@ -18,6 +18,7 @@ import numpy as np
 from .funcspace import Tolerances, doubling_sample_sets, exhaustion_sets
 from .homspace import (
     EstimateContext,
+    EvaluationError,
     Homeo,
     InequalityReport,
     MembershipVerdict,
@@ -246,7 +247,8 @@ class StepRecord:
 @dataclass(frozen=True)
 class IterationTrace:
     steps: tuple
-    verdict: str             # converged | gate_failed | budget_exhausted | unbounded_on_compacts
+    verdict: str             # converged | gate_failed | budget_exhausted |
+                             # unbounded_on_compacts | non_finite
     constants: GateConstants
     alpha: float
     eigen: EigenReport | None
@@ -312,16 +314,19 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     Stops when both the increment rho(h_{n+1}, h_n) and the conjugation
     residual drop below tol_conj.  Never weakens a gate: a failed gate or a
     flagged boundedness probe ends the run with the corresponding verdict
-    and no iteration steps.  Everything after the eigenvalue gate runs
-    under one chain memo (see homspace), so each step costs one new
-    inverse orbit step per sample table instead of n.
+    and no iteration steps.  A step whose estimates cannot be evaluated
+    (an image left the float range) ends the run as ``non_finite``, with
+    the steps before it and no membership.  Everything after the eigenvalue
+    gate runs under one chain memo (see homspace), so each step costs one
+    new inverse orbit step per sample table instead of n.
     """
     eigen = ctx.eigen_report
     if eigen is None and ctx.verify_eigen:
         est = ctx.est
         eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
                               est.tol)
-    # the gate's pair clouds are fresh arrays that the memo would only pin
+    # the gate evaluates each map once on its pair cloud; the memo would
+    # only pin those images
     with _chain_memo():
         return _gated_picard(f, g, h0, ctx, eigen)
 
@@ -364,6 +369,7 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
 
     steps = []
     anchored = []
+    notes = []
     anchor = None
     eps_monitor = None
     envelope = None
@@ -377,11 +383,26 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
 
     for n in range(ctx.n_max):
         h_next = conjugacy_operator(f, g, h)
-        if n == 0:
-            inc = constants.delta
-        else:
-            inc = premetric(h_next, h, est.phi, est.r, est.scheme, tol).rho
-        residual = _residual_on(f, g, h_next, pts_top, est)
+        neg_next = compose(compose(f_inv, neg), g)
+        try:
+            if n == 0:
+                inc = constants.delta
+            else:
+                inc = premetric(h_next, h, est.phi, est.r, est.scheme, tol).rho
+            step_residual = _residual_on(f, g, h_next, pts_top, est)
+            observed = inc if anchor is None else premetric(
+                h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
+            compact = max(
+                float(np.max(f_chain_domain.norm_of(h_next.forward(inner)))),
+                float(np.max(f_chain_domain.norm_of(neg_next.forward(inner)))))
+        except EvaluationError as exc:
+            # once f^-n leaves the float range no estimate of step n exists;
+            # the steps before it stand
+            verdict = "non_finite"
+            notes.append(f"step {n} not evaluable: {exc}")
+            break
+        residual = step_residual
+        neg = neg_next
 
         if anchor is None and inc < 1.0:
             anchor = n
@@ -394,16 +415,8 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
         if anchor is None:
             env_val = np.nan
         else:
-            k = n - anchor
-            env_val = envelope.value_at(k)
-            observed = inc if n == anchor else premetric(
-                h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
+            env_val = envelope.value_at(n - anchor)
             anchored.append((n, float(observed), float(env_val)))
-
-        compact = float(np.max(f_chain_domain.norm_of(h_next.forward(inner))))
-        neg = compose(compose(f_inv, neg), g)
-        compact = max(compact, float(np.max(
-            f_chain_domain.norm_of(neg.forward(inner)))))
 
         steps.append(StepRecord(
             n=n, rho_increment=float(inc), conj_residual=float(residual),
@@ -415,7 +428,6 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
             break
 
     bound_post = None
-    notes = []
     if verdict == "converged":
         bound_post = negative_iterates_bound(f, g, h0, outer, ctx.n_bnd, tol)
         if bound_post.flagged:
@@ -434,6 +446,7 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
         incrementally_bounded=incr_ok, bound_pre=bound_pre,
         bound_post=bound_post, notes=tuple(notes),
     )
-    membership = group_membership(h, est.phi, est.r, est.scheme, tol)
+    membership = None if verdict == "non_finite" else group_membership(
+        h, est.phi, est.r, est.scheme, tol)
     return ConjugacyResult(h=h, trace=trace, membership=membership,
                            residual=float(residual))

@@ -454,18 +454,19 @@ def _u_samples(scheme: SampleScheme) -> np.ndarray:
     return np.unique(np.concatenate(us))
 
 
-def _pair_indices(n: int, cap: int) -> tuple:
-    """All index pairs (i, j), i == j included, of n items or, past ``cap``
-    pairs, of an evenly strided subset."""
+def _strided_subset(n: int, cap: int) -> np.ndarray:
+    """Indices of all n items or, when n * n exceeds ``cap``, of an evenly
+    strided subset of about sqrt(cap) of them."""
     if n * n <= cap:
-        i = np.repeat(np.arange(n), n)
-        j = np.tile(np.arange(n), n)
-    else:
-        stride = int(np.ceil(n / np.sqrt(cap)))
-        sub = np.arange(0, n, stride)
-        i = np.repeat(sub, sub.shape[0])
-        j = np.tile(sub, sub.shape[0])
-    return i, j
+        return np.arange(n)
+    return np.arange(0, n, int(np.ceil(n / np.sqrt(cap))))
+
+
+def _pair_indices(n: int, cap: int) -> tuple:
+    """All index pairs (i, j), i == j included, of the strided subset of n
+    items (see :func:`_strided_subset`)."""
+    sub = _strided_subset(n, cap)
+    return np.repeat(sub, sub.shape[0]), np.tile(sub, sub.shape[0])
 
 
 def _worst(excess: np.ndarray, args) -> tuple:

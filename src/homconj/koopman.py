@@ -9,6 +9,7 @@ and the pointwise gate inequalities are checked on the same windowed sample
 sets the rest of the package uses.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .funcspace import (
     ScaleFn,
     Tolerances,
     _pair_indices,
+    _read_only,
+    _strided_subset,
     doubling_radii,
     doubling_sample_sets,
 )
@@ -58,7 +61,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RLipschitzEstimate:
-    """Pairwise sup of r(|f(x)-f(y)|) / r(|x-y|) over sampled pairs."""
+    """Pairwise sup of r(|f(x)-f(y)|) / r(|x-y|) over sampled pairs.
+
+    ``pair_count`` is the number of ordered pairs (x, y) the sup ran over,
+    both orders of each kept pair counted: pairs closer than the separation
+    floor or at zero r-separation are not.
+    """
 
     value: float
     witness_pair: tuple | None
@@ -84,6 +92,47 @@ def _near_partners(pts: np.ndarray, domain: Domain, seed: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+# The pair geometry depends on (domain, r, scheme, pair_cap) and never on
+# the map, so the g-call of check_p_alpha reuses what the f-call built.
+@functools.lru_cache(maxsize=1)
+def _pair_geometry(domain: Domain, r: ScaleFn, scheme: SampleScheme,
+                   pair_cap: int) -> tuple:
+    """Read-only (points, i, j, shell, sep) of the kept unordered pairs.
+
+    The cloud is the full cumulative sample table plus its near partners,
+    strided down to ``pair_cap`` ordered pairs.  Pairs i < j come in
+    row-major order; ``points`` holds just the cloud points of kept pairs
+    and i, j index into it.  ``shell`` is the norm of the outer point and
+    ``sep`` the r-separation.
+    """
+    pts = doubling_sample_sets(domain, scheme)[-1][1]
+    partners = _near_partners(pts, domain, scheme.seed)
+    keep = domain.contains(partners, slack=0.0)
+    cloud = np.concatenate([pts, partners[keep]], axis=0)
+    cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
+    i, j = np.triu_indices(cloud.shape[0], k=1)
+    norms = domain.norm_of(cloud)
+    raw = domain.norm_of(cloud[i] - cloud[j])
+    shell = np.maximum(norms[i], norms[j])
+    # below ~1e-9 relative separation the quotient measures evaluation
+    # rounding, not the map; the deliberate near-partner blocks stay
+    # three orders of magnitude above this floor
+    ok = raw > _SEP_FLOOR * (1.0 + shell)
+    i, j, shell = i[ok], j[ok], shell[ok]
+    sep = r.eval(raw[ok])
+    ok = sep > 0
+    i, j, shell, sep = i[ok], j[ok], shell[ok], sep[ok]
+    # f is evaluated on exactly the points of kept pairs: the finiteness
+    # check covers those alone, and a solver that stops on a batch-wide
+    # criterion sees the same batch as one fed the pair arrays
+    used = np.zeros(cloud.shape[0], dtype=bool)
+    used[i] = True
+    used[j] = True
+    renumber = np.cumsum(used) - 1
+    return tuple(_read_only(a) for a in
+                 (cloud[used], renumber[i], renumber[j], shell, sep))
+
+
 def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
                 tol: Tolerances = Tolerances(),
                 pair_cap: int = PAIR_CAP) -> RLipschitzEstimate:
@@ -94,45 +143,32 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
     shells (a pair belongs to the shell holding its outer point), so trace
     growth reflects where the steep pairs live.  Degenerate pairs (zero
     scale separation, each point with itself among them) are skipped.
-    Classification follows the same three-doubling growth rule as
-    displacement.
+    f runs once on the cloud points, not once per pair, and each unordered
+    pair is visited once: every quantity is symmetric in the pair, and the
+    first row-major maximizer over i < j is the first over all (i, j).
+    ``pair_count`` still counts ordered pairs.  Classification follows the
+    same three-doubling growth rule as displacement.
     """
     domain = f.domain
-    pts = doubling_sample_sets(domain, scheme)[-1][1]
-    partners = _near_partners(pts, domain, scheme.seed)
-    keep = domain.contains(partners, slack=0.0)
-    cloud = np.concatenate([pts, partners[keep]], axis=0)
-    i, j = _pair_indices(cloud.shape[0], pair_cap)
-    x, y = cloud[i], cloud[j]
-    raw = domain.norm_of(x - y)
-    shell = np.maximum(domain.norm_of(x), domain.norm_of(y))
-    # below ~1e-9 relative separation the quotient measures evaluation
-    # rounding, not the map; the deliberate near-partner blocks stay
-    # three orders of magnitude above this floor
-    floor = _SEP_FLOOR * (1.0 + shell)
-    ok = raw > floor
-    x, y, shell = x[ok], y[ok], shell[ok]
-    sep = r.eval(raw[ok])
-    ok2 = sep > 0
-    x, y, shell, sep = x[ok2], y[ok2], shell[ok2], sep[ok2]
-    total_pairs = int(x.shape[0])
+    pts, i, j, shell, sep = _pair_geometry(domain, r, scheme, pair_cap)
     radii = doubling_radii(scheme)
-    if total_pairs == 0:
+    if sep.shape[0] == 0:
         # no pairs left: every shell is empty
         return RLipschitzEstimate(np.nan, None, "undetermined",
                                   _shell_trace(radii, sep, shell), 0)
-    fx, fy = f.forward(x), f.forward(y)
-    if np.any(~np.isfinite(fx)) or np.any(~np.isfinite(fy)):
+    fc = f.forward(pts)
+    if np.any(~np.isfinite(fc)):
         raise EvaluationError(f"map {f.label!r} not finite on pair samples")
-    ratio = r.eval(domain.norm_of(fx - fy)) / sep
+    ratio = r.eval(domain.norm_of(fc[i] - fc[j])) / sep
 
     trace = _shell_trace(radii, ratio, shell)
     k = int(np.argmax(ratio))
     best = float(ratio[k])
-    witness = (x[k].copy(), y[k].copy())
+    witness = (pts[i[k]].copy(), pts[j[k]].copy())
 
     finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-    return RLipschitzEstimate(best, witness, finiteness, trace, total_pairs)
+    return RLipschitzEstimate(best, witness, finiteness, trace,
+                              2 * int(sep.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +415,9 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
+    if n_max < nu:
+        raise ValueError("n_max must be >= nu, or no pair of iterates is "
+                         "compared")
     domain = f.domain
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     clouds = [cloud]

@@ -146,6 +146,8 @@ REJECTED = [
           covering_radius=0.025, nu=0), "nu: must be >= 1"),
     (_cfg("wandering", ("translation", {"offset": 1.0}), cloud=[1.0],
           covering_radius=0.0), "covering_radius: must be positive"),
+    (_cfg("wandering", ("pure_linear", {"scale": 1.0}), cloud=[1.0, 1.1],
+          covering_radius=0.5, n_max=0), "n_max: must be >= nu"),
     (_cfg("abel", ("pure_linear", {"scale": 0.5}), inner_radius=0.0),
      "inner_radius: must be positive"),
     (_cfg("fk_sweep", epsilons=[0.1, 0.0]), "epsilons: must be positive"),

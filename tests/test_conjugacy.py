@@ -309,3 +309,28 @@ def test_picard_leaves_no_chain_memo_open(bundle_025, scheme_fast):
     with pytest.raises(DomainMismatchError):
         picard_solve(f, g, identity(Domain(dim=1)), ctx)
     assert_closed()
+
+
+def test_picard_stops_as_non_finite_when_iterates_overflow():
+    # eta**-n leaves the float range near n = 103 for eta = 0.001; the run
+    # must end with a verdict, not raise, and keep the steps before it
+    b = build_contraction_pair(0.001)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                          quasirandom_count=8, exhaustion_levels=2, seed=7)
+    est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
+                          cross=b.cross, tol=Tolerances(tol_conj=1e-300))
+    ctx = PicardContext(est=est, alpha=b.alpha, n_max=200, verify_eigen=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = picard_solve(b.f, b.g, b.g, ctx)
+    trace = res.trace
+    assert trace.verdict == "non_finite"
+    assert not res.converged and res.membership is None
+    n = trace.n_steps
+    assert 0 < n < ctx.n_max
+    assert [s.n for s in trace.steps] == list(range(n))
+    assert all(a[0] < n for a in trace.anchored)
+    assert len(trace.notes) == 1
+    assert trace.notes[0].startswith(f"step {n} not evaluable: ")
+    assert "not finite" in trace.notes[0]
+    assert res.residual == trace.steps[-1].conj_residual
+    assert np.isfinite(res.residual)

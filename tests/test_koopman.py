@@ -7,11 +7,16 @@ from homconj import (
     ConvergenceError,
     Domain,
     SampleScheme,
+    Tolerances,
     abel_check,
+    build_contraction_pair,
     build_lozi,
+    build_perturbed_linear,
     build_pure_linear,
+    build_translation,
     check_p_alpha,
     identity,
+    invert,
     koenigs_eigenfunction,
     make_scale,
     periodic_obstruction,
@@ -20,6 +25,16 @@ from homconj import (
     sample_points,
     schroeder_functional_check,
     wandering_check,
+)
+from homconj.families import BumpSpec
+from homconj.funcspace import _pair_indices, doubling_radii, doubling_sample_sets
+from homconj.homspace import EvaluationError, _classify, _shell_trace
+from homconj.koopman import (
+    PAIR_CAP,
+    _SEP_FLOOR,
+    RLipschitzEstimate,
+    _near_partners,
+    _pair_geometry,
 )
 
 
@@ -46,6 +61,142 @@ def test_lozi_lipschitz_bound_sup_norm(scheme_fast):
     assert est.finiteness == "finite"
     assert est.value <= 1.4 + 1.0 + 1e-9
     assert est.value > 1.0
+
+
+def reference_r_lipschitz(f, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
+    """The ordered-pair estimator r_lipschitz replaced: f on both pair
+    arrays, every (i, j) of the strided cloud visited."""
+    domain = f.domain
+    pts = doubling_sample_sets(domain, scheme)[-1][1]
+    partners = _near_partners(pts, domain, scheme.seed)
+    keep = domain.contains(partners, slack=0.0)
+    cloud = np.concatenate([pts, partners[keep]], axis=0)
+    i, j = _pair_indices(cloud.shape[0], pair_cap)
+    x, y = cloud[i], cloud[j]
+    raw = domain.norm_of(x - y)
+    shell = np.maximum(domain.norm_of(x), domain.norm_of(y))
+    floor = _SEP_FLOOR * (1.0 + shell)
+    ok = raw > floor
+    x, y, shell = x[ok], y[ok], shell[ok]
+    sep = r.eval(raw[ok])
+    ok2 = sep > 0
+    x, y, shell, sep = x[ok2], y[ok2], shell[ok2], sep[ok2]
+    total_pairs = int(x.shape[0])
+    radii = doubling_radii(scheme)
+    if total_pairs == 0:
+        return RLipschitzEstimate(np.nan, None, "undetermined",
+                                  _shell_trace(radii, sep, shell), 0)
+    fx, fy = f.forward(x), f.forward(y)
+    if np.any(~np.isfinite(fx)) or np.any(~np.isfinite(fy)):
+        raise EvaluationError(f"map {f.label!r} not finite on pair samples")
+    ratio = r.eval(domain.norm_of(fx - fy)) / sep
+
+    trace = _shell_trace(radii, ratio, shell)
+    k = int(np.argmax(ratio))
+    best = float(ratio[k])
+    witness = (x[k].copy(), y[k].copy())
+
+    finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    return RLipschitzEstimate(best, witness, finiteness, trace, total_pairs)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _reference_cases():
+    sqrt_r = make_scale("sqrt_plus")
+    ident = make_scale("identity")
+    light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                         quasirandom_count=8, exhaustion_levels=2)
+    cases = []
+    for eta in (0.1, 0.25, 0.5):
+        b = build_contraction_pair(eta)
+        scheme = SampleScheme(window_radius=8.0)
+        cases += [(f"pair{eta}-f", b.f, b.r, scheme, PAIR_CAP),
+                  (f"pair{eta}-g", b.g, b.r, scheme, PAIR_CAP)]
+        if eta == 0.25:
+            cases.append(("pair0.25-g_inverse", invert(b.g), b.r, light,
+                          PAIR_CAP))
+            # a 300-pair cap strides the cloud down to at most 18 points
+            cases.append(("pair0.25-g-strided", b.g, b.r, scheme, 300))
+    for norm in ("euclidean", "sup"):
+        cases.append((f"lozi-{norm}", build_lozi(1.4, 0.3, norm=norm),
+                      ident, light, PAIR_CAP))
+    bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.2)
+    for dim in (1, 2, 3):
+        cases.append((f"perturbed-dim{dim}",
+                      build_perturbed_linear(0.5 * np.eye(dim), bump, dim=dim),
+                      sqrt_r, light, PAIR_CAP))
+    cases.append(("translation-2d", build_translation([1.0, -0.5]), sqrt_r,
+                  light, PAIR_CAP))
+    return cases
+
+
+@pytest.mark.parametrize("label, f, r, scheme, cap", _reference_cases(),
+                         ids=[c[0] for c in _reference_cases()])
+def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap):
+    # one forward pass per point over unordered pairs gives the same bits
+    # as evaluating f on both ordered-pair arrays
+    new = r_lipschitz(f, r, scheme, pair_cap=cap)
+    ref = reference_r_lipschitz(f, r, scheme, pair_cap=cap)
+    assert _same_bits(new.value, ref.value)
+    assert _same_bits(new.witness_pair[0], ref.witness_pair[0])
+    assert _same_bits(new.witness_pair[1], ref.witness_pair[1])
+    assert repr(new.window_trace) == repr(ref.window_trace)
+    assert new.finiteness == ref.finiteness
+    assert new.pair_count == ref.pair_count
+
+
+def test_r_lipschitz_stride_path_is_taken():
+    b = build_contraction_pair(0.25)
+    scheme = SampleScheme(window_radius=8.0)
+    # at most 18 strided points, so at most 18 * 17 ordered pairs
+    assert 0 < r_lipschitz(b.g, b.r, scheme, pair_cap=300).pair_count <= 306
+    assert r_lipschitz(b.g, b.r, scheme).pair_count > 100_000
+
+
+def test_r_lipschitz_raises_on_a_non_finite_image(half_dom, sqrt_triple, scheme):
+    _, r, _, _ = sqrt_triple
+    f = primitive(half_dom, lambda p: np.where(p > 20.0, np.inf, p),
+                  lambda p: p, "blowup")
+    with pytest.raises(EvaluationError, match="not finite on pair samples"):
+        r_lipschitz(f, r, scheme)
+
+
+def test_r_lipschitz_without_pairs_is_undetermined(half_dom, sqrt_triple):
+    _, r, _, _ = sqrt_triple
+    f = primitive(half_dom, lambda p: 2.0 * p, lambda p: p / 2.0, "2x")
+    # a 2-pair cap strides the cloud down to its first point alone
+    est = r_lipschitz(f, r, SampleScheme(window_radius=8.0), pair_cap=1)
+    assert est.finiteness == "undetermined" and est.pair_count == 0
+    assert np.isnan(est.value) and est.witness_pair is None
+
+
+def test_r_lipschitz_work_counts(bundle_025, scheme):
+    rows = []
+
+    def fwd(p):
+        rows.append(p.shape[0])
+        return 0.5 * p
+
+    f = primitive(bundle_025.domain, fwd, lambda p: 2.0 * p, "x/2")
+    _pair_geometry.cache_clear()
+    est = r_lipschitz(f, bundle_025.r, scheme)
+    cloud_rows = _pair_geometry(bundle_025.domain, bundle_025.r, scheme,
+                                PAIR_CAP)[0].shape[0]
+    assert len(rows) == 1 and rows[0] <= cloud_rows
+    assert est.pair_count > 100 * cloud_rows
+
+    # the gate's g-call reuses the geometry its f-call built
+    _pair_geometry.cache_clear()
+    check_p_alpha(bundle_025.f, bundle_025.g, bundle_025.phi, bundle_025.r,
+                  bundle_025.alpha, scheme)
+    info = _pair_geometry.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for arr in _pair_geometry(bundle_025.domain, bundle_025.r, scheme,
+                              PAIR_CAP):
+        assert not arr.flags.writeable
 
 
 # ===================================================================
@@ -168,6 +319,18 @@ def test_wandering_rejects_bad_nu():
     dom = Domain(dim=1)
     with pytest.raises(ValueError):
         wandering_check(identity(dom), _interval_cloud(), 0.025, nu=0, n_max=3)
+
+
+def test_wandering_rejects_n_max_below_nu():
+    # with n_max < nu no pair of iterates is compared, so no verdict exists
+    f = build_pure_linear(1.0, Domain(dim=1))
+    cloud = np.array([[1.0], [1.1]])
+    with pytest.raises(ValueError, match="n_max must be >= nu"):
+        wandering_check(f, cloud, covering_radius=0.5, nu=1, n_max=0)
+    with pytest.raises(ValueError, match="n_max must be >= nu"):
+        wandering_check(f, cloud, covering_radius=0.5, nu=3, n_max=2)
+    assert wandering_check(f, cloud, covering_radius=0.5, nu=1,
+                           n_max=1).verdict == "collision"
 
 
 def test_periodic_obstruction_both_directions():
