@@ -248,7 +248,8 @@ class StepRecord:
 class IterationTrace:
     steps: tuple
     verdict: str             # converged | gate_failed | budget_exhausted |
-                             # unbounded_on_compacts | non_finite
+                             # unbounded_on_compacts | non_finite |
+                             # undetermined
     constants: GateConstants
     alpha: float
     eigen: EigenReport | None
@@ -315,10 +316,11 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     residual drop below tol_conj.  Never weakens a gate: a failed gate or a
     flagged boundedness probe ends the run with the corresponding verdict
     and no iteration steps.  A step whose estimates cannot be evaluated
-    (an image left the float range) ends the run as ``non_finite``, with
-    the steps before it and no membership.  Everything after the eigenvalue
-    gate runs under one chain memo (see homspace), so each step costs one
-    new inverse orbit step per sample table instead of n.
+    (an image left the float range) ends the run as ``non_finite``, and a
+    step whose increment or residual is NaN ends it as ``undetermined``,
+    each with the steps before it and no membership.  Everything after the
+    eigenvalue gate runs under one chain memo (see homspace), so each step
+    costs one new inverse orbit step per sample table instead of n.
     """
     eigen = ctx.eigen_report
     if eigen is None and ctx.verify_eigen:
@@ -401,6 +403,13 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
             verdict = "non_finite"
             notes.append(f"step {n} not evaluable: {exc}")
             break
+        if np.isnan(inc) or np.isnan(step_residual):
+            # a NaN compares false with every threshold and would pass for
+            # slow convergence; the steps before it stand
+            verdict = "undetermined"
+            notes.append(f"step {n} undetermined: increment {inc!r}, "
+                         f"residual {step_residual!r}")
+            break
         residual = step_residual
         neg = neg_next
 
@@ -446,7 +455,8 @@ def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
         incrementally_bounded=incr_ok, bound_pre=bound_pre,
         bound_post=bound_post, notes=tuple(notes),
     )
-    membership = None if verdict == "non_finite" else group_membership(
-        h, est.phi, est.r, est.scheme, tol)
+    membership = None
+    if verdict not in ("non_finite", "undetermined"):
+        membership = group_membership(h, est.phi, est.r, est.scheme, tol)
     return ConjugacyResult(h=h, trace=trace, membership=membership,
                            residual=float(residual))

@@ -8,9 +8,15 @@ validation, the eigenvalue gate, and the Picard gates pass by
 construction for every eta in (0, 1).
 
 Inverses that have no closed form are the one sanctioned exception to
-"closures only": the perturbed half-line map is inverted by monotone
-bisection, the perturbed linear map by a damped fixed-point iteration.
-Both are deterministic and run to machine-level brackets.
+"closures only": every map T x + pert(x) with a contractive perturbation
+is inverted by :func:`damped_inverse`, one solver that runs row by row.
+Each row iterates the damped map y <- T^-1 (x - pert(y)), takes a
+caller-supplied (safeguarded) Newton step instead wherever that step
+shrinks the row's residual at least as much as a damped step would, and
+stops on its own relative rule, so a row's inverse does not depend on the
+other rows of its batch.  The half-line g, the bump-perturbed linear maps
+and the tests' bump members pass Newton steps built from the bump's
+closed-form slope; closure perturbations use the damped iteration alone.
 """
 
 import inspect
@@ -77,10 +83,24 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+def _smoothstep_slope(t: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`_smoothstep`: 30 t^2 (1 - t)^2, 0 off [0, 1]."""
+    t = np.clip(t, 0.0, 1.0)
+    s = t * (1.0 - t)
+    return 30.0 * s * s
+
+
 def bump_eval(spec: BumpSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     t = 1.0 - np.abs(x - spec.center) / spec.halfwidth
     return spec.height * _smoothstep(t)
+
+
+def _bump_slope(spec: BumpSpec, x: np.ndarray) -> np.ndarray:
+    """Derivative of ``bump_eval(spec, x)`` in x."""
+    u = np.asarray(x, dtype=float) - spec.center
+    t = 1.0 - np.abs(u) / spec.halfwidth
+    return (-spec.height / spec.halfwidth) * np.sign(u) * _smoothstep_slope(t)
 
 
 def bump_lipschitz(spec: BumpSpec) -> float:
@@ -172,20 +192,8 @@ def build_contraction_pair(eta: float,
     def g_fwd(p):
         return eta * p + bump_eval(bump, p)
 
-    def g_inv(p):
-        lo = np.maximum((p - amp) / eta, 0.0)
-        hi = p / eta
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            too_big = g_fwd(mid) > p
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
-            if float(np.max(hi - lo)) <= 1e-16 * (1.0 + float(np.max(np.abs(hi)))):
-                break
-        return 0.5 * (lo + hi)
-
     f = primitive(domain, f_fwd, f_inv, "f")
-    g = primitive(domain, g_fwd, g_inv, "g")
+    g = primitive(domain, g_fwd, _scaled_bump_inverse(eta, bump), "g")
 
     notes = (
         "gate constant A recomputed from its constituents: "
@@ -224,24 +232,111 @@ def build_lozi(a: float, b: float, norm: str = "euclidean") -> Homeo:
 # perturbed linear maps
 
 
-def damped_inverse(T: np.ndarray, pert: Callable, q: float, x: np.ndarray,
-                   tau: float = 1e-14, max_iter: int = 200):
-    """Solve T y + pert(y) = x by y <- T^-1 (x - pert(y)).
+def _rows_times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M.T, summed column by column so that no row's result depends on
+    the other rows of its batch (a BLAS product may change its kernel, and
+    with it the rounding, with the row count)."""
+    out = x[:, :1] * M[:, 0]
+    for k in range(1, M.shape[1]):
+        out = out + x[:, k:k + 1] * M[:, k]
+    return out
 
-    ``q`` is the contraction ratio |T^-1| * Lip(pert) < 1.  Returns the
-    solution together with the number of iterations used.
+
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(v), axis=1)
+
+
+def damped_inverse(T: np.ndarray, pert: Callable, q: float, x: np.ndarray,
+                   tau: float = 1e-14, max_iter: int = 200,
+                   newton: Callable | None = None):
+    """Solve y T^T + pert(y) = x row by row (T y + pert(y) = x per row).
+
+    Each row iterates the damped map Phi(y) = T^-1 (x - pert(y)) and stops
+    on its own once rho = |Phi(y) - y| <= tau * (1 + |Phi(y)|) in the sup
+    norm of the row, returning Phi(y); rows that are done leave the active
+    set.  ``q`` is the contraction ratio |T^-1| * Lip(pert) < 1, so a
+    damped step shrinks a row's rho by at least q.
+
+    ``newton(y, d)``, if given, returns the Newton correction s for the
+    residual d = y - Phi(y), i.e. s solves (I + T^-1 pert'(y)) s = d, and
+    y - s is the Newton candidate.  A row keeps a candidate only if it
+    shrinks the row's rho by at least q, as the damped step would.  A
+    rejected candidate is retried at half the step, y - s/2, y - s/4, ...,
+    while the step stays at least 1 - q long (to first order a step of
+    length lam leaves (1 - lam) rho), and the row takes the damped step
+    when none passes.  Every kept step shrinks rho by q, so every row
+    converges for every q < 1; the Newton steps make it fast where the
+    damped map contracts slowly.  Rows whose correction equals d (pert is
+    flat there, so Newton is the damped step) take the damped step
+    without a trial.
+
+    A row that has not met the stop rule after ``max_iter`` sweeps, or
+    whose rho is NaN (its solution left the float range), comes back NaN,
+    so the caller's finiteness checks fire.  Returns the solution together
+    with the number of sweeps used.
     """
     Tinv = np.linalg.inv(T)
-    y = x @ Tinv.T
-    used = max_iter
-    for k in range(1, max_iter + 1):
-        y_next = (x - pert(y)) @ Tinv.T
-        step = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        if step <= tau * (1.0 + float(np.max(np.abs(y)))):
-            used = k
+    y = _rows_times(x, Tinv)
+    phi = _rows_times(x - pert(y), Tinv)
+    out = np.full_like(phi, np.nan)
+    rows = np.arange(phi.shape[0])
+    for used in range(1, max_iter + 1):
+        d = y - phi
+        rho = _row_norm(d)
+        done = rho <= tau * (1.0 + _row_norm(phi))
+        out[rows[done]] = phi[done]
+        # a NaN rho (an image left the float range) never recovers
+        live = ~(done | np.isnan(rho))
+        if not live.any():
+            return out, used
+        if used == max_iter:
             break
-    return y, used
+        rows, x, y, phi, d, rho = (rows[live], x[live], y[live], phi[live],
+                                   d[live], rho[live])
+        y_next = phi      # the damped step; phi itself is not needed again
+        damped = np.ones(rows.shape[0], dtype=bool)
+        phi_next = np.empty_like(phi)
+        if newton is not None:
+            s = newton(y, d)
+            trial = np.flatnonzero(np.any(s != d, axis=1))
+            lam = 1.0
+            while trial.size and lam >= 1.0 - q:
+                cand = y[trial] - lam * s[trial]
+                phi_cand = _rows_times(x[trial] - pert(cand), Tinv)
+                keep = _row_norm(phi_cand - cand) <= q * rho[trial]
+                kept = trial[keep]
+                y_next[kept] = cand[keep]
+                phi_next[kept] = phi_cand[keep]
+                damped[kept] = False
+                trial = trial[~keep]
+                lam *= 0.5
+        if damped.any():
+            phi_next[damped] = _rows_times(x[damped] - pert(y_next[damped]),
+                                           Tinv)
+        y, phi = y_next, phi_next
+    return out, max_iter
+
+
+def _scaled_bump_inverse(scale: float, spec: BumpSpec) -> Callable:
+    """Inverse of the 1-d map p -> scale * p + bump(p), scale > Lip(bump).
+
+    The Newton correction of :func:`damped_inverse` is d / (1 + b'(y) /
+    scale), with b' in closed form.
+    """
+    T = np.array([[scale]])
+    q = bump_lipschitz(spec) / abs(scale)
+
+    def pert(y):
+        return bump_eval(spec, y)
+
+    def newton(y, d):
+        return d / (1.0 + _bump_slope(spec, y) / scale)
+
+    def inv(p):
+        y, _ = damped_inverse(T, pert, q, p, newton=newton)
+        return y
+
+    return inv
 
 
 def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
@@ -252,7 +347,8 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
     ``perturbation`` may be a BumpSpec (radial bump with a fixed direction
     is not needed here: the scalar profile is applied along the first axis)
     or any vectorized closure supplied together with its Lipschitz bound
-    ``lip``.  The inverse runs the damped fixed-point iteration.
+    ``lip``.  The inverse is :func:`damped_inverse`; a bump passes it a
+    Newton step, a closure runs the damped iteration alone.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     d = T.shape[0] if dim is None else dim
@@ -262,18 +358,30 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
     if smin <= 0:
         raise ValueError("T must be invertible")
 
+    newton = None
     if perturbation is None:
         def pert(p):
             return np.zeros_like(p)
         lip_val = 0.0
     elif isinstance(perturbation, BumpSpec):
         spec = perturbation
+        c = np.linalg.inv(T)[:, 0]     # T^-1 e_0
 
         def pert(p):
             out = np.zeros_like(p)
             radial = np.sqrt(np.sum(p * p, axis=1))
             out[:, 0] = bump_eval(spec, radial)
             return out
+
+        def newton(y, d):
+            # pert'(y) = e_0 u^T with u = b'(|y|) y / |y| has rank one, so
+            # (I + T^-1 e_0 u^T)^-1 d is one Sherman-Morrison update
+            radial = np.sqrt(np.sum(y * y, axis=1))
+            slope = np.divide(_bump_slope(spec, radial), radial,
+                              out=np.zeros_like(radial), where=radial > 0)
+            u = y * slope[:, None]
+            ratio = np.sum(u * d, axis=1) / (1.0 + np.sum(u * c, axis=1))
+            return d - c * ratio[:, None]
         lip_val = bump_lipschitz(spec)
     else:
         pert = perturbation
@@ -292,7 +400,7 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
         return p @ T.T + pert(p)
 
     def inv(p):
-        y, _ = damped_inverse(T, pert, q, p)
+        y, _ = damped_inverse(T, pert, q, p, newton=newton)
         return y
 
     return primitive(domain, fwd, inv, "T+pert")
@@ -394,7 +502,7 @@ FAMILIES = {
         norm=("string", "'euclidean' or 'sup'")),
     "perturbed_linear": _family(
         _perturbed_linear_family,
-        "T x + bump, inverted by damped fixed-point iteration",
+        "T x + bump, inverted by safeguarded Newton iteration",
         scale=("number", "nonzero diagonal value of T"),
         dim=("integer", "dimension"),
         bump_center=("number", "radial bump centre"),

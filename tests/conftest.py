@@ -10,7 +10,7 @@ from homconj import (
     builtin_triple,
     primitive,
 )
-from homconj.families import BumpSpec, bump_eval
+from homconj.families import BumpSpec, _scaled_bump_inverse, bump_eval
 
 
 @pytest.fixture(scope="session")
@@ -40,36 +40,17 @@ def bundle_025():
     return build_contraction_pair(0.25)
 
 
-def monotone_bisect_inverse(fwd, shift_bound: float):
-    """Inverse of an increasing 1-d map x + something with 0 <= something
-    <= shift_bound, solved by bisection on [y - shift_bound, y]."""
-
-    def inv(pts):
-        y = np.asarray(pts, dtype=float)
-        lo = y - shift_bound
-        hi = y.copy()
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_big = fwd(mid) > y
-            hi = np.where(too_big, mid, hi)
-            lo = np.where(too_big, lo, mid)
-            if float(np.max(hi - lo)) <= 1e-16 * (1.0 + float(np.max(np.abs(hi)))):
-                break
-        return 0.5 * (lo + hi)
-
-    return inv
-
-
 def bump_member(domain: Domain, center: float, halfwidth: float,
                 height: float, label: str = "bump_member"):
-    """x + bump(x) on a one-dimensional domain, inverse by bisection."""
+    """x + bump(x) on a one-dimensional domain, inverted by the row-wise
+    solver of ``families.damped_inverse`` with T = [[1]]."""
     spec = BumpSpec(center=center, halfwidth=halfwidth, height=height)
 
     def fwd(pts):
         p = np.asarray(pts, dtype=float)
         return p + bump_eval(spec, p)
 
-    return primitive(domain, fwd, monotone_bisect_inverse(fwd, height), label)
+    return primitive(domain, fwd, _scaled_bump_inverse(1.0, spec), label)
 
 
 def seeded_members(domain: Domain, count: int, seed: int,

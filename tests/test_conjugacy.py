@@ -11,14 +11,17 @@ from homconj import (
     EstimateContext,
     GateConstants,
     PicardContext,
+    PremetricEstimate,
     SampleScheme,
     Tolerances,
     build_contraction_pair,
     cauchy_envelope,
+    check_p_alpha,
     compose,
     conjugacy_operator,
     conjugacy_residual,
     contraction_check,
+    doubling_sample_sets,
     envelope_threshold,
     identity,
     invert,
@@ -29,6 +32,7 @@ from homconj import (
     sample_points,
 )
 
+import homconj.conjugacy as conjugacy_module
 from conftest import bump_member
 
 
@@ -334,3 +338,70 @@ def test_picard_stops_as_non_finite_when_iterates_overflow():
     assert "not finite" in trace.notes[0]
     assert res.residual == trace.steps[-1].conj_residual
     assert np.isfinite(res.residual)
+
+
+def test_picard_stops_as_undetermined_on_a_nan_increment(monkeypatch,
+                                                         bundle_025,
+                                                         scheme_fast):
+    # a NaN increment fails both `< 1.0` and `< tol_conj`; it must end the
+    # run with its own verdict, not look like slow convergence
+    f, g = bundle_025.f, bundle_025.g
+    est = EstimateContext(domain=bundle_025.domain, scheme=scheme_fast,
+                          phi=bundle_025.phi, r=bundle_025.r,
+                          cross=bundle_025.cross,
+                          tol=Tolerances(tol_conj=1e-300))
+    ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=10,
+                        verify_eigen=False)
+    # picard_solve builds the operator image of h0 once for the defect
+    # gate, then once per step: images[k + 1] is the iterate of step k
+    images = []
+    real_operator = conjugacy_module.conjugacy_operator
+    real_premetric = conjugacy_module.premetric
+
+    def recording_operator(*args):
+        images.append(real_operator(*args))
+        return images[-1]
+
+    def premetric_undetermined_at_step_3(h1, *args):
+        real = real_premetric(h1, *args)
+        if len(images) > 4 and h1 is images[4]:
+            return PremetricEstimate(np.nan, real.left, real.right,
+                                     "undetermined")
+        return real
+
+    monkeypatch.setattr(conjugacy_module, "conjugacy_operator",
+                        recording_operator)
+    monkeypatch.setattr(conjugacy_module, "premetric",
+                        premetric_undetermined_at_step_3)
+    res = picard_solve(f, g, g, ctx)
+    trace = res.trace
+    assert trace.verdict == "undetermined"
+    assert not res.converged and res.membership is None
+    assert [s.n for s in trace.steps] == [0, 1, 2]
+    assert len(trace.notes) == 1
+    assert trace.notes[0].startswith("step 3 undetermined: increment nan, ")
+    assert res.residual == trace.steps[-1].conj_residual
+    assert np.isfinite(res.residual)
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.5])
+@pytest.mark.parametrize("bump", [(2.0, 1.0, 0.05), (3.0, 0.5, 0.02)])
+def test_picard_recovers_a_planted_conjugacy(half_dom, scheme_fast, eta,
+                                             bump):
+    # g = phi^-1∘f∘phi is conjugate to f by construction; from h0 = g the
+    # iteration must land on phi∘g, the planted phi shifted by the
+    # centralizer element g (see the two-seed test above)
+    b = build_contraction_pair(eta)
+    phi = bump_member(half_dom, *bump)
+    g = compose(compose(invert(phi), b.f), phi)
+    est = EstimateContext(domain=half_dom, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    eigen = check_p_alpha(b.f, g, b.phi, b.r, b.alpha, scheme_fast, est.tol)
+    assert eigen.satisfied
+    ctx = PicardContext(est=est, alpha=b.alpha, eigen_report=eigen)
+    res = picard_solve(b.f, g, g, ctx)
+    assert res.converged, res.trace.verdict
+    pts = doubling_sample_sets(half_dom, scheme_fast)[-1][1]
+    planted = compose(phi, g).forward(pts)
+    gap = np.max(np.abs(res.h.forward(pts) - planted) / (1.0 + np.abs(pts)))
+    assert gap <= 1e-8
