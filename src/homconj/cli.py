@@ -18,6 +18,7 @@ crash).  The default output root is ``$HOMCONJ_RUNS`` or ``./runs``.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -676,6 +677,7 @@ def _flatten(obj, prefix: str, out: list):
         out.append((prefix, _csv_cell(obj)))
 
 
+@functools.cache
 def _git_rev() -> str:
     try:
         out = subprocess.run(
@@ -833,6 +835,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homconj",

@@ -308,6 +308,7 @@ def _failed(h0, verdict, constants, alpha, eigen, gate, margin,
                            residual=np.nan)
 
 
+@_chain_memo()
 def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                  ctx: PicardContext) -> ConjugacyResult:
     """Iterate h <- f∘h∘g^-1 from h0 under the three gates.
@@ -318,24 +319,15 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     and no iteration steps.  A step whose estimates cannot be evaluated
     (an image left the float range) ends the run as ``non_finite``, and a
     step whose increment or residual is NaN ends it as ``undetermined``,
-    each with the steps before it and no membership.  Everything after the
-    eigenvalue gate runs under one chain memo (see homspace), so each step
-    costs one new inverse orbit step per sample table instead of n.
+    each with the steps before it and no membership.  The whole solve runs
+    under one chain memo (see homspace), so each step costs one new inverse
+    orbit step per sample table instead of n.
     """
+    est = ctx.est
     eigen = ctx.eigen_report
     if eigen is None and ctx.verify_eigen:
-        est = ctx.est
         eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
                               est.tol)
-    # the gate evaluates each map once on its pair cloud; the memo would
-    # only pin those images
-    with _chain_memo():
-        return _gated_picard(f, g, h0, ctx, eigen)
-
-
-def _gated_picard(f: Homeo, g: Homeo, h0: Homeo, ctx: PicardContext,
-                  eigen: EigenReport | None) -> ConjugacyResult:
-    est = ctx.est
     tol = est.tol
     C = 1.0 / ctx.alpha
 

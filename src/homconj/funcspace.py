@@ -379,27 +379,26 @@ def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
 
     Each set contains the previous one, so sup estimates taken level by
     level are nondecreasing by construction.  Returns a tuple of
-    (radius, points) pairs.  Memoized on (domain, scheme): equal keys get
-    the same read-only arrays.
+    (radius, points) pairs.  One ``np.unique`` sorts the points of all four
+    levels; level k keeps those first sampled at a level <= k, still sorted.
+    Memoized on (domain, scheme): equal keys get the same read-only arrays.
     """
-    sets = []
-    acc = None
-    for radius in doubling_radii(scheme):
-        pts = sample_points(domain, scheme, radius=radius)
-        acc = pts if acc is None else np.unique(
-            np.concatenate([acc, pts], axis=0), axis=0)
-        sets.append((radius, _read_only(acc)))
-    return tuple(sets)
+    radii = doubling_radii(scheme)
+    levels = [sample_points(domain, scheme, radius=radius) for radius in radii]
+    level = np.repeat(np.arange(len(levels)), [len(lvl) for lvl in levels])
+    pts, first = np.unique(np.concatenate(levels), axis=0, return_index=True)
+    return tuple((radius, _read_only(pts[level[first] <= k]))
+                 for k, radius in enumerate(radii))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
-    """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the base window.
+    """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the window's table.
 
     Memoized on (domain, scheme): equal keys get the same tuple of
     read-only arrays.
     """
-    base = sample_points(domain, scheme)
+    base = doubling_sample_sets(domain, scheme)[0][1]
     norms = domain.norm_of(base)
     out = []
     for k in range(scheme.exhaustion_levels + 1):

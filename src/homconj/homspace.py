@@ -18,10 +18,9 @@ chain right to left through a trie keyed by the root array's identity and
 then by one (atom, direction) step per level, so every suffix image, such
 as g^-k(P), is computed once and reused by later steps.  The memo holds
 each root it keys on, so no other array can take over that identity
-while the entry lives.  A cached image is the same atom call on the same
-batch that an uncached walk makes, so every number is bit for bit what it
-would be without the memo, batch-dependent inverse solvers included.
-The memo keeps at most ``_MEMO_BYTES`` of images, least recently used out
+while the entry lives.  A cached image is the same atom call that an
+uncached walk makes, so every number is bit for bit what it would be
+without the memo.  The memo keeps at most ``_MEMO_BYTES`` of images, least recently used out
 first; an evicted image is recomputed by the same calls, so eviction
 changes no number either.  Cached images are shared, so they are
 read-only; atoms must not write to their input.  With no memo open,
@@ -126,10 +125,7 @@ class Homeo:
         return out
 
     def inverse(self, pts: np.ndarray) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(pts, dtype=float))
-        for atom, direction in self.chain:
-            out = atom.inv(out) if direction > 0 else atom.fwd(out)
-        return out
+        return invert(self).forward(pts)
 
 
 def _apply(step: tuple, pts: np.ndarray) -> np.ndarray:

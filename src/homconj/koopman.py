@@ -9,7 +9,6 @@ and the pointwise gate inequalities are checked on the same windowed sample
 sets the rest of the package uses.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .funcspace import (
     ScaleFn,
     Tolerances,
     _pair_indices,
-    _read_only,
     _strided_subset,
     doubling_radii,
     doubling_sample_sets,
@@ -92,45 +90,77 @@ def _near_partners(pts: np.ndarray, domain: Domain, seed: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-# The pair geometry depends on (domain, r, scheme, pair_cap) and never on
-# the map, so the g-call of check_p_alpha reuses what the f-call built.
-@functools.lru_cache(maxsize=1)
-def _pair_geometry(domain: Domain, r: ScaleFn, scheme: SampleScheme,
-                   pair_cap: int) -> tuple:
-    """Read-only (points, i, j, shell, sep) of the kept unordered pairs.
+# Cloud rows per block of the pair walk: a block pairs its rows with every
+# later row, so it holds at most this many times the cloud's rows of pairs.
+_BLOCK_ROWS = 64
 
-    The cloud is the full cumulative sample table plus its near partners,
-    strided down to ``pair_cap`` ordered pairs.  Pairs i < j come in
-    row-major order; ``points`` holds just the cloud points of kept pairs
-    and i, j index into it.  ``shell`` is the norm of the outer point and
-    ``sep`` the r-separation.
-    """
+
+def _pair_cloud(domain: Domain, scheme: SampleScheme,
+                pair_cap: int) -> np.ndarray:
+    """The full sample table and its near partners, strided to pair_cap."""
     pts = doubling_sample_sets(domain, scheme)[-1][1]
     partners = _near_partners(pts, domain, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
-    cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
-    i, j = np.triu_indices(cloud.shape[0], k=1)
+    return cloud[_strided_subset(cloud.shape[0], pair_cap)]
+
+
+def _later(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows x[i] - x[j], row-major over lo <= i < hi and every j > lo."""
+    return (x[lo:hi, None, :] - x[None, lo + 1:, :]).reshape(-1, x.shape[1])
+
+
+def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
+                 tol: Tolerances, pair_cap: int) -> list:
+    """:func:`r_lipschitz` of each of ``maps`` (one domain) from one walk
+    over the pair cloud, so the pair geometry is built once for all."""
+    domain = maps[0].domain
+    cloud = _pair_cloud(domain, scheme, pair_cap)
+    images = [f.forward(cloud) for f in maps]
+    for f, fc in zip(maps, images):
+        if not np.all(np.isfinite(fc)):
+            raise EvaluationError(f"map {f.label!r} not finite on pair samples")
+    radii = doubling_radii(scheme)
     norms = domain.norm_of(cloud)
-    raw = domain.norm_of(cloud[i] - cloud[j])
-    shell = np.maximum(norms[i], norms[j])
-    # below ~1e-9 relative separation the quotient measures evaluation
-    # rounding, not the map; the deliberate near-partner blocks stay
-    # three orders of magnitude above this floor
-    ok = raw > _SEP_FLOOR * (1.0 + shell)
-    i, j, shell = i[ok], j[ok], shell[ok]
-    sep = r.eval(raw[ok])
-    ok = sep > 0
-    i, j, shell, sep = i[ok], j[ok], shell[ok], sep[ok]
-    # f is evaluated on exactly the points of kept pairs: the finiteness
-    # check covers those alone, and a solver that stops on a batch-wide
-    # criterion sees the same batch as one fed the pair arrays
-    used = np.zeros(cloud.shape[0], dtype=bool)
-    used[i] = True
-    used[j] = True
-    renumber = np.cumsum(used) - 1
-    return tuple(_read_only(a) for a in
-                 (cloud[used], renumber[i], renumber[j], shell, sep))
+    sups = np.full((len(maps), len(radii)), np.nan)
+    best = [(np.nan, None)] * len(maps)     # (value, witness pair) per map
+    kept = 0
+    for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
+        raw = domain.norm_of(_later(cloud, lo, hi)).reshape(hi - lo, -1)
+        shell = np.maximum(norms[lo:hi, None], norms[None, lo + 1:])
+        # below ~1e-9 relative separation the quotient measures evaluation
+        # rounding, not the map; the deliberate near-partner blocks stay
+        # three orders of magnitude above this floor.  triu keeps j > i.
+        ok = np.triu(raw > _SEP_FLOOR * (1.0 + shell))
+        sep = r.eval(raw[ok])
+        ok[ok] = sep > 0
+        sep = sep[sep > 0]
+        if sep.shape[0] == 0:
+            continue
+        kept += sep.shape[0]
+        shell = shell[ok]
+        for m, fc in enumerate(images):
+            ratio = r.eval(domain.norm_of(_later(fc, lo, hi)[ok.ravel()])) / sep
+            # an empty shell of the block gives NaN, which fmax passes over
+            sups[m] = np.fmax(sups[m], [v for _, v in
+                                        _shell_trace(radii, ratio, shell)])
+            # np.argmax takes the first NaN as the maximum; so does the fold
+            k = int(np.argmax(ratio))
+            value, pair = best[m]
+            if pair is None or not (np.isnan(value) or ratio[k] <= value):
+                rows, cols = np.nonzero(ok)
+                best[m] = (float(ratio[k]),
+                           tuple(cloud[[lo + rows[k], lo + 1 + cols[k]]]))
+
+    out = []
+    for (value, witness), sup in zip(best, sups):
+        trace = tuple(zip(map(float, radii), map(float, sup)))
+        finiteness = "undetermined" if np.isnan(value) else \
+            _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+        out.append(RLipschitzEstimate(value, witness, finiteness, trace,
+                                      2 * kept))
+    return out
 
 
 def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
@@ -141,34 +171,16 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
     All pair ratios come from one cloud built over the full cumulative
     sample table; the trace restricts that single profile to the doubling
     shells (a pair belongs to the shell holding its outer point), so trace
-    growth reflects where the steep pairs live.  Degenerate pairs (zero
-    scale separation, each point with itself among them) are skipped.
-    f runs once on the cloud points, not once per pair, and each unordered
-    pair is visited once: every quantity is symmetric in the pair, and the
-    first row-major maximizer over i < j is the first over all (i, j).
-    ``pair_count`` still counts ordered pairs.  Classification follows the
-    same three-doubling growth rule as displacement.
+    growth reflects where the steep pairs live.  Degenerate pairs (closer
+    than the separation floor, or at zero scale separation) are skipped.
+    f runs once on the cloud, all of whose images must be finite, and the
+    pairs are walked in row blocks with nothing cached.  Every quantity is
+    symmetric in the pair, so each unordered pair is visited once: the
+    first row-major maximizer over i < j is the first over all (i, j), and
+    ``pair_count`` counts both orders.  Classification follows the same
+    three-doubling growth rule as displacement; a NaN value is undetermined.
     """
-    domain = f.domain
-    pts, i, j, shell, sep = _pair_geometry(domain, r, scheme, pair_cap)
-    radii = doubling_radii(scheme)
-    if sep.shape[0] == 0:
-        # no pairs left: every shell is empty
-        return RLipschitzEstimate(np.nan, None, "undetermined",
-                                  _shell_trace(radii, sep, shell), 0)
-    fc = f.forward(pts)
-    if np.any(~np.isfinite(fc)):
-        raise EvaluationError(f"map {f.label!r} not finite on pair samples")
-    ratio = r.eval(domain.norm_of(fc[i] - fc[j])) / sep
-
-    trace = _shell_trace(radii, ratio, shell)
-    k = int(np.argmax(ratio))
-    best = float(ratio[k])
-    witness = (pts[i[k]].copy(), pts[j[k]].copy())
-
-    finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-    return RLipschitzEstimate(best, witness, finiteness, trace,
-                              2 * int(sep.shape[0]))
+    return _r_lipschitz((f,), r, scheme, tol, pair_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +226,23 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
                   tol: Tolerances = Tolerances()) -> EigenReport:
     """Sampled verification of the generalized eigenvalue gate at alpha > 1.
 
-    Pass ``g=None`` for the single-operator form.  Raises on a divergent
-    r-Lipschitz estimate; an undetermined one yields an unsatisfied report.
+    Pass ``g=None`` for the single-operator form.  One walk over the pair
+    cloud gives lam_r of f and g.  Raises on a divergent r-Lipschitz
+    estimate; an undetermined one yields an unsatisfied report.
     """
     if not alpha > 1.0:
         raise ValueError("the gate needs alpha > 1")
-
-    def gate(T: Homeo, name: str) -> tuple:
-        lam = r_lipschitz(T, r, scheme, tol)
+    maps = (f,) if g is None else (f, g)
+    gates = []
+    for T, lam, name in zip(maps, _r_lipschitz(maps, r, scheme, tol, PAIR_CAP),
+                            "fg"):
         if lam.finiteness == "divergent":
             raise ValueError(f"r-Lipschitz estimate of {name} diverges")
         slack, worst = _slack_profile(T, phi, lam.value, alpha, scheme)
-        return lam, slack, worst, lam.finite and slack >= -tol.tau_abs
-
-    lam_f, slack_f, worst_pt, f_ok = gate(f, "f")
-    lam_g = slack_g = None
-    g_ok = True
-    if g is not None:
-        lam_g, slack_g, worst_g, g_ok = gate(g, "g")
-        if slack_g < slack_f:
-            worst_pt = worst_g
+        gates.append((lam, slack, worst, lam.finite and slack >= -tol.tau_abs))
+    (lam_f, slack_f, _, f_ok), *rest = gates
+    lam_g, slack_g, _, g_ok = rest[0] if rest else (None, None, None, True)
+    worst_pt = min(gates, key=lambda gate: gate[1])[2]
     return EigenReport(
         alpha=float(alpha),
         lambda_f=float(lam_f.value),

@@ -133,6 +133,34 @@ def test_doubling_sets_are_nested(half_dom):
         assert small_rows <= big_rows
 
 
+@pytest.mark.parametrize("domain", [
+    Domain(dim=1, region="half_line"),
+    Domain(dim=1, region="box_minus_ball", inner_radius=0.125),
+    Domain(dim=2),
+], ids=["half_line", "box_minus_ball", "box-2d"])
+def test_sample_tables_equal_the_level_by_level_build(domain):
+    # one unique over all levels gives, level by level and bit for bit (as
+    # uint64, so the sign of a zero counts), the running unique of the
+    # level samples; the compacts are cut from the base window's sample
+    def bits(pts):
+        return pts.shape, pts.view(np.uint64).tobytes()
+
+    for seed in (1, 7919):
+        sch = SampleScheme(window_radius=4.0, grid_points_per_axis=11,
+                           quasirandom_count=8, seed=seed)
+        acc = None
+        for radius, pts in doubling_sample_sets(domain, sch):
+            level = sample_points(domain, sch, radius=radius)
+            acc = level if acc is None else np.unique(
+                np.concatenate([acc, level], axis=0), axis=0)
+            assert bits(pts) == bits(acc)
+        base = sample_points(domain, sch)
+        norms = domain.norm_of(base)
+        for k, pts in enumerate(exhaustion_sets(domain, sch)):
+            cut = min(4.0, float(2 ** k)) * (1.0 + 1e-12)
+            assert bits(pts) == bits(base[norms <= cut])
+
+
 def test_doubling_radii():
     sch = SampleScheme(window_radius=3.0)
     assert doubling_radii(sch) == (3.0, 6.0, 12.0, 24.0)

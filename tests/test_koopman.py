@@ -1,5 +1,7 @@
 """Composition-operator estimates, linearization, and recurrence diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,14 +29,20 @@ from homconj import (
     wandering_check,
 )
 from homconj.families import BumpSpec
-from homconj.funcspace import _pair_indices, doubling_radii, doubling_sample_sets
+from homconj.funcspace import (
+    RadialFn,
+    _pair_indices,
+    doubling_radii,
+    doubling_sample_sets,
+)
 from homconj.homspace import EvaluationError, _classify, _shell_trace
 from homconj.koopman import (
     PAIR_CAP,
+    _BLOCK_ROWS,
     _SEP_FLOOR,
     RLipschitzEstimate,
     _near_partners,
-    _pair_geometry,
+    _pair_cloud,
 )
 
 
@@ -133,19 +141,55 @@ def _reference_cases():
     return cases
 
 
-@pytest.mark.parametrize("label, f, r, scheme, cap", _reference_cases(),
-                         ids=[c[0] for c in _reference_cases()])
-def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap):
-    # one forward pass per point over unordered pairs gives the same bits
-    # as evaluating f on both ordered-pair arrays
-    new = r_lipschitz(f, r, scheme, pair_cap=cap)
-    ref = reference_r_lipschitz(f, r, scheme, pair_cap=cap)
+def _assert_same_estimate(new, ref):
     assert _same_bits(new.value, ref.value)
     assert _same_bits(new.witness_pair[0], ref.witness_pair[0])
     assert _same_bits(new.witness_pair[1], ref.witness_pair[1])
     assert repr(new.window_trace) == repr(ref.window_trace)
     assert new.finiteness == ref.finiteness
     assert new.pair_count == ref.pair_count
+
+
+@pytest.mark.parametrize("label, f, r, scheme, cap", _reference_cases(),
+                         ids=[c[0] for c in _reference_cases()])
+def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap):
+    # one forward pass per point over unordered pairs gives the same bits
+    # as evaluating f on both ordered-pair arrays
+    _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap),
+                          reference_r_lipschitz(f, r, scheme, pair_cap=cap))
+
+
+def _block_boundary_cases():
+    # caps that stride each cloud to a given row count; the walk visits
+    # rows 0 .. rows - 2, so 65 rows fill one block exactly and 66 spill
+    # one row into a second
+    light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                         quasirandom_count=8, exhaustion_levels=2)
+    lozi = build_lozi(1.4, 0.3)
+    g = build_contraction_pair(0.25).g
+    half = SampleScheme(window_radius=8.0)
+    ident, sqrt_r = make_scale("identity"), make_scale("sqrt_plus")
+    return [
+        ("lozi-2-rows", lozi, ident, light, 2, 2),
+        ("lozi-63-rows", lozi, ident, light, 3888, 63),
+        ("lozi-64-rows", lozi, ident, light, 4045, 64),
+        ("lozi-65-rows", lozi, ident, light, 4212, 65),
+        ("lozi-66-rows", lozi, ident, half, 4246, 66),
+        ("pair-g-2-rows", g, sqrt_r, half, 2, 2),
+        ("pair-g-63-rows", g, sqrt_r, half, 3927, 63),
+        ("pair-g-65-rows", g, sqrt_r, half, 4142, 65),
+    ]
+
+
+@pytest.mark.parametrize("label, f, r, scheme, cap, rows",
+                         _block_boundary_cases(),
+                         ids=[c[0] for c in _block_boundary_cases()])
+def test_r_lipschitz_matches_reference_at_block_boundaries(label, f, r,
+                                                           scheme, cap, rows):
+    assert _BLOCK_ROWS == 64
+    assert _pair_cloud(f.domain, scheme, cap).shape[0] == rows
+    _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap),
+                          reference_r_lipschitz(f, r, scheme, pair_cap=cap))
 
 
 def test_r_lipschitz_stride_path_is_taken():
@@ -173,30 +217,63 @@ def test_r_lipschitz_without_pairs_is_undetermined(half_dom, sqrt_triple):
     assert np.isnan(est.value) and est.witness_pair is None
 
 
+def test_r_lipschitz_nan_ratio_is_undetermined(half_dom, scheme):
+    # a scale function that is NaN beyond 5 makes every ratio of a pair
+    # whose images lie further apart NaN; the first such pair in row-major
+    # order is the witness and the estimate is never labelled finite
+    r = RadialFn(lambda u: np.where(u > 5.0, np.nan, u), "nan_beyond_5")
+    f = primitive(half_dom, lambda p: 2.0 * p, lambda p: p / 2.0, "2x")
+    est = r_lipschitz(f, r, scheme)
+    ref = reference_r_lipschitz(f, r, scheme)
+    assert np.isnan(est.value) and est.finiteness == "undetermined"
+    assert _same_bits(est.witness_pair[0], ref.witness_pair[0])
+    assert _same_bits(est.witness_pair[1], ref.witness_pair[1])
+    assert est.pair_count == ref.pair_count
+
+
+def _counting(f, calls):
+    """f with every forward batch's row count appended to ``calls``."""
+    def fwd(p):
+        calls.append(p.shape[0])
+        return f.forward(p)
+
+    return primitive(f.domain, fwd, f.inverse, f.label)
+
+
 def test_r_lipschitz_work_counts(bundle_025, scheme):
     rows = []
-
-    def fwd(p):
-        rows.append(p.shape[0])
-        return 0.5 * p
-
-    f = primitive(bundle_025.domain, fwd, lambda p: 2.0 * p, "x/2")
-    _pair_geometry.cache_clear()
+    f = _counting(primitive(bundle_025.domain, lambda p: 0.5 * p,
+                            lambda p: 2.0 * p, "x/2"), rows)
     est = r_lipschitz(f, bundle_025.r, scheme)
-    cloud_rows = _pair_geometry(bundle_025.domain, bundle_025.r, scheme,
-                                PAIR_CAP)[0].shape[0]
-    assert len(rows) == 1 and rows[0] <= cloud_rows
+    cloud_rows = _pair_cloud(bundle_025.domain, scheme, PAIR_CAP).shape[0]
+    assert rows == [cloud_rows]
     assert est.pair_count > 100 * cloud_rows
 
-    # the gate's g-call reuses the geometry its f-call built
-    _pair_geometry.cache_clear()
-    check_p_alpha(bundle_025.f, bundle_025.g, bundle_025.phi, bundle_025.r,
-                  bundle_025.alpha, scheme)
-    info = _pair_geometry.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    for arr in _pair_geometry(bundle_025.domain, bundle_025.r, scheme,
-                              PAIR_CAP):
-        assert not arr.flags.writeable
+    # the gate walks the cloud once for f and g together: each map runs
+    # once on the cloud, then once per doubling table for its slack
+    f_rows, g_rows = [], []
+    check_p_alpha(_counting(bundle_025.f, f_rows),
+                  _counting(bundle_025.g, g_rows), bundle_025.phi,
+                  bundle_025.r, bundle_025.alpha, scheme)
+    tables = [p.shape[0] for _, p in
+              doubling_sample_sets(bundle_025.domain, scheme)]
+    assert f_rows == g_rows == [cloud_rows] + tables
+
+
+def test_r_lipschitz_memory_stays_within_blocks():
+    # one call on the 2-d Lozi cloud (about 930k ordered pairs) holds a few
+    # row blocks of pairs, not arrays over every pair of the cloud
+    lozi = build_lozi(1.4, 0.3)
+    scheme = SampleScheme(window_radius=8.0, seed=31337)
+    doubling_sample_sets(lozi.domain, scheme)
+    tracemalloc.start()
+    try:
+        est = r_lipschitz(lozi, make_scale("identity"), scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.pair_count > 900_000
+    assert peak < 12 * 2 ** 20
 
 
 # ===================================================================
