@@ -398,7 +398,7 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
         "family_notes": list(bundle.notes),
     }
     return Outcome(exit_code=0 if res.converged else 2, results=results,
-                   trace_rows=trace_rows, warnings=bundle.notes)
+                   trace_rows=trace_rows, warnings=bundle.notes + tr.notes)
 
 
 def _exp_lozi_membership(cfg: RunConfig) -> Outcome:
@@ -605,8 +605,6 @@ _EXPERIMENTS = {
                               0.125),
         "residual_tol": Param("number", "largest residual that passes", 1e-9),
     }, (_in_range("inner_radius", lambda r: r > 0.0, "must be positive"),
-        (lambda c: "lo" in c.family.params,
-         "family.params.lo: the shift check manages its own domain"),
         (lambda c: not (c.family.params["scale"] > 0
                         and c.family.params["scale"] != 1.0),
          "family.params.scale: need scale > 0 and scale != 1"))),

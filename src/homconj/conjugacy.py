@@ -180,13 +180,15 @@ class BoundReport:
     The doubly-infinite boundedness requirement is realized on the finite
     symmetric range |n| <= n_bnd; ``flagged`` means the outer half of the
     range grew past kappa_div times the inner half, the window-doubling
-    idiom applied to the iteration index.
+    idiom applied to the iteration index, or that some value is not finite
+    (``notes`` then names the first such n).
     """
 
     values: dict
     n_bnd: int
     flagged: bool
     max_value: float
+    notes: tuple = ()
 
 
 def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
@@ -211,10 +213,16 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
             values[n] = float(np.max(domain.norm_of(pos.forward(pts))))
             values[-n] = float(np.max(domain.norm_of(neg.forward(pts))))
     half = max(v for k, v in values.items() if abs(k) <= n_bnd // 2)
-    full = max(values.values())
-    flagged = bool(full > tol.kappa_div * half + tol.tau_abs)
+    full = float(np.max(list(values.values())))
+    # a NaN compares false with the growth threshold, so a probe whose
+    # iterate left the float range is flagged on its own
+    bad = next((n for n, v in values.items() if not np.isfinite(v)), None)
+    notes = () if bad is None else (
+        f"boundedness probe: iterate n={bad} is not finite",)
+    flagged = bad is not None or bool(full > tol.kappa_div * half
+                                      + tol.tau_abs)
     return BoundReport(values=values, n_bnd=n_bnd, flagged=flagged,
-                       max_value=full)
+                       max_value=full, notes=notes)
 
 
 def _residual_on(f: Homeo, g: Homeo, h: Homeo, pts: np.ndarray,
@@ -303,6 +311,7 @@ def _failed(h0, verdict, constants, alpha, eigen, gate, margin,
         eigen=eigen, failed_gate=gate, gate_margin=margin, anchor=None,
         eps_monitor=None, anchored=(), incrementally_bounded=None,
         bound_pre=bound_pre, bound_post=None,
+        notes=() if bound_pre is None else bound_pre.notes,
     )
     return ConjugacyResult(h=h0, trace=trace, membership=None,
                            residual=np.nan)
@@ -435,6 +444,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             verdict = "unbounded_on_compacts"
             notes.append("boundedness probe failed on the outer compact "
                          "after convergence")
+            notes.extend(bound_post.notes)
 
     incr_ok = None
     if anchored:

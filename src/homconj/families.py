@@ -7,20 +7,23 @@ g(x) = eta*x + bump(x), with the sqrt-type gauge.  All derived constants
 validation, the eigenvalue gate, and the Picard gates pass by
 construction for every eta in (0, 1).
 
-Inverses that have no closed form are the one sanctioned exception to
-"closures only": every map T x + pert(x) with a contractive perturbation
-is inverted by :func:`damped_inverse`, one solver that runs row by row.
-Each row iterates the damped map y <- T^-1 (x - pert(y)), takes a
-caller-supplied (safeguarded) Newton step instead wherever that step
-shrinks the row's residual at least as much as a damped step would, and
-stops on its own relative rule, so a row's inverse does not depend on the
-other rows of its batch.  The half-line g, the bump-perturbed linear maps
-and the tests' bump members pass Newton steps built from the bump's
-closed-form slope; closure perturbations use the damped iteration alone.
+Every linear-plus-bump map T x + e_0 bump(|x|) -- g, the
+``perturbed_linear`` family and the tests' bump members -- is built by
+:func:`build_perturbed_linear`; g is its one-dimensional case T = [[eta]]
+on the half line.  Inverses that have no closed form are the one
+sanctioned exception to "closures only": every map T x + pert(x) with a
+contractive perturbation is inverted by :func:`damped_inverse`, one
+solver that runs row by row.  Each row iterates the damped map
+y <- T^-1 (x - pert(y)), takes a caller-supplied (safeguarded) Newton
+step instead wherever that step shrinks the row's residual at least as
+much as a damped step would, and stops on its own relative rule, so a
+row's inverse does not depend on the other rows of its batch.  A bump
+passes Newton steps built from its closed-form slope; closure
+perturbations use the damped iteration alone.
 """
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -183,17 +186,9 @@ def build_contraction_pair(eta: float,
     bump = BumpSpec(center=bump_center, halfwidth=bump_halfwidth, height=amp)
     eps2_actual = bump_lipschitz(bump)
 
-    def f_fwd(p):
-        return eta * p
-
-    def f_inv(p):
-        return p / eta
-
-    def g_fwd(p):
-        return eta * p + bump_eval(bump, p)
-
-    f = primitive(domain, f_fwd, f_inv, "f")
-    g = primitive(domain, g_fwd, _scaled_bump_inverse(eta, bump), "g")
+    f = replace(build_pure_linear(eta, domain), label="f")
+    g = replace(build_perturbed_linear([[eta]], bump, domain=domain),
+                label="g")
 
     notes = (
         "gate constant A recomputed from its constituents: "
@@ -317,43 +312,27 @@ def damped_inverse(T: np.ndarray, pert: Callable, q: float, x: np.ndarray,
     return out, max_iter
 
 
-def _scaled_bump_inverse(scale: float, spec: BumpSpec) -> Callable:
-    """Inverse of the 1-d map p -> scale * p + bump(p), scale > Lip(bump).
-
-    The Newton correction of :func:`damped_inverse` is d / (1 + b'(y) /
-    scale), with b' in closed form.
-    """
-    T = np.array([[scale]])
-    q = bump_lipschitz(spec) / abs(scale)
-
-    def pert(y):
-        return bump_eval(spec, y)
-
-    def newton(y, d):
-        return d / (1.0 + _bump_slope(spec, y) / scale)
-
-    def inv(p):
-        y, _ = damped_inverse(T, pert, q, p, newton=newton)
-        return y
-
-    return inv
-
-
 def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
-                           dim: int | None = None,
-                           norm: str = "euclidean") -> Homeo:
+                           domain: Domain | None = None) -> Homeo:
     """x -> T x + pert(x), invertible while Lip(pert) < 1 / |T^-1|.
 
-    ``perturbation`` may be a BumpSpec (radial bump with a fixed direction
-    is not needed here: the scalar profile is applied along the first axis)
-    or any vectorized closure supplied together with its Lipschitz bound
-    ``lip``.  The inverse is :func:`damped_inverse`; a bump passes it a
-    Newton step, a closure runs the damped iteration alone.
+    ``domain`` defaults to the box of T's dimension and must match it.
+    ``perturbation`` may be a BumpSpec, applied along the first axis as
+    pert(x) = e_0 bump(|x|), or any vectorized closure supplied together
+    with its Lipschitz bound ``lip``.  The inverse is
+    :func:`damped_inverse`; a bump passes it a Newton step, a closure runs
+    the damped iteration alone.  T's shape selects the bump's step: in
+    dimension 1 it is the scalar d / (1 + sign(y) b'(|y|) / T_00); from
+    dimension 2 on pert'(y) has rank one and the step is one
+    Sherman-Morrison update.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
-    d = T.shape[0] if dim is None else dim
-    if d < 1 or T.shape != (d, d):
-        raise ValueError("T must be square and match dim >= 1")
+    dim = T.shape[0]
+    if dim < 1 or T.shape != (dim, dim):
+        raise ValueError("T must be square with dim >= 1")
+    domain = domain or Domain(dim=dim, region="box")
+    if domain.dim != dim:
+        raise ValueError(f"domain has dim {domain.dim}, T has dim {dim}")
     smin = float(np.linalg.svd(T, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("T must be invertible")
@@ -365,24 +344,32 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
         lip_val = 0.0
     elif isinstance(perturbation, BumpSpec):
         spec = perturbation
-        c = np.linalg.inv(T)[:, 0]     # T^-1 e_0
-
-        def pert(p):
-            out = np.zeros_like(p)
-            radial = np.sqrt(np.sum(p * p, axis=1))
-            out[:, 0] = bump_eval(spec, radial)
-            return out
-
-        def newton(y, d):
-            # pert'(y) = e_0 u^T with u = b'(|y|) y / |y| has rank one, so
-            # (I + T^-1 e_0 u^T)^-1 d is one Sherman-Morrison update
-            radial = np.sqrt(np.sum(y * y, axis=1))
-            slope = np.divide(_bump_slope(spec, radial), radial,
-                              out=np.zeros_like(radial), where=radial > 0)
-            u = y * slope[:, None]
-            ratio = np.sum(u * d, axis=1) / (1.0 + np.sum(u * c, axis=1))
-            return d - c * ratio[:, None]
         lip_val = bump_lipschitz(spec)
+        if dim == 1:
+            def pert(p):
+                return bump_eval(spec, np.abs(p))
+
+            def newton(y, d):
+                return d / (1.0 + np.sign(y) * _bump_slope(spec, np.abs(y))
+                            / T[0, 0])
+        else:
+            c = np.linalg.inv(T)[:, 0]     # T^-1 e_0
+
+            def pert(p):
+                out = np.zeros_like(p)
+                radial = np.sqrt(np.sum(p * p, axis=1))
+                out[:, 0] = bump_eval(spec, radial)
+                return out
+
+            def newton(y, d):
+                # pert'(y) = e_0 u^T with u = b'(|y|) y / |y| has rank one,
+                # so (I + T^-1 e_0 u^T)^-1 d is one Sherman-Morrison update
+                radial = np.sqrt(np.sum(y * y, axis=1))
+                slope = np.divide(_bump_slope(spec, radial), radial,
+                                  out=np.zeros_like(radial), where=radial > 0)
+                u = y * slope[:, None]
+                ratio = np.sum(u * d, axis=1) / (1.0 + np.sum(u * c, axis=1))
+                return d - c * ratio[:, None]
     else:
         pert = perturbation
         lip_val = float(lip)
@@ -393,8 +380,6 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
         raise ValueError(
             f"perturbation too steep: Lip {lip_val:g} >= 1/|T^-1| = {smin:g}")
     q = lip_val / smin
-
-    domain = Domain(dim=d, region="box", norm=norm)
 
     def fwd(p):
         return p @ T.T + pert(p)
@@ -470,13 +455,6 @@ def _family(builder: Callable, description: str, **params) -> Family:
         for name, (kind, doc) in params.items()})
 
 
-def _pure_linear_family(scale: float, lo: float | None = None) -> Homeo:
-    domain = None
-    if lo is not None:
-        domain = Domain(dim=1, region="half_line", bounds=((lo, np.inf),))
-    return build_pure_linear(scale, domain)
-
-
 def _perturbed_linear_family(scale: float, dim: int = 1,
                              bump_center: float = 2.0,
                              bump_halfwidth: float = 1.0,
@@ -485,7 +463,7 @@ def _perturbed_linear_family(scale: float, dim: int = 1,
     if bump_height != 0.0:
         bump = BumpSpec(center=bump_center, halfwidth=bump_halfwidth,
                         height=bump_height)
-    return build_perturbed_linear(scale * np.eye(dim), bump, dim=dim)
+    return build_perturbed_linear(scale * np.eye(dim), bump)
 
 
 FAMILIES = {
@@ -509,9 +487,8 @@ FAMILIES = {
         bump_halfwidth=("number", "bump half-width, > 0"),
         bump_height=("number", "bump height, >= 0; 0 means no bump")),
     "pure_linear": _family(
-        _pure_linear_family, "x -> scale * x",
-        scale=("number", "nonzero"),
-        lo=("number", "if set, the domain is the half line [lo, inf)")),
+        build_pure_linear, "x -> scale * x",
+        scale=("number", "nonzero")),
     "translation": _family(
         build_translation, "x -> x + offset",
         offset=("vector", "a number or one per axis")),

@@ -1,16 +1,19 @@
 """Shared fixtures: domains, gauges, sample schemes, and seeded map pools."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from homconj import (
+    BumpSpec,
     Domain,
     SampleScheme,
     build_contraction_pair,
+    build_perturbed_linear,
     builtin_triple,
     primitive,
 )
-from homconj.families import BumpSpec, _scaled_bump_inverse, bump_eval
 
 
 @pytest.fixture(scope="session")
@@ -42,15 +45,11 @@ def bundle_025():
 
 def bump_member(domain: Domain, center: float, halfwidth: float,
                 height: float, label: str = "bump_member"):
-    """x + bump(x) on a one-dimensional domain, inverted by the row-wise
-    solver of ``families.damped_inverse`` with T = [[1]]."""
+    """x + bump(x) on a one-dimensional domain, the dim-1 case of
+    ``families.build_perturbed_linear`` with T = [[1]]."""
     spec = BumpSpec(center=center, halfwidth=halfwidth, height=height)
-
-    def fwd(pts):
-        p = np.asarray(pts, dtype=float)
-        return p + bump_eval(spec, p)
-
-    return primitive(domain, fwd, _scaled_bump_inverse(1.0, spec), label)
+    return dataclasses.replace(
+        build_perturbed_linear([[1.0]], spec, domain=domain), label=label)
 
 
 def seeded_members(domain: Domain, count: int, seed: int,

@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homconj.cli import (
@@ -150,6 +151,9 @@ REJECTED = [
           covering_radius=0.5, n_max=0), "n_max: must be >= nu"),
     (_cfg("abel", ("pure_linear", {"scale": 0.5}), inner_radius=0.0),
      "inner_radius: must be positive"),
+    # x -> 0.1 x does not map [1, inf) onto itself
+    (_cfg("eigen_check", ("pure_linear", {"scale": 0.1, "lo": 1.0}),
+          alpha=1.1), "family.params: unknown key"),
     (_cfg("fk_sweep", epsilons=[0.1, 0.0]), "epsilons: must be positive"),
     (_cfg("fk_sweep", Cs=[1.5]), "Cs: must lie in"),
     (_cfg("fk_sweep", k_max=-1), "k_max: must be >= 0"),
@@ -236,6 +240,20 @@ def test_run_picard_writes_trace(tmp_path):
     assert tuple(rows[0]) == TRACE_COLUMNS
     assert len(rows) > 2
     assert float(rows[-1][1]) < 1e-8  # final increment column
+
+
+def test_run_picard_fails_on_a_non_finite_probe(tmp_path, capsys):
+    # at eta = 1e-10 the probe's g^-32 leaves the float range; the run must
+    # end unbounded and say where, not report "converged" with exit 0
+    payload = _cfg("picard", ("contraction_pair", {"eta": 1e-10}))
+    out = tmp_path / "runs"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", write_cfg(tmp_path, payload), "--out", str(out)])
+    assert code == 2
+    record = json.loads((only_run_dir(out) / "record.json").read_text())
+    assert record["results"]["verdict"] == "unbounded_on_compacts"
+    assert "note: boundedness probe: iterate n=32 is not finite" \
+        in capsys.readouterr().err
 
 
 def test_run_uses_env_root(tmp_path, monkeypatch):

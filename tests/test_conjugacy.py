@@ -167,6 +167,23 @@ def test_bound_probe_accepts_contraction_pair(bundle_025, scheme_fast):
     assert set(rep.values) == set(range(-16, 17))
 
 
+def test_bound_probe_flags_a_non_finite_iterate(half_dom, sqrt_triple,
+                                                scheme):
+    # at eta = 1e-10, g^-32 leaves the float range on the inner compact of
+    # the default window and the probe value at n = 32 is NaN; it must flag
+    # the probe and end the run, not drop out of the max as "converged"
+    b = build_contraction_pair(1e-10)
+    ctx = PicardContext(est=make_ctx(half_dom, sqrt_triple, scheme),
+                        alpha=b.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = picard_solve(b.f, b.g, b.g, ctx)
+    rep = res.trace.bound_pre
+    assert np.isnan(rep.values[32])
+    assert rep.flagged and np.isnan(rep.max_value)
+    assert res.trace.verdict == "unbounded_on_compacts"
+    assert res.trace.notes == ("boundedness probe: iterate n=32 is not finite",)
+
+
 # ===================================================================
 # the Picard driver
 # ===================================================================

@@ -17,16 +17,13 @@ from homconj import (
     bump_eval,
     bump_lipschitz,
     compose,
+    doubling_sample_sets,
     invert,
     roundtrip_error,
     sample_points,
 )
 from homconj import families
-from homconj.families import (
-    BUMP_SLOPE_FACTOR,
-    _scaled_bump_inverse,
-    damped_inverse,
-)
+from homconj.families import BUMP_SLOPE_FACTOR, damped_inverse
 
 from conftest import bump_member
 
@@ -136,6 +133,20 @@ def test_perturbed_linear_roundtrip():
                                                 grid_points_per_axis=11,
                                                 quasirandom_count=8))
     assert roundtrip_error(mp, pts) < 1e-10
+
+
+def test_dim1_bump_is_the_radial_bump_on_one_axis():
+    # in dimension 1 the bump acts at |x|: the scalar path computes the map
+    # that the rank-one path computes on the first axis of the plane
+    spec = BumpSpec(center=2.0, halfwidth=1.0, height=0.2)
+    line = build_perturbed_linear([[0.5]], spec)
+    plane = build_perturbed_linear(0.5 * np.eye(2), spec)
+    x = np.linspace(-4.0, 4.0, 161).reshape(-1, 1)
+    on_axis = np.hstack([x, np.zeros_like(x)])
+    assert np.array_equal(line.forward(x), plane.forward(on_axis)[:, :1])
+    y, y_plane = line.inverse(x), plane.inverse(on_axis)
+    assert np.all(y_plane[:, 1] == 0.0)
+    assert np.all(np.abs(y - y_plane[:, :1]) <= 1e-13 * (1.0 + np.abs(x)))
 
 
 def test_perturbed_linear_rejects_steep_perturbation():
@@ -253,7 +264,7 @@ def test_damped_only_solve_returns_nan_rows_it_cannot_finish():
     assert np.array_equal(np.isnan(y[:, 0]), [False, True, True, False])
     assert np.array_equal(y[[0, 3]], x[[0, 3]])
     # the same solve with the bump's Newton step converges on every row
-    y = _scaled_bump_inverse(1.0, spec)(x)
+    y = build_perturbed_linear([[1.0]], spec).inverse(x)
     assert np.all(np.abs(y + pert(y) - x) <= 1e-13 * (1.0 + np.abs(x)))
 
 
@@ -274,8 +285,48 @@ def test_inverse_gives_up_at_once_on_rows_that_overflow():
     assert 1 < used < 200
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 @pytest.mark.parametrize("eta", [0.1, 0.25, 0.5])
 def test_g_forward_is_eta_x_plus_bump(eta):
     b = build_contraction_pair(eta)
-    pts = np.linspace(0.0, 12.0, 1201).reshape(-1, 1)
-    assert np.array_equal(b.g.forward(pts), eta * pts + bump_eval(b.bump, pts))
+    grid = np.linspace(0.0, 12.0, 1201).reshape(-1, 1)
+    top = doubling_sample_sets(b.domain, SampleScheme(window_radius=8.0))[-1][1]
+    for pts in (grid, top):
+        assert np.array_equal(_bits(b.g.forward(pts)),
+                              _bits(eta * pts + bump_eval(b.bump, pts)))
+
+
+def _reference_g_inverse(eta: float, spec: BumpSpec):
+    """g's inverse written out for the 1-d map p -> eta * p + bump(p) alone:
+    :func:`damped_inverse` on T = [[eta]] with the Newton correction
+    d / (1 + b'(y) / eta)."""
+    T = np.array([[eta]])
+    q = bump_lipschitz(spec) / abs(eta)
+
+    def pert(y):
+        return bump_eval(spec, y)
+
+    def newton(y, d):
+        return d / (1.0 + families._bump_slope(spec, y) / eta)
+
+    def inv(p):
+        y, _ = damped_inverse(T, pert, q, p, newton=newton)
+        return y
+
+    return inv
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.25, 0.5])
+def test_g_inverse_orbits_match_the_written_out_inverse_bit_for_bit(eta):
+    # g is build_perturbed_linear's dim-1 case; from the top table on, its
+    # 40-step inverse orbits are the bits of the half-line inverse alone
+    b = build_contraction_pair(eta)
+    ref_inv = _reference_g_inverse(eta, b.bump)
+    top = doubling_sample_sets(b.domain, SampleScheme(window_radius=8.0))[-1][1]
+    y, y_ref = top, top
+    for _ in range(40):
+        y, y_ref = b.g.inverse(y), ref_inv(y_ref)
+        assert np.array_equal(_bits(y), _bits(y_ref))

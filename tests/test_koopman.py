@@ -134,7 +134,7 @@ def _reference_cases():
     bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.2)
     for dim in (1, 2, 3):
         cases.append((f"perturbed-dim{dim}",
-                      build_perturbed_linear(0.5 * np.eye(dim), bump, dim=dim),
+                      build_perturbed_linear(0.5 * np.eye(dim), bump),
                       sqrt_r, light, PAIR_CAP))
     cases.append(("translation-2d", build_translation([1.0, -0.5]), sqrt_r,
                   light, PAIR_CAP))
