@@ -105,7 +105,7 @@ def _check_keys(obj: dict, path: str, allowed, required=()):
     if unknown:
         raise ConfigError(
             f"{path}: unknown key(s) {', '.join(map(repr, unknown))} "
-            f"(allowed: {', '.join(sorted(allowed))})")
+            f"(allowed: {', '.join(sorted(allowed)) or 'none'})")
     missing = sorted(set(required) - set(obj))
     if missing:
         raise ConfigError(f"{path}: missing required key(s) "
@@ -247,8 +247,10 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
     scheme = _call(SampleScheme, {"window_radius": 8.0, **_typed(
         _fields_schema(SampleScheme), raw.get("sampling", {}), path)}, path)
     path = f"{source}.tolerances"
-    tol = _call(Tolerances, _typed(_fields_schema(Tolerances),
-                                   raw.get("tolerances", {}), path), path)
+    read = {k: p for k, p in _fields_schema(Tolerances).items()
+            if k in exp.tolerances}
+    tol = _call(Tolerances, _typed(read, raw.get("tolerances", {}), path),
+                path)
 
     output_dir = None
     if "output_dir" in raw:
@@ -394,7 +396,7 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
         "final_residual": res.residual,
         "membership": None if res.membership is None
         else res.membership.verdict,
-        "eigen": None if tr.eigen is None else _eigen_dict(tr.eigen),
+        "eigen": _eigen_dict(tr.eigen),
         "family_notes": list(bundle.notes),
     }
     return Outcome(exit_code=0 if res.converged else 2, results=results,
@@ -509,7 +511,7 @@ def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
     for eps in opts["epsilons"]:
         for c in opts["Cs"]:
             n_star = envelope_threshold(eps, c)
-            env = cauchy_envelope(m=n_star + 1, n=n_star, epsilon=eps, C=c,
+            env = cauchy_envelope(m=n_star + 1, epsilon=eps, C=c,
                                   k_max=opts["k_max"])
             max_env = max(env.values)
             ok = bool(max_env <= 2.0 * eps + cfg.tol.tau_env)
@@ -530,15 +532,18 @@ def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Runner, allowed families and typed options of one experiment.
+    """Runner, allowed families, typed options and read tolerances.
 
-    ``checks`` cover what the option types cannot express.  They run at
-    parse time, so the runner gets typed values and re-checks nothing.
+    ``tolerances`` names the ``Tolerances`` fields the runner reads; a
+    config may set only those.  ``checks`` cover what the option types
+    cannot express.  They run at parse time, so the runner gets typed
+    values and re-checks nothing.
     """
 
     run: Callable[[RunConfig], Outcome]
     families: tuple
     options: dict                   # name -> Param
+    tolerances: tuple
     checks: tuple = ()              # (violated(cfg) -> bool, problem)
 
 
@@ -565,15 +570,17 @@ def _in_range(option: str, ok: Callable, expected: str) -> tuple:
 
 _ALPHA = _in_range("alpha", lambda a: a > 1.0, "must exceed 1")
 _N_MAX = _in_range("n_max", lambda n: n >= 1, "must be >= 1")
+# read by every estimate that classifies a window trace
+_GROWTH_TOL = ("tau_abs", "rel", "kappa_div")
 
 _EXPERIMENTS = {
     "validate": Experiment(_exp_validate, tuple(FAMILIES),
-                           {"gauge": _GAUGE}, (_OWN_GAUGE,)),
+                           {"gauge": _GAUGE}, ("tau_abs",), (_OWN_GAUGE,)),
     "eigen_check": Experiment(_exp_eigen_check, tuple(FAMILIES), {
         "alpha": Param("number", "gate exponent > 1; contraction_pair has "
                        "its own, other families need one", None),
         "gauge": _GAUGE,
-    }, (_OWN_GAUGE, _ALPHA,
+    }, _GROWTH_TOL, (_OWN_GAUGE, _ALPHA,
         (lambda c: not _is_pair(c) and c.options["alpha"] is None,
          "options.alpha: required for eigen_check outside contraction_pair"))),
     "picard": Experiment(_exp_picard, ("contraction_pair",), {
@@ -584,9 +591,10 @@ _EXPERIMENTS = {
                        _default_of(PicardContext, "n_max")),
         "n_bnd": Param("integer", "boundedness probe over |n| <= n_bnd",
                        _default_of(PicardContext, "n_bnd")),
-    }, (_ALPHA, _N_MAX,
+    }, _GROWTH_TOL + ("tol_conj", "tau_env"), (_ALPHA, _N_MAX,
         _in_range("n_bnd", lambda n: n >= 0, "must be >= 0"))),
-    "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {}),
+    "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {},
+                                  _GROWTH_TOL),
     "koenigs": Experiment(_exp_koenigs, ("contraction_pair", "pure_linear"), {
         "use": Param("string", "which contraction_pair map to linearize",
                      "g", ("f", "g")),
@@ -594,7 +602,7 @@ _EXPERIMENTS = {
                             None),
         "n_max": Param("integer", "step budget",
                        _default_of(koenigs_eigenfunction, "n_max")),
-    }, (_N_MAX,
+    }, ("tol_koenigs",), (_N_MAX,
         _in_range("multiplier", lambda m: 0.0 < m < 1.0, "must lie in (0, 1)"),
         (lambda c: not _is_pair(c) and _given(c, "use"),
          "options.use: only contraction_pair has two maps to choose from"),
@@ -604,7 +612,7 @@ _EXPERIMENTS = {
         "inner_radius": Param("number", "radius of the ball cut out at 0",
                               0.125),
         "residual_tol": Param("number", "largest residual that passes", 1e-9),
-    }, (_in_range("inner_radius", lambda r: r > 0.0, "must be positive"),
+    }, (), (_in_range("inner_radius", lambda r: r > 0.0, "must be positive"),
         (lambda c: not (c.family.params["scale"] > 0
                         and c.family.params["scale"] != 1.0),
          "family.params.scale: need scale > 0 and scale != 1"))),
@@ -613,7 +621,7 @@ _EXPERIMENTS = {
         "covering_radius": Param("number", "covering radius of the cloud"),
         "nu": Param("integer", "smallest iterate gap checked, >= 1", 1),
         "n_max": Param("integer", "largest iterate checked, >= nu", 8),
-    }, (_in_range("nu", lambda n: n >= 1, "must be >= 1"),
+    }, (), (_in_range("nu", lambda n: n >= 1, "must be >= 1"),
         _in_range("covering_radius", lambda r: r > 0.0, "must be positive"),
         (lambda c: c.options["cloud"].shape[1] != c.built.domain.dim,
          "options.cloud: points must have the family's dimension"),
@@ -625,7 +633,8 @@ _EXPERIMENTS = {
         "Cs": Param("numbers", "contraction factors in (0, 1)",
                     (0.3, 0.5, 0.9)),
         "k_max": Param("integer", "envelope steps", 64),
-    }, (_in_range("epsilons", lambda e: e > 0.0, "must be positive"),
+    }, ("tau_env",), (
+        _in_range("epsilons", lambda e: e > 0.0, "must be positive"),
         _in_range("Cs", lambda c: 0.0 < c < 1.0, "must lie in (0, 1)"),
         _in_range("k_max", lambda k: k >= 0, "must be >= 0"))),
 }
@@ -698,6 +707,7 @@ def _write_record(outdir: Path, cfg: RunConfig, outcome: Outcome,
             "git_rev": _git_rev(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": wall_time,
+            "notes": list(outcome.warnings),
         },
         "config": cfg.raw,
         "results": _to_jsonable(outcome.results),
@@ -777,6 +787,8 @@ def cmd_report(args) -> int:
     fam = config.get("family")
     if fam:
         print(f"family: {fam.get('name')} {json.dumps(fam.get('params', {}), sort_keys=True)}")
+    for note in meta.get("notes", ()):
+        print(f"note: {note}")
     print("results:")
     flat = []
     _flatten(record.get("results", {}), "", flat)
@@ -818,6 +830,7 @@ def cmd_list_families(args) -> int:
         print(f"  {name} [families: {families}]: {exp.run.__doc__}")
         for oname, param in exp.options.items():
             print(_param_line(oname, param))
+        print(f"    tolerances read: {', '.join(exp.tolerances) or 'none'}")
     print("gauges:", ", ".join(BUILTIN_TRIPLE_NAMES))
     return 0
 

@@ -116,7 +116,6 @@ class CauchyEnvelope:
     """
 
     m: int
-    n: int
     epsilon: float
     C: float
     values: tuple
@@ -140,11 +139,11 @@ def _envelope_tail(m: int, epsilon: float, C: float) -> tuple:
     return a_m, C ** m * (epsilon / (1.0 - a_m) + 1.0 / (1.0 - C))
 
 
-def cauchy_envelope(m: int, n: int, epsilon: float, C: float,
+def cauchy_envelope(m: int, epsilon: float, C: float,
                     k_max: int) -> CauchyEnvelope:
     a_m, tail = _envelope_tail(m, epsilon, C)
-    if m < 1 or n < 0 or k_max < 0:
-        raise ValueError("m >= 1, n >= 0, k_max >= 0 required")
+    if m < 1 or k_max < 0:
+        raise ValueError("m >= 1 and k_max >= 0 required")
     values = [float(epsilon)]
     power = C ** m
     for _ in range(k_max):
@@ -152,7 +151,7 @@ def cauchy_envelope(m: int, n: int, epsilon: float, C: float,
         values.append(power * prev + power + prev)
         power *= C
     return CauchyEnvelope(
-        m=m, n=n, epsilon=float(epsilon), C=float(C), values=tuple(values),
+        m=m, epsilon=float(epsilon), C=float(C), values=tuple(values),
         a_m=float(a_m), tail=float(tail), bound=float(epsilon + tail),
     )
 
@@ -191,6 +190,16 @@ class BoundReport:
     notes: tuple = ()
 
 
+def _iterates(f: Homeo, g: Homeo, h0: Homeo):
+    """Yield (f^n∘h0∘g^-n, f^-n∘h0∘g^n) for n = 1, 2, ..."""
+    pos = neg = h0
+    f_inv, g_inv = invert(f), invert(g)
+    while True:
+        pos = compose(compose(f, pos), g_inv)
+        neg = compose(compose(f_inv, neg), g)
+        yield pos, neg
+
+
 def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
                             n_bnd: int,
                             tol: Tolerances = Tolerances()) -> BoundReport:
@@ -203,13 +212,7 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
     domain = h0.domain
     with _chain_memo():
         values = {0: float(np.max(domain.norm_of(h0.forward(pts))))}
-        pos = h0
-        neg = h0
-        f_inv = invert(f)
-        g_inv = invert(g)
-        for n in range(1, n_bnd + 1):
-            pos = compose(compose(f, pos), g_inv)
-            neg = compose(compose(f_inv, neg), g)
+        for n, (pos, neg) in zip(range(1, n_bnd + 1), _iterates(f, g, h0)):
             values[n] = float(np.max(domain.norm_of(pos.forward(pts))))
             values[-n] = float(np.max(domain.norm_of(neg.forward(pts))))
     half = max(v for k, v in values.items() if abs(k) <= n_bnd // 2)
@@ -260,15 +263,15 @@ class IterationTrace:
                              # undetermined
     constants: GateConstants
     alpha: float
-    eigen: EigenReport | None
-    failed_gate: str | None
-    gate_margin: float | None
-    anchor: int | None
-    eps_monitor: float | None
-    anchored: tuple          # (step, observed rho to anchor, envelope value)
-    incrementally_bounded: bool | None
-    bound_pre: BoundReport | None
-    bound_post: BoundReport | None
+    eigen: EigenReport
+    failed_gate: str | None = None
+    gate_margin: float | None = None
+    anchor: int | None = None
+    eps_monitor: float | None = None
+    anchored: tuple = ()     # (step, observed rho to anchor, envelope value)
+    incrementally_bounded: bool | None = None
+    bound_pre: BoundReport | None = None
+    bound_post: BoundReport | None = None
     notes: tuple = ()
 
     @property
@@ -294,27 +297,18 @@ class PicardContext:
     alpha: float
     n_max: int = 200
     n_bnd: int = 32
-    eigen_report: EigenReport | None = None
-    verify_eigen: bool = True
+    eigen_report: EigenReport | None = None    # None: the solve runs the gate
 
     def __post_init__(self):
         if not self.alpha > 1.0:
             raise ValueError("alpha must exceed 1")
         if self.n_max < 1 or self.n_bnd < 0:
             raise ValueError("n_max >= 1 and n_bnd >= 0 required")
-
-
-def _failed(h0, verdict, constants, alpha, eigen, gate, margin,
-            bound_pre=None) -> ConjugacyResult:
-    trace = IterationTrace(
-        steps=(), verdict=verdict, constants=constants, alpha=alpha,
-        eigen=eigen, failed_gate=gate, gate_margin=margin, anchor=None,
-        eps_monitor=None, anchored=(), incrementally_bounded=None,
-        bound_pre=bound_pre, bound_post=None,
-        notes=() if bound_pre is None else bound_pre.notes,
-    )
-    return ConjugacyResult(h=h0, trace=trace, membership=None,
-                           residual=np.nan)
+        if self.eigen_report is not None \
+                and self.eigen_report.alpha != self.alpha:
+            raise ValueError(
+                f"eigen_report was computed at alpha {self.eigen_report.alpha}"
+                f", not at {self.alpha}")
 
 
 @_chain_memo()
@@ -323,21 +317,22 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     """Iterate h <- f∘h∘g^-1 from h0 under the three gates.
 
     Stops when both the increment rho(h_{n+1}, h_n) and the conjugation
-    residual drop below tol_conj.  Never weakens a gate: a failed gate or a
-    flagged boundedness probe ends the run with the corresponding verdict
-    and no iteration steps.  A step whose estimates cannot be evaluated
-    (an image left the float range) ends the run as ``non_finite``, and a
-    step whose increment or residual is NaN ends it as ``undetermined``,
-    each with the steps before it and no membership.  The whole solve runs
-    under one chain memo (see homspace), so each step costs one new inverse
-    orbit step per sample table instead of n.
+    residual drop below tol_conj.  The eigenvalue gate is checked here
+    unless ``ctx.eigen_report`` brings it.  Never weakens a gate: a failed
+    gate or a flagged boundedness probe ends the run with the corresponding
+    verdict and no iteration steps.  A step whose estimates cannot be
+    evaluated (an image left the float range) ends the run as
+    ``non_finite``, and a step whose increment or residual is NaN ends it
+    as ``undetermined``, each with the steps before it and no membership.
+    The whole solve runs under one chain memo (see homspace), so each step
+    costs one new inverse orbit step per sample table instead of n.
     """
     est = ctx.est
-    eigen = ctx.eigen_report
-    if eigen is None and ctx.verify_eigen:
-        eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
-                              est.tol)
     tol = est.tol
+    eigen = ctx.eigen_report
+    if eigen is None:
+        eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
+                              tol)
     C = 1.0 / ctx.alpha
 
     levels = exhaustion_sets(est.domain, est.scheme)
@@ -354,21 +349,28 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         m=est.phi.m, delta=float(delta_est.rho), C=C,
     )
 
-    if eigen is not None and not eigen.satisfied:
-        margin = min(eigen.min_slack_f,
-                     np.inf if eigen.min_slack_g is None else eigen.min_slack_g)
-        return _failed(h0, "gate_failed", constants, ctx.alpha, eigen,
-                       "eigenvalue_gate", float(margin))
-
-    if not constants.gate_passes:
-        margin = constants.threshold - constants.delta
-        return _failed(h0, "gate_failed", constants, ctx.alpha, eigen,
-                       "initial_defect", float(margin))
-
-    bound_pre = negative_iterates_bound(f, g, h0, inner, ctx.n_bnd, tol)
-    if bound_pre.flagged:
-        return _failed(h0, "unbounded_on_compacts", constants, ctx.alpha,
-                       eigen, "iterate_boundedness", None, bound_pre)
+    # the first gate that fails ends the run as (verdict, gate, margin)
+    failed = bound_pre = None
+    if not eigen.satisfied:
+        failed = ("gate_failed", "eigenvalue_gate", float(min(
+            eigen.min_slack_f,
+            np.inf if eigen.min_slack_g is None else eigen.min_slack_g)))
+    elif not constants.gate_passes:
+        failed = ("gate_failed", "initial_defect",
+                  float(constants.threshold - constants.delta))
+    else:
+        bound_pre = negative_iterates_bound(f, g, h0, inner, ctx.n_bnd, tol)
+        if bound_pre.flagged:
+            failed = ("unbounded_on_compacts", "iterate_boundedness", None)
+    if failed is not None:
+        verdict, gate, margin = failed
+        trace = IterationTrace(
+            steps=(), verdict=verdict, constants=constants, alpha=ctx.alpha,
+            eigen=eigen, failed_gate=gate, gate_margin=margin,
+            bound_pre=bound_pre,
+            notes=() if bound_pre is None else bound_pre.notes)
+        return ConjugacyResult(h=h0, trace=trace, membership=None,
+                               residual=np.nan)
 
     steps = []
     anchored = []
@@ -378,15 +380,10 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     envelope = None
     h_anchor = None
     h = h0
-    neg = h0
-    f_inv = invert(f)
     verdict = "budget_exhausted"
     residual = np.nan
-    f_chain_domain = est.domain
 
-    for n in range(ctx.n_max):
-        h_next = conjugacy_operator(f, g, h)
-        neg_next = compose(compose(f_inv, neg), g)
+    for n, (h_next, neg_next) in zip(range(ctx.n_max), _iterates(f, g, h0)):
         try:
             if n == 0:
                 inc = constants.delta
@@ -396,8 +393,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             observed = inc if anchor is None else premetric(
                 h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
             compact = max(
-                float(np.max(f_chain_domain.norm_of(h_next.forward(inner)))),
-                float(np.max(f_chain_domain.norm_of(neg_next.forward(inner)))))
+                float(np.max(est.domain.norm_of(h_next.forward(inner)))),
+                float(np.max(est.domain.norm_of(neg_next.forward(inner)))))
         except EvaluationError as exc:
             # once f^-n leaves the float range no estimate of step n exists;
             # the steps before it stand
@@ -412,14 +409,13 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                          f"residual {step_residual!r}")
             break
         residual = step_residual
-        neg = neg_next
 
         if anchor is None and inc < 1.0:
             anchor = n
             eps_monitor = float(inc)
             h_anchor = h
             envelope = cauchy_envelope(
-                m=anchor + 1, n=anchor, epsilon=eps_monitor, C=C,
+                m=anchor + 1, epsilon=eps_monitor, C=C,
                 k_max=ctx.n_max - anchor)
 
         if anchor is None:
@@ -452,10 +448,9 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
 
     trace = IterationTrace(
         steps=tuple(steps), verdict=verdict, constants=constants,
-        alpha=ctx.alpha, eigen=eigen, failed_gate=None, gate_margin=None,
-        anchor=anchor, eps_monitor=eps_monitor, anchored=tuple(anchored),
-        incrementally_bounded=incr_ok, bound_pre=bound_pre,
-        bound_post=bound_post, notes=tuple(notes),
+        alpha=ctx.alpha, eigen=eigen, anchor=anchor, eps_monitor=eps_monitor,
+        anchored=tuple(anchored), incrementally_bounded=incr_ok,
+        bound_pre=bound_pre, bound_post=bound_post, notes=tuple(notes),
     )
     membership = None
     if verdict not in ("non_finite", "undetermined"):

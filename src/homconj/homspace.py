@@ -14,17 +14,16 @@ Chain memo.  Picard iterates h_n = f^n∘h0∘g^-n share long right-hand
 suffixes, and one run evaluates them on a few fixed sample tables.  While
 a memo is open (for one ``picard_solve`` or ``negative_iterates_bound``
 call; a nested call shares the outer memo), ``Homeo.forward`` walks the
-chain right to left through a trie keyed by the root array's identity and
-then by one (atom, direction) step per level, so every suffix image, such
-as g^-k(P), is computed once and reused by later steps.  The memo holds
-each root it keys on, so no other array can take over that identity
-while the entry lives.  A cached image is the same atom call that an
-uncached walk makes, so every number is bit for bit what it would be
-without the memo.  The memo keeps at most ``_MEMO_BYTES`` of images, least recently used out
-first; an evicted image is recomputed by the same calls, so eviction
-changes no number either.  Cached images are shared, so they are
-read-only; atoms must not write to their input.  With no memo open,
-``forward`` walks the chain and caches nothing.
+chain right to left and looks each step up by (input identity, step), so
+every suffix image, such as g^-k(P), is computed once and reused by later
+steps.  An entry holds its input, so no other array can take over that
+identity while the entry lives.  A cached image is the same atom call
+that an uncached walk makes, so every number is bit for bit what it would
+be without the memo.  The memo keeps at most ``_MEMO_BYTES`` of images,
+least recently used out first; an evicted image is recomputed by the same
+calls, so eviction changes no number either.  Cached images are shared,
+so they are read-only; atoms must not write to their input.  With no
+memo open, ``forward`` walks the chain and caches nothing.
 """
 
 from collections import OrderedDict
@@ -69,7 +68,6 @@ __all__ = [
     "group_membership",
     "compact_convergence_distance",
     "roundtrip_error",
-    "sup_ratio",
 ]
 
 
@@ -142,47 +140,37 @@ _MEMO_BYTES = 64 << 20
 
 
 class _ChainMemo:
-    """Trie of chain-suffix images, least recently used out first.
+    """Step images keyed by (id(input), step), least recently used out first.
 
-    A node is a pair (image, children); a root node's image is the root
-    array itself.  Every walk renews its path deepest first, so each node
-    is newer than all of its descendants and the oldest node is always a
-    leaf: evicting it never orphans a subtree.  Nodes hold no reference to
-    their parent, so a closed memo is freed at once, without a cycle
-    collection.
+    An entry maps its key to (input, image); holding the input keeps its
+    identity from being reused while the entry lives.  Every walk renews
+    its entries deepest first, so an entry is newer than every entry keyed
+    on its image, and the oldest entry's image is the input of no live
+    entry: evicting it never strands another.
     """
 
     def __init__(self):
-        self.roots = {}             # id(root) -> root node
-        self.lru = OrderedDict()    # id(node) -> (node, parent, key)
+        self.entries = OrderedDict()    # (id(input), step) -> (input, image)
         self.nbytes = 0
 
-    def _add(self, parent: dict, key, image: np.ndarray) -> tuple:
-        node = parent[key] = (image, {})
-        self.lru[id(node)] = (node, parent, key)
-        self.nbytes += image.nbytes
-        return node
-
-    def forward(self, chain: tuple, root: np.ndarray) -> np.ndarray:
-        node = self.roots.get(id(root)) or self._add(self.roots, id(root),
-                                                     root)
-        path = [node]
+    def forward(self, chain: tuple, out: np.ndarray) -> np.ndarray:
+        keys = []
         for step in reversed(chain):
-            child = node[1].get(step)
-            if child is None:
+            key = (id(out), step)
+            entry = self.entries.get(key)
+            if entry is None:
                 # a read-only view: never freeze an array an atom hands back
-                image = _apply(step, node[0]).view()
+                image = _apply(step, out).view()
                 image.flags.writeable = False
-                child = self._add(node[1], step, image)
-            node = child
-            path.append(node)
-        for node in reversed(path):
-            self.lru.move_to_end(id(node))
+                entry = self.entries[key] = (out, image)
+                self.nbytes += image.nbytes
+            out = entry[1]
+            keys.append(key)
+        for key in reversed(keys):
+            self.entries.move_to_end(key)
         while self.nbytes > _MEMO_BYTES:
-            _, (old, parent, key) = self.lru.popitem(last=False)
-            del parent[key]
-            self.nbytes -= old[0].nbytes
-        return path[-1][0]
+            self.nbytes -= self.entries.popitem(last=False)[1][1].nbytes
+        return out
 
 
 _MEMO = ContextVar("homconj_chain_memo", default=None)
@@ -289,19 +277,6 @@ def _ratio_profile(f: Homeo, phi: Gauge, r: ScaleFn, pts: np.ndarray):
     if np.any(den <= 0) or np.any(~np.isfinite(den)):
         raise EvaluationError("gauge must be positive and finite on samples")
     return num / den, kept, dropped
-
-
-def sup_ratio(f: Homeo, phi: Gauge, r: ScaleFn, pts: np.ndarray):
-    """Displacement ratio maximized over an explicit point set.
-
-    Returns (value, argmax_point, dropped); see _ratio_profile for the
-    error contract.
-    """
-    ratio, kept, dropped = _ratio_profile(f, phi, r, pts)
-    if ratio.size == 0:
-        return np.nan, None, dropped
-    i = int(np.argmax(ratio))
-    return float(ratio[i]), kept[i], dropped
 
 
 def _classify(trace, kappa_div: float, tau_abs: float,

@@ -289,7 +289,6 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
     orbit = pts
     psi_prev = (orbit - star) / 1.0
     initial_scale = float(np.max(domain.norm_of(psi_prev))) + 1.0
-    n_used = 0
     increment = np.inf
     for n in range(1, n_max + 1):
         orbit = f.forward(orbit)
@@ -302,14 +301,13 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
                 f"linearization diverging at step {n}: sup {sup_now:.3e}")
         increment = float(np.max(domain.norm_of(psi - psi_prev)))
         psi_prev = psi
-        n_used = n
         if increment < tol.tol_koenigs:
             break
     else:
         raise ConvergenceError(
             f"no convergence in {n_max} steps (last increment {increment:.3e})")
 
-    n_star = n_used
+    n_star = n
 
     def psi_map(x: np.ndarray) -> np.ndarray:
         out = np.atleast_2d(np.asarray(x, dtype=float))
@@ -317,8 +315,11 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
             out = f.forward(out)
         return (out - star) / multiplier ** n_star
 
+    # psi_map(pts) is psi_prev, and psi_map(f(pts)) takes the orbit one
+    # step further: the same calls on the same arrays, so the same bits
     resid = float(np.max(domain.norm_of(
-        psi_map(f.forward(pts)) - multiplier * psi_map(pts))))
+        (f.forward(orbit) - star) / multiplier ** n_star
+        - multiplier * psi_prev)))
 
     # growth across the window doublings, reported as an exponent only
     psi_norms = domain.norm_of(psi_prev)

@@ -282,7 +282,7 @@ def test_criterion_07_envelope_grid():
         for C in (0.3, 0.5, 0.9):
             n_thr = envelope_threshold(epsilon, C)
             for n in (n_thr, n_thr + 2):
-                env = cauchy_envelope(m=n + 1, n=n, epsilon=epsilon, C=C,
+                env = cauchy_envelope(m=n + 1, epsilon=epsilon, C=C,
                                       k_max=10_000)
                 peak = max(env.values)
                 cell_ok = (env.a_m < 1.0

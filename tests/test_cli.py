@@ -1,6 +1,7 @@
 """Config schema, run artifacts, and the command-line surface."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from homconj.cli import (
     parse_config,
 )
 from homconj.families import FAMILIES
+from homconj.funcspace import Tolerances
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +108,11 @@ def _cfg(experiment, family=None, **options):
 
 PAIR = ("contraction_pair", {"eta": 0.25})
 
+
+def _with_tol(payload, **tolerances):
+    return {**payload, "tolerances": tolerances}
+
+
 # each of these used to pass validate, then crash or be half honoured by run
 REJECTED = [
     (_cfg("picard", ("contraction_pair", {"eta": "abc"})),
@@ -157,6 +164,15 @@ REJECTED = [
     (_cfg("fk_sweep", epsilons=[0.1, 0.0]), "epsilons: must be positive"),
     (_cfg("fk_sweep", Cs=[1.5]), "Cs: must lie in"),
     (_cfg("fk_sweep", k_max=-1), "k_max: must be >= 0"),
+    # tolerances the experiment never reads
+    (_with_tol(_cfg("eigen_check", PAIR), tau_tri=5.0, tol_conj=0.5),
+     r"tolerances: unknown key\(s\) 'tau_tri', 'tol_conj'"),
+    (_with_tol(_cfg("picard", PAIR), tau_contr=1e-3),
+     r"tolerances: unknown key\(s\) 'tau_contr'"),
+    (_with_tol(_cfg("fk_sweep"), tol_conj=0.5),
+     r"tolerances: unknown key\(s\) 'tol_conj' \(allowed: tau_env\)"),
+    (_with_tol(_cfg("abel", ("pure_linear", {"scale": 0.5})), tau_abs=1e-9),
+     r"tolerances: unknown key\(s\) 'tau_abs' \(allowed: none\)"),
 ]
 REJECTED_IDS = [f"{p['experiment']}-{frag}" for p, frag in REJECTED]
 
@@ -192,6 +208,45 @@ def test_bump_parameters_reach_eigen_check_and_koenigs(tmp_path):
     lam = [results["eigen_check", c]["eigen"]["lambda_g"] for c in (2.0, 5.0)]
     assert lam[0] != lam[1]
     assert results["koenigs", 2.0] != results["koenigs", 5.0]
+
+
+class _RecordingTolerances:
+    """Tolerances that remember which fields were read."""
+
+    def __init__(self, tol):
+        self._tol, self.read = tol, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._tol, name)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_each_experiment_reads_exactly_its_declared_tolerances(path):
+    cfg = load_config(str(path))
+    exp = _EXPERIMENTS[cfg.experiment]
+    tol = _RecordingTolerances(cfg.tol)
+    exp.run(dataclasses.replace(cfg, tol=tol))
+    assert tol.read == set(exp.tolerances)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_validate_accepts_only_the_tolerances_the_experiment_reads(
+        tmp_path, capsys, path):
+    payload = json.loads(path.read_text())
+    declared = _EXPERIMENTS[payload["experiment"]].tolerances
+    for field in dataclasses.fields(Tolerances):
+        cfg = write_cfg(tmp_path, _with_tol(payload, **{field.name: 0.5}),
+                        path.name)
+        capsys.readouterr()
+        if field.name in declared:
+            assert main(["validate", cfg]) == 0
+            continue
+        assert main(["validate", cfg]) == 2
+        assert f"{path.name}.tolerances: unknown key(s) '{field.name}'" \
+            in capsys.readouterr().err
 
 
 def test_bundled_configs_all_parse():
@@ -250,10 +305,14 @@ def test_run_picard_fails_on_a_non_finite_probe(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["run", write_cfg(tmp_path, payload), "--out", str(out)])
     assert code == 2
-    record = json.loads((only_run_dir(out) / "record.json").read_text())
+    run_dir = only_run_dir(out)
+    record = json.loads((run_dir / "record.json").read_text())
     assert record["results"]["verdict"] == "unbounded_on_compacts"
-    assert "note: boundedness probe: iterate n=32 is not finite" \
-        in capsys.readouterr().err
+    note = "boundedness probe: iterate n=32 is not finite"
+    assert note in record["meta"]["notes"]
+    assert f"note: {note}" in capsys.readouterr().err
+    assert main(["report", str(run_dir)]) == 0
+    assert f"note: {note}" in capsys.readouterr().out
 
 
 def test_run_uses_env_root(tmp_path, monkeypatch):
@@ -335,3 +394,5 @@ def test_list_families(capsys):
         assert f"\n    {name} (" in out
     assert "norm (string, default 'euclidean')" in out
     assert "n_max (integer, default 200)" in out
+    assert "tolerances read: tau_abs, rel, kappa_div, tol_conj, tau_env" in out
+    assert "tolerances read: none" in out

@@ -89,7 +89,7 @@ def test_operator_contraction_on_sample_pairs(half_dom, sqrt_triple,
 # ===================================================================
 
 def test_envelope_frozen_first_step():
-    env = cauchy_envelope(m=4, n=3, epsilon=0.1, C=0.5, k_max=1)
+    env = cauchy_envelope(m=4, epsilon=0.1, C=0.5, k_max=1)
     assert env.value_at(0) == 0.1
     assert env.value_at(1) == pytest.approx(0.16875, abs=1e-15)
     assert env.a_m == pytest.approx(0.84375, abs=1e-15)
@@ -99,15 +99,15 @@ def test_envelope_frozen_first_step():
 
 def test_envelope_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        cauchy_envelope(m=1, n=0, epsilon=0.1, C=1.0, k_max=1)
+        cauchy_envelope(m=1, epsilon=0.1, C=1.0, k_max=1)
     with pytest.raises(ValueError):
-        cauchy_envelope(m=1, n=0, epsilon=0.0, C=0.5, k_max=1)
+        cauchy_envelope(m=1, epsilon=0.0, C=0.5, k_max=1)
     with pytest.raises(ValueError):
-        cauchy_envelope(m=0, n=0, epsilon=0.1, C=0.5, k_max=1)
+        cauchy_envelope(m=0, epsilon=0.1, C=0.5, k_max=1)
 
 
 def test_envelope_values_increase():
-    env = cauchy_envelope(m=3, n=2, epsilon=0.05, C=0.4, k_max=30)
+    env = cauchy_envelope(m=3, epsilon=0.05, C=0.4, k_max=30)
     diffs = np.diff(env.values)
     assert np.all(diffs > 0)
 
@@ -117,7 +117,7 @@ def test_envelope_values_increase():
        C=st.floats(min_value=0.05, max_value=0.95),
        m=st.integers(min_value=1, max_value=40))
 def test_envelope_bound_dominates_when_tamed(epsilon, C, m):
-    env = cauchy_envelope(m=m, n=max(0, m - 1), epsilon=epsilon, C=C, k_max=60)
+    env = cauchy_envelope(m=m, epsilon=epsilon, C=C, k_max=60)
     assume(env.a_m < 1.0)
     assert max(env.values) <= env.bound * (1.0 + 1e-12)
 
@@ -127,7 +127,7 @@ def test_envelope_bound_dominates_when_tamed(epsilon, C, m):
        C=st.floats(min_value=0.05, max_value=0.95))
 def test_threshold_tames_the_envelope(epsilon, C):
     n = envelope_threshold(epsilon, C)
-    env = cauchy_envelope(m=n + 1, n=n, epsilon=epsilon, C=C, k_max=200)
+    env = cauchy_envelope(m=n + 1, epsilon=epsilon, C=C, k_max=200)
     assert env.a_m < 1.0
     assert env.tail <= epsilon * (1.0 + 1e-12)
     assert max(env.values) <= 2.0 * epsilon * (1.0 + 1e-12)
@@ -217,6 +217,18 @@ def test_picard_rejects_alpha_below_one(half_dom, sqrt_triple, scheme_fast):
                       alpha=0.9)
 
 
+def test_picard_rejects_an_eigen_report_for_another_alpha(scheme_fast,
+                                                          bundle_025):
+    b = bundle_025
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme_fast)
+    assert PicardContext(est=est, alpha=b.alpha,
+                         eigen_report=eigen).eigen_report is eigen
+    with pytest.raises(ValueError, match="eigen_report was computed at"):
+        PicardContext(est=est, alpha=b.alpha * 1.5, eigen_report=eigen)
+
+
 def test_picard_gate_failure_eigenvalue(half_dom, sqrt_triple, scheme_fast,
                                         bundle_025):
     ctx = PicardContext(est=make_ctx(half_dom, sqrt_triple, scheme_fast),
@@ -300,8 +312,7 @@ def test_picard_inverse_work_is_linear_in_steps():
     used = {}
     for n_max in (20, 40):
         del calls[:]
-        ctx = PicardContext(est=est, alpha=b.alpha, n_max=n_max,
-                            verify_eigen=False)
+        ctx = PicardContext(est=est, alpha=b.alpha, n_max=n_max)
         res = picard_solve(b.f, b.g, b.g, ctx)
         assert res.trace.verdict == "budget_exhausted"
         assert res.trace.n_steps == n_max
@@ -315,8 +326,7 @@ def test_picard_leaves_no_chain_memo_open(bundle_025, scheme_fast):
     est = EstimateContext(domain=bundle_025.domain, scheme=scheme_fast,
                           phi=bundle_025.phi, r=bundle_025.r,
                           cross=bundle_025.cross)
-    ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=3,
-                        verify_eigen=False)
+    ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=3)
     fg = compose(f, invert(g))
     pts = sample_points(bundle_025.domain, scheme_fast)
 
@@ -340,7 +350,7 @@ def test_picard_stops_as_non_finite_when_iterates_overflow():
                           quasirandom_count=8, exhaustion_levels=2, seed=7)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
                           cross=b.cross, tol=Tolerances(tol_conj=1e-300))
-    ctx = PicardContext(est=est, alpha=b.alpha, n_max=200, verify_eigen=False)
+    ctx = PicardContext(est=est, alpha=b.alpha, n_max=200)
     with np.errstate(over="ignore", invalid="ignore"):
         res = picard_solve(b.f, b.g, b.g, ctx)
     trace = res.trace
@@ -367,30 +377,31 @@ def test_picard_stops_as_undetermined_on_a_nan_increment(monkeypatch,
                           phi=bundle_025.phi, r=bundle_025.r,
                           cross=bundle_025.cross,
                           tol=Tolerances(tol_conj=1e-300))
-    ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=10,
-                        verify_eigen=False)
-    # picard_solve builds the operator image of h0 once for the defect
-    # gate, then once per step: images[k + 1] is the iterate of step k
-    images = []
-    real_operator = conjugacy_module.conjugacy_operator
+    ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=10)
+    # the boundedness probe walks the iterates first, then the step loop:
+    # in the last walk, walks[-1][k] is the iterate of step k
+    walks = []
+    real_iterates = conjugacy_module._iterates
     real_premetric = conjugacy_module.premetric
 
-    def recording_operator(*args):
-        images.append(real_operator(*args))
-        return images[-1]
+    def recording_iterates(*args):
+        walks.append([])
+        for pos, neg in real_iterates(*args):
+            walks[-1].append(pos)
+            yield pos, neg
 
     def premetric_undetermined_at_step_3(h1, *args):
         real = real_premetric(h1, *args)
-        if len(images) > 4 and h1 is images[4]:
+        if walks and len(walks[-1]) > 3 and h1 is walks[-1][3]:
             return PremetricEstimate(np.nan, real.left, real.right,
                                      "undetermined")
         return real
 
-    monkeypatch.setattr(conjugacy_module, "conjugacy_operator",
-                        recording_operator)
+    monkeypatch.setattr(conjugacy_module, "_iterates", recording_iterates)
     monkeypatch.setattr(conjugacy_module, "premetric",
                         premetric_undetermined_at_step_3)
     res = picard_solve(f, g, g, ctx)
+    assert len(walks) == 2
     trace = res.trace
     assert trace.verdict == "undetermined"
     assert not res.converged and res.membership is None

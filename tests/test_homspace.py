@@ -23,7 +23,7 @@ from homconj import (
     sample_points,
 )
 from homconj import homspace
-from homconj.homspace import _chain_memo, sup_ratio
+from homconj.homspace import _chain_memo
 
 from conftest import bump_member, seeded_members
 
@@ -143,6 +143,24 @@ def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
                 assert len(calls) == 12
 
 
+def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
+        half_dom, monkeypatch):
+    pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
+    hs, _ = _iterates(half_dom, 12)
+    monkeypatch.setattr(homspace, "_MEMO_BYTES", 5 * pts.nbytes)
+    with _chain_memo():
+        memo = homspace._MEMO.get()
+        for _ in range(2):
+            for h in hs:
+                h.forward(pts)
+                live = memo.entries.values()
+                images = {id(image) for _, image in live}
+                # every live entry can still be reached from the root
+                assert all(x is pts or id(x) in images for x, _ in live)
+                assert memo.nbytes == sum(image.nbytes for _, image in live)
+                assert memo.nbytes <= 5 * pts.nbytes
+
+
 # ===================================================================
 # displacement
 # ===================================================================
@@ -174,13 +192,12 @@ def test_scaling_displacement_diverges_under_sqrt_gauge(half_dom, sqrt_triple,
     assert values[-1] > 1.5 * values[0]
 
 
-def test_sup_ratio_raises_on_nonfinite_map(half_dom, sqrt_triple):
+def test_displacement_raises_on_nonfinite_map(half_dom, sqrt_triple, scheme):
     _, r, _, phi = sqrt_triple
     bad = primitive(half_dom, lambda p: np.full_like(p, np.inf),
                     lambda p: p, "blowup")
-    pts = np.array([[1.0]])
-    with pytest.raises(EvaluationError):
-        sup_ratio(bad, phi, r, pts)
+    with pytest.raises(EvaluationError, match="'blowup' not finite"):
+        displacement(bad, phi, r, scheme)
 
 
 # ===================================================================

@@ -323,6 +323,26 @@ def test_koenigs_recovers_identity_for_linear_map(half_dom, scheme):
     assert float(np.max(np.abs(psi(pts) - pts))) < 1e-10
 
 
+@pytest.mark.parametrize("eta", [0.1, 0.5])
+def test_koenigs_residual_reuses_the_orbit(scheme, eta):
+    # n* forward calls build the orbit and one more gives the residual
+    g = build_contraction_pair(eta).g
+    atom = g.chain[0][0]
+    forward, calls = atom.fwd, []
+
+    def counted(p):
+        calls.append(p.shape[0])
+        return forward(p)
+
+    atom.fwd = counted
+    psi, rep = koenigs_eigenfunction(g, np.zeros(1), eta, scheme)
+    assert len(calls) == rep.n_steps + 1
+    # the residual is |psi(g(x)) - eta psi(x)| written out, bit for bit
+    pts = doubling_sample_sets(g.domain, scheme)[-1][1]
+    written_out = float(np.max(np.abs(psi(g.forward(pts)) - eta * psi(pts))))
+    assert rep.residual == written_out
+
+
 def test_koenigs_wrong_multiplier_blows_up(half_dom, scheme):
     f = primitive(half_dom, lambda p: 0.5 * p, lambda p: 2.0 * p, "x/2")
     with pytest.raises(ConvergenceError):
