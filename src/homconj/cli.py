@@ -698,8 +698,10 @@ def _git_rev() -> str:
     return "unknown"
 
 
-def _write_record(outdir: Path, cfg: RunConfig, outcome: Outcome,
-                  wall_time: float) -> None:
+def _write_record_json(outdir: Path, cfg: RunConfig, wall_time: float,
+                       results: dict | None = None, **meta) -> None:
+    """record.json: the run's meta (``meta`` joins the standard keys), its
+    config and, when the run produced them, its ``results``."""
     record = {
         "meta": {
             "tool": "homconj",
@@ -707,13 +709,20 @@ def _write_record(outdir: Path, cfg: RunConfig, outcome: Outcome,
             "git_rev": _git_rev(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": wall_time,
-            "notes": list(outcome.warnings),
+            **meta,
         },
         "config": cfg.raw,
-        "results": _to_jsonable(outcome.results),
     }
+    if results is not None:
+        record["results"] = _to_jsonable(results)
     (outdir / "record.json").write_text(
         json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def _write_record(outdir: Path, cfg: RunConfig, outcome: Outcome,
+                  wall_time: float) -> None:
+    _write_record_json(outdir, cfg, wall_time, outcome.results,
+                       notes=list(outcome.warnings))
 
     with (outdir / "results.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -755,7 +764,14 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    outcome = _EXPERIMENTS[cfg.experiment].run(cfg)
+    try:
+        outcome = _EXPERIMENTS[cfg.experiment].run(cfg)
+    except Exception as exc:
+        # the run directory already exists: leave a record that says why
+        # it holds no results
+        _write_record_json(outdir, cfg, time.perf_counter() - start, error={
+            "type": type(exc).__name__, "message": str(exc), "phase": "run"})
+        raise
     wall = time.perf_counter() - start
 
     _write_record(outdir, cfg, outcome, wall)
@@ -789,6 +805,10 @@ def cmd_report(args) -> int:
         print(f"family: {fam.get('name')} {json.dumps(fam.get('params', {}), sort_keys=True)}")
     for note in meta.get("notes", ()):
         print(f"note: {note}")
+    error = meta.get("error")
+    if error:
+        print(f"error: {error.get('type', '?')} in phase "
+              f"{error.get('phase', '?')}: {error.get('message', '')}")
     print("results:")
     flat = []
     _flatten(record.get("results", {}), "", flat)

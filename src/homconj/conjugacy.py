@@ -318,9 +318,11 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
 
     Stops when both the increment rho(h_{n+1}, h_n) and the conjugation
     residual drop below tol_conj.  The eigenvalue gate is checked here
-    unless ``ctx.eigen_report`` brings it.  Never weakens a gate: a failed
-    gate or a flagged boundedness probe ends the run with the corresponding
-    verdict and no iteration steps.  A step whose estimates cannot be
+    unless ``ctx.eigen_report`` brings it; a report whose ``inputs`` are not
+    this solve's f, g, gauge, scale, scheme and tolerances raises
+    ValueError.  Never weakens a gate: a failed gate or a flagged
+    boundedness probe ends the run with the corresponding verdict and no
+    iteration steps.  A step whose estimates cannot be
     evaluated (an image left the float range) ends the run as
     ``non_finite``, and a step whose increment or residual is NaN ends it
     as ``undetermined``, each with the steps before it and no membership.
@@ -333,6 +335,9 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     if eigen is None:
         eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
                               tol)
+    elif eigen.inputs != (f, g, est.phi, est.r, est.scheme, tol):
+        raise ValueError("eigen_report was computed on other maps, gauge, "
+                         "scale, scheme or tolerances than this solve's")
     C = 1.0 / ctx.alpha
 
     levels = exhaustion_sets(est.domain, est.scheme)

@@ -9,7 +9,7 @@ and the pointwise gate inequalities are checked on the same windowed sample
 sets the rest of the package uses.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,9 +105,15 @@ def _pair_cloud(domain: Domain, scheme: SampleScheme,
     return cloud[_strided_subset(cloud.shape[0], pair_cap)]
 
 
-def _later(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows x[i] - x[j], row-major over lo <= i < hi and every j > lo."""
-    return (x[lo:hi, None, :] - x[None, lo + 1:, :]).reshape(-1, x.shape[1])
+def _later(x: np.ndarray, lo: int, hi: int):
+    """Per axis k, the ``(hi - lo, len(x) - lo - 1)`` array of
+    x[i, k] - x[j, k] over lo <= i < hi and every j > lo.
+
+    The parts go to :meth:`Domain.fold_norm`, so no ``(rows, later, dim)``
+    tensor of differences is ever built.
+    """
+    return (x[lo:hi, k, None] - x[None, lo + 1:, k]
+            for k in range(x.shape[1]))
 
 
 def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
@@ -127,7 +133,7 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
     kept = 0
     for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
-        raw = domain.norm_of(_later(cloud, lo, hi)).reshape(hi - lo, -1)
+        raw = domain.fold_norm(_later(cloud, lo, hi))
         shell = np.maximum(norms[lo:hi, None], norms[None, lo + 1:])
         # below ~1e-9 relative separation the quotient measures evaluation
         # rounding, not the map; the deliberate near-partner blocks stay
@@ -141,7 +147,7 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
         kept += sep.shape[0]
         shell = shell[ok]
         for m, fc in enumerate(images):
-            ratio = r.eval(domain.norm_of(_later(fc, lo, hi)[ok.ravel()])) / sep
+            ratio = r.eval(domain.fold_norm(_later(fc, lo, hi))[ok]) / sep
             # an empty shell of the block gives NaN, which fmax passes over
             sups[m] = np.fmax(sups[m], [v for _, v in
                                         _shell_trace(radii, ratio, shell)])
@@ -149,9 +155,9 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
             k = int(np.argmax(ratio))
             value, pair = best[m]
             if pair is None or not (np.isnan(value) or ratio[k] <= value):
-                rows, cols = np.nonzero(ok)
+                row, col = divmod(int(np.flatnonzero(ok)[k]), ok.shape[1])
                 best[m] = (float(ratio[k]),
-                           tuple(cloud[[lo + rows[k], lo + 1 + cols[k]]]))
+                           tuple(cloud[[lo + row, lo + 1 + col]]))
 
     out = []
     for (value, witness), sup in zip(best, sups):
@@ -192,7 +198,10 @@ class EigenReport:
     """Pointwise slack of phi(T(x)) - alpha * lam_r(T) * phi(x) over samples.
 
     ``lambda_g``/``min_slack_g`` are None for the single-operator form.
-    The verdict requires both minima to clear -tau_abs.
+    The verdict requires both minima to clear -tau_abs.  ``inputs`` is what
+    the gate ran on, (f, g, phi, r, scheme, tol), so a solve handed the
+    report can tell whether it is its own; it takes no part in comparing
+    or printing the report.
     """
 
     alpha: float
@@ -202,6 +211,7 @@ class EigenReport:
     min_slack_g: float | None
     satisfied: bool
     worst_point: tuple | None
+    inputs: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
@@ -251,6 +261,7 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
         min_slack_g=None if slack_g is None else float(slack_g),
         satisfied=bool(f_ok and g_ok),
         worst_point=worst_pt,
+        inputs=(f, g, phi, r, scheme, tol),
     )
 
 
@@ -441,8 +452,8 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     min_sep = np.inf
     for n in range(1, n_max + 1):
         for m in range(0, n - nu + 1):
-            diff = clouds[n][:, None, :] - clouds[m][None, :, :]
-            d = float(np.min(domain.norm_of(diff.reshape(-1, diff.shape[2]))))
+            d = float(np.min(domain.norm_of(
+                clouds[n][:, None, :] - clouds[m][None, :, :])))
             min_sep = min(min_sep, d - radii[n] - radii[m])
             if d <= radii[n] + radii[m]:
                 return WanderingReport("collision", (n, m), float(min_sep),

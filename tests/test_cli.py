@@ -378,6 +378,30 @@ def test_report_summarizes_run(tmp_path, capsys):
     assert "results:" in out
 
 
+def test_a_crashing_run_still_writes_its_record(tmp_path, capsys,
+                                                monkeypatch):
+    def crash(cfg):
+        raise FloatingPointError("overflow in the runner")
+
+    monkeypatch.setitem(_EXPERIMENTS, "fk_sweep", dataclasses.replace(
+        _EXPERIMENTS["fk_sweep"], run=crash))
+    cfg = write_cfg(tmp_path, fk_sweep_payload())
+    assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 1
+    assert "FloatingPointError: overflow in the runner" \
+        in capsys.readouterr().err
+    rd = only_run_dir(tmp_path / "runs")
+    assert [p.name for p in rd.iterdir()] == ["record.json"]
+    record = json.loads((rd / "record.json").read_text())
+    assert record["meta"]["error"] == {
+        "type": "FloatingPointError", "message": "overflow in the runner",
+        "phase": "run"}
+    assert "results" not in record
+    assert record["config"]["experiment"] == "fk_sweep"
+    assert main(["report", str(rd)]) == 0
+    assert "error: FloatingPointError in phase run: overflow in the runner" \
+        in capsys.readouterr().out
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path / "ghost")]) == 1
     assert "not found" in capsys.readouterr().err

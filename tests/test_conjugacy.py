@@ -229,6 +229,43 @@ def test_picard_rejects_an_eigen_report_for_another_alpha(scheme_fast,
         PicardContext(est=est, alpha=b.alpha * 1.5, eigen_report=eigen)
 
 
+def test_picard_rejects_an_eigen_report_for_another_pair(scheme_fast):
+    # at alpha 1.5 the eta = 0.25 pair clears the gate and the eta = 0.5
+    # pair does not; the first pair's report must not let the second run
+    b25, b05 = build_contraction_pair(0.25), build_contraction_pair(0.5)
+    other = check_p_alpha(b25.f, b25.g, b25.phi, b25.r, 1.5, scheme_fast)
+    own = check_p_alpha(b05.f, b05.g, b05.phi, b05.r, 1.5, scheme_fast)
+    assert other.satisfied and not own.satisfied
+    est = EstimateContext(domain=b05.domain, scheme=scheme_fast, phi=b05.phi,
+                          r=b05.r, cross=b05.cross)
+    with pytest.raises(ValueError, match="computed on other maps"):
+        picard_solve(b05.f, b05.g, b05.g,
+                     PicardContext(est=est, alpha=1.5, eigen_report=other))
+    res = picard_solve(b05.f, b05.g, b05.g,
+                       PicardContext(est=est, alpha=1.5, eigen_report=own))
+    assert res.trace.verdict == "gate_failed"
+    assert res.trace.failed_gate == "eigenvalue_gate"
+
+
+@pytest.mark.parametrize("change", ["g", "scheme", "tol"])
+def test_picard_rejects_an_eigen_report_on_other_settings(scheme_fast,
+                                                          bundle_025, change):
+    # the report records its maps, scheme and tolerances; a solve on any
+    # other one of them refuses it before doing any work
+    b = bundle_025
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    g = invert(b.f) if change == "g" else b.g
+    scheme = SampleScheme(window_radius=2.0, grid_points_per_axis=7,
+                          quasirandom_count=4, exhaustion_levels=1) \
+        if change == "scheme" else scheme_fast
+    tol = Tolerances(tau_abs=1e-11) if change == "tol" else est.tol
+    eigen = check_p_alpha(b.f, g, b.phi, b.r, b.alpha, scheme, tol)
+    ctx = PicardContext(est=est, alpha=b.alpha, eigen_report=eigen)
+    with pytest.raises(ValueError, match="computed on other maps"):
+        picard_solve(b.f, b.g, b.g, ctx)
+
+
 def test_picard_gate_failure_eigenvalue(half_dom, sqrt_triple, scheme_fast,
                                         bundle_025):
     ctx = PicardContext(est=make_ctx(half_dom, sqrt_triple, scheme_fast),

@@ -145,7 +145,7 @@ def _assert_same_estimate(new, ref):
     assert _same_bits(new.value, ref.value)
     assert _same_bits(new.witness_pair[0], ref.witness_pair[0])
     assert _same_bits(new.witness_pair[1], ref.witness_pair[1])
-    assert repr(new.window_trace) == repr(ref.window_trace)
+    assert _same_bits(new.window_trace, ref.window_trace)
     assert new.finiteness == ref.finiteness
     assert new.pair_count == ref.pair_count
 
@@ -190,6 +190,160 @@ def test_r_lipschitz_matches_reference_at_block_boundaries(label, f, r,
     assert _pair_cloud(f.domain, scheme, cap).shape[0] == rows
     _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap),
                           reference_r_lipschitz(f, r, scheme, pair_cap=cap))
+
+
+def _reshaped_norm(domain, p):
+    """Domain.norm_of before the axis fold: one reduction over axis 1."""
+    if domain.norm == "sup":
+        return np.max(np.abs(p), axis=1)
+    return np.sqrt(np.sum(p * p, axis=1))
+
+
+def reference_block_walk(maps, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
+    """The block walk before the axis fold, written out: each block builds
+    the (rows, later, dim) tensor of differences and takes the norm over
+    its reshaped rows."""
+    domain = maps[0].domain
+    cloud = _pair_cloud(domain, scheme, pair_cap)
+    images = [f.forward(cloud) for f in maps]
+    radii = doubling_radii(scheme)
+    norms = _reshaped_norm(domain, cloud)
+    dim = cloud.shape[1]
+
+    def later(x, lo, hi):
+        return (x[lo:hi, None, :] - x[None, lo + 1:, :]).reshape(-1, dim)
+
+    sups = np.full((len(maps), len(radii)), np.nan)
+    best = [(np.nan, None)] * len(maps)
+    kept = 0
+    for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
+        raw = _reshaped_norm(domain, later(cloud, lo, hi)).reshape(hi - lo, -1)
+        shell = np.maximum(norms[lo:hi, None], norms[None, lo + 1:])
+        ok = np.triu(raw > _SEP_FLOOR * (1.0 + shell))
+        sep = r.eval(raw[ok])
+        ok[ok] = sep > 0
+        sep = sep[sep > 0]
+        if sep.shape[0] == 0:
+            continue
+        kept += sep.shape[0]
+        shell = shell[ok]
+        for m, fc in enumerate(images):
+            ratio = r.eval(_reshaped_norm(
+                domain, later(fc, lo, hi)[ok.ravel()])) / sep
+            sups[m] = np.fmax(sups[m], [v for _, v in
+                                        _shell_trace(radii, ratio, shell)])
+            k = int(np.argmax(ratio))
+            value, pair = best[m]
+            if pair is None or not (np.isnan(value) or ratio[k] <= value):
+                rows, cols = np.nonzero(ok)
+                best[m] = (float(ratio[k]),
+                           tuple(cloud[[lo + rows[k], lo + 1 + cols[k]]]))
+    out = []
+    for (value, witness), sup in zip(best, sups):
+        trace = tuple(zip(map(float, radii), map(float, sup)))
+        finiteness = "undetermined" if np.isnan(value) else \
+            _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+        out.append(RLipschitzEstimate(value, witness, finiteness, trace,
+                                      2 * kept))
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _axis_fold_cases():
+    light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                         quasirandom_count=8, exhaustion_levels=2)
+    half = SampleScheme(window_radius=8.0)
+    ident, sqrt_r = make_scale("identity"), make_scale("sqrt_plus")
+    g = build_contraction_pair(0.25).g
+    bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.2)
+    cases = [("dim1", g, sqrt_r, half, PAIR_CAP),
+             ("dim1-strided", g, sqrt_r, half, 300)]
+    for norm in ("euclidean", "sup"):
+        lozi = build_lozi(1.4, 0.3, norm=norm)
+        cases += [(f"dim2-{norm}", lozi, ident, light, PAIR_CAP),
+                  (f"dim2-{norm}-strided", lozi, ident, half, 4246)]
+    dim3 = build_perturbed_linear(0.5 * np.eye(3), bump)
+    cases += [("dim3", dim3, sqrt_r, light, PAIR_CAP),
+              ("dim3-strided", dim3, sqrt_r, light, 5000)]
+    return cases
+
+
+@pytest.mark.parametrize("label, f, r, scheme, cap", _axis_fold_cases(),
+                         ids=[c[0] for c in _axis_fold_cases()])
+def test_r_lipschitz_matches_the_reshaped_block_walk(label, f, r, scheme,
+                                                     cap):
+    # folding the norm over per-axis differences gives the bits of the walk
+    # that reduced the reshaped (rows * later, dim) difference rows
+    if cap != PAIR_CAP:
+        assert _pair_cloud(f.domain, scheme, cap).shape[0] \
+            < _pair_cloud(f.domain, scheme, PAIR_CAP).shape[0]
+    ref, = reference_block_walk((f,), r, scheme, pair_cap=cap)
+    _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap), ref)
+
+
+def test_gate_matches_the_reshaped_block_walk(bundle_025, scheme):
+    b = bundle_025
+    lam_f, lam_g = reference_block_walk((b.f, b.g), b.r, scheme)
+    rep = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
+    np.testing.assert_array_equal(_bits([rep.lambda_f, rep.lambda_g]),
+                                  _bits([lam_f.value, lam_g.value]))
+
+
+def _norm_samples(dim, seed=5):
+    # signed values of like size, rows spread over many binades, exact
+    # zeros and repeated axes
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((400, dim))
+    p[::5] *= 10.0 ** rng.integers(-150, 150, size=(80, dim))
+    p[::7, 0] = 0.0
+    p[::11] = 0.0
+    p[::13, -1] = p[::13, 0]
+    return p
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_norm_of_is_an_axis_fold(dim):
+    p = _norm_samples(dim)
+    euclid = Domain(dim=dim, norm="euclidean").norm_of(p)
+    sup = Domain(dim=dim, norm="sup").norm_of(p)
+    np.testing.assert_array_equal(_bits(sup),
+                                  _bits(np.max(np.abs(p), axis=1)))
+    if dim <= 7:
+        # fewer than 8 non-negative terms: numpy adds them in order too
+        np.testing.assert_array_equal(
+            _bits(euclid), _bits(np.sqrt(np.sum(p * p, axis=1))))
+    else:
+        # numpy sums 8 or more terms pairwise, so the last bits may move
+        ulps = np.abs(_bits(euclid).astype(np.int64)
+                      - _bits(np.linalg.norm(p, axis=1)).astype(np.int64))
+        assert ulps.max() <= 4
+    # any leading shape: the norm runs over the last axis alone
+    stacked = Domain(dim=dim, norm="euclidean").norm_of(p.reshape(20, 20, dim))
+    np.testing.assert_array_equal(_bits(stacked),
+                                  _bits(euclid).reshape(20, 20))
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+def test_r_lipschitz_of_a_diagonal_map_is_its_largest_entry(norm):
+    # the grid holds pairs along each axis, so the sup max|s| is attained
+    dom = Domain(dim=2, norm=norm)
+    f = build_perturbed_linear(np.diag([0.7, -1.9]), domain=dom)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=21)
+    est = r_lipschitz(f, make_scale("identity"), scheme)
+    assert est.finite
+    assert est.value == pytest.approx(1.9, rel=1e-9)
+
+
+def test_r_lipschitz_of_a_scaling_on_the_half_line(half_dom):
+    f = build_pure_linear(0.3, half_dom)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=21)
+    est = r_lipschitz(f, make_scale("identity"), scheme)
+    assert est.finite
+    assert est.value == pytest.approx(0.3, rel=1e-9)
 
 
 def test_r_lipschitz_stride_path_is_taken():
