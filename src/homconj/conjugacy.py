@@ -17,6 +17,7 @@ import numpy as np
 
 from .funcspace import Tolerances, doubling_sample_sets, exhaustion_sets
 from .homspace import (
+    DomainMismatchError,
     EstimateContext,
     EvaluationError,
     Homeo,
@@ -228,6 +229,15 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
                        max_value=full, notes=notes)
 
 
+def _check_domains(est: EstimateContext, *maps: Homeo) -> None:
+    """Estimates over est's samples mean nothing for maps on another domain."""
+    for f in maps:
+        if f.domain != est.domain:
+            raise DomainMismatchError(
+                f"map {f.label!r} acts on {f.domain}, the estimate context "
+                f"on {est.domain}")
+
+
 def _residual_on(f: Homeo, g: Homeo, h: Homeo, pts: np.ndarray,
                  ctx: EstimateContext) -> float:
     gx = g.forward(pts)
@@ -237,7 +247,11 @@ def _residual_on(f: Homeo, g: Homeo, h: Homeo, pts: np.ndarray,
 
 
 def conjugacy_residual(f: Homeo, g: Homeo, h: Homeo, ctx: EstimateContext) -> float:
-    """sup over samples of r(|f(h(x)) - h(g(x))|) / phi(g(x))."""
+    """sup over samples of r(|f(h(x)) - h(g(x))|) / phi(g(x)).
+
+    Raises DomainMismatchError unless f, g, h and ctx share one domain.
+    """
+    _check_domains(ctx, f, g, h)
     pts = doubling_sample_sets(ctx.domain, ctx.scheme)[-1][1]
     return _residual_on(f, g, h, pts, ctx)
 
@@ -328,8 +342,11 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     as ``undetermined``, each with the steps before it and no membership.
     The whole solve runs under one chain memo (see homspace), so each step
     costs one new inverse orbit step per sample table instead of n.
+    Raises DomainMismatchError unless f, g, h0 and ``ctx.est`` share one
+    domain.
     """
     est = ctx.est
+    _check_domains(est, f, g, h0)
     tol = est.tol
     eigen = ctx.eigen_report
     if eigen is None:

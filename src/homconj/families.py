@@ -10,16 +10,11 @@ construction for every eta in (0, 1).
 Every linear-plus-bump map T x + e_0 bump(|x|) -- g, the
 ``perturbed_linear`` family and the tests' bump members -- is built by
 :func:`build_perturbed_linear`; g is its one-dimensional case T = [[eta]]
-on the half line.  Inverses that have no closed form are the one
-sanctioned exception to "closures only": every map T x + pert(x) with a
-contractive perturbation is inverted by :func:`damped_inverse`, one
-solver that runs row by row.  Each row iterates the damped map
-y <- T^-1 (x - pert(y)), takes a caller-supplied (safeguarded) Newton
-step instead wherever that step shrinks the row's residual at least as
-much as a damped step would, and stops on its own relative rule, so a
-row's inverse does not depend on the other rows of its batch.  A bump
-passes Newton steps built from its closed-form slope; closure
-perturbations use the damped iteration alone.
+on the half line.  Their inverses are the one sanctioned exception to
+"closures only": :func:`damped_inverse` writes y = T^-1 x - s T^-1 e_0
+and finds the scalar s = bump(|y|) of each row by a bracketed Newton
+iteration, the same in every dimension, so a row's inverse does not
+depend on the other rows of its batch.
 """
 
 import inspect
@@ -82,28 +77,23 @@ class BumpSpec:
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
+    """6t^5 - 15t^4 + 10t^3 for t in [0, 1]."""
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _smoothstep_slope(t: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`_smoothstep`: 30 t^2 (1 - t)^2, 0 off [0, 1]."""
-    t = np.clip(t, 0.0, 1.0)
-    s = t * (1.0 - t)
-    return 30.0 * s * s
 
 
 def bump_eval(spec: BumpSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    t = 1.0 - np.abs(x - spec.center) / spec.halfwidth
+    t = np.clip(1.0 - np.abs(x - spec.center) / spec.halfwidth, 0.0, 1.0)
     return spec.height * _smoothstep(t)
 
 
-def _bump_slope(spec: BumpSpec, x: np.ndarray) -> np.ndarray:
-    """Derivative of ``bump_eval(spec, x)`` in x."""
-    u = np.asarray(x, dtype=float) - spec.center
-    t = 1.0 - np.abs(u) / spec.halfwidth
-    return (-spec.height / spec.halfwidth) * np.sign(u) * _smoothstep_slope(t)
+def _bump_with_slope(spec: BumpSpec, x: np.ndarray) -> tuple:
+    """``bump_eval(spec, x)`` and its derivative in x, from one argument."""
+    u = x - spec.center
+    t = np.clip(1.0 - np.abs(u) / spec.halfwidth, 0.0, 1.0)
+    w = t * (1.0 - t)
+    return (spec.height * _smoothstep(t),
+            (-30.0 * spec.height / spec.halfwidth) * np.sign(u) * (w * w))
 
 
 def bump_lipschitz(spec: BumpSpec) -> float:
@@ -237,94 +227,78 @@ def _rows_times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_norm(v: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(v), axis=1)
+def _radial(p: np.ndarray) -> np.ndarray:
+    """|x| of each row: the absolute value in dimension 1, else euclidean."""
+    return np.abs(p[:, 0]) if p.shape[1] == 1 else \
+        np.sqrt(np.sum(p * p, axis=1))
 
 
-def damped_inverse(T: np.ndarray, pert: Callable, q: float, x: np.ndarray,
-                   tau: float = 1e-14, max_iter: int = 200,
-                   newton: Callable | None = None):
-    """Solve y T^T + pert(y) = x row by row (T y + pert(y) = x per row).
+# stop rule and sweep cap of damped_inverse
+_TOL = 1e-14
+_MAX_SWEEPS = 200
 
-    Each row iterates the damped map Phi(y) = T^-1 (x - pert(y)) and stops
-    on its own once rho = |Phi(y) - y| <= tau * (1 + |Phi(y)|) in the sup
-    norm of the row, returning Phi(y); rows that are done leave the active
-    set.  ``q`` is the contraction ratio |T^-1| * Lip(pert) < 1, so a
-    damped step shrinks a row's rho by at least q.
 
-    ``newton(y, d)``, if given, returns the Newton correction s for the
-    residual d = y - Phi(y), i.e. s solves (I + T^-1 pert'(y)) s = d, and
-    y - s is the Newton candidate.  A row keeps a candidate only if it
-    shrinks the row's rho by at least q, as the damped step would.  A
-    rejected candidate is retried at half the step, y - s/2, y - s/4, ...,
-    while the step stays at least 1 - q long (to first order a step of
-    length lam leaves (1 - lam) rho), and the row takes the damped step
-    when none passes.  Every kept step shrinks rho by q, so every row
-    converges for every q < 1; the Newton steps make it fast where the
-    damped map contracts slowly.  Rows whose correction equals d (pert is
-    flat there, so Newton is the damped step) take the damped step
-    without a trial.
+def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
+    """Solve T y + e_0 bump(|y|) = x row by row, given Tinv = T^-1.
 
-    A row that has not met the stop rule after ``max_iter`` sweeps, or
-    whose rho is NaN (its solution left the float range), comes back NaN,
-    so the caller's finiteness checks fire.  Returns the solution together
-    with the number of sweeps used.
+    Each row is y = z - s c with z = T^-1 x and c = T^-1 e_0, where s is
+    the root of F(s) = s - bump(|z - s c|).  Lip(bump) |c| < 1 makes F
+    strictly increasing, with F(0) <= 0 <= F(height), so each row runs a
+    bracketed Newton iteration on s from s = 0 (rtsafe, Press et al.,
+    Numerical Recipes 9.4).  The bracket (lo, hi) holds the nearest points
+    evaluated below and above the root, hi none at first; a Newton step
+    is capped at height, and one that does not land strictly inside the
+    bracket takes the midpoint of [lo, min(hi, height)] instead, so each
+    sweep that moves s narrows the bracket.  A row stops on its own once
+    its step moves y by at most _TOL (1 + |y|) in the sup norm, and
+    returns the y after that step; a row the bump does not reach takes no
+    step and returns z.  A row whose z is not finite, or that is still
+    moving after _MAX_SWEEPS sweeps, comes back NaN, so the caller's
+    finiteness checks fire.  Returns the solution together with the
+    number of sweeps used.
     """
-    Tinv = np.linalg.inv(T)
-    y = _rows_times(x, Tinv)
-    phi = _rows_times(x - pert(y), Tinv)
-    out = np.full_like(phi, np.nan)
-    rows = np.arange(phi.shape[0])
-    for used in range(1, max_iter + 1):
-        d = y - phi
-        rho = _row_norm(d)
-        done = rho <= tau * (1.0 + _row_norm(phi))
-        out[rows[done]] = phi[done]
-        # a NaN rho (an image left the float range) never recovers
-        live = ~(done | np.isnan(rho))
-        if not live.any():
-            return out, used
-        if used == max_iter:
+    c = Tinv[:, 0]
+    c_max = np.max(np.abs(c))
+    z = _rows_times(x, Tinv)
+    out = np.full_like(z, np.nan)
+    rows = np.flatnonzero(np.all(np.isfinite(z), axis=1))
+    z = y = z[rows]
+    s = lo = np.zeros(rows.shape[0])
+    hi = np.full(rows.shape[0], np.inf)
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        r = _radial(y)
+        b, slope = _bump_with_slope(bump, r)
+        F = s - b
+        lo = np.where(F < 0.0, s, lo)
+        hi = np.where(F > 0.0, s, hi)
+        # F'(s) = 1 + bump'(|y|) (y / |y|) . c, taking y / |y| as 0 at y = 0
+        unit = np.divide(y, r[:, None], out=np.zeros_like(y),
+                         where=r[:, None] > 0.0)
+        step = np.minimum(
+            s - F / (1.0 + slope * _rows_times(unit, c[None, :])[:, 0]),
+            bump.height)
+        # a step that stays put has converged
+        step = np.where(((lo < step) & (step < hi)) | (step == s), step,
+                        0.5 * (lo + np.minimum(hi, bump.height)))
+        moved = np.abs(step - s)
+        y = np.where(moved[:, None] > 0.0, z - step[:, None] * c, y)
+        done = moved * c_max <= _TOL * (1.0 + np.max(np.abs(y), axis=1))
+        out[rows[done]] = y[done]
+        live = ~done
+        if sweeps == _MAX_SWEEPS or not live.any():
             break
-        rows, x, y, phi, d, rho = (rows[live], x[live], y[live], phi[live],
-                                   d[live], rho[live])
-        y_next = phi      # the damped step; phi itself is not needed again
-        damped = np.ones(rows.shape[0], dtype=bool)
-        phi_next = np.empty_like(phi)
-        if newton is not None:
-            s = newton(y, d)
-            trial = np.flatnonzero(np.any(s != d, axis=1))
-            lam = 1.0
-            while trial.size and lam >= 1.0 - q:
-                cand = y[trial] - lam * s[trial]
-                phi_cand = _rows_times(x[trial] - pert(cand), Tinv)
-                keep = _row_norm(phi_cand - cand) <= q * rho[trial]
-                kept = trial[keep]
-                y_next[kept] = cand[keep]
-                phi_next[kept] = phi_cand[keep]
-                damped[kept] = False
-                trial = trial[~keep]
-                lam *= 0.5
-        if damped.any():
-            phi_next[damped] = _rows_times(x[damped] - pert(y_next[damped]),
-                                           Tinv)
-        y, phi = y_next, phi_next
-    return out, max_iter
+        rows, z, y, s, lo, hi = (a[live] for a in (rows, z, y, step, lo, hi))
+    return out, sweeps
 
 
-def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
+def build_perturbed_linear(T, perturbation: BumpSpec | None = None,
                            domain: Domain | None = None) -> Homeo:
-    """x -> T x + pert(x), invertible while Lip(pert) < 1 / |T^-1|.
+    """x -> T x + e_0 bump(|x|), invertible while Lip(bump) < sigma_min(T).
 
-    ``domain`` defaults to the box of T's dimension and must match it.
-    ``perturbation`` may be a BumpSpec, applied along the first axis as
-    pert(x) = e_0 bump(|x|), or any vectorized closure supplied together
-    with its Lipschitz bound ``lip``.  The inverse is
-    :func:`damped_inverse`; a bump passes it a Newton step, a closure runs
-    the damped iteration alone.  T's shape selects the bump's step: in
-    dimension 1 it is the scalar d / (1 + sign(y) b'(|y|) / T_00); from
-    dimension 2 on pert'(y) has rank one and the step is one
-    Sherman-Morrison update.
+    |x| is the absolute value in dimension 1 and the euclidean norm from
+    dimension 2 on; no ``perturbation`` is a bump of height 0.  ``domain``
+    defaults to the box of T's dimension and must match it.  T^-1 is
+    computed once, here; the inverse is :func:`damped_inverse`.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     dim = T.shape[0]
@@ -336,56 +310,23 @@ def build_perturbed_linear(T, perturbation=None, lip: float = 0.0,
     smin = float(np.linalg.svd(T, compute_uv=False)[-1])
     if smin <= 0:
         raise ValueError("T must be invertible")
-
-    newton = None
-    if perturbation is None:
-        def pert(p):
-            return np.zeros_like(p)
-        lip_val = 0.0
-    elif isinstance(perturbation, BumpSpec):
-        spec = perturbation
-        lip_val = bump_lipschitz(spec)
-        if dim == 1:
-            def pert(p):
-                return bump_eval(spec, np.abs(p))
-
-            def newton(y, d):
-                return d / (1.0 + np.sign(y) * _bump_slope(spec, np.abs(y))
-                            / T[0, 0])
-        else:
-            c = np.linalg.inv(T)[:, 0]     # T^-1 e_0
-
-            def pert(p):
-                out = np.zeros_like(p)
-                radial = np.sqrt(np.sum(p * p, axis=1))
-                out[:, 0] = bump_eval(spec, radial)
-                return out
-
-            def newton(y, d):
-                # pert'(y) = e_0 u^T with u = b'(|y|) y / |y| has rank one,
-                # so (I + T^-1 e_0 u^T)^-1 d is one Sherman-Morrison update
-                radial = np.sqrt(np.sum(y * y, axis=1))
-                slope = np.divide(_bump_slope(spec, radial), radial,
-                                  out=np.zeros_like(radial), where=radial > 0)
-                u = y * slope[:, None]
-                ratio = np.sum(u * d, axis=1) / (1.0 + np.sum(u * c, axis=1))
-                return d - c * ratio[:, None]
-    else:
-        pert = perturbation
-        lip_val = float(lip)
-        if lip_val <= 0:
-            raise ValueError("a closure perturbation needs its Lipschitz bound")
-
-    if not lip_val < smin:
+    spec = perturbation or BumpSpec(center=0.0, halfwidth=1.0, height=0.0)
+    lip = bump_lipschitz(spec)
+    if not lip < smin:
         raise ValueError(
-            f"perturbation too steep: Lip {lip_val:g} >= 1/|T^-1| = {smin:g}")
-    q = lip_val / smin
+            f"bump too steep: Lip {lip:g} >= sigma_min(T) = {smin:g}")
+    Tinv = np.linalg.inv(T)
+
+    def pert(p):
+        out = np.zeros_like(p)
+        out[:, 0] = bump_eval(spec, _radial(p))
+        return out
 
     def fwd(p):
         return p @ T.T + pert(p)
 
     def inv(p):
-        y, _ = damped_inverse(T, pert, q, p, newton=newton)
+        y, _ = damped_inverse(Tinv, spec, p)
         return y
 
     return primitive(domain, fwd, inv, "T+pert")
@@ -480,7 +421,7 @@ FAMILIES = {
         norm=("string", "'euclidean' or 'sup'")),
     "perturbed_linear": _family(
         _perturbed_linear_family,
-        "T x + bump, inverted by safeguarded Newton iteration",
+        "T x + bump, inverted by a bracketed Newton solve",
         scale=("number", "nonzero diagonal value of T"),
         dim=("integer", "dimension"),
         bump_center=("number", "radial bump centre"),

@@ -305,18 +305,25 @@ def _combined(*labels: str) -> str:
                 "finite")
 
 
+def _shell_masks(radii, shell: np.ndarray) -> list:
+    """Per radius, the entries whose ``shell`` lies within it."""
+    return [shell <= radius * (1.0 + 1e-9) for radius in radii]
+
+
+def _shell_sups(ratio: np.ndarray, masks: list) -> list:
+    """Sup of ``ratio`` over each of ``masks``; NaN over an empty one."""
+    return [float(np.max(ratio[mask])) if np.any(mask) else np.nan
+            for mask in masks]
+
+
 def _shell_trace(radii, ratio: np.ndarray, shell: np.ndarray) -> tuple:
     """(radius, sup of ``ratio`` over entries with ``shell`` <= radius).
 
     An empty shell gives NaN, so empty inputs give the all-NaN trace that
     :func:`_classify` labels "undetermined".
     """
-    trace = []
-    for radius in radii:
-        mask = shell <= radius * (1.0 + 1e-9)
-        value = float(np.max(ratio[mask])) if np.any(mask) else np.nan
-        trace.append((float(radius), value))
-    return tuple(trace)
+    return tuple(zip(map(float, radii),
+                     _shell_sups(ratio, _shell_masks(radii, shell))))
 
 
 def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,

@@ -25,7 +25,13 @@ from .funcspace import (
     doubling_radii,
     doubling_sample_sets,
 )
-from .homspace import EvaluationError, Homeo, _classify, _shell_trace
+from .homspace import (
+    EvaluationError,
+    Homeo,
+    _classify,
+    _shell_masks,
+    _shell_sups,
+)
 
 __all__ = [
     "ConvergenceError",
@@ -145,12 +151,11 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
         if sep.shape[0] == 0:
             continue
         kept += sep.shape[0]
-        shell = shell[ok]
+        masks = _shell_masks(radii, shell[ok])
         for m, fc in enumerate(images):
             ratio = r.eval(domain.fold_norm(_later(fc, lo, hi))[ok]) / sep
             # an empty shell of the block gives NaN, which fmax passes over
-            sups[m] = np.fmax(sups[m], [v for _, v in
-                                        _shell_trace(radii, ratio, shell)])
+            sups[m] = np.fmax(sups[m], _shell_sups(ratio, masks))
             # np.argmax takes the first NaN as the maximum; so does the fold
             k = int(np.argmax(ratio))
             value, pair = best[m]
@@ -216,19 +221,21 @@ class EigenReport:
 
 def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
                    scheme: SampleScheme) -> tuple:
-    worst = np.inf
-    worst_pt = None
-    for _, pts in doubling_sample_sets(f.domain, scheme):
-        fx = f.forward(pts)
-        keep = f.domain.contains(fx, slack=1e-9)
-        if not np.any(keep):
-            continue
-        slack = phi.eval(fx[keep]) - alpha * lam * phi.eval(pts[keep])
-        i = int(np.argmin(slack))
-        if slack[i] < worst:
-            worst = float(slack[i])
-            worst_pt = tuple(pts[keep][i])
-    return worst, worst_pt
+    """Least phi(f(x)) - alpha * lam * phi(x) over the points x of the top
+    sample table with f(x) in the domain, and the first point attaining it;
+    (inf, None) when no point is kept or the least value is NaN.  Every
+    lower level is a subset of the top table, so this is the least over
+    all levels."""
+    pts = doubling_sample_sets(f.domain, scheme)[-1][1]
+    fx = f.forward(pts)
+    keep = f.domain.contains(fx, slack=1e-9)
+    if not np.any(keep):
+        return np.inf, None
+    slack = phi.eval(fx[keep]) - alpha * lam * phi.eval(pts[keep])
+    i = int(np.argmin(slack))
+    if not slack[i] < np.inf:     # np.argmin takes the first NaN as least
+        return np.inf, None
+    return float(slack[i]), tuple(pts[keep][i])
 
 
 def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,

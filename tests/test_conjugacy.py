@@ -331,8 +331,9 @@ def test_picard_limits_from_two_seeds_differ_by_g(half_dom, sqrt_triple,
 
 
 def test_picard_inverse_work_is_linear_in_steps():
-    # criterion 11's sampling; tol_conj = 1e-300 is never met, so both runs
-    # spend their whole budget
+    # criterion 11's sampling; increment and residual first reach 0.0 at
+    # step 24, so tol_conj = 1e-300 is not met within either budget and
+    # both runs spend it whole
     b = build_contraction_pair(0.25)
     scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                           quasirandom_count=8, exhaustion_levels=2, seed=7)
@@ -347,7 +348,7 @@ def test_picard_inverse_work_is_linear_in_steps():
 
     atom.inv = counted
     used = {}
-    for n_max in (20, 40):
+    for n_max in (10, 20):
         del calls[:]
         ctx = PicardContext(est=est, alpha=b.alpha, n_max=n_max)
         res = picard_solve(b.f, b.g, b.g, ctx)
@@ -355,7 +356,7 @@ def test_picard_inverse_work_is_linear_in_steps():
         assert res.trace.n_steps == n_max
         used[n_max] = len(calls)
     # re-walking h_n = f^n∘h0∘g^-n on every use costs about 150 per step
-    assert (used[40] - used[20]) / 20 <= 8
+    assert (used[20] - used[10]) / 10 <= 8
 
 
 def test_picard_leaves_no_chain_memo_open(bundle_025, scheme_fast):
@@ -377,6 +378,22 @@ def test_picard_leaves_no_chain_memo_open(bundle_025, scheme_fast):
     with pytest.raises(DomainMismatchError):
         picard_solve(f, g, identity(Domain(dim=1)), ctx)
     assert_closed()
+
+
+def test_estimate_context_on_another_domain_is_rejected(bundle_025,
+                                                       sqrt_triple,
+                                                       scheme_fast):
+    # the maps act on the half line; a box context would take the residual
+    # and compact bounds down to x = -1, outside their domain
+    b = bundle_025
+    _, r, cross, phi = sqrt_triple
+    est = EstimateContext(domain=Domain(dim=1, region="box"),
+                          scheme=scheme_fast, phi=phi, r=r, cross=cross)
+    ctx = PicardContext(est=est, alpha=b.alpha, n_max=3)
+    with pytest.raises(DomainMismatchError):
+        picard_solve(b.f, b.g, b.g, ctx)
+    with pytest.raises(DomainMismatchError):
+        conjugacy_residual(b.f, b.g, b.g, est)
 
 
 def test_picard_stops_as_non_finite_when_iterates_overflow():
