@@ -764,17 +764,18 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
+    phase = "run"
     try:
         outcome = _EXPERIMENTS[cfg.experiment].run(cfg)
+        wall = time.perf_counter() - start
+        phase = "write"
+        _write_record(outdir, cfg, outcome, wall)
     except Exception as exc:
         # the run directory already exists: leave a record that says why
-        # it holds no results
+        # it holds no results, or only part of them
         _write_record_json(outdir, cfg, time.perf_counter() - start, error={
-            "type": type(exc).__name__, "message": str(exc), "phase": "run"})
+            "type": type(exc).__name__, "message": str(exc), "phase": phase})
         raise
-    wall = time.perf_counter() - start
-
-    _write_record(outdir, cfg, outcome, wall)
     for note in outcome.warnings:
         print(f"note: {note}", file=sys.stderr)
     print(f"run directory: {outdir}")

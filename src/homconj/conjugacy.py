@@ -5,10 +5,11 @@ driver iterates it only after three gates pass: the eigenvalue gate at some
 alpha > 1 (which makes the operator a 1/alpha contraction in the
 premetric), the initial-defect gate rho(L(h0), h0) < min(1, 1/A), and a
 boundedness probe of the iterates in both directions on the innermost
-compact.  Alongside the iteration the driver runs the envelope recurrence:
-once an increment drops below 1 it becomes the seed of a per-step upper
-envelope that every later increment measured against the anchor iterate
-has to respect.
+compact, read off one probe walk of the outermost compact, whose whole
+walk a converged run must pass too.  Alongside the iteration the driver
+runs the envelope recurrence: once an increment drops below 1 it becomes
+the seed of a per-step upper envelope that every later increment measured
+against the anchor iterate has to respect.
 """
 
 from dataclasses import dataclass, field
@@ -157,13 +158,16 @@ def cauchy_envelope(m: int, epsilon: float, C: float,
     )
 
 
-def envelope_threshold(epsilon: float, C: float, cap: int = 100_000) -> int:
+_ENVELOPE_CAP = 100_000  # largest seed step envelope_threshold tries
+
+
+def envelope_threshold(epsilon: float, C: float) -> int:
     """Smallest n with the seed step m = n + 1 taming the envelope.
 
     Taming means a_m < 1 and the telescoped tail at most epsilon, so the
     whole envelope stays at or below 2 * epsilon.
     """
-    for m in range(1, cap + 1):
+    for m in range(1, _ENVELOPE_CAP + 1):
         if _envelope_tail(m, epsilon, C)[1] <= epsilon:
             return m - 1
     raise RuntimeError("no taming seed step found below the cap")
@@ -181,7 +185,8 @@ class BoundReport:
     symmetric range |n| <= n_bnd; ``flagged`` means the outer half of the
     range grew past kappa_div times the inner half, the window-doubling
     idiom applied to the iteration index, or that some value is not finite
-    (``notes`` then names the first such n).
+    (``notes`` then names the first such n).  ``rows[n]`` holds the
+    per-point norms whose maximum is ``values[n]``.
     """
 
     values: dict
@@ -189,6 +194,7 @@ class BoundReport:
     flagged: bool
     max_value: float
     notes: tuple = ()
+    rows: dict = field(default=None, compare=False, repr=False)
 
 
 def _iterates(f: Homeo, g: Homeo, h0: Homeo):
@@ -207,15 +213,22 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
     """Sup norms of f^n∘h0∘g^-n over ``pts`` for |n| <= n_bnd.
 
     Runs under a chain memo, so the orbits g^-n(pts) and g^n(pts) are
-    walked once, not once per n.
+    walked once, not once per n.  The report keeps the per-point norms,
+    so its restriction to a subset of ``pts`` needs no second walk.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    domain = h0.domain
+    norm_of = h0.domain.norm_of
     with _chain_memo():
-        values = {0: float(np.max(domain.norm_of(h0.forward(pts))))}
+        rows = {0: norm_of(h0.forward(pts))}
         for n, (pos, neg) in zip(range(1, n_bnd + 1), _iterates(f, g, h0)):
-            values[n] = float(np.max(domain.norm_of(pos.forward(pts))))
-            values[-n] = float(np.max(domain.norm_of(neg.forward(pts))))
+            rows[n] = norm_of(pos.forward(pts))
+            rows[-n] = norm_of(neg.forward(pts))
+    return _bound_report(rows, n_bnd, tol)
+
+
+def _bound_report(rows: dict, n_bnd: int, tol: Tolerances) -> BoundReport:
+    """The report whose value at each n is the maximum of ``rows[n]``."""
+    values = {n: float(np.max(norms)) for n, norms in rows.items()}
     half = max(v for k, v in values.items() if abs(k) <= n_bnd // 2)
     full = float(np.max(list(values.values())))
     # a NaN compares false with the growth threshold, so a probe whose
@@ -226,7 +239,7 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
     flagged = bad is not None or bool(full > tol.kappa_div * half
                                       + tol.tau_abs)
     return BoundReport(values=values, n_bnd=n_bnd, flagged=flagged,
-                       max_value=full, notes=notes)
+                       max_value=full, notes=notes, rows=rows)
 
 
 def _check_domains(est: EstimateContext, *maps: Homeo) -> None:
@@ -238,14 +251,6 @@ def _check_domains(est: EstimateContext, *maps: Homeo) -> None:
                 f"on {est.domain}")
 
 
-def _residual_on(f: Homeo, g: Homeo, h: Homeo, pts: np.ndarray,
-                 ctx: EstimateContext) -> float:
-    gx = g.forward(pts)
-    num = ctx.r.eval(ctx.domain.norm_of(f.forward(h.forward(pts)) - h.forward(gx)))
-    den = ctx.phi.eval(gx)
-    return float(np.max(num / den))
-
-
 def conjugacy_residual(f: Homeo, g: Homeo, h: Homeo, ctx: EstimateContext) -> float:
     """sup over samples of r(|f(h(x)) - h(g(x))|) / phi(g(x)).
 
@@ -253,7 +258,9 @@ def conjugacy_residual(f: Homeo, g: Homeo, h: Homeo, ctx: EstimateContext) -> fl
     """
     _check_domains(ctx, f, g, h)
     pts = doubling_sample_sets(ctx.domain, ctx.scheme)[-1][1]
-    return _residual_on(f, g, h, pts, ctx)
+    gx = g.forward(pts)
+    num = ctx.r.eval(ctx.domain.norm_of(f.forward(h.forward(pts)) - h.forward(gx)))
+    return float(np.max(num / ctx.phi.eval(gx)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +342,16 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     unless ``ctx.eigen_report`` brings it; a report whose ``inputs`` are not
     this solve's f, g, gauge, scale, scheme and tolerances raises
     ValueError.  Never weakens a gate: a failed gate or a flagged
-    boundedness probe ends the run with the corresponding verdict and no
-    iteration steps.  A step whose estimates cannot be
-    evaluated (an image left the float range) ends the run as
+    boundedness probe ends the run with its verdict, no steps and no
+    membership.  The probe walks the outermost compact once; its rows in
+    the innermost compact decide the gate (``bound_pre``), and a converged
+    run must pass the whole walk (``bound_post``).  A step whose estimates
+    cannot be evaluated (an image left the float range) ends the run as
     ``non_finite``, and a step whose increment or residual is NaN ends it
     as ``undetermined``, each with the steps before it and no membership.
-    The whole solve runs under one chain memo (see homspace), so each step
-    costs one new inverse orbit step per sample table instead of n.
-    Raises DomainMismatchError unless f, g, h0 and ``ctx.est`` share one
-    domain.
+    The whole solve runs under one chain memo (see homspace), so a step
+    costs one new inverse orbit step per sample table instead of n.  Raises
+    DomainMismatchError unless f, g, h0 and ``ctx.est`` share one domain.
     """
     est = ctx.est
     _check_domains(est, f, g, h0)
@@ -361,8 +369,10 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     inner = next((k for k in levels if k.shape[0] > 0), None)
     if inner is None:
         raise ValueError("empty compact exhaustion")
+    # the compacts are norm cuts of one table, each in the table's order
     outer = levels[-1]
-    pts_top = doubling_sample_sets(est.domain, est.scheme)[-1][1]
+    norm_of = est.domain.norm_of
+    in_inner = norm_of(outer) <= np.max(norm_of(inner))
 
     delta_est = premetric(conjugacy_operator(f, g, h0), h0,
                           est.phi, est.r, est.scheme, tol)
@@ -372,7 +382,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     )
 
     # the first gate that fails ends the run as (verdict, gate, margin)
-    failed = bound_pre = None
+    failed = bound = bound_pre = None
     if not eigen.satisfied:
         failed = ("gate_failed", "eigenvalue_gate", float(min(
             eigen.min_slack_f,
@@ -381,42 +391,33 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         failed = ("gate_failed", "initial_defect",
                   float(constants.threshold - constants.delta))
     else:
-        bound_pre = negative_iterates_bound(f, g, h0, inner, ctx.n_bnd, tol)
+        bound = negative_iterates_bound(f, g, h0, outer, ctx.n_bnd, tol)
+        bound_pre = _bound_report(
+            {n: norms[in_inner] for n, norms in bound.rows.items()},
+            ctx.n_bnd, tol)
         if bound_pre.flagged:
             failed = ("unbounded_on_compacts", "iterate_boundedness", None)
-    if failed is not None:
-        verdict, gate, margin = failed
-        trace = IterationTrace(
-            steps=(), verdict=verdict, constants=constants, alpha=ctx.alpha,
-            eigen=eigen, failed_gate=gate, gate_margin=margin,
-            bound_pre=bound_pre,
-            notes=() if bound_pre is None else bound_pre.notes)
-        return ConjugacyResult(h=h0, trace=trace, membership=None,
-                               residual=np.nan)
+    verdict, failed_gate, margin = failed or ("budget_exhausted", None, None)
 
-    steps = []
-    anchored = []
-    notes = []
-    anchor = None
-    eps_monitor = None
-    envelope = None
-    h_anchor = None
+    steps, anchored = [], []
+    notes = [] if bound_pre is None else list(bound_pre.notes)
+    anchor = eps_monitor = envelope = h_anchor = None
     h = h0
-    verdict = "budget_exhausted"
     residual = np.nan
 
-    for n, (h_next, neg_next) in zip(range(ctx.n_max), _iterates(f, g, h0)):
+    n_max = 0 if failed else ctx.n_max
+    for n, (h_next, neg_next) in zip(range(n_max), _iterates(f, g, h0)):
         try:
             if n == 0:
                 inc = constants.delta
             else:
                 inc = premetric(h_next, h, est.phi, est.r, est.scheme, tol).rho
-            step_residual = _residual_on(f, g, h_next, pts_top, est)
+            step_residual = conjugacy_residual(f, g, h_next, est)
             observed = inc if anchor is None else premetric(
                 h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
             compact = max(
-                float(np.max(est.domain.norm_of(h_next.forward(inner)))),
-                float(np.max(est.domain.norm_of(neg_next.forward(inner)))))
+                float(np.max(norm_of(h_next.forward(outer))[in_inner])),
+                float(np.max(norm_of(neg_next.forward(outer))[in_inner])))
         except EvaluationError as exc:
             # once f^-n leaves the float range no estimate of step n exists;
             # the steps before it stand
@@ -455,27 +456,25 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             verdict = "converged"
             break
 
-    bound_post = None
-    if verdict == "converged":
-        bound_post = negative_iterates_bound(f, g, h0, outer, ctx.n_bnd, tol)
-        if bound_post.flagged:
-            verdict = "unbounded_on_compacts"
-            notes.append("boundedness probe failed on the outer compact "
-                         "after convergence")
-            notes.extend(bound_post.notes)
+    bound_post = bound if verdict == "converged" else None
+    if bound_post is not None and bound_post.flagged:
+        verdict = "unbounded_on_compacts"
+        notes.append("boundedness probe failed on the outer compact "
+                     "after convergence")
+        notes.extend(bound_post.notes)
 
-    incr_ok = None
-    if anchored:
-        incr_ok = all(obs <= env + tol.tau_env for _, obs, env in anchored)
+    incr_ok = all(obs <= env + tol.tau_env
+                  for _, obs, env in anchored) if anchored else None
 
     trace = IterationTrace(
         steps=tuple(steps), verdict=verdict, constants=constants,
-        alpha=ctx.alpha, eigen=eigen, anchor=anchor, eps_monitor=eps_monitor,
+        alpha=ctx.alpha, eigen=eigen, failed_gate=failed_gate,
+        gate_margin=margin, anchor=anchor, eps_monitor=eps_monitor,
         anchored=tuple(anchored), incrementally_bounded=incr_ok,
         bound_pre=bound_pre, bound_post=bound_post, notes=tuple(notes),
     )
     membership = None
-    if verdict not in ("non_finite", "undetermined"):
+    if failed is None and verdict not in ("non_finite", "undetermined"):
         membership = group_membership(h, est.phi, est.r, est.scheme, tol)
     return ConjugacyResult(h=h, trace=trace, membership=membership,
                            residual=float(residual))

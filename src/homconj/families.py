@@ -125,7 +125,6 @@ class ContractionPairBundle:
     growth: RadialFn
     cross: CrossConstants
     alpha: float
-    eps: float
     eps2: float
     bump: BumpSpec
     notes: tuple
@@ -187,8 +186,8 @@ def build_contraction_pair(eta: float,
     )
     return ContractionPairBundle(
         eta=float(eta), f=f, g=g, domain=domain, phi=phi, r=r, growth=growth,
-        cross=cross, alpha=float(alpha), eps=float(eps),
-        eps2=float(eps2_actual), bump=bump, notes=notes,
+        cross=cross, alpha=float(alpha), eps2=float(eps2_actual), bump=bump,
+        notes=notes,
     )
 
 
@@ -298,7 +297,9 @@ def build_perturbed_linear(T, perturbation: BumpSpec | None = None,
     |x| is the absolute value in dimension 1 and the euclidean norm from
     dimension 2 on; no ``perturbation`` is a bump of height 0.  ``domain``
     defaults to the box of T's dimension and must match it.  T^-1 is
-    computed once, here; the inverse is :func:`damped_inverse`.
+    computed once, here.  The forward sums T x column by column
+    (:func:`_rows_times`) and the inverse is :func:`damped_inverse`, so
+    neither direction's row depends on the other rows of its batch.
     """
     T = np.atleast_2d(np.asarray(T, dtype=float))
     dim = T.shape[0]
@@ -317,13 +318,10 @@ def build_perturbed_linear(T, perturbation: BumpSpec | None = None,
             f"bump too steep: Lip {lip:g} >= sigma_min(T) = {smin:g}")
     Tinv = np.linalg.inv(T)
 
-    def pert(p):
-        out = np.zeros_like(p)
-        out[:, 0] = bump_eval(spec, _radial(p))
-        return out
-
     def fwd(p):
-        return p @ T.T + pert(p)
+        out = _rows_times(p, T)
+        out[:, 0] += bump_eval(spec, _radial(p))
+        return out
 
     def inv(p):
         y, _ = damped_inverse(Tinv, spec, p)

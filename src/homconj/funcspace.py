@@ -81,9 +81,6 @@ class RadialFn:
     eval: Callable[[np.ndarray], np.ndarray]
     kind: str = "user_closure"
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.eval(u)
-
 
 ScaleFn = GrowthFn = RadialFn
 
@@ -239,9 +236,6 @@ class Gauge:
             raise ValueError("cone constants need beta > gamma")
         if not self.m > 0:
             raise ValueError("m must be positive")
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.eval(pts)
 
 
 def gauge_from_growth(growth: RadialFn, domain: Domain, beta: float,

@@ -106,10 +106,6 @@ class Homeo:
     label: str = ""
 
     @property
-    def chain_length(self) -> int:
-        return len(self.chain)
-
-    @property
     def is_identity(self) -> bool:
         return len(self.chain) == 0
 
@@ -279,8 +275,7 @@ def _ratio_profile(f: Homeo, phi: Gauge, r: ScaleFn, pts: np.ndarray):
     return num / den, kept, dropped
 
 
-def _classify(trace, kappa_div: float, tau_abs: float,
-              rel: float = 1e-9) -> str:
+def _classify(trace, kappa_div: float, tau_abs: float, rel: float) -> str:
     """Growth label for a nondecreasing window trace.
 
     Divergent needs the total growth over the three doublings to exceed

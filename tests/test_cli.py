@@ -402,6 +402,39 @@ def test_a_crashing_run_still_writes_its_record(tmp_path, capsys,
         in capsys.readouterr().out
 
 
+def test_a_failed_write_still_leaves_a_record(tmp_path, capsys,
+                                             monkeypatch):
+    # the CSV writer fails after the header: the record must say so, not
+    # hold results beside a partial results.csv
+    real_writer = csv.writer
+
+    class HeaderOnly:
+        def __init__(self, fh):
+            self.writer, self.rows = real_writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows:
+                raise OSError("disk full")
+            self.rows += 1
+            self.writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", HeaderOnly)
+    cfg = write_cfg(tmp_path, fk_sweep_payload())
+    assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 1
+    assert "OSError: disk full" in capsys.readouterr().err
+    rd = only_run_dir(tmp_path / "runs")
+    assert sorted(p.name for p in rd.iterdir()) == ["record.json",
+                                                    "results.csv"]
+    record = json.loads((rd / "record.json").read_text())
+    assert record["meta"]["error"] == {
+        "type": "OSError", "message": "disk full", "phase": "write"}
+    assert "results" not in record
+    monkeypatch.undo()
+    assert main(["report", str(rd)]) == 0
+    assert "error: OSError in phase write: disk full" \
+        in capsys.readouterr().out
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", str(tmp_path / "ghost")]) == 1
     assert "not found" in capsys.readouterr().err

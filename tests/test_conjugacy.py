@@ -23,6 +23,7 @@ from homconj import (
     contraction_check,
     doubling_sample_sets,
     envelope_threshold,
+    exhaustion_sets,
     identity,
     invert,
     negative_iterates_bound,
@@ -209,6 +210,63 @@ def test_picard_converges_on_contraction_pair(half_dom, sqrt_triple, scheme,
     # the limit commutes with the pair on the top sample set
     assert conjugacy_residual(bundle_025.f, bundle_025.g, res.h,
                               ctx.est) < 1e-8
+
+
+def _report_bits(rep):
+    """Everything a BoundReport states, floats as their bits."""
+    return (tuple(rep.values), np.array(list(rep.values.values())).tobytes(),
+            rep.n_bnd, rep.flagged, np.float64(rep.max_value).tobytes(),
+            rep.notes)
+
+
+@pytest.mark.parametrize("case", ["eta0.1", "eta0.25", "eta0.5",
+                                  "unbounded", "eta1e-10"])
+def test_picard_probe_reports_are_walks_of_the_compacts(monkeypatch,
+                                                        half_dom,
+                                                        sqrt_triple,
+                                                        scheme_fast, case):
+    # the driver walks the outer compact once and reads the inner compact's
+    # report and each step's compact bound off its rows; every number must
+    # be what a walk of that compact's own array gives
+    if case == "unbounded":
+        f = g = scaling(half_dom, 0.9)
+        h0, alpha = translation(half_dom, 1.0), 1.05
+    else:
+        b = build_contraction_pair(float(case[3:]))
+        f, g, h0, alpha = b.f, b.g, b.g, b.alpha
+    ctx = PicardContext(est=make_ctx(half_dom, sqrt_triple, scheme_fast),
+                        alpha=alpha)
+    levels = exhaustion_sets(half_dom, scheme_fast)
+    inner, outer = levels[0], levels[-1]
+    assert 0 < inner.shape[0] < outer.shape[0]
+    walked = []
+    real_bound = conjugacy_module.negative_iterates_bound
+
+    def recording_bound(*args):
+        walked.append(args[3])
+        return real_bound(*args)
+
+    monkeypatch.setattr(conjugacy_module, "negative_iterates_bound",
+                        recording_bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = picard_solve(f, g, h0, ctx)
+        pre = negative_iterates_bound(f, g, h0, inner, ctx.n_bnd)
+        post = negative_iterates_bound(f, g, h0, outer, ctx.n_bnd)
+        n = res.trace.n_steps
+        steps = negative_iterates_bound(f, g, h0, inner, n + 1).values
+    tr = res.trace
+    assert len(walked) == 1 and walked[0] is outer
+    assert _report_bits(tr.bound_pre) == _report_bits(pre)
+    if case.startswith("eta0"):
+        assert res.converged and n > 0
+        assert _report_bits(tr.bound_post) == _report_bits(post)
+    else:
+        assert tr.verdict == "unbounded_on_compacts" and tr.bound_pre.flagged
+        assert n == 0 and tr.bound_post is None and res.membership is None
+    for k, step in enumerate(tr.steps):
+        expect = max(steps[k + 1], steps[-k - 1])
+        assert np.float64(step.compact_bound).tobytes() \
+            == np.float64(expect).tobytes()
 
 
 def test_picard_rejects_alpha_below_one(half_dom, sqrt_triple, scheme_fast):

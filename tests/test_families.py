@@ -23,7 +23,7 @@ from homconj import (
     sample_points,
 )
 from homconj import families
-from homconj.families import BUMP_SLOPE_FACTOR, damped_inverse
+from homconj.families import BUMP_SLOPE_FACTOR, FAMILIES, damped_inverse
 
 from conftest import bump_member
 
@@ -181,34 +181,55 @@ def _bump_linear(lip: float, dim: int):
     return build_perturbed_linear(np.eye(dim), perturbation=spec)
 
 
-def _inverses():
-    """Inverse closures of every map the solver serves, with a point range."""
-    out = {f"g{eta}": (build_contraction_pair(eta).g, 0.0, 12.0)
-           for eta in (0.1, 0.25, 0.5)}
-    out["bump_member"] = (bump_member(Domain(dim=1, region="half_line"),
-                                      2.0, 1.0, 0.3), 0.0, 6.0)
-    out["linear1"] = (_bump_linear(0.9, 1), -5.0, 5.0)
-    out["linear2"] = (_bump_linear(0.9, 2), -5.0, 5.0)
-    return {k: (mp.chain[0][0].inv, mp.domain.dim, lo, hi)
-            for k, (mp, lo, hi) in out.items()}
+def _atom_closures():
+    """Forward and inverse closures of every family member and of the maps
+    the inverse solver serves, with a point range.  The non-diagonal T of
+    dimensions 2 and 3 make a BLAS product show: ``scale * I`` would not."""
+    bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.3)
+    maps = {f"g{eta}": (build_contraction_pair(eta).g, 0.0, 12.0)
+            for eta in (0.1, 0.25, 0.5)}
+    maps.update({
+        "f0.25": (build_contraction_pair(0.25).f, 0.0, 12.0),
+        "bump_member": (bump_member(Domain(dim=1, region="half_line"),
+                                    2.0, 1.0, 0.3), 0.0, 6.0),
+        "linear1": (_bump_linear(0.9, 1), -5.0, 5.0),
+        "linear2": (_bump_linear(0.9, 2), -5.0, 5.0),
+        "lozi": (build_lozi(1.7, 0.5), -3.0, 3.0),
+        "perturbed_linear3": (FAMILIES["perturbed_linear"].builder(
+            1.5, dim=3, bump_height=0.3), -5.0, 5.0),
+        "pure_linear": (build_pure_linear(-0.7), -5.0, 5.0),
+        "translation": (build_translation([1.0, -2.0]), -5.0, 5.0),
+        "tilted2": (build_perturbed_linear(
+            [[1.3, 0.4], [-0.5, 1.1]], bump), -5.0, 5.0),
+        "tilted3": (build_perturbed_linear(
+            [[1.2, 0.3, -0.2], [0.1, 1.4, 0.5], [-0.3, 0.2, 1.1]], bump),
+            -5.0, 5.0),
+    })
+    atoms = {k: (mp.chain[0][0], mp.domain.dim, lo, hi)
+             for k, (mp, lo, hi) in maps.items()}
+    return {f"{k}.{way}": (getattr(atom, way), dim, lo, hi)
+            for k, (atom, dim, lo, hi) in atoms.items()
+            for way in ("fwd", "inv")}
 
 
-INVERSES = _inverses()
+ATOM_CLOSURES = _atom_closures()
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(INVERSES)),
-       unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
-def test_inverse_row_does_not_depend_on_its_batch(name, unit):
-    inv, dim, lo, hi = INVERSES[name]
-    flat = lo + (hi - lo) * np.asarray(unit)
-    # a 2-d batch pairs consecutive draws (the last with the first)
-    pts = flat.reshape(-1, 1) if dim == 1 else \
-        np.stack([flat, np.roll(flat, 1)], axis=1)
-    batch = inv(pts)
-    for i in range(pts.shape[0]):
-        assert np.array_equal(inv(pts[i:i + 1]), batch[i:i + 1])
-    assert np.array_equal(inv(pts[::-1]), batch[::-1])
+@given(unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_inverse_row_does_not_depend_on_its_batch(unit):
+    # covers the forward of every atom too: the Picard driver reads a
+    # compact's bounds off the rows of a larger table's images
+    flat = np.asarray(unit)
+    for name, (closure, dim, lo, hi) in ATOM_CLOSURES.items():
+        # axis k pairs each draw with the k-th one before it, cyclically
+        pts = lo + (hi - lo) * np.stack(
+            [np.roll(flat, k) for k in range(dim)], axis=1)
+        batch = closure(pts)
+        for i in range(pts.shape[0]):
+            assert np.array_equal(closure(pts[i:i + 1]), batch[i:i + 1]), \
+                name
+        assert np.array_equal(closure(pts[::-1]), batch[::-1]), name
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.25, 0.5])
