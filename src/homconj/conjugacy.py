@@ -384,7 +384,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     # the first gate that fails ends the run as (verdict, gate, margin)
     failed = bound = bound_pre = None
     if not eigen.satisfied:
-        failed = ("gate_failed", "eigenvalue_gate", float(min(
+        # np.minimum keeps a NaN slack whichever map it belongs to
+        failed = ("gate_failed", "eigenvalue_gate", float(np.minimum(
             eigen.min_slack_f,
             np.inf if eigen.min_slack_g is None else eigen.min_slack_g)))
     elif not constants.gate_passes:

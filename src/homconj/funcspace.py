@@ -342,10 +342,11 @@ def _origin_ladder(domain: Domain, radius: float) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def sample_points(domain: Domain, scheme: SampleScheme,
-                  radius: float | None = None) -> np.ndarray:
-    """Finite sample of domain ∩ ball(0, radius); grid, low-discrepancy,
-    seeded random points, and the origin anchor, deduplicated."""
+def _window_points(domain: Domain, scheme: SampleScheme,
+                   radius: float | None = None) -> np.ndarray:
+    """Grid, low-discrepancy, seeded random points, the origin anchor and
+    ladder that lie in domain ∩ ball(0, radius), unsorted and possibly
+    repeated."""
     radius = scheme.window_radius if radius is None else float(radius)
     axes = _axis_windows(domain, radius)
     for lo, hi in axes:
@@ -371,10 +372,16 @@ def sample_points(domain: Domain, scheme: SampleScheme,
     keep = domain.contains(pts, slack=0.0)
     keep &= domain.norm_of(pts) <= radius * (1.0 + 1e-12)
     pts = pts[keep]
-    pts = np.unique(pts, axis=0)
     if pts.shape[0] == 0:
         raise ValueError("sampling produced an empty window")
     return pts
+
+
+def sample_points(domain: Domain, scheme: SampleScheme,
+                  radius: float | None = None) -> np.ndarray:
+    """Finite sample of domain ∩ ball(0, radius); grid, low-discrepancy,
+    seeded random points, and the origin anchor, deduplicated."""
+    return np.unique(_window_points(domain, scheme, radius), axis=0)
 
 
 def doubling_radii(scheme: SampleScheme) -> tuple:
@@ -399,12 +406,13 @@ def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
 
     Each set contains the previous one, so sup estimates taken level by
     level are nondecreasing by construction.  Returns a tuple of
-    (radius, points) pairs.  One ``np.unique`` sorts the points of all four
-    levels; level k keeps those first sampled at a level <= k, still sorted.
-    Memoized on (domain, scheme): equal keys get the same read-only arrays.
+    (radius, points) pairs.  One ``np.unique`` sorts the raw window points
+    of all four levels (no level is sorted on its own); level k keeps those
+    first sampled at a level <= k, still sorted.  Memoized on (domain,
+    scheme): equal keys get the same read-only arrays.
     """
     radii = doubling_radii(scheme)
-    levels = [sample_points(domain, scheme, radius=radius) for radius in radii]
+    levels = [_window_points(domain, scheme, radius) for radius in radii]
     level = np.repeat(np.arange(len(levels)), [len(lvl) for lvl in levels])
     pts, first = np.unique(np.concatenate(levels), axis=0, return_index=True)
     return tuple((radius, _read_only(pts[level[first] <= k]))

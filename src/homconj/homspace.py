@@ -300,25 +300,20 @@ def _combined(*labels: str) -> str:
                 "finite")
 
 
-def _shell_masks(radii, shell: np.ndarray) -> list:
-    """Per radius, the entries whose ``shell`` lies within it."""
-    return [shell <= radius * (1.0 + 1e-9) for radius in radii]
-
-
-def _shell_sups(ratio: np.ndarray, masks: list) -> list:
-    """Sup of ``ratio`` over each of ``masks``; NaN over an empty one."""
-    return [float(np.max(ratio[mask])) if np.any(mask) else np.nan
-            for mask in masks]
-
-
 def _shell_trace(radii, ratio: np.ndarray, shell: np.ndarray) -> tuple:
     """(radius, sup of ``ratio`` over entries with ``shell`` <= radius).
 
-    An empty shell gives NaN, so empty inputs give the all-NaN trace that
-    :func:`_classify` labels "undetermined".
+    In shell order each radius keeps a prefix, whose sup is a running
+    maximum read at its end: a NaN covers its shell and every larger one,
+    and an empty prefix gives NaN (so empty inputs give the all-NaN trace
+    that :func:`_classify` labels "undetermined").
     """
-    return tuple(zip(map(float, radii),
-                     _shell_sups(ratio, _shell_masks(radii, shell))))
+    order = np.argsort(shell, kind="stable")
+    cuts = np.searchsorted(shell[order], np.multiply(radii, 1.0 + 1e-9),
+                           side="right")
+    running = np.maximum.accumulate(ratio[order])
+    return tuple((float(radius), float(running[cut - 1]) if cut else np.nan)
+                 for radius, cut in zip(radii, cuts))
 
 
 def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
@@ -336,20 +331,18 @@ def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
         trace = tuple((float(rad), 0.0) for rad in doubling_radii(scheme))
         return DisplacementEstimate(0.0, None, "finite", trace, 0)
 
-    sets = doubling_sample_sets(f.domain, scheme)
-    ratio, kept, dropped = _ratio_profile(f, phi, r, sets[-1][1])
+    ratio, kept, dropped = _ratio_profile(
+        f, phi, r, doubling_sample_sets(f.domain, scheme)[-1][1])
     trace = _shell_trace(doubling_radii(scheme), ratio, f.domain.norm_of(kept))
     if ratio.size == 0:
         return DisplacementEstimate(np.nan, None, "undetermined", trace,
                                     dropped)
     i = int(np.argmax(ratio))
-    best, argmax = float(ratio[i]), kept[i]
-
+    # the top shell holds every kept point, so a non-finite best ratio makes
+    # the trace, and with it the label, undetermined
     finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-    value = best if np.isfinite(best) else np.nan
-    if finiteness == "undetermined":
-        value = np.nan
-    return DisplacementEstimate(value, argmax, finiteness, trace, dropped)
+    value = np.nan if finiteness == "undetermined" else float(ratio[i])
+    return DisplacementEstimate(value, kept[i], finiteness, trace, dropped)
 
 
 # ---------------------------------------------------------------------------

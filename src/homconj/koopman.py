@@ -29,8 +29,7 @@ from .homspace import (
     EvaluationError,
     Homeo,
     _classify,
-    _shell_masks,
-    _shell_sups,
+    _shell_trace,
 )
 
 __all__ = [
@@ -67,9 +66,11 @@ class ConvergenceError(RuntimeError):
 class RLipschitzEstimate:
     """Pairwise sup of r(|f(x)-f(y)|) / r(|x-y|) over sampled pairs.
 
-    ``pair_count`` is the number of ordered pairs (x, y) the sup ran over,
-    both orders of each kept pair counted: pairs closer than the separation
-    floor or at zero r-separation are not.
+    The cloud is in stable norm order: ``witness_pair`` is the first
+    maximizer in that order, inner point first, and a pair's window shell
+    is its later norm.  ``pair_count`` is the number of ordered pairs
+    (x, y) the sup ran over, both orders of each kept pair counted: pairs
+    closer than the separation floor or at zero r-separation are not.
     """
 
     value: float
@@ -103,12 +104,13 @@ _BLOCK_ROWS = 64
 
 def _pair_cloud(domain: Domain, scheme: SampleScheme,
                 pair_cap: int) -> np.ndarray:
-    """The full sample table and its near partners, strided to pair_cap."""
+    """Top table and near partners, strided to pair_cap, in norm order."""
     pts = doubling_sample_sets(domain, scheme)[-1][1]
     partners = _near_partners(pts, domain, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
-    return cloud[_strided_subset(cloud.shape[0], pair_cap)]
+    cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
+    return cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
 
 
 def _later(x: np.ndarray, lo: int, hi: int):
@@ -132,30 +134,32 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
     for f, fc in zip(maps, images):
         if not np.all(np.isfinite(fc)):
             raise EvaluationError(f"map {f.label!r} not finite on pair samples")
-    radii = doubling_radii(scheme)
+    # in norm order a pair i < j has shell norms[j]; per map, each column's
+    # running maximum over its kept rows, by np.maximum (fmax drops a NaN)
     norms = domain.norm_of(cloud)
-    sups = np.full((len(maps), len(radii)), np.nan)
+    columns = np.full((len(maps), len(cloud)), -np.inf)
+    seen = np.zeros(len(cloud), dtype=bool)     # columns with a kept pair
     best = [(np.nan, None)] * len(maps)     # (value, witness pair) per map
     kept = 0
     for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
         raw = domain.fold_norm(_later(cloud, lo, hi))
-        shell = np.maximum(norms[lo:hi, None], norms[None, lo + 1:])
         # below ~1e-9 relative separation the quotient measures evaluation
         # rounding, not the map; the deliberate near-partner blocks stay
         # three orders of magnitude above this floor.  triu keeps j > i.
-        ok = np.triu(raw > _SEP_FLOOR * (1.0 + shell))
+        ok = np.triu(raw > _SEP_FLOOR * (1.0 + norms[lo + 1:]))
         sep = r.eval(raw[ok])
         ok[ok] = sep > 0
         sep = sep[sep > 0]
         if sep.shape[0] == 0:
             continue
         kept += sep.shape[0]
-        masks = _shell_masks(radii, shell[ok])
+        seen[lo + 1:] |= ok.any(axis=0)
+        block = np.full(ok.shape, -np.inf)
         for m, fc in enumerate(images):
             ratio = r.eval(domain.fold_norm(_later(fc, lo, hi))[ok]) / sep
-            # an empty shell of the block gives NaN, which fmax passes over
-            sups[m] = np.fmax(sups[m], _shell_sups(ratio, masks))
+            block[ok] = ratio
+            columns[m, lo + 1:] = np.maximum(columns[m, lo + 1:], block.max(0))
             # np.argmax takes the first NaN as the maximum; so does the fold
             k = int(np.argmax(ratio))
             value, pair = best[m]
@@ -164,9 +168,10 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
                 best[m] = (float(ratio[k]),
                            tuple(cloud[[lo + row, lo + 1 + col]]))
 
+    radii = doubling_radii(scheme)
     out = []
-    for (value, witness), sup in zip(best, sups):
-        trace = tuple(zip(map(float, radii), map(float, sup)))
+    for (value, witness), column in zip(best, columns):
+        trace = _shell_trace(radii, column[seen], norms[seen])
         finiteness = "undetermined" if np.isnan(value) else \
             _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
         out.append(RLipschitzEstimate(value, witness, finiteness, trace,
@@ -179,17 +184,19 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
                 pair_cap: int = PAIR_CAP) -> RLipschitzEstimate:
     """Windowed estimate of the r-Lipschitz constant of f.
 
-    All pair ratios come from one cloud built over the full cumulative
-    sample table; the trace restricts that single profile to the doubling
-    shells (a pair belongs to the shell holding its outer point), so trace
-    growth reflects where the steep pairs live.  Degenerate pairs (closer
-    than the separation floor, or at zero scale separation) are skipped.
-    f runs once on the cloud, all of whose images must be finite, and the
-    pairs are walked in row blocks with nothing cached.  Every quantity is
-    symmetric in the pair, so each unordered pair is visited once: the
-    first row-major maximizer over i < j is the first over all (i, j), and
-    ``pair_count`` counts both orders.  Classification follows the same
-    three-doubling growth rule as displacement; a NaN value is undetermined.
+    All pair ratios come from one cloud, in stable norm order, built over
+    the full cumulative sample table; the trace restricts that single
+    profile to the doubling shells (a pair belongs to the shell of its
+    later, outer point; a NaN ratio fills its shell and every larger one),
+    so trace growth reflects where the steep pairs live.  Degenerate pairs
+    (closer than the separation floor, or at zero scale separation) are
+    skipped.  f runs once on the cloud, all of whose images must be finite,
+    and the pairs are walked in row blocks with nothing cached.  Every
+    quantity is symmetric in the pair, so each unordered pair is visited
+    once: the witness, the first row-major maximizer over i < j in norm
+    order, is the first over all (i, j), and ``pair_count`` counts both
+    orders.  Classification follows the same three-doubling growth rule as
+    displacement; a NaN value is undetermined.
     """
     return _r_lipschitz((f,), r, scheme, tol, pair_cap)[0]
 
@@ -221,20 +228,17 @@ class EigenReport:
 
 def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
                    scheme: SampleScheme) -> tuple:
-    """Least phi(f(x)) - alpha * lam * phi(x) over the points x of the top
-    sample table with f(x) in the domain, and the first point attaining it;
-    (inf, None) when no point is kept or the least value is NaN.  Every
-    lower level is a subset of the top table, so this is the least over
-    all levels."""
+    """Least phi(f(x)) - alpha * lam * phi(x) (a NaN counts as least) over
+    the top table's points x with f(x) in the domain, and the first point
+    attaining it; (inf, None) when none is kept.  Every lower level is a
+    subset of the top table, so this is the least over all levels."""
     pts = doubling_sample_sets(f.domain, scheme)[-1][1]
     fx = f.forward(pts)
     keep = f.domain.contains(fx, slack=1e-9)
     if not np.any(keep):
         return np.inf, None
     slack = phi.eval(fx[keep]) - alpha * lam * phi.eval(pts[keep])
-    i = int(np.argmin(slack))
-    if not slack[i] < np.inf:     # np.argmin takes the first NaN as least
-        return np.inf, None
+    i = int(np.argmin(slack))     # np.argmin takes the first NaN as least
     return float(slack[i]), tuple(pts[keep][i])
 
 
@@ -259,7 +263,8 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
         gates.append((lam, slack, worst, lam.finite and slack >= -tol.tau_abs))
     (lam_f, slack_f, _, f_ok), *rest = gates
     lam_g, slack_g, _, g_ok = rest[0] if rest else (None, None, None, True)
-    worst_pt = min(gates, key=lambda gate: gate[1])[2]
+    # np.argmin takes a NaN slack as least, whichever map it belongs to
+    worst_pt = gates[int(np.argmin([gate[1] for gate in gates]))][2]
     return EigenReport(
         alpha=float(alpha),
         lambda_f=float(lam_f.value),

@@ -1,5 +1,7 @@
 """Operator iteration: gates, envelope recurrence, and the Picard driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -332,6 +334,24 @@ def test_picard_gate_failure_eigenvalue(half_dom, sqrt_triple, scheme_fast,
     assert res.trace.verdict == "gate_failed"
     assert res.trace.failed_gate == "eigenvalue_gate"
     assert res.trace.steps == ()
+
+
+@pytest.mark.parametrize("slacks", [(np.nan, -1.0), (-1.0, np.nan)],
+                         ids=["f-nan", "g-nan"])
+def test_picard_gate_margin_is_nan_when_either_slack_is(bundle_025,
+                                                        scheme_fast, slacks):
+    # an undefined slack leaves the margin undefined, whichever map it is
+    b = bundle_025
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, 3.0, scheme_fast)
+    assert not eigen.satisfied
+    eigen = dataclasses.replace(eigen, min_slack_f=slacks[0],
+                                min_slack_g=slacks[1])
+    res = picard_solve(b.f, b.g, b.g,
+                       PicardContext(est=est, alpha=3.0, eigen_report=eigen))
+    assert res.trace.failed_gate == "eigenvalue_gate"
+    assert np.isnan(res.trace.gate_margin)
 
 
 def test_picard_gate_failure_initial_defect(half_dom, sqrt_triple,

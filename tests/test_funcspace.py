@@ -161,6 +161,60 @@ def test_sample_tables_equal_the_level_by_level_build(domain):
             assert bits(pts) == bits(base[norms <= cut])
 
 
+def _table_keys():
+    # the half line at window 8, both 2-d norms at window 4 with 21 grid
+    # points and the 1-d box the premetric benchmark samples, seeds 0-9
+    keys = []
+    for seed in range(10):
+        keys += [
+            (Domain(dim=1, region="half_line"),
+             SampleScheme(window_radius=8.0, seed=seed)),
+            (Domain(dim=2, norm="euclidean"),
+             SampleScheme(window_radius=4.0, grid_points_per_axis=21,
+                          seed=seed)),
+            (Domain(dim=2, norm="sup"),
+             SampleScheme(window_radius=4.0, grid_points_per_axis=21,
+                          seed=seed)),
+            (Domain(dim=1, region="box"),
+             SampleScheme(window_radius=4.0, grid_points_per_axis=9,
+                          quasirandom_count=8, exhaustion_levels=2,
+                          seed=seed)),
+        ]
+    return keys
+
+
+def test_sample_tables_equal_the_per_level_unique_build():
+    # one unique over the raw points of all levels gives the tables built
+    # by sorting each level with sample_points and then uniting the sorted
+    # levels, bit for bit (as uint64, so the sign of a zero counts)
+    for domain, sch in _table_keys():
+        radii = doubling_radii(sch)
+        levels = [sample_points(domain, sch, radius=r) for r in radii]
+        level = np.repeat(np.arange(len(levels)), [len(v) for v in levels])
+        pts, first = np.unique(np.concatenate(levels), axis=0,
+                               return_index=True)
+        table = doubling_sample_sets.__wrapped__(domain, sch)
+        for k, (radius, got) in enumerate(table):
+            want = pts[level[first] <= k]
+            assert radius == radii[k]
+            assert got.shape == want.shape
+            assert got.view(np.uint64).tobytes() \
+                == want.view(np.uint64).tobytes()
+
+
+def test_sampling_rejects_a_window_it_cannot_sample():
+    # a box beyond the window, and a corner of the plane whose points all
+    # lie outside the window's ball, whether sampled alone or per level
+    far = Domain(dim=1, bounds=((5.0, 10.0),))
+    corner = Domain(dim=2, bounds=((1.5, 3.0), (1.5, 3.0)))
+    sch = SampleScheme(window_radius=2.0)
+    for sample in (sample_points, doubling_sample_sets.__wrapped__):
+        with pytest.raises(ValueError, match="does not intersect"):
+            sample(far, sch)
+        with pytest.raises(ValueError, match="empty window"):
+            sample(corner, sch)
+
+
 def test_doubling_radii():
     sch = SampleScheme(window_radius=3.0)
     assert doubling_radii(sch) == (3.0, 6.0, 12.0, 24.0)

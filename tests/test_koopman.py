@@ -32,6 +32,7 @@ from homconj.families import BumpSpec
 from homconj.funcspace import (
     RadialFn,
     _pair_indices,
+    _strided_subset,
     doubling_radii,
     doubling_sample_sets,
 )
@@ -44,6 +45,17 @@ from homconj.koopman import (
     _near_partners,
     _pair_cloud,
 )
+
+
+def mask_trace(radii, ratio, shell):
+    """(radius, max of ratio over entries with shell <= radius), written
+    out with one mask per radius; NaN over an empty mask."""
+    out = []
+    for radius in radii:
+        mask = shell <= radius * (1.0 + 1e-9)
+        out.append((float(radius),
+                    float(np.max(ratio[mask])) if np.any(mask) else np.nan))
+    return tuple(out)
 
 
 # ===================================================================
@@ -73,13 +85,16 @@ def test_lozi_lipschitz_bound_sup_norm(scheme_fast):
 
 def reference_r_lipschitz(f, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
     """The ordered-pair estimator r_lipschitz replaced: f on both pair
-    arrays, every (i, j) of the strided cloud visited."""
+    arrays, every (i, j) of the strided cloud visited in stable norm
+    order, the order whose first maximizer the walk reports."""
     domain = f.domain
     pts = doubling_sample_sets(domain, scheme)[-1][1]
     partners = _near_partners(pts, domain, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
-    i, j = _pair_indices(cloud.shape[0], pair_cap)
+    cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
+    cloud = cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
+    i, j = _pair_indices(cloud.shape[0], cloud.shape[0] ** 2)
     x, y = cloud[i], cloud[j]
     raw = domain.norm_of(x - y)
     shell = np.maximum(domain.norm_of(x), domain.norm_of(y))
@@ -93,13 +108,13 @@ def reference_r_lipschitz(f, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
     radii = doubling_radii(scheme)
     if total_pairs == 0:
         return RLipschitzEstimate(np.nan, None, "undetermined",
-                                  _shell_trace(radii, sep, shell), 0)
+                                  mask_trace(radii, sep, shell), 0)
     fx, fy = f.forward(x), f.forward(y)
     if np.any(~np.isfinite(fx)) or np.any(~np.isfinite(fy)):
         raise EvaluationError(f"map {f.label!r} not finite on pair samples")
     ratio = r.eval(domain.norm_of(fx - fy)) / sep
 
-    trace = _shell_trace(radii, ratio, shell)
+    trace = mask_trace(radii, ratio, shell)
     k = int(np.argmax(ratio))
     best = float(ratio[k])
     witness = (x[k].copy(), y[k].copy())
@@ -232,7 +247,7 @@ def reference_block_walk(maps, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
             ratio = r.eval(_reshaped_norm(
                 domain, later(fc, lo, hi)[ok.ravel()])) / sep
             sups[m] = np.fmax(sups[m], [v for _, v in
-                                        _shell_trace(radii, ratio, shell)])
+                                        mask_trace(radii, ratio, shell)])
             k = int(np.argmax(ratio))
             value, pair = best[m]
             if pair is None or not (np.isnan(value) or ratio[k] <= value):
@@ -383,6 +398,81 @@ def test_r_lipschitz_nan_ratio_is_undetermined(half_dom, scheme):
     assert _same_bits(est.witness_pair[0], ref.witness_pair[0])
     assert _same_bits(est.witness_pair[1], ref.witness_pair[1])
     assert est.pair_count == ref.pair_count
+
+
+def test_r_lipschitz_nan_covers_its_shell_and_every_larger_one(half_dom,
+                                                               scheme):
+    # f jumps by 100 below 1e-3 and r is NaN beyond 70, so every pair
+    # across the jump has a NaN ratio, with its shell in the innermost
+    # window; the walk's trace is the ordered-pair reference's, all NaN
+    f = primitive(half_dom, lambda p: np.where(p < 1e-3, p + 100.0, p),
+                  lambda p: p, "jump_below_1e-3")
+    r = RadialFn(lambda u: np.where(u > 70.0, np.nan, u), "nan_beyond_70")
+    est = r_lipschitz(f, r, scheme)
+    _assert_same_estimate(est, reference_r_lipschitz(f, r, scheme))
+    assert all(np.isnan(v) for _, v in est.window_trace)
+    assert est.finiteness == "undetermined"
+
+
+def test_r_lipschitz_empty_inner_shells_read_nan(half_dom):
+    # r vanishes below 20, so no pair inside the window or its first
+    # doubling is kept: those two shells are empty and read NaN, not -inf
+    f = primitive(half_dom, lambda p: 2.0 * p, lambda p: p / 2.0, "2x")
+    r = RadialFn(lambda u: np.maximum(u - 20.0, 0.0), "zero_below_20")
+    scheme = SampleScheme(window_radius=8.0, grid_points_per_axis=15,
+                          quasirandom_count=8)
+    est = r_lipschitz(f, r, scheme)
+    _assert_same_estimate(est, reference_r_lipschitz(f, r, scheme))
+    values = [v for _, v in est.window_trace]
+    assert np.isnan(values[0]) and np.isnan(values[1])
+    assert np.isfinite(values[2]) and np.isfinite(values[3])
+
+
+def _shell_trace_cases():
+    rng = np.random.default_rng(23)
+    radii = (1.0, 2.0, 4.0, 8.0)
+    cases = [
+        (radii, np.empty(0), np.empty(0)),
+        # ties at a radius, just inside it and on its cut, an empty first
+        # prefix
+        (radii, np.array([0.5, -np.inf, 3.0, 2.0, 7.0, np.nan]),
+         np.array([1.5, 2.0, 2.0, 2.0 * (1.0 + 5e-10), 2.0 * (1.0 + 1e-9),
+                   9.0])),
+        (radii, np.full(3, -np.inf), np.array([0.1, 0.1, 7.0])),
+        (radii, np.array([np.nan, 5.0, 6.0]), np.array([0.5, 0.5, 3.0])),
+    ]
+    for k in range(40):
+        n = int(rng.integers(1, 30))
+        shell = rng.choice([0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 9.0], n)
+        if k % 2:
+            shell = np.sort(shell)   # the walk's columns come in norm order
+        ratio = rng.standard_normal(n)
+        ratio[rng.random(n) < 0.1] = np.nan
+        ratio[rng.random(n) < 0.1] = -np.inf
+        cases.append((radii, ratio, shell))
+    return cases
+
+
+def test_shell_trace_is_the_mask_rule():
+    # in any entry order, the running maxima read at the cuts are the sups
+    # over the shells, NaN and -inf included, and NaN over an empty one
+    for radii, ratio, shell in _shell_trace_cases():
+        assert _same_bits(_shell_trace(radii, ratio, shell),
+                          mask_trace(radii, ratio, shell))
+
+
+def test_gate_slack_of_an_undetermined_lambda_is_nan(half_dom, sqrt_triple,
+                                                     scheme):
+    # r is NaN beyond 5, so lam_r is undetermined and every slack is NaN:
+    # the least slack is undefined, not +inf, and the gate does not pass
+    _, _, _, phi = sqrt_triple
+    r = RadialFn(lambda u: np.where(u > 5.0, np.nan, u), "nan_beyond_5")
+    rep = check_p_alpha(build_pure_linear(2.0, half_dom), None, phi, r, 1.5,
+                        scheme)
+    assert np.isnan(rep.lambda_f) and np.isnan(rep.min_slack_f)
+    assert not rep.satisfied
+    top = doubling_sample_sets(half_dom, scheme)[-1][1]
+    assert rep.worst_point == tuple(top[0])
 
 
 def _counting(f, calls):
