@@ -634,7 +634,8 @@ _EXPERIMENTS = {
                     (0.3, 0.5, 0.9)),
         "k_max": Param("integer", "envelope steps", 64),
     }, ("tau_env",), (
-        _in_range("epsilons", lambda e: e > 0.0, "must be positive"),
+        _in_range("epsilons", lambda e: 0.0 < e < np.inf and 1.0 / e < np.inf,
+                  "must be positive and finite, with a finite reciprocal"),
         _in_range("Cs", lambda c: 0.0 < c < 1.0, "must lie in (0, 1)"),
         _in_range("k_max", lambda k: k >= 0, "must be >= 0"))),
 }

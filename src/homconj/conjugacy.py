@@ -12,6 +12,7 @@ the seed of a per-step upper envelope that every later increment measured
 against the anchor iterate has to respect.
 """
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .homspace import (
     InequalityReport,
     MembershipVerdict,
     _chain_memo,
-    _triangle_coefficients,
+    _gate_constant,
     compose,
     group_membership,
     invert,
@@ -55,22 +56,13 @@ __all__ = [
 class GateConstants:
     """Constants of the iteration gates.
 
-    ``A`` is always recomputed from its constituents, never stored, so it
-    cannot drift out of sync with them.
+    ``A`` is max(a*beta, b*beta/m + beta/gamma), from
+    ``homspace._gate_constant``; the defect gate is delta < min(1, 1/A).
     """
 
-    a: float
-    b: float
-    beta: float
-    gamma: float
-    m: float
+    A: float
     delta: float      # initial defect rho(L(h0), h0)
     C: float          # contraction factor 1/alpha
-
-    @property
-    def A(self) -> float:
-        return max(_triangle_coefficients(self.a, self.b, self.beta,
-                                          self.gamma, self.m))
 
     @property
     def threshold(self) -> float:
@@ -158,19 +150,25 @@ def cauchy_envelope(m: int, epsilon: float, C: float,
     )
 
 
-_ENVELOPE_CAP = 100_000  # largest seed step envelope_threshold tries
-
-
 def envelope_threshold(epsilon: float, C: float) -> int:
     """Smallest n with the seed step m = n + 1 taming the envelope.
 
     Taming means a_m < 1 and the telescoped tail at most epsilon, so the
-    whole envelope stays at or below 2 * epsilon.
+    whole envelope stays at or below 2 * epsilon.  a_m and the tail are
+    non-increasing in m, also in floating point, so doubling finds a taming
+    step and bisection the least one.  ValueError when the tail still fails
+    once C^m underflows (a term overflowed), past which it is constant.
     """
-    for m in range(1, _ENVELOPE_CAP + 1):
-        if _envelope_tail(m, epsilon, C)[1] <= epsilon:
-            return m - 1
-    raise RuntimeError("no taming seed step found below the cap")
+    def tames(m: int) -> bool:
+        return _envelope_tail(m, epsilon, C)[1] <= epsilon
+
+    hi = 1
+    while not tames(hi):
+        if C ** hi == 0.0:
+            raise ValueError(f"no seed step tames {epsilon!r} at C {C!r}")
+        hi *= 2
+    lo = hi // 2      # 0, or a step that does not tame
+    return lo + bisect.bisect_left(range(lo + 1, hi + 1), True, key=tames)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +374,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
 
     delta_est = premetric(conjugacy_operator(f, g, h0), h0,
                           est.phi, est.r, est.scheme, tol)
-    constants = GateConstants(
-        a=est.cross.a, b=est.cross.b, beta=est.phi.beta, gamma=est.phi.gamma,
-        m=est.phi.m, delta=float(delta_est.rho), C=C,
-    )
+    constants = GateConstants(A=_gate_constant(est.phi, est.cross),
+                              delta=float(delta_est.rho), C=C)
 
     # the first gate that fails ends the run as (verdict, gate, margin)
     failed = bound = bound_pre = None

@@ -30,7 +30,7 @@ from .funcspace import (
     RadialFn,
     builtin_triple,
 )
-from .homspace import Homeo, _triangle_coefficients, primitive
+from .homspace import Homeo, _gate_constant, primitive
 
 __all__ = [
     "BumpSpec",
@@ -163,8 +163,7 @@ def build_contraction_pair(eta: float,
     eps2_cap = np.sqrt(eta) / alpha - eta
     eps2 = 0.5 * min(eta, eps2_cap)
 
-    A = max(_triangle_coefficients(cross.a, cross.b, phi.beta, phi.gamma,
-                                   phi.m))
+    A = _gate_constant(phi, cross)
     amp_caps = (
         eta * eta / A,
         eps2 * bump_halfwidth / BUMP_SLOPE_FACTOR,

@@ -443,7 +443,7 @@ def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
 class ConditionCheck:
     name: str
     passed: bool
-    margin: float          # worst violation beyond 0; 0.0 when clean
+    margin: float          # worst violation beyond 0; 0.0 if clean, NaN if NaN
     witness: tuple | None = None
 
 
@@ -489,32 +489,27 @@ def _strided_subset(n: int, cap: int) -> np.ndarray:
     return np.arange(0, n, int(np.ceil(n / np.sqrt(cap))))
 
 
-def _pair_indices(n: int, cap: int) -> tuple:
-    """All index pairs (i, j), i == j included, of the strided subset of n
-    items (see :func:`_strided_subset`)."""
-    sub = _strided_subset(n, cap)
-    return np.repeat(sub, sub.shape[0]), np.tile(sub, sub.shape[0])
-
-
 def _worst(excess: np.ndarray, args) -> tuple:
     idx = int(np.argmax(excess))
-    vals = tuple(float(np.asarray(a).ravel()[idx]) for a in args)
-    return vals
+    return tuple(float(np.asarray(a).ravel()[idx]) for a in args)
 
 
 def _sup_check(name: str, excess: np.ndarray, args,
                tol: Tolerances) -> ConditionCheck:
-    """Condition excess <= tau_abs on every sample, witnessed at the worst."""
+    """Condition excess <= tau_abs on every sample, witnessed at the worst;
+    a NaN excess fails it, with margin NaN."""
     worst = float(np.max(excess)) if excess.size else 0.0
-    return ConditionCheck(name, worst <= tol.tau_abs, max(0.0, worst),
+    return ConditionCheck(name, worst <= tol.tau_abs,
+                          float(np.maximum(0.0, worst)),
                           _worst(excess, args) if excess.size else None)
 
 
 def _positive_check(name: str, vals: np.ndarray,
                     u: np.ndarray) -> ConditionCheck:
-    """Condition vals > 0 on every sample, witnessed at the most negative."""
+    """Condition vals > 0 on every sample, witnessed at the most negative;
+    a NaN value fails it, with margin NaN."""
     ok = bool(np.all(vals > 0))
-    margin = max(0.0, float(-np.min(vals))) if vals.size else 0.0
+    margin = float(np.maximum(0.0, -np.min(vals))) if vals.size else 0.0
     return ConditionCheck(name, ok, margin, None if ok else _worst(-vals, (u,)))
 
 
@@ -524,18 +519,18 @@ def validate_scale_pair(growth: RadialFn, scale: RadialFn, cross: CrossConstants
     """Sampled verification of the scale/growth axioms and the cross bound.
 
     Reported, never raised: each condition carries a pass flag and the worst
-    violation margin (0.0 for a clean pass).
+    violation margin (0.0 for a clean pass, NaN for a NaN violation).
     """
     u = _u_samples(scheme)
     upos = u[u > 0]
     Ru = growth.eval(u)
-    i, j = _pair_indices(u.shape[0], 250_000)
-    a_u, b_u = u[i], u[j]
+    # every pair (x, y), x == y included, of a strided subset, x outer
+    sub = u[_strided_subset(u.shape[0], 250_000)]
+    a_u, b_u = (x.ravel() for x in np.meshgrid(sub, sub, indexing="ij"))
     lo, hi = np.minimum(a_u, b_u), np.maximum(a_u, b_u)
-    r0 = float(np.abs(scale.eval(np.array([0.0]))[0]))
+    zero = np.zeros(1)
     return ValidationReport(checks=(
-        ConditionCheck("r_zero_at_origin", r0 <= tol.tau_abs, max(0.0, r0),
-                       (0.0,)),
+        _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,), tol),
         _positive_check("r_positive_off_origin", scale.eval(upos), upos),
         _sup_check("r_nondecreasing", scale.eval(lo) - scale.eval(hi),
                    (lo, hi), tol),
@@ -554,41 +549,30 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
                    tol: Tolerances = Tolerances()) -> ValidationReport:
     """Sampled verification of the gauge conditions.
 
-    The floor and the cone are pointwise inequalities; coercivity is a
-    window-doubling diagnostic (the minimum of phi over the outer shell has
-    to grow as the window doubles).
+    The floor and the cone are pointwise inequalities, checked as in
+    :func:`validate_scale_pair` on the top table, which holds every level.
+    Coercivity is a window-doubling diagnostic (the minimum of phi over
+    the outer shell has to grow as the window doubles).
     """
     shell_mins = []
-    # condition -> (largest excess over the levels, witness point)
-    worst = dict.fromkeys(("floor_m", "cone_lower", "cone_upper"),
-                          (-np.inf, None))
-
     for radius, pts in doubling_sample_sets(domain, scheme):
         vals = phi.eval(pts)
         if np.any(~np.isfinite(vals)):
             raise ValueError("gauge evaluated to a non-finite value")
         norms = domain.norm_of(pts)
-        Rn = growth.eval(norms)
-
-        for name, excess in (("floor_m", phi.m - vals),
-                             ("cone_lower", phi.gamma * Rn - vals),
-                             ("cone_upper", vals - phi.beta * Rn)):
-            i = int(np.argmax(excess))
-            if excess[i] > worst[name][0]:
-                worst[name] = (float(excess[i]), tuple(pts[i]))
-
         shell = norms >= 0.5 * radius
         shell_mins.append(float(np.min(vals[shell])) if np.any(shell)
                           else float(np.min(vals)))
 
-    checks = [ConditionCheck(name, excess <= tol.tau_abs, max(0.0, excess),
-                             witness)
-              for name, (excess, witness) in worst.items()]
-
+    # the loop ends on the top table: pts, vals and norms are its own
+    Rn = growth.eval(norms)
+    where = tuple(pts.T)
     grew = shell_mins[-1] > shell_mins[0] + tol.tau_abs
-    checks.append(ConditionCheck(
-        "coercive_shell_growth", grew,
-        max(0.0, shell_mins[0] - shell_mins[-1]),
-        (shell_mins[0], shell_mins[-1])))
-
-    return ValidationReport(checks=tuple(checks))
+    return ValidationReport(checks=(
+        _sup_check("floor_m", phi.m - vals, where, tol),
+        _sup_check("cone_lower", phi.gamma * Rn - vals, where, tol),
+        _sup_check("cone_upper", vals - phi.beta * Rn, where, tol),
+        ConditionCheck("coercive_shell_growth", grew,
+                       max(0.0, shell_mins[0] - shell_mins[-1]),
+                       (shell_mins[0], shell_mins[-1])),
+    ))

@@ -250,29 +250,17 @@ class DisplacementEstimate:
         return self.finiteness == "finite"
 
 
-def _ratio_profile(f: Homeo, phi: Gauge, r: ScaleFn, pts: np.ndarray):
-    """Per-point displacement ratios r(|f(x)-x|)/phi(x) over a point set.
-
-    Returns (ratios, kept_points, dropped).  Raises EvaluationError when the
-    map itself produces non-finite values; out-of-domain but finite images
-    are dropped and counted instead.
-    """
-    pts = np.atleast_2d(pts)
+def _kept_images(f: Homeo, pts: np.ndarray) -> tuple:
+    """(kept points, their images, dropped count) of f on ``pts``: a finite
+    image outside the domain by more than 1e-9 * (1 + max |x|) is dropped,
+    and a non-finite one raises EvaluationError."""
     fx = f.forward(pts)
-    if np.any(~np.isfinite(fx)):
-        bad = pts[np.any(~np.isfinite(fx), axis=1)][0]
-        raise EvaluationError(f"map {f.label!r} not finite at {bad}")
-    radius = float(np.max(f.domain.norm_of(pts))) if pts.size else 1.0
+    bad = ~np.all(np.isfinite(fx), axis=1)
+    if np.any(bad):
+        raise EvaluationError(f"map {f.label!r} not finite at {pts[bad][0]}")
+    radius = np.max(f.domain.norm_of(pts), initial=0.0)
     keep = f.domain.contains(fx, slack=1e-9 * (1.0 + radius))
-    dropped = int(pts.shape[0] - np.count_nonzero(keep))
-    kept = pts[keep]
-    if kept.shape[0] == 0:
-        return np.empty(0), kept, dropped
-    num = r.eval(f.domain.norm_of(fx[keep] - kept))
-    den = phi.eval(kept)
-    if np.any(den <= 0) or np.any(~np.isfinite(den)):
-        raise EvaluationError("gauge must be positive and finite on samples")
-    return num / den, kept, dropped
+    return pts[keep], fx[keep], int(pts.shape[0] - np.count_nonzero(keep))
 
 
 def _classify(trace, kappa_div: float, tau_abs: float, rel: float) -> str:
@@ -321,9 +309,10 @@ def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
     """Displacement of f relative to (phi, r) on the sample window.
 
     The identity chain short-circuits to an exact 0 independent of phi, r
-    and the samples.  Otherwise all ratios are evaluated once on the full
-    cumulative sample table and the trace restricts that one profile to the
-    doubling shells, so growth across the trace reflects where the large
+    and the samples.  Otherwise the ratios r(|f(x)-x|)/phi(x) are evaluated
+    once, over the points of the full cumulative sample table that
+    :func:`_kept_images` keeps, and the trace restricts that one profile to
+    the doubling shells, so growth across the trace reflects where the large
     ratios live rather than how finely each window happened to be sampled.
     The growth of the trace decides the finiteness label.
     """
@@ -331,12 +320,18 @@ def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
         trace = tuple((float(rad), 0.0) for rad in doubling_radii(scheme))
         return DisplacementEstimate(0.0, None, "finite", trace, 0)
 
-    ratio, kept, dropped = _ratio_profile(
-        f, phi, r, doubling_sample_sets(f.domain, scheme)[-1][1])
-    trace = _shell_trace(doubling_radii(scheme), ratio, f.domain.norm_of(kept))
-    if ratio.size == 0:
+    kept, fx, dropped = _kept_images(
+        f, doubling_sample_sets(f.domain, scheme)[-1][1])
+    if kept.shape[0] == 0:
+        trace = _shell_trace(doubling_radii(scheme), np.empty(0), np.empty(0))
         return DisplacementEstimate(np.nan, None, "undetermined", trace,
                                     dropped)
+    num = r.eval(f.domain.norm_of(fx - kept))
+    den = phi.eval(kept)
+    if np.any(den <= 0) or np.any(~np.isfinite(den)):
+        raise EvaluationError("gauge must be positive and finite on samples")
+    ratio = num / den
+    trace = _shell_trace(doubling_radii(scheme), ratio, f.domain.norm_of(kept))
     i = int(np.argmax(ratio))
     # the top shell holds every kept point, so a non-finite best ratio makes
     # the trace, and with it the label, undetermined
@@ -381,11 +376,16 @@ def premetric(f: Homeo, g: Homeo, phi: Gauge, r: ScaleFn,
     return PremetricEstimate(rho, left, right, finiteness)
 
 
-def _triangle_coefficients(a: float, b: float, beta: float, gamma: float,
-                           m: float) -> tuple:
+def _triangle_coefficients(phi: Gauge, cross: CrossConstants) -> tuple:
     """Product and affine coefficients (a*beta, b*beta/m + beta/gamma) of
-    the relaxed triangle inequality; the gate constant A is their max."""
-    return a * beta, b * beta / m + beta / gamma
+    the relaxed triangle inequality."""
+    return (cross.a * phi.beta,
+            cross.b * phi.beta / phi.m + phi.beta / phi.gamma)
+
+
+def _gate_constant(phi: Gauge, cross: CrossConstants) -> float:
+    """The gate constant A = max(a*beta, b*beta/m + beta/gamma)."""
+    return max(_triangle_coefficients(phi, cross))
 
 
 def koopman_lambda(disp_value: float, phi: Gauge, cross: CrossConstants) -> float:
@@ -396,8 +396,7 @@ def koopman_lambda(disp_value: float, phi: Gauge, cross: CrossConstants) -> floa
     """
     if not np.isfinite(disp_value):
         raise ValueError("koopman_lambda needs a finite displacement value")
-    product, affine = _triangle_coefficients(cross.a, cross.b, phi.beta,
-                                             phi.gamma, phi.m)
+    product, affine = _triangle_coefficients(phi, cross)
     return product * disp_value + affine
 
 
@@ -417,19 +416,13 @@ class EstimateContext:
     tol: Tolerances = Tolerances()
 
     @property
-    def _coefficients(self) -> tuple:
-        return _triangle_coefficients(self.cross.a, self.cross.b,
-                                      self.phi.beta, self.phi.gamma,
-                                      self.phi.m)
-
-    @property
     def affine_coeff(self) -> float:
         # coefficient of the linear term in the relaxed triangle inequality
-        return self._coefficients[1]
+        return _triangle_coefficients(self.phi, self.cross)[1]
 
     @property
     def product_coeff(self) -> float:
-        return self._coefficients[0]
+        return _triangle_coefficients(self.phi, self.cross)[0]
 
 
 @dataclass(frozen=True)

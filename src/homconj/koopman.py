@@ -20,7 +20,6 @@ from .funcspace import (
     SampleScheme,
     ScaleFn,
     Tolerances,
-    _pair_indices,
     _strided_subset,
     doubling_radii,
     doubling_sample_sets,
@@ -29,6 +28,7 @@ from .homspace import (
     EvaluationError,
     Homeo,
     _classify,
+    _kept_images,
     _shell_trace,
 )
 
@@ -210,10 +210,11 @@ class EigenReport:
     """Pointwise slack of phi(T(x)) - alpha * lam_r(T) * phi(x) over samples.
 
     ``lambda_g``/``min_slack_g`` are None for the single-operator form.
-    The verdict requires both minima to clear -tau_abs.  ``inputs`` is what
-    the gate ran on, (f, g, phi, r, scheme, tol), so a solve handed the
-    report can tell whether it is its own; it takes no part in comparing
-    or printing the report.
+    A minimum is NaN when undefined or when no sample image stays in the
+    domain; the verdict requires both to clear -tau_abs.  ``inputs`` is
+    what the gate ran on, (f, g, phi, r, scheme, tol), so a solve handed
+    the report can tell whether it is its own; it takes no part in
+    comparing or printing the report.
     """
 
     alpha: float
@@ -229,17 +230,16 @@ class EigenReport:
 def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
                    scheme: SampleScheme) -> tuple:
     """Least phi(f(x)) - alpha * lam * phi(x) (a NaN counts as least) over
-    the top table's points x with f(x) in the domain, and the first point
-    attaining it; (inf, None) when none is kept.  Every lower level is a
-    subset of the top table, so this is the least over all levels."""
-    pts = doubling_sample_sets(f.domain, scheme)[-1][1]
-    fx = f.forward(pts)
-    keep = f.domain.contains(fx, slack=1e-9)
-    if not np.any(keep):
-        return np.inf, None
-    slack = phi.eval(fx[keep]) - alpha * lam * phi.eval(pts[keep])
+    the top table's points kept by :func:`homspace._kept_images`, and the
+    first point attaining it; (NaN, None) when none is kept.  Every lower
+    level is a subset of the top table, so this is the least over all."""
+    top = doubling_sample_sets(f.domain, scheme)[-1][1]
+    kept, fx, _ = _kept_images(f, top)
+    if kept.shape[0] == 0:
+        return np.nan, None
+    slack = phi.eval(fx) - alpha * lam * phi.eval(kept)
     i = int(np.argmin(slack))     # np.argmin takes the first NaN as least
-    return float(slack[i]), tuple(pts[keep][i])
+    return float(slack[i]), tuple(kept[i])
 
 
 def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
@@ -248,8 +248,10 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
     """Sampled verification of the generalized eigenvalue gate at alpha > 1.
 
     Pass ``g=None`` for the single-operator form.  One walk over the pair
-    cloud gives lam_r of f and g.  Raises on a divergent r-Lipschitz
-    estimate; an undetermined one yields an unsatisfied report.
+    cloud gives lam_r of f and g.  The slack keeps sample images as
+    :func:`displacement` does, so a map keeping none fails the gate, and a
+    non-finite image raises EvaluationError.  Raises on a divergent
+    r-Lipschitz estimate; an undetermined one yields an unsatisfied report.
     """
     if not alpha > 1.0:
         raise ValueError("the gate needs alpha > 1")
@@ -298,7 +300,8 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
     Convergence is monitored as the sup of successive increments over the
     full sample table (which subsumes the innermost exhaustion compact).
     Returns the map as a closure together with a report carrying the
-    functional residual |psi(f(x)) - multiplier * psi(x)| over the samples.
+    functional residual |psi(f(x)) - multiplier * psi(x)| over the samples
+    and the growth of sup |psi| per doubling, read off its shell trace.
     Raises ConvergenceError when the tabulated iterates blow up or the
     budget runs out, which is what a mis-specified multiplier looks like.
     """
@@ -307,7 +310,6 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
     domain = f.domain
     star = np.atleast_2d(np.asarray(fixed_point, dtype=float))
     pts = doubling_sample_sets(domain, scheme)[-1][1]
-    inner = domain.norm_of(pts) <= scheme.window_radius * (1.0 + 1e-12)
 
     orbit = pts
     psi_prev = (orbit - star) / 1.0
@@ -345,10 +347,10 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
         - multiplier * psi_prev)))
 
     # growth across the window doublings, reported as an exponent only
-    psi_norms = domain.norm_of(psi_prev)
-    sup_inner = float(np.max(psi_norms[inner])) + 1e-300
-    sup_outer = float(np.max(psi_norms)) + 1e-300
-    growth_exponent = float(np.log2(sup_outer / sup_inner) / DOUBLINGS)
+    (_, sup_inner), *_, (_, sup_outer) = _shell_trace(
+        doubling_radii(scheme), domain.norm_of(psi_prev), domain.norm_of(pts))
+    growth_exponent = float(
+        np.log2((sup_outer + 1e-300) / (sup_inner + 1e-300)) / DOUBLINGS)
 
     report = KoenigsReport(
         n_steps=n_star,
@@ -433,13 +435,13 @@ class WanderingReport:
 
 
 def _cloud_stretch(before: np.ndarray, after: np.ndarray, domain: Domain) -> float:
-    n = before.shape[0]
-    i, j = _pair_indices(n, 40_000)
-    sep = domain.norm_of(before[i] - before[j])
+    sub = _strided_subset(before.shape[0], 40_000)
+    before, after = before[sub], after[sub]
+    sep = domain.norm_of(before[:, None] - before[None])
     ok = sep > 0    # drops coincident points, each point with itself too
     if not np.any(ok):
         return 1.0
-    out = domain.norm_of(after[i] - after[j])[ok] / sep[ok]
+    out = domain.norm_of(after[:, None] - after[None])[ok] / sep[ok]
     return float(np.max(out))
 
 

@@ -162,6 +162,9 @@ REJECTED = [
     (_cfg("eigen_check", ("pure_linear", {"scale": 0.1, "lo": 1.0}),
           alpha=1.1), "family.params: unknown key"),
     (_cfg("fk_sweep", epsilons=[0.1, 0.0]), "epsilons: must be positive"),
+    (_cfg("fk_sweep", epsilons=[float("inf")]),
+     "epsilons: must be positive and finite"),
+    (_cfg("fk_sweep", epsilons=[1e-320]), "with a finite reciprocal"),
     (_cfg("fk_sweep", Cs=[1.5]), "Cs: must lie in"),
     (_cfg("fk_sweep", k_max=-1), "k_max: must be >= 0"),
     # tolerances the experiment never reads
@@ -281,6 +284,19 @@ def test_run_fk_sweep_writes_artifacts(tmp_path, capsys):
     assert len(rows) == 2  # one grid cell
     assert not (rd / "trace.csv").exists()
     assert "run directory" in capsys.readouterr().out
+
+
+def test_fk_sweep_near_one_validates_and_runs(tmp_path):
+    # C = 0.99999 tames the envelope only at seed step 1,417,428
+    payload = {"schema": 1, "experiment": "fk_sweep",
+               "options": {"epsilons": [0.1], "Cs": [0.99999], "k_max": 4}}
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
+    record = json.loads(
+        (only_run_dir(tmp_path / "runs") / "record.json").read_text())
+    assert record["results"]["grid"][0]["threshold_n"] == 1_417_427
+    assert record["results"]["all_ok"] is True
 
 
 def test_run_picard_writes_trace(tmp_path):

@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homconj import (
+    CrossConstants,
     Domain,
     DomainMismatchError,
     EstimateContext,
     GateConstants,
+    Gauge,
     PicardContext,
     PremetricEstimate,
     SampleScheme,
@@ -37,6 +39,7 @@ from homconj import (
 
 import homconj.conjugacy as conjugacy_module
 from conftest import bump_member
+from homconj.homspace import _gate_constant
 
 
 def scaling(domain, c):
@@ -58,13 +61,13 @@ def make_ctx(half_dom, sqrt_triple, scheme):
 # ===================================================================
 
 def test_gate_constant_frozen_value():
-    gc = GateConstants(a=1.0, b=1.25, beta=2.0, gamma=0.5, m=1.0,
-                       delta=0.01, C=0.5)
+    phi = Gauge(eval=lambda p: np.ones(len(p)), beta=2.0, gamma=0.5, m=1.0)
+    A = _gate_constant(phi, CrossConstants(a=1.0, b=1.25))
+    gc = GateConstants(A=A, delta=0.01, C=0.5)
     assert gc.A == pytest.approx(6.5, abs=1e-12)
     assert gc.threshold == pytest.approx(1.0 / 6.5, abs=1e-12)
     assert gc.gate_passes
-    tight = GateConstants(a=1.0, b=1.25, beta=2.0, gamma=0.5, m=1.0,
-                          delta=0.2, C=0.5)
+    tight = GateConstants(A=A, delta=0.2, C=0.5)
     assert not tight.gate_passes
 
 
@@ -134,6 +137,34 @@ def test_threshold_tames_the_envelope(epsilon, C):
     assert env.a_m < 1.0
     assert env.tail <= epsilon * (1.0 + 1e-12)
     assert max(env.values) <= 2.0 * epsilon * (1.0 + 1e-12)
+
+
+def scan_threshold(epsilon, C):
+    """Least n whose seed step m = n + 1 gives a_m < 1 and a tail of at
+    most epsilon, by trying m = 1, 2, ... in turn."""
+    m = 1
+    while True:
+        a_m = C ** (m + 1) * (1.0 + 1.0 / epsilon) + C
+        if a_m < 1.0 and C ** m * (epsilon / (1.0 - a_m)
+                                   + 1.0 / (1.0 - C)) <= epsilon:
+            return m - 1
+        m += 1
+
+
+def test_threshold_is_the_linear_scan():
+    # (0.1, 0.9999) needs a seed step past 100,000
+    grid = [(eps, C) for eps in (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0)
+            for C in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995)]
+    for epsilon, C in grid + [(0.1, 0.9999)]:
+        assert envelope_threshold(epsilon, C) == scan_threshold(epsilon, C)
+    assert envelope_threshold(0.1, 0.9999) > 100_000
+
+
+def test_threshold_raises_when_no_step_tames():
+    # 1/epsilon overflows, so a_m is inf, then NaN once C^m underflows:
+    # no seed step tames, and the search stops instead of doubling forever
+    with pytest.raises(ValueError, match="no seed step tames"):
+        envelope_threshold(1e-320, 0.5)
 
 
 def test_threshold_is_minimal():

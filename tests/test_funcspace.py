@@ -24,7 +24,7 @@ from homconj import (
     validate_gauge,
     validate_scale_pair,
 )
-from homconj.funcspace import doubling_radii
+from homconj.funcspace import RadialFn, doubling_radii
 
 
 # ===================================================================
@@ -298,3 +298,67 @@ def test_flat_gauge_fails_cone_and_coercivity(half_dom, scheme):
     names = {c.name: c.passed for c in rep.checks}
     assert not names["cone_lower"]
     assert not names["coercive_shell_growth"]
+
+
+def per_level_gauge_rule(phi, growth, domain, scheme):
+    """name -> (margin, witness) of the pointwise gauge conditions, folded
+    level by level: a level's largest excess replaces the running one only
+    when strictly larger, and the margin is the excess clipped at 0."""
+    worst = dict.fromkeys(("floor_m", "cone_lower", "cone_upper"),
+                          (-np.inf, None))
+    for _, pts in doubling_sample_sets(domain, scheme):
+        vals = phi.eval(pts)
+        rn = growth.eval(domain.norm_of(pts))
+        for name, excess in (("floor_m", phi.m - vals),
+                             ("cone_lower", phi.gamma * rn - vals),
+                             ("cone_upper", vals - phi.beta * rn)):
+            i = int(np.argmax(excess))
+            if excess[i] > worst[name][0]:
+                worst[name] = (float(excess[i]), tuple(pts[i]))
+    return {name: (max(0.0, excess), witness)
+            for name, (excess, witness) in worst.items()}
+
+
+def test_gauge_margins_are_the_per_level_rule(half_dom, scheme):
+    growth = make_growth("sqrt_plus")
+    flat = Gauge(eval=lambda p: np.ones(np.atleast_2d(p).shape[0]),
+                 beta=2.0, gamma=0.5, m=1.0, label="flat")
+    # the shipped gauge, except 1/2 < m at one point first sampled at the
+    # second level
+    levels = doubling_sample_sets(half_dom, scheme)
+    dip = float(np.setdiff1d(levels[1][1][:, 0], levels[0][1][:, 0])[3])
+    sqrt_gauge = builtin_triple("sqrt_plus", half_dom)[3]
+    dipped = Gauge(eval=lambda p: np.where(
+        np.atleast_2d(p)[:, 0] == dip, 0.5, sqrt_gauge.eval(p)),
+        beta=2.0, gamma=0.5, m=1.0, label="dipped")
+    for phi in (flat, dipped):
+        rep = validate_gauge(phi, growth, half_dom, scheme)
+        for name, (margin, witness) in per_level_gauge_rule(
+                phi, growth, half_dom, scheme).items():
+            check = next(c for c in rep.checks if c.name == name)
+            assert check.margin == margin
+            assert check.passed == (margin == 0.0)
+            assert check.witness == witness
+    rep = validate_gauge(dipped, growth, half_dom, scheme)
+    assert rep.margin_of("floor_m") == 0.5
+    assert next(c for c in rep.checks if c.name == "floor_m").witness == (dip,)
+
+
+def test_nan_growth_fails_the_cone_with_nan_margins(half_dom, scheme):
+    # R is NaN beyond u = 30, so both cone conditions are undefined there:
+    # each fails, and its margin is NaN, not the clean 0.0
+    nan_growth = RadialFn(lambda u: np.where(
+        np.asarray(u) > 30.0, np.nan, np.sqrt(u) + 1.0), "nan_beyond_30")
+    phi = builtin_triple("sqrt_plus", half_dom)[3]
+    rep = validate_gauge(phi, nan_growth, half_dom, scheme)
+    for name in ("cone_lower", "cone_upper"):
+        check = next(c for c in rep.checks if c.name == name)
+        assert not check.passed and np.isnan(check.margin)
+        assert check.witness[0] > 30.0
+    assert rep.margin_of("floor_m") == 0.0
+
+    pair = validate_scale_pair(nan_growth, make_scale("identity"),
+                               CrossConstants(a=1.0, b=1.25), scheme)
+    for name in ("R_positive", "R_subadditive", "cross_bound"):
+        check = next(c for c in pair.checks if c.name == name)
+        assert not check.passed and np.isnan(check.margin)

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from homconj import (
+    Domain,
     DomainMismatchError,
     EstimateContext,
     EvaluationError,
     SampleScheme,
     ball_inside_ball_radius,
+    builtin_triple,
     check_relaxed_triangle,
     compact_convergence_distance,
     compose,
     displacement,
+    doubling_sample_sets,
     group_membership,
     identity,
     invert,
@@ -198,6 +201,26 @@ def test_displacement_raises_on_nonfinite_map(half_dom, sqrt_triple, scheme):
                     lambda p: p, "blowup")
     with pytest.raises(EvaluationError, match="'blowup' not finite"):
         displacement(bad, phi, r, scheme)
+
+
+@pytest.mark.parametrize("shift", [1.0, 100.0])
+def test_displacement_drops_images_outside_the_domain(shift):
+    # x + shift on [-10, 10]: a sample whose image lies beyond 10 by more
+    # than 1e-9 * (1 + the largest sample norm) is dropped and counted;
+    # with every sample dropped the estimate is undetermined
+    box = Domain(dim=1, region="box", bounds=((-10.0, 10.0),))
+    _, r, _, phi = builtin_triple("sqrt_plus", box)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=11)
+    top = doubling_sample_sets(box, scheme)[-1][1]
+    slack = 1e-9 * (1.0 + np.max(np.abs(top)))
+    est = displacement(translation(box, shift), phi, r, scheme)
+    assert est.dropped == np.count_nonzero(top[:, 0] + shift > 10.0 + slack)
+    if est.dropped == top.shape[0]:
+        assert est.finiteness == "undetermined" and np.isnan(est.value)
+        assert np.all(np.isnan([v for _, v in est.window_trace]))
+    else:
+        assert 0 < est.dropped and est.finite
+        assert est.argmax_point[0] + shift <= 10.0
 
 
 # ===================================================================

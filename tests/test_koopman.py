@@ -16,6 +16,7 @@ from homconj import (
     build_perturbed_linear,
     build_pure_linear,
     build_translation,
+    builtin_triple,
     check_p_alpha,
     identity,
     invert,
@@ -31,7 +32,6 @@ from homconj import (
 from homconj.families import BumpSpec
 from homconj.funcspace import (
     RadialFn,
-    _pair_indices,
     _strided_subset,
     doubling_radii,
     doubling_sample_sets,
@@ -94,7 +94,8 @@ def reference_r_lipschitz(f, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
     cloud = np.concatenate([pts, partners[keep]], axis=0)
     cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
     cloud = cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
-    i, j = _pair_indices(cloud.shape[0], cloud.shape[0] ** 2)
+    n = cloud.shape[0]
+    i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     x, y = cloud[i], cloud[j]
     raw = domain.norm_of(x - y)
     shell = np.maximum(domain.norm_of(x), domain.norm_of(y))
@@ -553,6 +554,32 @@ def test_gate_rejects_alpha_at_most_one(bundle_025, scheme):
                       1.0, scheme)
 
 
+def test_gate_that_keeps_no_image_is_undetermined():
+    # every image of x -> x + 100 leaves [-10, 10]: an empty sample
+    # certifies nothing, so the slack is NaN and the gate does not pass
+    box = Domain(dim=1, region="box", bounds=((-10.0, 10.0),))
+    _, r, _, phi = builtin_triple("sqrt_plus", box)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=11)
+    rep = check_p_alpha(build_translation([100.0], box), None, phi, r, 1.5,
+                        scheme)
+    assert np.isfinite(rep.lambda_f)
+    assert np.isnan(rep.min_slack_f) and rep.worst_point is None
+    assert not rep.satisfied
+
+
+def test_gate_raises_on_a_non_finite_image_the_pair_cloud_skips(
+        half_dom, sqrt_triple, scheme):
+    # x/2 but +inf at the top table's second row, which the strided pair
+    # cloud leaves out: lam_r is finite, and the slack sees the spike
+    _, r, _, phi = sqrt_triple
+    spike = doubling_sample_sets(half_dom, scheme)[-1][1][1, 0]
+    assert spike not in _pair_cloud(half_dom, scheme, PAIR_CAP)
+    f = primitive(half_dom, lambda p: np.where(p == spike, np.inf, 0.5 * p),
+                  lambda p: 2.0 * p, "x/2 with a spike")
+    with pytest.raises(EvaluationError, match="not finite"):
+        check_p_alpha(f, None, phi, r, 1.2, scheme)
+
+
 # ===================================================================
 # linearization at a fixed point
 # ===================================================================
@@ -584,6 +611,21 @@ def test_koenigs_residual_reuses_the_orbit(scheme, eta):
     pts = doubling_sample_sets(g.domain, scheme)[-1][1]
     written_out = float(np.max(np.abs(psi(g.forward(pts)) - eta * psi(pts))))
     assert rep.residual == written_out
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5])
+def test_koenigs_growth_exponent_is_the_window_sup_ratio(scheme, eta):
+    # log2 of sup |psi| over the last doubling over sup |psi| over the
+    # window, per doubling, with the window cut written out
+    g = build_contraction_pair(eta).g
+    psi, rep = koenigs_eigenfunction(g, np.zeros(1), eta, scheme)
+    pts = doubling_sample_sets(g.domain, scheme)[-1][1]
+    norms = g.domain.norm_of(psi(pts))
+    window = g.domain.norm_of(pts) <= scheme.window_radius * (1.0 + 1e-9)
+    sup_window = float(np.max(norms[window])) + 1e-300
+    sup_outer = float(np.max(norms)) + 1e-300
+    assert rep.growth_exponent == float(np.log2(sup_outer / sup_window) / 3)
+    assert 0.5 < rep.growth_exponent < 1.5
 
 
 def test_koenigs_wrong_multiplier_blows_up(half_dom, scheme):
