@@ -265,6 +265,8 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
                     output_dir=output_dir, options=options)
     for violated, problem in exp.checks:
         if violated(cfg):
+            if callable(problem):
+                problem = problem(cfg)
             raise ConfigError(f"{source}.{problem}")
     return cfg
 
@@ -537,7 +539,8 @@ class Experiment:
     ``tolerances`` names the ``Tolerances`` fields the runner reads; a
     config may set only those.  ``checks`` cover what the option types
     cannot express.  They run at parse time, so the runner gets typed
-    values and re-checks nothing.
+    values and re-checks nothing.  A problem is text, or a function of the
+    config that writes it.
     """
 
     run: Callable[[RunConfig], Outcome]
@@ -566,6 +569,19 @@ def _in_range(option: str, ok: Callable, expected: str) -> tuple:
         vals = val if isinstance(val, (list, tuple)) else [val]
         return val is not None and not all(ok(v) for v in vals)
     return violated, f"options.{option}: {expected}"
+
+
+def _untamed(cfg: RunConfig) -> str | None:
+    """Why the first (epsilon, C) of the grid that no seed step tames
+    fails, or None.  The runner calls ``envelope_threshold`` on every pair;
+    an epsilon so large that epsilon / (1 - a_m) overflows fails it."""
+    for eps in cfg.options["epsilons"]:
+        for c in cfg.options["Cs"]:
+            try:
+                envelope_threshold(eps, c)
+            except ValueError as e:
+                return f"options.epsilons: {e}"
+    return None
 
 
 _ALPHA = _in_range("alpha", lambda a: a > 1.0, "must exceed 1")
@@ -637,7 +653,8 @@ _EXPERIMENTS = {
         _in_range("epsilons", lambda e: 0.0 < e < np.inf and 1.0 / e < np.inf,
                   "must be positive and finite, with a finite reciprocal"),
         _in_range("Cs", lambda c: 0.0 < c < 1.0, "must lie in (0, 1)"),
-        _in_range("k_max", lambda k: k >= 0, "must be >= 0"))),
+        _in_range("k_max", lambda k: k >= 0, "must be >= 0"),
+        (lambda c: _untamed(c) is not None, _untamed))),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)

@@ -17,6 +17,7 @@ closures are trusted on this point.
 """
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -389,15 +390,27 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
 
 
 # Sample tables are memoized per (Domain, SampleScheme).  A Picard run
-# asks for the same few tables dozens of times, and the chain memo of
-# homspace keys its work on the identity of these arrays.  Tables of a
-# 2-d window hold a few thousand rows, so 64 keys stay small.
+# asks for the same few tables dozens of times, and homspace caches the
+# chain images of these arrays, keyed on their identity, in its run memo
+# and its process memo.  Tables of a 2-d window hold a few thousand rows,
+# so 64 keys stay small; an image cached on a table the LRU dropped keeps
+# that table alive until the image is evicted too.
 _TABLE_CACHE_SIZE = 64
+
+# id -> every table handed out and still alive.  A read-only flag alone
+# does not mark a table: a read-only view of a writable array can change.
+_TABLES = weakref.WeakValueDictionary()
 
 
 def _read_only(pts: np.ndarray) -> np.ndarray:
     pts.flags.writeable = False
+    _TABLES[id(pts)] = pts
     return pts
+
+
+def _is_table(pts: np.ndarray) -> bool:
+    """Whether ``pts`` is itself a sample table this module handed out."""
+    return _TABLES.get(id(pts)) is pts
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -567,12 +580,14 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
     # the loop ends on the top table: pts, vals and norms are its own
     Rn = growth.eval(norms)
     where = tuple(pts.T)
-    grew = shell_mins[-1] > shell_mins[0] + tol.tau_abs
+    # the shortfall of the outer minimum against the growth it must show,
+    # so the margin is positive exactly when the check fails
+    shortfall = shell_mins[0] + tol.tau_abs - shell_mins[-1]
     return ValidationReport(checks=(
         _sup_check("floor_m", phi.m - vals, where, tol),
         _sup_check("cone_lower", phi.gamma * Rn - vals, where, tol),
         _sup_check("cone_upper", vals - phi.beta * Rn, where, tol),
-        ConditionCheck("coercive_shell_growth", grew,
-                       max(0.0, shell_mins[0] - shell_mins[-1]),
+        ConditionCheck("coercive_shell_growth", shortfall < 0,
+                       max(0.0, shortfall),
                        (shell_mins[0], shell_mins[-1])),
     ))

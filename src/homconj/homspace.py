@@ -10,20 +10,31 @@ parts are always computed from the composed map, never combined from
 separate per-factor estimates, because separate estimates can both be
 infinite while the composition is the identity.
 
-Chain memo.  Picard iterates h_n = f^n∘h0∘g^-n share long right-hand
-suffixes, and one run evaluates them on a few fixed sample tables.  While
-a memo is open (for one ``picard_solve`` or ``negative_iterates_bound``
-call; a nested call shares the outer memo), ``Homeo.forward`` walks the
-chain right to left and looks each step up by (input identity, step), so
-every suffix image, such as g^-k(P), is computed once and reused by later
-steps.  An entry holds its input, so no other array can take over that
-identity while the entry lives.  A cached image is the same atom call
-that an uncached walk makes, so every number is bit for bit what it would
-be without the memo.  The memo keeps at most ``_MEMO_BYTES`` of images,
-least recently used out first; an evicted image is recomputed by the same
-calls, so eviction changes no number either.  Cached images are shared,
-so they are read-only; atoms must not write to their input.  With no
-memo open, ``forward`` walks the chain and caches nothing.
+Chain memos.  ``Homeo.forward`` walks a chain right to left.  Under a
+memo it looks each step up by (input identity, step), so a suffix image
+such as g^-k(P) is computed once and reused by every later walk that
+passes through it.  There are two lifetimes:
+
+* the run memo, which ``picard_solve`` and ``negative_iterates_bound``
+  open for one call (a nested call shares the outer memo).  Picard iterates
+  h_n = f^n∘h0∘g^-n share long right-hand suffixes, and every walk of the
+  run, from any root array, goes through it.  Its images are dropped when
+  the run ends, so the orbits of a finished run do not stay resident.
+* the process memo, which every walk uses while no run memo is open,
+  provided its root array is a sample table that ``funcspace`` handed out
+  (``doubling_sample_sets`` and ``exhaustion_sets``).  Premetrics that
+  share a factor g then compute g^-1(P) and g(P) once.  Any other root,
+  a writable array or a read-only view of one included, is walked plainly
+  and nothing is cached, since its values could change under the cache.
+
+An entry holds its input and its step, so no other array or atom can take
+over that identity while the entry lives.  A cached image is the same atom
+call that an uncached walk makes, so every number is bit for bit what it
+would be without a memo.  Each memo keeps at most ``_MEMO_BYTES`` of
+images, least recently used out first; an evicted image is recomputed by
+the same calls, so eviction changes no number either.  Cached images are
+shared, so they are read-only; atoms must not write to their input.  The
+memos are not locked: the package is single-threaded.
 """
 
 from collections import OrderedDict
@@ -41,6 +52,7 @@ from .funcspace import (
     SampleScheme,
     ScaleFn,
     Tolerances,
+    _is_table,
     doubling_radii,
     doubling_sample_sets,
     exhaustion_sets,
@@ -112,6 +124,8 @@ class Homeo:
     def forward(self, pts: np.ndarray) -> np.ndarray:
         out = np.atleast_2d(np.asarray(pts, dtype=float))
         memo = _MEMO.get()
+        if memo is None and _is_table(out):
+            memo = _PROCESS_MEMO
         if memo is not None:
             return memo.forward(self.chain, out)
         for step in reversed(self.chain):
@@ -170,11 +184,12 @@ class _ChainMemo:
 
 
 _MEMO = ContextVar("homconj_chain_memo", default=None)
+_PROCESS_MEMO = _ChainMemo()
 
 
 @contextmanager
 def _chain_memo():
-    """Open a chain memo for the enclosed block, or share the open one."""
+    """Open a run memo for the enclosed block, or share the open one."""
     if _MEMO.get() is not None:
         yield
         return

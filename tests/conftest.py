@@ -14,6 +14,7 @@ from homconj import (
     builtin_triple,
     primitive,
 )
+from homconj import homspace
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,14 @@ def scheme_fast():
     # light sampling for the bulk statistical checks
     return SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                         quasirandom_count=8, exhaustion_levels=2)
+
+
+@pytest.fixture
+def process_memo(monkeypatch):
+    """An empty process memo of homspace, in place for one test."""
+    memo = homspace._ChainMemo()
+    monkeypatch.setattr(homspace, "_PROCESS_MEMO", memo)
+    return memo
 
 
 @pytest.fixture(scope="session")

@@ -167,6 +167,9 @@ REJECTED = [
     (_cfg("fk_sweep", epsilons=[1e-320]), "with a finite reciprocal"),
     (_cfg("fk_sweep", Cs=[1.5]), "Cs: must lie in"),
     (_cfg("fk_sweep", k_max=-1), "k_max: must be >= 0"),
+    # epsilon / (1 - a_m) overflows at every m for (1e308, 0.5), not at 0.3
+    (_cfg("fk_sweep", epsilons=[0.1, 1e308], Cs=[0.3, 0.5], k_max=4),
+     r"epsilons: no seed step tames 1e\+308 at C 0.5"),
     # tolerances the experiment never reads
     (_with_tol(_cfg("eigen_check", PAIR), tau_tri=5.0, tol_conj=0.5),
      r"tolerances: unknown key\(s\) 'tau_tri', 'tol_conj'"),

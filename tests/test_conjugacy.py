@@ -489,6 +489,23 @@ def test_picard_leaves_no_chain_memo_open(bundle_025, scheme_fast):
     assert_closed()
 
 
+def test_picard_leaves_the_process_memo_as_it_was(bundle_025, scheme_fast,
+                                                  process_memo):
+    # the run memo holds every image of the run and drops it at the end;
+    # none reaches the process memo, so a run pins nothing after it ends
+    b = bundle_025
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme_fast)
+    entries, nbytes = dict(process_memo.entries), process_memo.nbytes
+    assert entries
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    res = picard_solve(b.f, b.g, b.g, PicardContext(
+        est=est, alpha=b.alpha, eigen_report=eigen))
+    assert res.converged
+    assert process_memo.entries == entries
+    assert process_memo.nbytes == nbytes
+
+
 def test_estimate_context_on_another_domain_is_rejected(bundle_025,
                                                        sqrt_triple,
                                                        scheme_fast):

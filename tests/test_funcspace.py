@@ -298,6 +298,13 @@ def test_flat_gauge_fails_cone_and_coercivity(half_dom, scheme):
     names = {c.name: c.passed for c in rep.checks}
     assert not names["cone_lower"]
     assert not names["coercive_shell_growth"]
+    # the shell minima are both 1, so the growth falls short by tau_abs
+    tau_abs = Tolerances().tau_abs
+    assert rep.margin_of("coercive_shell_growth") == 1.0 + tau_abs - 1.0
+    shipped = validate_gauge(builtin_triple("sqrt_plus", half_dom)[3],
+                             growth, half_dom, scheme)
+    assert shipped.passed
+    assert shipped.margin_of("coercive_shell_growth") == 0.0
 
 
 def per_level_gauge_rule(phi, growth, domain, scheme):

@@ -164,6 +164,88 @@ def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
                 assert memo.nbytes <= 5 * pts.nbytes
 
 
+def test_process_memo_caches_sample_tables_only(half_dom, scheme_fast,
+                                                process_memo):
+    f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
+    base = sample_points(half_dom, scheme_fast)
+    view = base.view()
+    view.flags.writeable = False
+    for pts in (base, view):
+        before = f.forward(pts)
+        base += 0.5         # moves the view's values too
+        after = f.forward(pts)
+        assert not process_memo.entries
+        assert after.tobytes() == f.forward(base.copy()).tobytes()
+        assert after.tobytes() != before.tobytes()
+    table = doubling_sample_sets(half_dom, scheme_fast)[-1][1]
+    f.forward(table.view())
+    assert not process_memo.entries
+    assert f.forward(table) is f.forward(table)
+    assert len(process_memo.entries) == 1
+
+
+def _pool_premetrics(domain, triple, scheme):
+    """rho(f, g) over a seeded pool of f, all against one bump map g whose
+    atom counts the times it walks the top table, in either direction."""
+    _, r, _, phi = triple
+    g = bump_member(domain, 3.0, 0.5, 0.2, "g")
+    table = doubling_sample_sets(domain, scheme)[-1][1]
+    atom, calls = g.chain[0][0], []
+    for name in ("fwd", "inv"):
+        closure = getattr(atom, name)
+
+        def counted(p, closure=closure, name=name):
+            calls.extend([name] if p is table else [])
+            return closure(p)
+        setattr(atom, name, counted)
+    pool = seeded_members(domain, 6, seed=5)
+    return [premetric(f, g, phi, r, scheme) for f in pool], calls
+
+
+def test_premetrics_sharing_g_walk_g_on_the_table_once(
+        half_dom, sqrt_triple, scheme_fast, process_memo):
+    rhos, calls = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
+    assert all(est.finite for est in rhos)
+    assert sorted(calls) == ["fwd", "inv"]      # g(P) and g^-1(P) once each
+
+
+def test_process_memo_changes_no_rho(half_dom, sqrt_triple, scheme_fast,
+                                     process_memo, monkeypatch):
+    cached, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
+    assert process_memo.entries
+
+    def copied_tables(domain, scheme):
+        return tuple((radius, pts.copy())
+                     for radius, pts in doubling_sample_sets(domain, scheme))
+
+    monkeypatch.setattr(homspace, "doubling_sample_sets", copied_tables)
+    entries = dict(process_memo.entries)
+    plain, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
+    assert process_memo.entries == entries
+    for c, p in zip(cached, plain):
+        assert repr((c.rho, c.left, c.right)) == repr((p.rho, p.left, p.right))
+        for side in ("left", "right"):
+            assert getattr(c, side).argmax_point.tobytes() \
+                == getattr(p, side).argmax_point.tobytes()
+
+
+def test_process_memo_stays_within_its_bound(half_dom, sqrt_triple,
+                                             scheme_fast, process_memo,
+                                             monkeypatch):
+    _, r, _, phi = sqrt_triple
+    cap = 5 * doubling_sample_sets(half_dom, scheme_fast)[-1][1].nbytes
+    monkeypatch.setattr(homspace, "_MEMO_BYTES", cap)
+    pool = seeded_members(half_dom, 6, seed=5)
+    for f in pool:
+        for g in pool:
+            premetric(f, g, phi, r, scheme_fast)
+            live = process_memo.entries.values()
+            assert process_memo.nbytes == sum(im.nbytes for _, im in live)
+            assert process_memo.nbytes <= cap
+    # 30 pairs walk two chains of two steps each, so most images were evicted
+    assert process_memo.nbytes == cap
+
+
 # ===================================================================
 # displacement
 # ===================================================================
