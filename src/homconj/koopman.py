@@ -98,7 +98,8 @@ def _near_partners(pts: np.ndarray, domain: Domain, seed: int) -> np.ndarray:
 
 
 # Cloud rows per block of the pair walk: a block pairs its rows with every
-# later row, so it holds at most this many times the cloud's rows of pairs.
+# row after its first, densely, so it holds at most this many times the
+# cloud's rows of cells; a mask keeps the pairs the sup runs over.
 _BLOCK_ROWS = 64
 
 
@@ -144,28 +145,29 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
     for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
         raw = domain.fold_norm(_later(cloud, lo, hi))
+        sep = r.eval(raw)
         # below ~1e-9 relative separation the quotient measures evaluation
         # rounding, not the map; the deliberate near-partner blocks stay
         # three orders of magnitude above this floor.  triu keeps j > i.
-        ok = np.triu(raw > _SEP_FLOOR * (1.0 + norms[lo + 1:]))
-        sep = r.eval(raw[ok])
-        ok[ok] = sep > 0
-        sep = sep[sep > 0]
-        if sep.shape[0] == 0:
+        ok = (raw > _SEP_FLOOR * (1.0 + norms[lo + 1:])) & (sep > 0)
+        ok[:, :hi - lo] = np.triu(ok[:, :hi - lo])
+        if not ok.any():
             continue
-        kept += sep.shape[0]
+        kept += np.count_nonzero(ok)
         seen[lo + 1:] |= ok.any(axis=0)
         block = np.full(ok.shape, -np.inf)
         for m, fc in enumerate(images):
-            ratio = r.eval(domain.fold_norm(_later(fc, lo, hi))[ok]) / sep
-            block[ok] = ratio
+            np.divide(r.eval(domain.fold_norm(_later(fc, lo, hi))), sep,
+                      out=block, where=ok)
             columns[m, lo + 1:] = np.maximum(columns[m, lo + 1:], block.max(0))
             # np.argmax takes the first NaN as the maximum; so does the fold
-            k = int(np.argmax(ratio))
+            k = int(np.argmax(block))
+            if not ok.flat[k]:      # a masked -inf cell ties every kept one
+                k = int(np.argmax(ok))
             value, pair = best[m]
-            if pair is None or not (np.isnan(value) or ratio[k] <= value):
-                row, col = divmod(int(np.flatnonzero(ok)[k]), ok.shape[1])
-                best[m] = (float(ratio[k]),
+            if pair is None or not (np.isnan(value) or block.flat[k] <= value):
+                row, col = divmod(k, ok.shape[1])
+                best[m] = (float(block.flat[k]),
                            tuple(cloud[[lo + row, lo + 1 + col]]))
 
     radii = doubling_radii(scheme)
@@ -191,12 +193,16 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
     so trace growth reflects where the steep pairs live.  Degenerate pairs
     (closer than the separation floor, or at zero scale separation) are
     skipped.  f runs once on the cloud, all of whose images must be finite,
-    and the pairs are walked in row blocks with nothing cached.  Every
-    quantity is symmetric in the pair, so each unordered pair is visited
-    once: the witness, the first row-major maximizer over i < j in norm
-    order, is the first over all (i, j), and ``pair_count`` counts both
-    orders.  Classification follows the same three-doubling growth rule as
-    displacement; a NaN value is undetermined.
+    and the pairs are walked in row blocks with nothing cached.  Each block
+    is evaluated densely and masked: r runs on every cell of the block, 0
+    and separations below the floor included, so r must be defined on all
+    of [0, inf); a masked cell never reaches the sup, the witness or the
+    count, whatever r returns there.  Every quantity is symmetric in the
+    pair, so each unordered pair is visited once: the witness, the first
+    row-major maximizer over i < j in norm order, is the first over all
+    (i, j), and ``pair_count`` counts both orders.  Classification follows
+    the same three-doubling growth rule as displacement; a NaN value is
+    undetermined.
     """
     return _r_lipschitz((f,), r, scheme, tol, pair_cap)[0]
 
@@ -447,7 +453,11 @@ def _cloud_stretch(before: np.ndarray, after: np.ndarray, domain: Domain) -> flo
 
 def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
                     nu: int, n_max: int) -> WanderingReport:
-    """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max."""
+    """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max.
+
+    Raises EvaluationError naming the first iterate that is not finite: a
+    NaN radius or distance compares false, and would read as wandering.
+    """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if n_max < nu:
@@ -457,8 +467,11 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     clouds = [cloud]
     radii = [float(covering_radius)]
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
         nxt = f.forward(clouds[-1])
+        if not np.all(np.isfinite(nxt)):
+            raise EvaluationError(
+                f"map {f.label!r} not finite on iterate {n} of the cloud")
         stretch = _cloud_stretch(clouds[-1], nxt, domain)
         clouds.append(nxt)
         radii.append(radii[-1] * max(stretch, 1e-12))

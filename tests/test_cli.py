@@ -421,6 +421,23 @@ def test_a_crashing_run_still_writes_its_record(tmp_path, capsys,
         in capsys.readouterr().out
 
 
+def test_a_wandering_cloud_that_overflows_is_an_error(tmp_path, capsys):
+    # x + 1e308 overflows on the second iterate; the inf cloud would
+    # otherwise read as wandering, with min_separation inf and exit 0
+    cfg = write_cfg(tmp_path, _cfg(
+        "wandering", ("translation", {"offset": 1e308}), cloud=[1.0, 1.1, 1.2],
+        covering_radius=0.01, nu=1, n_max=3))
+    assert main(["validate", cfg]) == 0
+    with np.errstate(over="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 1
+    assert "EvaluationError" in capsys.readouterr().err
+    record = json.loads(
+        (only_run_dir(tmp_path / "runs") / "record.json").read_text())
+    assert record["meta"]["error"]["type"] == "EvaluationError"
+    assert "iterate 2" in record["meta"]["error"]["message"]
+    assert "results" not in record
+
+
 def test_a_failed_write_still_leaves_a_record(tmp_path, capsys,
                                              monkeypatch):
     # the CSV writer fails after the header: the record must say so, not

@@ -154,6 +154,26 @@ def _reference_cases():
                       sqrt_r, light, PAIR_CAP))
     cases.append(("translation-2d", build_translation([1.0, -0.5]), sqrt_r,
                   light, PAIR_CAP))
+    # the walk evaluates r on every cell of a block, u = 0 included: a
+    # scale that is NaN there, or that vanishes above the separation floor,
+    # must leave the masked cells out of the sup, the witness and the count
+    nan_at_0 = RadialFn(lambda u: np.where(u > 0.0, u, np.nan), "nan_at_0")
+    zero_near_0 = RadialFn(lambda u: np.maximum(u - 0.05, 0.0), "zero_near_0")
+    for r in (nan_at_0, zero_near_0):
+        cases += [(f"pair0.25-g-{r.kind}", build_contraction_pair(0.25).g, r,
+                   SampleScheme(window_radius=8.0), PAIR_CAP),
+                  (f"lozi-{r.kind}", build_lozi(1.4, 0.3), r, light,
+                   PAIR_CAP)]
+    # every kept ratio is -inf, as is every masked cell: r is -inf beyond
+    # 100, f stretches every separation past it, and r vanishing below
+    # 0.05 masks the first cell of most blocks; the witness is still the
+    # first kept pair
+    stretch = primitive(Domain(dim=1, region="half_line"),
+                        lambda p: 1e12 * p, lambda p: p / 1e12, "1e12x")
+    minus_inf = RadialFn(lambda u: np.where(
+        u <= 100.0, np.maximum(u - 0.05, 0.0), -np.inf), "minus_inf")
+    cases.append(("stretch-minus_inf", stretch, minus_inf,
+                  SampleScheme(window_radius=8.0), PAIR_CAP))
     return cases
 
 
@@ -713,6 +733,16 @@ def test_wandering_rejects_n_max_below_nu():
         wandering_check(f, cloud, covering_radius=0.5, nu=3, n_max=2)
     assert wandering_check(f, cloud, covering_radius=0.5, nu=1,
                            n_max=1).verdict == "collision"
+
+
+def test_wandering_raises_on_an_iterate_that_is_not_finite():
+    # f is NaN beyond 1.6, so the second iterate of the cloud is NaN: its
+    # radius and its distances would compare false and read as wandering
+    f = primitive(Domain(dim=1), lambda p: np.where(p > 1.6, np.nan, p + 1.0),
+                  lambda p: p - 1.0, "nan_beyond_1.6")
+    cloud = (0.5 + 0.05 * np.arange(16)).reshape(-1, 1)
+    with pytest.raises(EvaluationError, match="not finite on iterate 2 "):
+        wandering_check(f, cloud, covering_radius=0.025, nu=1, n_max=6)
 
 
 def test_periodic_obstruction_both_directions():
