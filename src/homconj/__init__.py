@@ -45,17 +45,15 @@ from .funcspace import (
     CrossConstants,
     Domain,
     Gauge,
-    GrowthFn,
+    RadialFn,
     SampleScheme,
-    ScaleFn,
     Tolerances,
     ValidationReport,
     builtin_triple,
     doubling_sample_sets,
     exhaustion_sets,
     gauge_from_growth,
-    make_growth,
-    make_scale,
+    make_radial,
     sample_points,
     validate_gauge,
     validate_scale_pair,

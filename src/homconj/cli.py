@@ -115,7 +115,14 @@ def _check_keys(obj: dict, path: str, allowed, required=()):
 def _number(val, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
-    return float(val)
+    # Python's json reads NaN, Infinity and integers past the float range
+    try:
+        out = float(val)
+    except OverflowError:
+        out = np.inf
+    if not np.isfinite(out):
+        raise ConfigError(f"{path}: not finite, got {val!r}")
+    return out
 
 
 def _integer(val, path: str) -> int:
@@ -650,8 +657,8 @@ _EXPERIMENTS = {
                     (0.3, 0.5, 0.9)),
         "k_max": Param("integer", "envelope steps", 64),
     }, ("tau_env",), (
-        _in_range("epsilons", lambda e: 0.0 < e < np.inf and 1.0 / e < np.inf,
-                  "must be positive and finite, with a finite reciprocal"),
+        _in_range("epsilons", lambda e: 0.0 < e and 1.0 / e < np.inf,
+                  "must be positive, with a finite reciprocal"),
         _in_range("Cs", lambda c: 0.0 < c < 1.0, "must lie in (0, 1)"),
         _in_range("k_max", lambda k: k >= 0, "must be >= 0"),
         (lambda c: _untamed(c) is not None, _untamed))),

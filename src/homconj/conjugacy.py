@@ -27,6 +27,7 @@ from .homspace import (
     MembershipVerdict,
     _chain_memo,
     _gate_constant,
+    _images,
     compose,
     group_membership,
     invert,
@@ -256,8 +257,9 @@ def conjugacy_residual(f: Homeo, g: Homeo, h: Homeo, ctx: EstimateContext) -> fl
     """
     _check_domains(ctx, f, g, h)
     pts = doubling_sample_sets(ctx.domain, ctx.scheme)[-1][1]
-    gx = g.forward(pts)
-    num = ctx.r.eval(ctx.domain.norm_of(f.forward(h.forward(pts)) - h.forward(gx)))
+    gx = _images(g, pts)
+    fhx = _images(f, _images(h, pts), "images of h")
+    num = ctx.r.eval(ctx.domain.norm_of(fhx - _images(h, gx, "images of g")))
     return float(np.max(num / ctx.phi.eval(gx)))
 
 

@@ -25,8 +25,6 @@ import numpy as np
 
 __all__ = [
     "RadialFn",
-    "ScaleFn",
-    "GrowthFn",
     "CrossConstants",
     "Gauge",
     "Domain",
@@ -35,8 +33,6 @@ __all__ = [
     "ConditionCheck",
     "ValidationReport",
     "make_radial",
-    "make_scale",
-    "make_growth",
     "gauge_from_growth",
     "builtin_triple",
     "BUILTIN_TRIPLE_NAMES",
@@ -83,9 +79,6 @@ class RadialFn:
     kind: str = "user_closure"
 
 
-ScaleFn = GrowthFn = RadialFn
-
-
 @dataclass(frozen=True)
 class CrossConstants:
     """Constants (a, b) of the cross bound R(u) <= a*r(u) + b."""
@@ -110,9 +103,6 @@ def make_radial(kind: str) -> RadialFn:
     if kind not in _BUILTIN_EVALS:
         raise ValueError(f"unknown scale or growth kind {kind!r}")
     return RadialFn(eval=_BUILTIN_EVALS[kind], kind=kind)
-
-
-make_scale = make_growth = make_radial
 
 
 # ---------------------------------------------------------------------------

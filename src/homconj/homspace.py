@@ -49,8 +49,8 @@ from .funcspace import (
     CrossConstants,
     Domain,
     Gauge,
+    RadialFn,
     SampleScheme,
-    ScaleFn,
     Tolerances,
     _is_table,
     doubling_radii,
@@ -232,10 +232,22 @@ def compose(f: Homeo, g: Homeo) -> Homeo:
     return Homeo(domain=f.domain, chain=chain, label=label)
 
 
+def _images(f: Homeo, pts: np.ndarray, on: str = "samples") -> np.ndarray:
+    """f(pts), or EvaluationError naming the map, ``on`` and the first row
+    of ``pts`` whose image is not finite: the one finiteness rule of every
+    estimator, since a NaN compares false with every threshold."""
+    fx = f.forward(pts)
+    bad = ~np.all(np.isfinite(fx), axis=1)
+    if bad.any():
+        raise EvaluationError(
+            f"map {f.label!r} not finite on {on} at {pts[bad][0]}")
+    return fx
+
+
 def roundtrip_error(f: Homeo, pts: np.ndarray) -> float:
     """max over pts of |f^-1(f(x)) - x| / (1 + |x|)."""
     pts = np.atleast_2d(pts)
-    back = f.inverse(f.forward(pts))
+    back = _images(invert(f), _images(f, pts))
     num = f.domain.norm_of(back - pts)
     den = 1.0 + f.domain.norm_of(pts)
     return float(np.max(num / den)) if pts.size else 0.0
@@ -266,13 +278,9 @@ class DisplacementEstimate:
 
 
 def _kept_images(f: Homeo, pts: np.ndarray) -> tuple:
-    """(kept points, their images, dropped count) of f on ``pts``: a finite
-    image outside the domain by more than 1e-9 * (1 + max |x|) is dropped,
-    and a non-finite one raises EvaluationError."""
-    fx = f.forward(pts)
-    bad = ~np.all(np.isfinite(fx), axis=1)
-    if np.any(bad):
-        raise EvaluationError(f"map {f.label!r} not finite at {pts[bad][0]}")
+    """(kept points, their images, dropped count) of f on ``pts``: an image
+    outside the domain by more than 1e-9 * (1 + max |x|) is dropped."""
+    fx = _images(f, pts)
     radius = np.max(f.domain.norm_of(pts), initial=0.0)
     keep = f.domain.contains(fx, slack=1e-9 * (1.0 + radius))
     return pts[keep], fx[keep], int(pts.shape[0] - np.count_nonzero(keep))
@@ -319,7 +327,7 @@ def _shell_trace(radii, ratio: np.ndarray, shell: np.ndarray) -> tuple:
                  for radius, cut in zip(radii, cuts))
 
 
-def displacement(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
+def displacement(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
                  tol: Tolerances = Tolerances()) -> DisplacementEstimate:
     """Displacement of f relative to (phi, r) on the sample window.
 
@@ -373,7 +381,7 @@ class PremetricEstimate:
         return self.finiteness == "finite"
 
 
-def premetric(f: Homeo, g: Homeo, phi: Gauge, r: ScaleFn,
+def premetric(f: Homeo, g: Homeo, phi: Gauge, r: RadialFn,
               scheme: SampleScheme,
               tol: Tolerances = Tolerances()) -> PremetricEstimate:
     """Composes first, estimates second.
@@ -426,7 +434,7 @@ class EstimateContext:
     domain: Domain
     scheme: SampleScheme
     phi: Gauge
-    r: ScaleFn
+    r: RadialFn
     cross: CrossConstants
     tol: Tolerances = Tolerances()
 
@@ -499,7 +507,7 @@ class MembershipVerdict:
     inverse: DisplacementEstimate
 
 
-def group_membership(f: Homeo, phi: Gauge, r: ScaleFn, scheme: SampleScheme,
+def group_membership(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
                      tol: Tolerances = Tolerances()) -> MembershipVerdict:
     fwd = displacement(f, phi, r, scheme, tol)
     inv = displacement(invert(f), phi, r, scheme, tol)
@@ -519,14 +527,14 @@ def compact_convergence_distance(f: Homeo, g: Homeo, scheme: SampleScheme) -> fl
         raise DomainMismatchError("distance needs a common domain")
     levels = exhaustion_sets(f.domain, scheme)
 
-    def half(a_eval, b_eval):
+    def half(a, b):
         total = 0.0
         for k, pts in enumerate(levels):
             if pts.shape[0] == 0:
                 continue
-            diff = f.domain.norm_of(a_eval(pts) - b_eval(pts))
+            diff = f.domain.norm_of(_images(a, pts) - _images(b, pts))
             u = float(np.max(diff))
             total += (2.0 ** -k) * u / (1.0 + u)
         return total
 
-    return half(f.forward, g.forward) + half(f.inverse, g.inverse)
+    return half(f, g) + half(invert(f), invert(g))

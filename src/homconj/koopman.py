@@ -17,17 +17,17 @@ from .funcspace import (
     DOUBLINGS,
     Domain,
     Gauge,
+    RadialFn,
     SampleScheme,
-    ScaleFn,
     Tolerances,
     _strided_subset,
     doubling_radii,
     doubling_sample_sets,
 )
 from .homspace import (
-    EvaluationError,
     Homeo,
     _classify,
+    _images,
     _kept_images,
     _shell_trace,
 )
@@ -125,16 +125,13 @@ def _later(x: np.ndarray, lo: int, hi: int):
             for k in range(x.shape[1]))
 
 
-def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
+def _r_lipschitz(maps: tuple, r: RadialFn, scheme: SampleScheme,
                  tol: Tolerances, pair_cap: int) -> list:
     """:func:`r_lipschitz` of each of ``maps`` (one domain) from one walk
     over the pair cloud, so the pair geometry is built once for all."""
     domain = maps[0].domain
     cloud = _pair_cloud(domain, scheme, pair_cap)
-    images = [f.forward(cloud) for f in maps]
-    for f, fc in zip(maps, images):
-        if not np.all(np.isfinite(fc)):
-            raise EvaluationError(f"map {f.label!r} not finite on pair samples")
+    images = [_images(f, cloud, "pair samples") for f in maps]
     # in norm order a pair i < j has shell norms[j]; per map, each column's
     # running maximum over its kept rows, by np.maximum (fmax drops a NaN)
     norms = domain.norm_of(cloud)
@@ -181,7 +178,7 @@ def _r_lipschitz(maps: tuple, r: ScaleFn, scheme: SampleScheme,
     return out
 
 
-def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
+def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
                 tol: Tolerances = Tolerances(),
                 pair_cap: int = PAIR_CAP) -> RLipschitzEstimate:
     """Windowed estimate of the r-Lipschitz constant of f.
@@ -192,12 +189,12 @@ def r_lipschitz(f: Homeo, r: ScaleFn, scheme: SampleScheme,
     later, outer point; a NaN ratio fills its shell and every larger one),
     so trace growth reflects where the steep pairs live.  Degenerate pairs
     (closer than the separation floor, or at zero scale separation) are
-    skipped.  f runs once on the cloud, all of whose images must be finite,
-    and the pairs are walked in row blocks with nothing cached.  Each block
-    is evaluated densely and masked: r runs on every cell of the block, 0
-    and separations below the floor included, so r must be defined on all
-    of [0, inf); a masked cell never reaches the sup, the witness or the
-    count, whatever r returns there.  Every quantity is symmetric in the
+    skipped.  f runs once on the cloud, and the pairs are walked in row
+    blocks with nothing cached.  Each block is evaluated densely and
+    masked: r runs on every cell of the block, 0 and separations below the
+    floor included, so r must be defined on all of [0, inf); a masked cell
+    never reaches the sup, the witness or the count, whatever r returns
+    there.  Every quantity is symmetric in the
     pair, so each unordered pair is visited once: the witness, the first
     row-major maximizer over i < j in norm order, is the first over all
     (i, j), and ``pair_count`` counts both orders.  Classification follows
@@ -248,16 +245,16 @@ def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
     return float(slack[i]), tuple(kept[i])
 
 
-def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: ScaleFn,
+def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
                   alpha: float, scheme: SampleScheme,
                   tol: Tolerances = Tolerances()) -> EigenReport:
     """Sampled verification of the generalized eigenvalue gate at alpha > 1.
 
     Pass ``g=None`` for the single-operator form.  One walk over the pair
     cloud gives lam_r of f and g.  The slack keeps sample images as
-    :func:`displacement` does, so a map keeping none fails the gate, and a
-    non-finite image raises EvaluationError.  Raises on a divergent
-    r-Lipschitz estimate; an undetermined one yields an unsatisfied report.
+    :func:`displacement` does, so a map keeping none fails the gate.
+    Raises on a divergent r-Lipschitz estimate; an undetermined one yields
+    an unsatisfied report.
     """
     if not alpha > 1.0:
         raise ValueError("the gate needs alpha > 1")
@@ -308,8 +305,9 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
     Returns the map as a closure together with a report carrying the
     functional residual |psi(f(x)) - multiplier * psi(x)| over the samples
     and the growth of sup |psi| per doubling, read off its shell trace.
-    Raises ConvergenceError when the tabulated iterates blow up or the
-    budget runs out, which is what a mis-specified multiplier looks like.
+    Raises ConvergenceError when the quotients (f^n(x) - x*) / multiplier^n
+    blow up or the budget runs out, which is what a mis-specified
+    multiplier looks like.
     """
     if not 0.0 < multiplier < 1.0:
         raise ValueError("multiplier must lie in (0, 1)")
@@ -322,7 +320,7 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
     initial_scale = float(np.max(domain.norm_of(psi_prev))) + 1.0
     increment = np.inf
     for n in range(1, n_max + 1):
-        orbit = f.forward(orbit)
+        orbit = _images(f, orbit, f"iterate {n} of the samples")
         psi = (orbit - star) / multiplier ** n
         if np.any(~np.isfinite(psi)):
             raise ConvergenceError("linearization iterates overflowed")
@@ -348,9 +346,9 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
 
     # psi_map(pts) is psi_prev, and psi_map(f(pts)) takes the orbit one
     # step further: the same calls on the same arrays, so the same bits
+    ahead = _images(f, orbit, f"iterate {n_star + 1} of the samples")
     resid = float(np.max(domain.norm_of(
-        (f.forward(orbit) - star) / multiplier ** n_star
-        - multiplier * psi_prev)))
+        (ahead - star) / multiplier ** n_star - multiplier * psi_prev)))
 
     # growth across the window doublings, reported as an exponent only
     (_, sup_inner), *_, (_, sup_outer) = _shell_trace(
@@ -381,7 +379,7 @@ class ResidualReport:
 def abel_check(f: Homeo, varphi, scheme: SampleScheme) -> ResidualReport:
     """sup over samples of |varphi(f(x)) - varphi(x) - 1|."""
     pts = doubling_sample_sets(f.domain, scheme)[-1][1]
-    vals = np.asarray(varphi(f.forward(pts)), dtype=float).ravel() \
+    vals = np.asarray(varphi(_images(f, pts)), dtype=float).ravel() \
         - np.asarray(varphi(pts), dtype=float).ravel() - 1.0
     err = np.abs(vals)
     i = int(np.argmax(err))
@@ -408,7 +406,7 @@ def schroeder_functional_check(f: Homeo, scheme: SampleScheme) -> FunctionalLowe
     if bool(domain.contains(np.zeros((1, domain.dim)), slack=0.0)[0]):
         raise ValueError("the log construction needs 0 outside the domain")
     pts = doubling_sample_sets(domain, scheme)[-1][1]
-    ratio = domain.norm_of(f.forward(pts)) / domain.norm_of(pts)
+    ratio = domain.norm_of(_images(f, pts)) / domain.norm_of(pts)
     i = int(np.argmax(ratio))
     kappa = float(ratio[i])
     if kappa <= 0:
@@ -453,11 +451,7 @@ def _cloud_stretch(before: np.ndarray, after: np.ndarray, domain: Domain) -> flo
 
 def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
                     nu: int, n_max: int) -> WanderingReport:
-    """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max.
-
-    Raises EvaluationError naming the first iterate that is not finite: a
-    NaN radius or distance compares false, and would read as wandering.
-    """
+    """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if n_max < nu:
@@ -468,10 +462,7 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     clouds = [cloud]
     radii = [float(covering_radius)]
     for n in range(1, n_max + 1):
-        nxt = f.forward(clouds[-1])
-        if not np.all(np.isfinite(nxt)):
-            raise EvaluationError(
-                f"map {f.label!r} not finite on iterate {n} of the cloud")
+        nxt = _images(f, clouds[-1], f"iterate {n} of the cloud")
         stretch = _cloud_stretch(clouds[-1], nxt, domain)
         clouds.append(nxt)
         radii.append(radii[-1] * max(stretch, 1e-12))
@@ -508,7 +499,7 @@ def periodic_obstruction(f: Homeo, alpha: float, lambda_r: float,
     if orbit.shape[0] != p or p < 1:
         raise ValueError("orbit must supply exactly p points")
     domain = f.domain
-    images = f.forward(orbit)
+    images = _images(f, orbit, "orbit")
     target = np.roll(orbit, -1, axis=0)
     err = domain.norm_of(images - target) / (1.0 + domain.norm_of(orbit))
     if float(np.max(err)) > tol.tau_inv:

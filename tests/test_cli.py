@@ -162,14 +162,26 @@ REJECTED = [
     (_cfg("eigen_check", ("pure_linear", {"scale": 0.1, "lo": 1.0}),
           alpha=1.1), "family.params: unknown key"),
     (_cfg("fk_sweep", epsilons=[0.1, 0.0]), "epsilons: must be positive"),
-    (_cfg("fk_sweep", epsilons=[float("inf")]),
-     "epsilons: must be positive and finite"),
+    (_cfg("fk_sweep", epsilons=[float("inf")]), r"epsilons\[0\]: not finite"),
     (_cfg("fk_sweep", epsilons=[1e-320]), "with a finite reciprocal"),
     (_cfg("fk_sweep", Cs=[1.5]), "Cs: must lie in"),
     (_cfg("fk_sweep", k_max=-1), "k_max: must be >= 0"),
     # epsilon / (1 - a_m) overflows at every m for (1e308, 0.5), not at 0.3
     (_cfg("fk_sweep", epsilons=[0.1, 1e308], Cs=[0.3, 0.5], k_max=4),
      r"epsilons: no seed step tames 1e\+308 at C 0.5"),
+    # json reads NaN, Infinity and integers past the float range, which no
+    # family parameter can honour; the last one crashed validate
+    (_cfg("lozi_membership", ("lozi", {"a": float("nan"), "b": 0.3})),
+     "params.a: not finite, got nan"),
+    (_cfg("eigen_check", ("pure_linear", {"scale": float("nan")}),
+          alpha=1.1), "params.scale: not finite, got nan"),
+    (_cfg("eigen_check", ("pure_linear", {"scale": float("inf")}),
+          alpha=1.1), "params.scale: not finite, got inf"),
+    (_cfg("wandering", ("translation", {"offset": float("inf")}),
+          cloud=[1.0], covering_radius=0.025),
+     "params.offset: not finite, got inf"),
+    (_cfg("eigen_check", ("pure_linear", {"scale": 10 ** 400}), alpha=1.1),
+     "params.scale: not finite, got 10{400}"),
     # tolerances the experiment never reads
     (_with_tol(_cfg("eigen_check", PAIR), tau_tri=5.0, tol_conj=0.5),
      r"tolerances: unknown key\(s\) 'tau_tri', 'tol_conj'"),
@@ -435,6 +447,24 @@ def test_a_wandering_cloud_that_overflows_is_an_error(tmp_path, capsys):
         (only_run_dir(tmp_path / "runs") / "record.json").read_text())
     assert record["meta"]["error"]["type"] == "EvaluationError"
     assert "iterate 2" in record["meta"]["error"]["message"]
+    assert "results" not in record
+
+
+@pytest.mark.parametrize("payload", [
+    _cfg("eigen_check", ("pure_linear", {"scale": 1e308}), alpha=1.1),
+    _cfg("abel", ("pure_linear", {"scale": 1e308})),
+    _cfg("lozi_membership", ("lozi", {"a": 1e308, "b": 0.3})),
+], ids=["eigen_check", "abel", "lozi_membership"])
+def test_a_map_that_overflows_is_an_error(tmp_path, payload):
+    # 1e308 * x leaves the float range on the samples; the estimate must
+    # stop the run, not read an inf or NaN residual or ratio as a verdict
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["validate", cfg]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 1
+    record = json.loads(
+        (only_run_dir(tmp_path / "runs") / "record.json").read_text())
+    assert record["meta"]["error"]["type"] == "EvaluationError"
     assert "results" not in record
 
 

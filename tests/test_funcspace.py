@@ -9,6 +9,7 @@ from homconj import (
     CrossConstants,
     Domain,
     Gauge,
+    RadialFn,
     SampleScheme,
     Tolerances,
     builtin_triple,
@@ -17,14 +18,13 @@ from homconj import (
     exhaustion_sets,
     gauge_from_growth,
     identity,
-    make_growth,
-    make_scale,
+    make_radial,
     primitive,
     sample_points,
     validate_gauge,
     validate_scale_pair,
 )
-from homconj.funcspace import RadialFn, doubling_radii
+from homconj.funcspace import doubling_radii
 
 
 # ===================================================================
@@ -45,13 +45,13 @@ def test_cross_constants_positive():
 
 def test_builtin_evals_exact():
     u = np.array([0.0, 1.0, 4.0])
-    assert np.array_equal(make_scale("identity").eval(u), u)
-    assert np.array_equal(make_growth("sqrt_plus").eval(u),
+    assert np.array_equal(make_radial("identity").eval(u), u)
+    assert np.array_equal(make_radial("sqrt_plus").eval(u),
                           np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(make_growth("linear_plus").eval(u),
+    assert np.array_equal(make_radial("linear_plus").eval(u),
                           np.array([1.0, 2.0, 5.0]))
     with pytest.raises(ValueError):
-        make_scale("cubic")
+        make_radial("cubic")
 
 
 # ===================================================================
@@ -92,7 +92,7 @@ def test_domain_bounds_are_normalized():
 
 
 def test_gauge_constructor_ordering():
-    growth = make_growth("linear_plus")
+    growth = make_radial("linear_plus")
     dom = Domain(dim=1)
     with pytest.raises(ValueError):
         gauge_from_growth(growth, dom, beta=0.5, gamma=2.0, m=1.0)
@@ -282,16 +282,15 @@ def test_cross_bound_is_tight_at_five_quarters(half_dom, scheme):
 
 
 def test_squared_scale_fails_subadditivity(half_dom, scheme):
-    from homconj import ScaleFn
-    growth = make_growth("linear_plus")
-    r2 = ScaleFn(eval=lambda u: np.asarray(u, float) ** 2, kind="square")
+    growth = make_radial("linear_plus")
+    r2 = RadialFn(eval=lambda u: np.asarray(u, float) ** 2, kind="square")
     rep = validate_scale_pair(growth, r2, CrossConstants(a=1.0, b=1.0), scheme)
     assert rep.margin_of("r_subadditive") > 0.0
     assert not rep.passed
 
 
 def test_flat_gauge_fails_cone_and_coercivity(half_dom, scheme):
-    growth = make_growth("sqrt_plus")
+    growth = make_radial("sqrt_plus")
     flat = Gauge(eval=lambda p: np.ones(np.atleast_2d(p).shape[0]),
                  beta=2.0, gamma=0.5, m=1.0, label="flat")
     rep = validate_gauge(flat, growth, half_dom, scheme)
@@ -327,7 +326,7 @@ def per_level_gauge_rule(phi, growth, domain, scheme):
 
 
 def test_gauge_margins_are_the_per_level_rule(half_dom, scheme):
-    growth = make_growth("sqrt_plus")
+    growth = make_radial("sqrt_plus")
     flat = Gauge(eval=lambda p: np.ones(np.atleast_2d(p).shape[0]),
                  beta=2.0, gamma=0.5, m=1.0, label="flat")
     # the shipped gauge, except 1/2 < m at one point first sampled at the
@@ -364,7 +363,7 @@ def test_nan_growth_fails_the_cone_with_nan_margins(half_dom, scheme):
         assert check.witness[0] > 30.0
     assert rep.margin_of("floor_m") == 0.0
 
-    pair = validate_scale_pair(nan_growth, make_scale("identity"),
+    pair = validate_scale_pair(nan_growth, make_radial("identity"),
                                CrossConstants(a=1.0, b=1.25), scheme)
     for name in ("R_positive", "R_subadditive", "cross_bound"):
         check = next(c for c in pair.checks if c.name == name)

@@ -21,7 +21,7 @@ from homconj import (
     identity,
     invert,
     koenigs_eigenfunction,
-    make_scale,
+    make_radial,
     periodic_obstruction,
     primitive,
     r_lipschitz,
@@ -76,7 +76,7 @@ def test_scaling_lipschitz_equals_scale(half_dom, sqrt_triple, scheme):
 def test_lozi_lipschitz_bound_sup_norm(scheme_fast):
     # the standard slope bound max(1 + a, |b|) holds in the sup norm
     mp = build_lozi(1.4, 0.3, norm="sup")
-    r = make_scale("identity")
+    r = make_radial("identity")
     est = r_lipschitz(mp, r, scheme_fast)
     assert est.finiteness == "finite"
     assert est.value <= 1.4 + 1.0 + 1e-9
@@ -129,8 +129,8 @@ def _same_bits(a, b):
 
 
 def _reference_cases():
-    sqrt_r = make_scale("sqrt_plus")
-    ident = make_scale("identity")
+    sqrt_r = make_radial("sqrt_plus")
+    ident = make_radial("identity")
     light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                          quasirandom_count=8, exhaustion_levels=2)
     cases = []
@@ -204,7 +204,7 @@ def _block_boundary_cases():
     lozi = build_lozi(1.4, 0.3)
     g = build_contraction_pair(0.25).g
     half = SampleScheme(window_radius=8.0)
-    ident, sqrt_r = make_scale("identity"), make_scale("sqrt_plus")
+    ident, sqrt_r = make_radial("identity"), make_radial("sqrt_plus")
     return [
         ("lozi-2-rows", lozi, ident, light, 2, 2),
         ("lozi-63-rows", lozi, ident, light, 3888, 63),
@@ -293,7 +293,7 @@ def _axis_fold_cases():
     light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                          quasirandom_count=8, exhaustion_levels=2)
     half = SampleScheme(window_radius=8.0)
-    ident, sqrt_r = make_scale("identity"), make_scale("sqrt_plus")
+    ident, sqrt_r = make_radial("identity"), make_radial("sqrt_plus")
     g = build_contraction_pair(0.25).g
     bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.2)
     cases = [("dim1", g, sqrt_r, half, PAIR_CAP),
@@ -369,7 +369,7 @@ def test_r_lipschitz_of_a_diagonal_map_is_its_largest_entry(norm):
     dom = Domain(dim=2, norm=norm)
     f = build_perturbed_linear(np.diag([0.7, -1.9]), domain=dom)
     scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=21)
-    est = r_lipschitz(f, make_scale("identity"), scheme)
+    est = r_lipschitz(f, make_radial("identity"), scheme)
     assert est.finite
     assert est.value == pytest.approx(1.9, rel=1e-9)
 
@@ -377,7 +377,7 @@ def test_r_lipschitz_of_a_diagonal_map_is_its_largest_entry(norm):
 def test_r_lipschitz_of_a_scaling_on_the_half_line(half_dom):
     f = build_pure_linear(0.3, half_dom)
     scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=21)
-    est = r_lipschitz(f, make_scale("identity"), scheme)
+    est = r_lipschitz(f, make_radial("identity"), scheme)
     assert est.finite
     assert est.value == pytest.approx(0.3, rel=1e-9)
 
@@ -532,7 +532,7 @@ def test_r_lipschitz_memory_stays_within_blocks():
     doubling_sample_sets(lozi.domain, scheme)
     tracemalloc.start()
     try:
-        est = r_lipschitz(lozi, make_scale("identity"), scheme)
+        est = r_lipschitz(lozi, make_radial("identity"), scheme)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -754,6 +754,19 @@ def test_periodic_obstruction_both_directions():
     assert hit.factor == pytest.approx(1.44, abs=1e-12)
     clear = periodic_obstruction(f, alpha=1.2, lambda_r=0.5, orbit=orbit, p=2)
     assert not clear.obstructed
+
+
+def test_periodic_obstruction_raises_on_an_orbit_image_that_is_not_finite():
+    # f = x/2 is NaN on (3, 3.5): the NaN round-trip error compared false
+    # with the tolerance, so the orbit passed as periodic and the report
+    # read "no obstruction: (alpha*lambda_r)^p = 0.36 <= 1"
+    f = primitive(Domain(dim=1),
+                  lambda p: np.where((p > 3.0) & (p < 3.5), np.nan, 0.5 * p),
+                  lambda p: 2.0 * p, "x/2, NaN on (3, 3.5)")
+    with pytest.raises(EvaluationError,
+                       match=r"not finite on orbit at \[3\.2\]"):
+        periodic_obstruction(f, alpha=1.2, lambda_r=0.5,
+                             orbit=np.array([[3.2], [3.3]]), p=2)
 
 
 def test_periodic_obstruction_verifies_the_orbit():
