@@ -18,7 +18,8 @@ closures are trusted on this point.
 
 import functools
 import weakref
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -384,7 +385,8 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
 # chain images of these arrays, keyed on their identity, in its run memo
 # and its process memo.  Tables of a 2-d window hold a few thousand rows,
 # so 64 keys stay small; an image cached on a table the LRU dropped keeps
-# that table alive until the image is evicted too.
+# that table alive until the image is evicted too.  The same bound caps
+# the gauge values kept per (table, gauge).
 _TABLE_CACHE_SIZE = 64
 
 # id -> every table handed out and still alive.  A read-only flag alone
@@ -401,6 +403,93 @@ def _read_only(pts: np.ndarray) -> np.ndarray:
 def _is_table(pts: np.ndarray) -> bool:
     """Whether ``pts`` is itself a sample table this module handed out."""
     return _TABLES.get(id(pts)) is pts
+
+
+class _LiveMemo:
+    """Values keyed on the identities of live objects and a hashable tag.
+
+    An entry holds its objects by weak reference and goes as soon as one of
+    them dies, so an identity it is keyed on is never another object's.
+    With a ``size`` at most that many entries stay, least recently used out
+    first.  Not locked: the package is single-threaded.
+    """
+
+    def __init__(self, size: int | None = None):
+        self.entries = OrderedDict()    # (*ids, tag) -> (*weak refs, value)
+        self.size = size
+
+    def get(self, objs: tuple, tag, make: Callable):
+        key = (*map(id, objs), tag)
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry[-1]
+        value = make()
+
+        def drop(_, key=key):
+            self.entries.pop(key, None)
+
+        self.entries[key] = (*(weakref.ref(obj, drop) for obj in objs), value)
+        if self.size is not None and len(self.entries) > self.size:
+            self.entries.popitem(last=False)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """Where the points of a table lie: ``norms`` per row, their stable
+    ``order``, the largest norm ``radius`` (0 for no rows) and, per radius
+    of ``radii``, the count ``cuts`` of rows, in norm order, within it
+    (relative slack 1e-9)."""
+
+    radii: tuple
+    norms: np.ndarray
+    order: np.ndarray
+    radius: float
+    cuts: tuple
+
+
+def _norm_geometry(norms: np.ndarray, radii) -> _Geometry:
+    """The geometry of points with these ``norms``, cut at ``radii``."""
+    order = np.argsort(norms, kind="stable")
+    cuts = np.searchsorted(norms[order], np.multiply(radii, 1.0 + 1e-9),
+                           side="right")
+    return _Geometry(tuple(radii), norms, order,
+                     float(np.max(norms, initial=0.0)), tuple(cuts.tolist()))
+
+
+def _table_geometry(pts: np.ndarray, domain: Domain, radii) -> _Geometry:
+    """The read-only geometry of ``pts`` under the norm of ``domain``: the
+    one place the norms of a sample table are taken.  Computed once per
+    table this module handed out (per domain and radii) and kept while the
+    table lives; computed afresh for any other array."""
+    def make():
+        geo = _norm_geometry(domain.norm_of(pts), radii)
+        geo.norms.flags.writeable = geo.order.flags.writeable = False
+        return geo
+
+    if not _is_table(pts):
+        return make()
+    return _GEOMETRY.get((pts,), (domain, tuple(radii)), make)
+
+
+def _gauge_values(phi: Gauge, pts: np.ndarray) -> tuple:
+    """(phi(pts), read-only, and whether every value is positive and
+    finite): one call of ``phi.eval``, kept per (sample table, gauge) while
+    both live, at most ``_TABLE_CACHE_SIZE`` of them; evaluated afresh for
+    any other array."""
+    def make():
+        values = np.asarray(phi.eval(pts)).view()
+        values.flags.writeable = False
+        return values, bool(np.all(values > 0) and np.all(np.isfinite(values)))
+
+    if not _is_table(pts):
+        return make()
+    return _GAUGE_VALUES.get((pts, phi), None, make)
+
+
+_GEOMETRY = _LiveMemo()
+_GAUGE_VALUES = _LiveMemo(_TABLE_CACHE_SIZE)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -430,7 +519,7 @@ def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     read-only arrays.
     """
     base = doubling_sample_sets(domain, scheme)[0][1]
-    norms = domain.norm_of(base)
+    norms = _table_geometry(base, domain, doubling_radii(scheme)).norms
     out = []
     for k in range(scheme.exhaustion_levels + 1):
         cut = min(scheme.window_radius, float(2 ** k))
@@ -558,11 +647,12 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
     the outer shell has to grow as the window doubles).
     """
     shell_mins = []
+    radii = doubling_radii(scheme)
     for radius, pts in doubling_sample_sets(domain, scheme):
         vals = phi.eval(pts)
         if np.any(~np.isfinite(vals)):
             raise ValueError("gauge evaluated to a non-finite value")
-        norms = domain.norm_of(pts)
+        norms = _table_geometry(pts, domain, radii).norms
         shell = norms >= 0.5 * radius
         shell_mins.append(float(np.min(vals[shell])) if np.any(shell)
                           else float(np.min(vals)))

@@ -20,7 +20,10 @@ from .funcspace import (
     RadialFn,
     SampleScheme,
     Tolerances,
+    _gauge_values,
+    _norm_geometry,
     _strided_subset,
+    _table_geometry,
     doubling_radii,
     doubling_sample_sets,
 )
@@ -84,7 +87,8 @@ class RLipschitzEstimate:
         return self.finiteness == "finite"
 
 
-def _near_partners(pts: np.ndarray, domain: Domain, seed: int) -> np.ndarray:
+def _near_partners(pts: np.ndarray, pts_norms: np.ndarray,
+                   seed: int) -> np.ndarray:
     # random pairs biased toward small separations; scale shrinks per block
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1729]))
     blocks = []
@@ -92,7 +96,7 @@ def _near_partners(pts: np.ndarray, domain: Domain, seed: int) -> np.ndarray:
         direction = rng.standard_normal(pts.shape)
         norms = np.linalg.norm(direction, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        step = scale * (1.0 + domain.norm_of(pts))[:, None]
+        step = scale * (1.0 + pts_norms)[:, None]
         blocks.append(pts + step * direction / norms)
     return np.concatenate(blocks, axis=0)
 
@@ -107,7 +111,8 @@ def _pair_cloud(domain: Domain, scheme: SampleScheme,
                 pair_cap: int) -> np.ndarray:
     """Top table and near partners, strided to pair_cap, in norm order."""
     pts = doubling_sample_sets(domain, scheme)[-1][1]
-    partners = _near_partners(pts, domain, scheme.seed)
+    norms = _table_geometry(pts, domain, doubling_radii(scheme)).norms
+    partners = _near_partners(pts, norms, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
     cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
@@ -170,7 +175,7 @@ def _r_lipschitz(maps: tuple, r: RadialFn, scheme: SampleScheme,
     radii = doubling_radii(scheme)
     out = []
     for (value, witness), column in zip(best, columns):
-        trace = _shell_trace(radii, column[seen], norms[seen])
+        trace = _shell_trace(column[seen], _norm_geometry(norms[seen], radii))
         finiteness = "undetermined" if np.isnan(value) else \
             _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
         out.append(RLipschitzEstimate(value, witness, finiteness, trace,
@@ -237,10 +242,11 @@ def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
     first point attaining it; (NaN, None) when none is kept.  Every lower
     level is a subset of the top table, so this is the least over all."""
     top = doubling_sample_sets(f.domain, scheme)[-1][1]
-    kept, fx, _ = _kept_images(f, top)
+    radius = _table_geometry(top, f.domain, doubling_radii(scheme)).radius
+    kept, fx, _ = _kept_images(f, top, radius)
     if kept.shape[0] == 0:
         return np.nan, None
-    slack = phi.eval(fx) - alpha * lam * phi.eval(kept)
+    slack = phi.eval(fx) - alpha * lam * _gauge_values(phi, kept)[0]
     i = int(np.argmin(slack))     # np.argmin takes the first NaN as least
     return float(slack[i]), tuple(kept[i])
 
@@ -352,7 +358,8 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
 
     # growth across the window doublings, reported as an exponent only
     (_, sup_inner), *_, (_, sup_outer) = _shell_trace(
-        doubling_radii(scheme), domain.norm_of(psi_prev), domain.norm_of(pts))
+        domain.norm_of(psi_prev),
+        _table_geometry(pts, domain, doubling_radii(scheme)))
     growth_exponent = float(
         np.log2((sup_outer + 1e-300) / (sup_inner + 1e-300)) / DOUBLINGS)
 
@@ -406,7 +413,8 @@ def schroeder_functional_check(f: Homeo, scheme: SampleScheme) -> FunctionalLowe
     if bool(domain.contains(np.zeros((1, domain.dim)), slack=0.0)[0]):
         raise ValueError("the log construction needs 0 outside the domain")
     pts = doubling_sample_sets(domain, scheme)[-1][1]
-    ratio = domain.norm_of(_images(f, pts)) / domain.norm_of(pts)
+    norms = _table_geometry(pts, domain, doubling_radii(scheme)).norms
+    ratio = domain.norm_of(_images(f, pts)) / norms
     i = int(np.argmax(ratio))
     kappa = float(ratio[i])
     if kappa <= 0:

@@ -14,7 +14,7 @@ from homconj import (
     builtin_triple,
     primitive,
 )
-from homconj import homspace
+from homconj import funcspace, homspace
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +45,17 @@ def process_memo(monkeypatch):
     memo = homspace._ChainMemo()
     monkeypatch.setattr(homspace, "_PROCESS_MEMO", memo)
     return memo
+
+
+@pytest.fixture
+def geometry_memo(monkeypatch):
+    """Empty table-geometry and gauge-value memos of funcspace, in place for
+    one test, as the pair (geometry memo, gauge memo)."""
+    memos = (funcspace._LiveMemo(),
+             funcspace._LiveMemo(funcspace._TABLE_CACHE_SIZE))
+    monkeypatch.setattr(funcspace, "_GEOMETRY", memos[0])
+    monkeypatch.setattr(funcspace, "_GAUGE_VALUES", memos[1])
+    return memos
 
 
 @pytest.fixture(scope="session")

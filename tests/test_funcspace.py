@@ -24,7 +24,12 @@ from homconj import (
     validate_gauge,
     validate_scale_pair,
 )
-from homconj.funcspace import doubling_radii
+from homconj.funcspace import (
+    _gauge_values,
+    _norm_geometry,
+    _table_geometry,
+    doubling_radii,
+)
 
 
 # ===================================================================
@@ -235,6 +240,38 @@ def test_sample_tables_are_memoized_read_only(half_dom):
             assert np.array_equal(pts, ref)
             with pytest.raises(ValueError):
                 pts[0, 0] = 1.0
+
+
+def test_table_geometry_is_computed_once_per_table(geometry_memo):
+    # a table's geometry and gauge values are memoized, read-only and equal
+    # to a fresh computation bit for bit; any other array is not memoized
+    geometry, gauge = geometry_memo
+    for domain in (Domain(dim=1, region="half_line"),
+                   Domain(dim=2, norm="sup")):
+        sch = SampleScheme(window_radius=4.0, grid_points_per_axis=9,
+                           quasirandom_count=8)
+        radii = doubling_radii(sch)
+        phi = builtin_triple("sqrt_plus", domain)[3]
+        for _, pts in doubling_sample_sets(domain, sch):
+            geo = _table_geometry(pts, domain, radii)
+            assert _table_geometry(pts, domain, radii) is geo
+            fresh = _norm_geometry(domain.norm_of(pts.copy()), radii)
+            assert geo.radii == fresh.radii and geo.cuts == fresh.cuts
+            assert geo.radius == fresh.radius == np.max(fresh.norms)
+            for a, b in ((geo.norms, fresh.norms), (geo.order, fresh.order)):
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+            memoized = _gauge_values(phi, pts)
+            assert _gauge_values(phi, pts) is memoized
+            values, valid = memoized
+            assert values.tobytes() == phi.eval(pts).tobytes() and valid
+            assert not values.flags.writeable
+            copy = pts.copy()
+            assert _table_geometry(copy, domain, radii) is not \
+                _table_geometry(copy, domain, radii)
+            assert _gauge_values(phi, copy) is not _gauge_values(phi, copy)
+        # one entry per level; the last domain's gauge died with its binding
+        assert len(gauge.entries) == 4
+    assert len(geometry.entries) == 8
 
 
 def test_exhaustion_sets_nested(half_dom):

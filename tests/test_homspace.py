@@ -8,6 +8,8 @@ from homconj import (
     DomainMismatchError,
     EstimateContext,
     EvaluationError,
+    Gauge,
+    RadialFn,
     SampleScheme,
     ball_inside_ball_radius,
     builtin_triple,
@@ -16,6 +18,7 @@ from homconj import (
     compose,
     displacement,
     doubling_sample_sets,
+    exhaustion_sets,
     group_membership,
     identity,
     invert,
@@ -25,7 +28,7 @@ from homconj import (
     roundtrip_error,
     sample_points,
 )
-from homconj import homspace
+from homconj import build_pure_linear, build_translation, funcspace, homspace
 from homconj.homspace import _chain_memo
 
 from conftest import bump_member, seeded_members
@@ -285,6 +288,20 @@ def test_displacement_raises_on_nonfinite_map(half_dom, sqrt_triple, scheme):
         displacement(bad, phi, r, scheme)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_displacement_rejects_a_gauge_not_positive_and_finite(
+        half_dom, scheme, geometry_memo, bad):
+    # on a memoized table the verdict on the gauge is memoized with its
+    # values, so every call raises, not only the first
+    _, r, _, _ = builtin_triple("sqrt_plus", half_dom)
+    phi = Gauge(eval=lambda p: np.where(p[:, 0] > 5.0, bad, 1.0), beta=2.0,
+                gamma=0.5, m=1.0)
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="positive and finite"):
+            displacement(translation(half_dom, 0.75), phi, r, scheme)
+    assert len(geometry_memo[1].entries) == 1
+
+
 @pytest.mark.parametrize("shift", [1.0, 100.0])
 def test_displacement_drops_images_outside_the_domain(shift):
     # x + shift on [-10, 10]: a sample whose image lies beyond 10 by more
@@ -303,6 +320,97 @@ def test_displacement_drops_images_outside_the_domain(shift):
     else:
         assert 0 < est.dropped and est.finite
         assert est.argmax_point[0] + shift <= 10.0
+
+
+def _assert_writable_copy(point, domain, scheme):
+    assert point.flags.writeable
+    tables = [pts for _, pts in doubling_sample_sets(domain, scheme)]
+    tables += list(exhaustion_sets(domain, scheme))
+    assert not any(np.shares_memory(point, pts) for pts in tables)
+
+
+def test_displacement_of_a_translation_keeping_every_row(half_dom,
+                                                         sqrt_triple, scheme):
+    # |f(x) - x| / (sqrt|x| + 1) for f = x + t is exactly t at the origin
+    # anchor and below t elsewhere; on the half line no image is dropped
+    _, r, _, phi = sqrt_triple
+    est = displacement(translation(half_dom, 0.75), phi, r, scheme)
+    assert est.value == 0.75 and est.finite and est.dropped == 0
+    assert est.argmax_point.tolist() == [0.0]
+    _assert_writable_copy(est.argmax_point, half_dom, scheme)
+
+
+def test_displacement_of_a_translation_dropping_the_top_rows():
+    box = Domain(dim=1, region="box", bounds=((-10.0, 10.0),))
+    _, r, _, phi = builtin_triple("sqrt_plus", box)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=11)
+    est = displacement(translation(box, 0.75), phi, r, scheme)
+    assert est.value == 0.75 and est.finite and est.dropped > 0
+    assert est.argmax_point.tolist() == [0.0]
+    _assert_writable_copy(est.argmax_point, box, scheme)
+
+
+def _bits(est):
+    """Every number of a displacement estimate, exactly."""
+    return (float(est.value).hex(), est.finiteness, est.dropped,
+            [(float(a).hex(), float(b).hex()) for a, b in est.window_trace],
+            None if est.argmax_point is None else est.argmax_point.tobytes())
+
+
+def test_geometry_memo_changes_no_displacement(half_dom, sqrt_triple, scheme,
+                                               geometry_memo, process_memo):
+    _, r, _, phi = sqrt_triple
+    f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
+    cold = displacement(f, phi, r, scheme)
+    geometry, gauge = geometry_memo
+    assert geometry.entries and gauge.entries
+    warm = displacement(f, phi, r, scheme)
+    for memo in (geometry, gauge, process_memo):
+        memo.entries.clear()
+    process_memo.nbytes = 0
+    emptied = displacement(f, phi, r, scheme)
+    assert _bits(cold) == _bits(warm) == _bits(emptied)
+
+
+def test_equal_gauges_share_no_stale_values(half_dom, scheme, geometry_memo):
+    # the CLI builds a new, equal gauge per run: each is its own memo key,
+    # the memo stays within its bound, and a dead gauge leaves nothing
+    _, gauge_memo = geometry_memo
+    f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
+    triples = [builtin_triple("sqrt_plus", half_dom) for _ in range(200)]
+    want = _bits(displacement(f, triples[0][3], triples[0][1], scheme))
+    for _, r, _, phi in triples:
+        assert _bits(displacement(f, phi, r, scheme)) == want
+        assert len(gauge_memo.entries) <= funcspace._TABLE_CACHE_SIZE
+    assert len(gauge_memo.entries) == funcspace._TABLE_CACHE_SIZE
+    del triples, r, phi
+    assert not gauge_memo.entries
+
+
+def test_gauge_memo_keys_each_gauge(half_dom, sqrt_triple, scheme,
+                                    geometry_memo):
+    # one table under phi and under 2 phi: each gauge reads its own values
+    _, r, _, phi = sqrt_triple
+    double = Gauge(eval=lambda p: 2.0 * phi.eval(p), beta=4.0, gamma=1.0,
+                   m=2.0)
+    f = translation(half_dom, 0.75)
+    assert displacement(f, phi, r, scheme).value == 0.75
+    assert displacement(f, double, r, scheme).value == 0.375
+    assert len(geometry_memo[1].entries) == 2
+
+
+def test_displacement_caches_no_scale_values(half_dom, sqrt_triple, scheme,
+                                             geometry_memo):
+    # one table and one gauge under two scales: r runs on every call
+    _, r, _, phi = sqrt_triple
+    f = translation(half_dom, 0.75)
+    double = RadialFn(lambda u: 2.0 * np.asarray(u, dtype=float), "double")
+    once = displacement(f, phi, r, scheme)
+    twice = displacement(f, phi, double, scheme)
+    assert twice.value == 1.5
+    assert [v for _, v in twice.window_trace] \
+        == [2.0 * v for _, v in once.window_trace]
+    assert twice.window_trace != once.window_trace
 
 
 # ===================================================================
@@ -383,6 +491,34 @@ def test_relaxed_triangle_on_fixed_triples(half_dom, sqrt_triple, scheme):
     for a, b, c in zip(maps[0::3], maps[1::3], maps[2::3]):
         rep = check_relaxed_triangle(a, b, c, ctx)
         assert rep.passed, rep.witness
+
+
+def test_relaxed_triangle_with_a_zero_and_an_infinite_rho(half_dom,
+                                                         sqrt_triple):
+    # f = h, so rho(f, g) = rho(h, g) = inf and rho(f, h) = 0 exactly: the
+    # product term is 0, not 0 * inf = NaN, and inf <= inf holds
+    ctx = _ctx(half_dom, sqrt_triple, SampleScheme(window_radius=8.0))
+    f = build_translation([0.5], half_dom)
+    g = build_pure_linear(2.0, half_dom)
+    rep = check_relaxed_triangle(f, g, f, ctx)
+    assert rep.witness["rho_fh"] == 0.0
+    assert rep.lhs == rep.rhs == rep.witness["rho_hg"] == np.inf
+    assert rep.passed
+
+
+def test_relaxed_triangle_fails_on_an_undetermined_rho():
+    # every image of x + 100 leaves [-10, 10], so rho(f, g) and rho(h, g)
+    # are undetermined (NaN); rho(f, h) = 0 must not rescue the check
+    box = Domain(dim=1, region="box", bounds=((-10.0, 10.0),))
+    _, r, cross, phi = builtin_triple("sqrt_plus", box)
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=11)
+    ctx = EstimateContext(domain=box, scheme=scheme, phi=phi, r=r,
+                          cross=cross)
+    f = identity(box)
+    rep = check_relaxed_triangle(f, translation(box, 100.0), f, ctx)
+    assert rep.witness["rho_fh"] == 0.0
+    assert np.isnan(rep.lhs) and np.isnan(rep.rhs)
+    assert not rep.passed
 
 
 def test_ball_radius_formula(half_dom, sqrt_triple, scheme):

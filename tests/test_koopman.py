@@ -32,6 +32,7 @@ from homconj import (
 from homconj.families import BumpSpec
 from homconj.funcspace import (
     RadialFn,
+    _norm_geometry,
     _strided_subset,
     doubling_radii,
     doubling_sample_sets,
@@ -89,7 +90,7 @@ def reference_r_lipschitz(f, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
     order, the order whose first maximizer the walk reports."""
     domain = f.domain
     pts = doubling_sample_sets(domain, scheme)[-1][1]
-    partners = _near_partners(pts, domain, scheme.seed)
+    partners = _near_partners(pts, domain.norm_of(pts), scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
     cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
@@ -478,7 +479,7 @@ def test_shell_trace_is_the_mask_rule():
     # in any entry order, the running maxima read at the cuts are the sups
     # over the shells, NaN and -inf included, and NaN over an empty one
     for radii, ratio, shell in _shell_trace_cases():
-        assert _same_bits(_shell_trace(radii, ratio, shell),
+        assert _same_bits(_shell_trace(ratio, _norm_geometry(shell, radii)),
                           mask_trace(radii, ratio, shell))
 
 
