@@ -192,13 +192,27 @@ class Domain:
         return self.fold_norm(pts[..., k] for k in range(pts.shape[-1]))
 
     def contains(self, pts: np.ndarray, slack: float = 1e-9) -> np.ndarray:
+        """Whether each row of ``pts`` lies in the region, within ``slack``.
+
+        Only finite bounds are compared.  A NaN coordinate fails every
+        comparison, so an axis unbounded both ways tests x == x instead:
+        no row with a NaN coordinate is contained.
+        """
         pts = np.atleast_2d(pts)
-        mask = np.ones(pts.shape[0], dtype=bool)
+        tests = []
         for j, (lo, hi) in enumerate(self.bounds):
-            mask &= pts[:, j] >= lo - slack
-            mask &= pts[:, j] <= hi + slack
+            x = pts[:, j]
+            if lo > -np.inf:
+                tests.append(x >= lo - slack)
+            if hi < np.inf:
+                tests.append(x <= hi + slack)
+            if lo == -np.inf and hi == np.inf:
+                tests.append(x == x)
         if self.region == "box_minus_ball":
-            mask &= self.norm_of(pts) >= self.inner_radius - slack
+            tests.append(self.norm_of(pts) >= self.inner_radius - slack)
+        mask = tests[0]
+        for test in tests[1:]:
+            mask &= test
         return mask
 
 

@@ -247,8 +247,8 @@ def _images(f: Homeo, pts: np.ndarray, on: str = "samples") -> np.ndarray:
     of ``pts`` whose image is not finite: the one finiteness rule of every
     estimator, since a NaN compares false with every threshold."""
     fx = f.forward(pts)
-    bad = ~np.all(np.isfinite(fx), axis=1)
-    if bad.any():
+    if not np.isfinite(fx).all():   # the per-row search only on failure
+        bad = ~np.all(np.isfinite(fx), axis=1)
         raise EvaluationError(
             f"map {f.label!r} not finite on {on} at {pts[bad][0]}")
     return fx

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspace import (
+    _BUILTIN_EVALS,
     DOUBLINGS,
     Domain,
     Gauge,
@@ -74,6 +75,11 @@ class RLipschitzEstimate:
     is its later norm.  ``pair_count`` is the number of ordered pairs
     (x, y) the sup ran over, both orders of each kept pair counted: pairs
     closer than the separation floor or at zero r-separation are not.
+
+    In one dimension with r the identity the sup runs over neighbour
+    pairs of the cloud in increasing x: ``pair_count`` counts those (both
+    orders), and ``witness_pair`` is the first steepest of them in x
+    order, inner point first.
     """
 
     value: float
@@ -132,8 +138,34 @@ def _later(x: np.ndarray, lo: int, hi: int):
 
 def _r_lipschitz(maps: tuple, r: RadialFn, scheme: SampleScheme,
                  tol: Tolerances, pair_cap: int) -> list:
-    """:func:`r_lipschitz` of each of ``maps`` (one domain) from one walk
-    over the pair cloud, so the pair geometry is built once for all."""
+    """:func:`r_lipschitz` of each of ``maps`` (one domain), from one walk
+    over the pair cloud, so the pair geometry is built once for all: the
+    neighbour slopes in one dimension with r the built-in identity (the
+    function object, not its label), the pair walk otherwise."""
+    if maps[0].domain.dim == 1 and r.eval is _BUILTIN_EVALS["identity"]:
+        return _neighbour_slopes(maps, scheme, tol, pair_cap)
+    return _all_pairs(maps, r, scheme, tol, pair_cap)
+
+
+def _estimates(best: list, columns, norms: np.ndarray, scheme: SampleScheme,
+               tol: Tolerances, pair_count: int) -> list:
+    """One estimate per map from its (value, witness pair) and its ratios
+    ``columns``, each taken at the shell of ``norms``."""
+    geo = _norm_geometry(norms, doubling_radii(scheme))
+    out = []
+    for (value, witness), column in zip(best, columns):
+        trace = _shell_trace(column, geo)
+        finiteness = "undetermined" if np.isnan(value) else \
+            _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+        out.append(RLipschitzEstimate(value, witness, finiteness, trace,
+                                      pair_count))
+    return out
+
+
+def _all_pairs(maps: tuple, r: RadialFn, scheme: SampleScheme,
+               tol: Tolerances, pair_cap: int) -> list:
+    """The pair walk of :func:`_r_lipschitz`: every pair of the cloud, in
+    row blocks."""
     domain = maps[0].domain
     cloud = _pair_cloud(domain, scheme, pair_cap)
     images = [_images(f, cloud, "pair samples") for f in maps]
@@ -171,16 +203,60 @@ def _r_lipschitz(maps: tuple, r: RadialFn, scheme: SampleScheme,
                 row, col = divmod(k, ok.shape[1])
                 best[m] = (float(block.flat[k]),
                            tuple(cloud[[lo + row, lo + 1 + col]]))
+    return _estimates(best, columns[:, seen], norms[seen], scheme, tol,
+                      2 * kept)
 
-    radii = doubling_radii(scheme)
-    out = []
-    for (value, witness), column in zip(best, columns):
-        trace = _shell_trace(column[seen], _norm_geometry(norms[seen], radii))
-        finiteness = "undetermined" if np.isnan(value) else \
-            _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-        out.append(RLipschitzEstimate(value, witness, finiteness, trace,
-                                      2 * kept))
-    return out
+
+def _thinned(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Indices of the points ``x`` in increasing order, each point closer
+    than the separation floor to the last kept one dropped.  A gap's floor
+    is taken at its larger norm, as the pair walk takes a pair's.
+
+    A point above the floor from its predecessor is above it from every
+    point before, so only the others are walked one by one.
+    """
+    order = np.argsort(x, kind="stable")
+    if len(order) < 2:
+        return order
+    x, norms = x[order], norms[order]
+    keep = np.append(True, np.diff(x) > _SEP_FLOOR
+                     * (1.0 + np.maximum(norms[:-1], norms[1:])))
+    last = 0
+    for i in np.flatnonzero(~keep).tolist():
+        if keep[i - 1]:
+            last = i - 1
+        keep[i] = x[i] - x[last] > _SEP_FLOOR * (1.0 + max(norms[i],
+                                                          norms[last]))
+    return order[keep]
+
+
+def _neighbour_slopes(maps: tuple, scheme: SampleScheme, tol: Tolerances,
+                      pair_cap: int) -> list:
+    """:func:`_r_lipschitz` in one dimension with r the identity.
+
+    Along the thinned cloud in increasing x, a chord's slope is a weighted
+    average of the neighbour slopes it spans, and a shell {|x| <= R} is a
+    run of neighbours on every one-dimensional region (the hole of
+    box_minus_ball holds no point), so the largest neighbour slope in a
+    shell is the sup over its chords.  Only chords that span a sub-floor
+    gap drop out (Strongin 1973; Wood & Zhang, J. Global Optim. 8, 1996).
+    """
+    domain = maps[0].domain
+    cloud = _pair_cloud(domain, scheme, pair_cap)
+    images = [_images(f, cloud, "pair samples") for f in maps]
+    norms = domain.norm_of(cloud)
+    line = _thinned(cloud[:, 0], norms)
+    # each neighbour pair in norm order, inner point first: its shell is b's,
+    # and its quotient, by the domain's norm, has the pair walk's bits
+    a, b = np.minimum(line[:-1], line[1:]), np.maximum(line[:-1], line[1:])
+    sep = domain.norm_of(cloud[a] - cloud[b])
+    columns = [domain.norm_of(fc[a] - fc[b]) / sep for fc in images]
+    best = []
+    for column in columns:
+        k = int(np.argmax(column)) if column.size else None
+        best.append((np.nan, None) if k is None else
+                    (float(column[k]), tuple(cloud[[a[k], b[k]]])))
+    return _estimates(best, columns, norms[b], scheme, tol, 2 * len(a))
 
 
 def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
@@ -205,6 +281,15 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     (i, j), and ``pair_count`` counts both orders.  Classification follows
     the same three-doubling growth rule as displacement; a NaN value is
     undetermined.
+
+    In one dimension with r the built-in identity, the sup over pairs is
+    the largest slope between neighbours in increasing x, shell by shell,
+    and the walk is O(N log N): the cloud is sorted by x, each point
+    closer than the separation floor to the last kept one is dropped, and
+    each neighbour pair counts, at its later norm.  Then ``pair_count``
+    counts neighbour pairs (both orders), the witness is a neighbour pair,
+    and only chords through a dropped point, and rounding, can make the
+    value differ from the pair walk's.
     """
     return _r_lipschitz((f,), r, scheme, tol, pair_cap)[0]
 

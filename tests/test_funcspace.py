@@ -84,6 +84,29 @@ def test_domain_contains():
     assert bool(punctured.contains(np.array([[1.0, 0.0]]))[0])
 
 
+@pytest.mark.parametrize("domain", [
+    Domain(dim=1, region="half_line"),
+    Domain(dim=2),
+    Domain(dim=2, bounds=((-np.inf, 3.0), (-1.0, np.inf))),
+    Domain(dim=2, region="box_minus_ball", inner_radius=0.5, norm="sup"),
+], ids=["half_line", "unbounded_box", "half_bounded_box", "box_minus_ball"])
+def test_domain_contains_no_nan_row(domain):
+    # contains compares finite bounds only; a NaN coordinate must still
+    # fail, as it failed the comparison with an infinite bound
+    rng = np.random.default_rng(3)
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, 0.25, -2.0, 5.0, 1e300])
+    pts = rng.choice(values, size=(400, domain.dim))
+    pts[:8, 0] = values
+    got = domain.contains(pts)
+    want = ~np.isnan(pts).any(axis=1)
+    for j, (lo, hi) in enumerate(domain.bounds):
+        want &= (pts[:, j] >= lo - 1e-9) & (pts[:, j] <= hi + 1e-9)
+    if domain.region == "box_minus_ball":
+        want &= domain.norm_of(pts) >= domain.inner_radius - 1e-9
+    np.testing.assert_array_equal(got, want)
+    assert not got[0] and got.any()
+
+
 def test_domain_bounds_are_normalized():
     # a list of lists, ints and numpy scalars give the same hashable domain
     as_list = Domain(dim=1, bounds=[[0, 5]])

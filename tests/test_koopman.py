@@ -29,6 +29,7 @@ from homconj import (
     schroeder_functional_check,
     wandering_check,
 )
+from homconj import koopman
 from homconj.families import BumpSpec
 from homconj.funcspace import (
     RadialFn,
@@ -43,8 +44,11 @@ from homconj.koopman import (
     _BLOCK_ROWS,
     _SEP_FLOOR,
     RLipschitzEstimate,
+    _all_pairs,
     _near_partners,
     _pair_cloud,
+    _r_lipschitz,
+    _thinned,
 )
 
 
@@ -129,6 +133,16 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def pair_walk(maps, r, scheme, pair_cap=PAIR_CAP):
+    """The general pair walk, called directly: in one dimension with r the
+    identity, r_lipschitz takes neighbour slopes instead."""
+    return _all_pairs(maps, r, scheme, Tolerances(), pair_cap)
+
+
+def takes_neighbour_slopes(f, r):
+    return f.domain.dim == 1 and r.eval is make_radial("identity").eval
+
+
 def _reference_cases():
     sqrt_r = make_radial("sqrt_plus")
     ident = make_radial("identity")
@@ -191,9 +205,12 @@ def _assert_same_estimate(new, ref):
                          ids=[c[0] for c in _reference_cases()])
 def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap):
     # one forward pass per point over unordered pairs gives the same bits
-    # as evaluating f on both ordered-pair arrays
-    _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap),
-                          reference_r_lipschitz(f, r, scheme, pair_cap=cap))
+    # as evaluating f on both ordered-pair arrays; the 1-d identity cases,
+    # which r_lipschitz takes by neighbour slopes, check the pair walk
+    ref = reference_r_lipschitz(f, r, scheme, pair_cap=cap)
+    _assert_same_estimate(pair_walk((f,), r, scheme, cap)[0], ref)
+    if not takes_neighbour_slopes(f, r):
+        _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap), ref)
 
 
 def _block_boundary_cases():
@@ -323,10 +340,12 @@ def test_r_lipschitz_matches_the_reshaped_block_walk(label, f, r, scheme,
 
 
 def test_gate_matches_the_reshaped_block_walk(bundle_025, scheme):
+    # the gate's maps on the pair walk (the gate itself takes neighbour
+    # slopes)
     b = bundle_025
     lam_f, lam_g = reference_block_walk((b.f, b.g), b.r, scheme)
-    rep = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
-    np.testing.assert_array_equal(_bits([rep.lambda_f, rep.lambda_g]),
+    rep_f, rep_g = pair_walk((b.f, b.g), b.r, scheme)
+    np.testing.assert_array_equal(_bits([rep_f.value, rep_g.value]),
                                   _bits([lam_f.value, lam_g.value]))
 
 
@@ -387,8 +406,8 @@ def test_r_lipschitz_stride_path_is_taken():
     b = build_contraction_pair(0.25)
     scheme = SampleScheme(window_radius=8.0)
     # at most 18 strided points, so at most 18 * 17 ordered pairs
-    assert 0 < r_lipschitz(b.g, b.r, scheme, pair_cap=300).pair_count <= 306
-    assert r_lipschitz(b.g, b.r, scheme).pair_count > 100_000
+    assert 0 < pair_walk((b.g,), b.r, scheme, 300)[0].pair_count <= 306
+    assert pair_walk((b.g,), b.r, scheme)[0].pair_count > 100_000
 
 
 def test_r_lipschitz_raises_on_a_non_finite_image(half_dom, sqrt_triple, scheme):
@@ -510,7 +529,7 @@ def test_r_lipschitz_work_counts(bundle_025, scheme):
     rows = []
     f = _counting(primitive(bundle_025.domain, lambda p: 0.5 * p,
                             lambda p: 2.0 * p, "x/2"), rows)
-    est = r_lipschitz(f, bundle_025.r, scheme)
+    est, = pair_walk((f,), bundle_025.r, scheme)
     cloud_rows = _pair_cloud(bundle_025.domain, scheme, PAIR_CAP).shape[0]
     assert rows == [cloud_rows]
     assert est.pair_count > 100 * cloud_rows
@@ -539,6 +558,201 @@ def test_r_lipschitz_memory_stays_within_blocks():
         tracemalloc.stop()
     assert est.pair_count > 900_000
     assert peak < 12 * 2 ** 20
+
+
+# -------------------------------------------------------------------
+# neighbour slopes: one dimension, r = identity
+
+_U = 2.0 ** -53                        # unit roundoff of float64
+_GAMMA3 = 3.0 * _U / (1.0 - 3.0 * _U)  # three roundings in one quotient
+
+
+def _chord_spread(x):
+    """Relative bound on how far apart two sups of chord quotients of
+    fl(eta * x) over the cloud ``x`` can lie.
+
+    An image fl(eta * x) is eta * x * (1 + d), |d| <= u, so the chord of
+    stored images over p, q has slope eta within eta * u * (|p| + |q|) /
+    |q - p|; the quotient then takes three roundings (two differences, the
+    division; sqrt(d * d) is |d|).  Every quotient of every chord at or
+    above the separation floor, and so every sup of them, lies within
+    eta * (u * K + gamma_3) of eta, with K the largest (|p| + |q|) /
+    |q - p| over those chords.
+    """
+    x = x[:, 0]
+    gap = np.abs(x[:, None] - x[None, :])
+    far = gap > _SEP_FLOOR * (1.0 + np.maximum(np.abs(x)[:, None],
+                                               np.abs(x)[None, :]))
+    k = np.max((np.abs(x)[:, None] + np.abs(x)[None, :])[far] / gap[far])
+    return 2.0 * (_U * k + _GAMMA3)
+
+
+def _dropped(cloud, domain):
+    return np.setdiff1d(np.arange(len(cloud)),
+                        _thinned(cloud[:, 0], domain.norm_of(cloud)))
+
+
+@pytest.mark.parametrize("window", (4.0, 8.0))
+@pytest.mark.parametrize("seed", (0, 1, 7919))
+@pytest.mark.parametrize("eta", (0.05, 0.1, 0.25, 0.5, 0.8, 0.95))
+def test_neighbour_slopes_agree_with_the_pair_walk(eta, seed, window,
+                                                    monkeypatch):
+    b = build_contraction_pair(eta)
+    scheme = SampleScheme(window_radius=window, seed=seed)
+    cloud = _pair_cloud(b.domain, scheme, PAIR_CAP)
+    # the thinning drops points only below the bump's support, where g is
+    # fl(eta * x) bit for bit, as f is; a chord from there into the support
+    # averages g's slope over at least the distance to the support, far
+    # below its steepest neighbour pair.  So in both walks every sup is
+    # either a sup of chords of fl(eta * x), within the chord spread of
+    # eta, or one over pairs of kept points, where the neighbour sup is
+    # within gamma_3 of every chord (a chord's slope is a weighted mean of
+    # the neighbour slopes it spans, in real arithmetic).
+    support = b.bump.center - b.bump.halfwidth
+    low = cloud[cloud[:, 0] < support]
+    assert np.all(cloud[_dropped(cloud, b.domain), 0] < support)
+    assert _same_bits(b.g.forward(low), b.f.forward(low))
+    bound = _chord_spread(cloud)
+    assert bound < 1e-9
+
+    new = _r_lipschitz((b.f, b.g), b.r, scheme, Tolerances(), PAIR_CAP)
+    ref = pair_walk((b.f, b.g), b.r, scheme)
+    kept = len(cloud) - len(_dropped(cloud, b.domain))
+    for est, pairs in zip(new, ref):
+        assert est.finiteness == pairs.finiteness == "finite"
+        assert est.pair_count == 2 * (kept - 1)
+        # a neighbour pair's quotient has the pair walk's bits, so the
+        # neighbour sup never exceeds the pair walk's
+        assert est.value <= pairs.value <= est.value + bound * pairs.value
+        for (radius, v), (ref_radius, ref_v) in zip(est.window_trace,
+                                                    pairs.window_trace):
+            assert radius == ref_radius
+            assert v <= ref_v <= v + bound * ref_v
+
+    # the gate reads the same verdict off either walk
+    rep = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
+    monkeypatch.setattr(koopman, "_r_lipschitz", _all_pairs)
+    ref_rep = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
+    assert rep.satisfied == ref_rep.satisfied
+
+
+def test_neighbour_slopes_of_a_ramp_are_exact(half_dom, scheme):
+    # 4 * clip(x, a, b) over neighbours a <= 8 < b of the thinned cloud:
+    # its slope 4 lies across the kinks at a and b alone, and fl(4b - 4a)
+    # is 4 * fl(b - a), so the one steep quotient is 4 exactly.  The pair
+    # (a, b) has the shell of b, past the window radius 8
+    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP)
+    line = cloud[_thinned(cloud[:, 0], half_dom.norm_of(cloud)), 0]
+    k = int(np.searchsorted(line, 8.0, side="right"))
+    a, b = line[k - 1], line[k]
+    assert a <= 8.0 < 8.0 * (1.0 + 1e-9) < b
+    f = primitive(half_dom, lambda p: 4.0 * np.clip(p, a, b), lambda p: p,
+                  "ramp")
+    est = r_lipschitz(f, make_radial("identity"), scheme)
+    assert est.value == 4.0
+    assert [v for _, v in est.window_trace] == [0.0, 4.0, 4.0, 4.0]
+    assert est.witness_pair[0][0] == a and est.witness_pair[1][0] == b
+    assert est.pair_count == 2 * (len(line) - 1)
+    ref, = pair_walk((f,), make_radial("identity"), scheme)
+    assert _same_bits(est.value, ref.value)
+    assert _same_bits(est.window_trace, ref.window_trace)
+    assert _same_bits(est.witness_pair, ref.witness_pair)
+
+
+def test_thinning_drops_points_within_the_floor_of_the_last_kept_one():
+    # at 1 the floor is 2e-9: 1 + 5e-10 and 1 + 1.5e-9 fall within it of 1;
+    # 1 + 3e-9 lies within the floor of its dropped predecessor but not of
+    # 1, the last kept point, so it stays.  A repeated point is dropped,
+    # and the input order does not matter
+    x = np.array([2.0, 1.0 + 3e-9, 1.0, 1.0 + 1.5e-9, 0.0, 1.0 + 5e-10,
+                  2.0, -3.0])
+    kept = _thinned(x, np.abs(x))
+    assert x[kept].tolist() == [-3.0, 0.0, 1.0, 1.0 + 3e-9, 2.0]
+    assert kept.tolist() == [7, 4, 2, 1, 0]
+    # no sub-floor gap: every point stays, in increasing order
+    assert _thinned(x[[0, 2, 4, 7]], np.abs(x[[0, 2, 4, 7]])).tolist() \
+        == [3, 2, 1, 0]
+
+
+def test_neighbour_slopes_skip_the_sub_floor_gaps_of_the_shipped_cloud(
+        half_dom, scheme):
+    # the geometric points near 0 sit closer together than the floor; each
+    # dropped point lies within the floor of a kept one, no kept neighbour
+    # gap is below it, and pair_count counts the kept neighbours
+    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP)
+    norms = half_dom.norm_of(cloud)
+    kept = _thinned(cloud[:, 0], norms)
+    x, drop = cloud[kept, 0], cloud[_dropped(cloud, half_dom), 0]
+    assert drop.size > 0
+    assert np.all(np.diff(x) > _SEP_FLOOR * (1.0 + np.abs(x[1:])))
+    last = x[np.searchsorted(x, drop, side="right") - 1]
+    assert np.all(drop - last <= _SEP_FLOOR * (1.0 + np.abs(drop)))
+    f = build_pure_linear(0.5, half_dom)
+    est = r_lipschitz(f, make_radial("identity"), scheme)
+    assert est.pair_count == 2 * (len(kept) - 1)
+
+
+@pytest.mark.parametrize("rows", (0, 1))
+def test_neighbour_slopes_without_pairs_are_undetermined(half_dom, scheme,
+                                                         rows, monkeypatch):
+    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP)[:rows]
+    monkeypatch.setattr(koopman, "_pair_cloud", lambda *_: cloud)
+    est = r_lipschitz(build_pure_linear(0.5, half_dom),
+                      make_radial("identity"), scheme)
+    assert est.finiteness == "undetermined" and est.pair_count == 0
+    assert np.isnan(est.value) and est.witness_pair is None
+    assert all(np.isnan(v) for _, v in est.window_trace)
+
+
+def _straddling_cases():
+    # each map's steepest quotient in every shell is one neighbour pair, so
+    # both walks read the same bits: on the box, slope 4 for x >= 0 (4x is
+    # exact, and a chord across 0 is flatter) and a jump of 20 at -20; on
+    # the box minus the ball of 0.5, a jump of 2 across the hole and one of
+    # 100 at 20
+    box = Domain(dim=1)
+    hole = Domain(dim=1, region="box_minus_ball", inner_radius=0.5)
+    return [
+        ("box", primitive(box, lambda p: np.where(
+            p >= 0.0, 4.0 * p, np.where(p < -20.0, 3.0 * p, 2.0 * p)),
+            lambda p: p, "box")),
+        ("box_minus_ball", primitive(hole, lambda p: p + np.sign(p)
+                                     + np.where(p > 20.0, 100.0, 0.0),
+                                     lambda p: p, "hole")),
+    ]
+
+
+@pytest.mark.parametrize("label, f", _straddling_cases(),
+                         ids=[c[0] for c in _straddling_cases()])
+def test_neighbour_slopes_on_shells_that_straddle_0(label, f, scheme):
+    # a shell {|x| <= R} is one run of the x-sorted cloud on either side of
+    # 0, so each shell's sup is a neighbour pair's
+    ident = make_radial("identity")
+    est = r_lipschitz(f, ident, scheme)
+    ref, = pair_walk((f,), ident, scheme)
+    assert _same_bits(est.value, ref.value)
+    assert _same_bits(est.window_trace, ref.window_trace)
+    assert _same_bits(est.witness_pair, ref.witness_pair)
+    assert est.finiteness == ref.finiteness
+    assert est.pair_count < ref.pair_count
+    values = [v for _, v in est.window_trace]
+    # the far jump lies in the shells of 32 and 64 alone; the inner sup is
+    # 4 on the box, and on the box minus the ball the chord across the hole
+    # between its nearest points
+    assert values[0] == values[1] < values[2] == values[3] == est.value
+    x = _pair_cloud(f.domain, scheme, PAIR_CAP)
+    a, b = x[x < 0.0].max(), x[x > 0.0].min()
+    across = abs(f.forward([[b]]) - f.forward([[a]]))[0, 0] / (b - a)
+    assert values[0] == (4.0 if label == "box" else across)
+
+
+def test_a_user_identity_closure_takes_the_pair_walk(bundle_025, scheme):
+    # dispatch tests the function object, not the label
+    r = RadialFn(lambda u: u, "identity")
+    est = r_lipschitz(bundle_025.g, r, scheme)
+    ref, = pair_walk((bundle_025.g,), r, scheme)
+    _assert_same_estimate(est, ref)
+    assert est.pair_count > 100_000
 
 
 # ===================================================================
