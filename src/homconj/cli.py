@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -771,11 +772,22 @@ def _write_record(outdir: Path, cfg: RunConfig, outcome: Outcome,
                 writer.writerow([_csv_cell(row[c]) for c in TRACE_COLUMNS])
 
 
-def _run_dir_name(cfg: RunConfig) -> str:
+def _make_run_dir(root: Path, cfg: RunConfig) -> Path:
+    """A new directory root/<experiment>-<UTC second>-<config hash>, with
+    -2, -3, ... appended when a run of the same config in the same second
+    took the name, so no run writes over another's records."""
     digest = hashlib.sha256(
         json.dumps(_to_jsonable(cfg.raw), sort_keys=True).encode()).hexdigest()
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    return f"{cfg.experiment}-{stamp}-{digest[:8]}"
+    name = f"{cfg.experiment}-{stamp}-{digest[:8]}"
+    root.mkdir(parents=True, exist_ok=True)
+    for n in itertools.count(1):
+        path = root / (name if n == 1 else f"{name}-{n}")
+        try:
+            path.mkdir()
+        except FileExistsError:
+            continue
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +797,7 @@ def _run_dir_name(cfg: RunConfig) -> str:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     root = args.out or cfg.output_dir or os.environ.get(ENV_RUNS) or "runs"
-    outdir = Path(root) / _run_dir_name(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_run_dir(Path(root), cfg)
 
     start = time.perf_counter()
     phase = "run"

@@ -19,8 +19,6 @@ import numpy as np
 
 from .funcspace import (
     Tolerances,
-    _table_geometry,
-    doubling_radii,
     doubling_sample_sets,
     exhaustion_sets,
 )
@@ -377,10 +375,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         raise ValueError("empty compact exhaustion")
     # the compacts are norm cuts of one table, each in the table's order
     outer = levels[-1]
-    radii = doubling_radii(est.scheme)
-    in_inner = _table_geometry(outer, est.domain, radii).norms \
-        <= _table_geometry(inner, est.domain, radii).radius
     norm_of = est.domain.norm_of
+    in_inner = norm_of(outer) <= np.max(norm_of(inner))
 
     delta_est = premetric(conjugacy_operator(f, g, h0), h0,
                           est.phi, est.r, est.scheme, tol)

@@ -18,7 +18,6 @@ closures are trusted on this point.
 
 import functools
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -394,13 +393,15 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
     return tuple(scheme.window_radius * (2 ** j) for j in range(DOUBLINGS + 1))
 
 
-# Sample tables are memoized per (Domain, SampleScheme).  A Picard run
-# asks for the same few tables dozens of times, and homspace caches the
-# chain images of these arrays, keyed on their identity, in its run memo
-# and its process memo.  Tables of a 2-d window hold a few thousand rows,
-# so 64 keys stay small; an image cached on a table the LRU dropped keeps
-# that table alive until the image is evicted too.  The same bound caps
-# the gauge values kept per (table, gauge).
+# Two cache rules.  Data derived from a sample table (the tables, their
+# geometry, phi on them, the r_lipschitz pair cloud) depends on (domain,
+# scheme[, gauge]) alone, so it is cached with functools.lru_cache, keyed
+# by value, at most _TABLE_CACHE_SIZE entries per function.  Chain images
+# are not values: homspace caches them in its run and process memos, keyed
+# on the identity of their input array.  A Picard run asks for the same
+# few tables dozens of times.  Tables of a 2-d window hold a few thousand
+# rows, so 64 keys stay small; an image cached on a table the LRU dropped
+# keeps that table alive until the image is evicted too.
 _TABLE_CACHE_SIZE = 64
 
 # id -> every table handed out and still alive.  A read-only flag alone
@@ -417,36 +418,6 @@ def _read_only(pts: np.ndarray) -> np.ndarray:
 def _is_table(pts: np.ndarray) -> bool:
     """Whether ``pts`` is itself a sample table this module handed out."""
     return _TABLES.get(id(pts)) is pts
-
-
-class _LiveMemo:
-    """Values keyed on the identities of live objects and a hashable tag.
-
-    An entry holds its objects by weak reference and goes as soon as one of
-    them dies, so an identity it is keyed on is never another object's.
-    With a ``size`` at most that many entries stay, least recently used out
-    first.  Not locked: the package is single-threaded.
-    """
-
-    def __init__(self, size: int | None = None):
-        self.entries = OrderedDict()    # (*ids, tag) -> (*weak refs, value)
-        self.size = size
-
-    def get(self, objs: tuple, tag, make: Callable):
-        key = (*map(id, objs), tag)
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.entries.move_to_end(key)
-            return entry[-1]
-        value = make()
-
-        def drop(_, key=key):
-            self.entries.pop(key, None)
-
-        self.entries[key] = (*(weakref.ref(obj, drop) for obj in objs), value)
-        if self.size is not None and len(self.entries) > self.size:
-            self.entries.popitem(last=False)
-        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,40 +443,6 @@ def _norm_geometry(norms: np.ndarray, radii) -> _Geometry:
                      float(np.max(norms, initial=0.0)), tuple(cuts.tolist()))
 
 
-def _table_geometry(pts: np.ndarray, domain: Domain, radii) -> _Geometry:
-    """The read-only geometry of ``pts`` under the norm of ``domain``: the
-    one place the norms of a sample table are taken.  Computed once per
-    table this module handed out (per domain and radii) and kept while the
-    table lives; computed afresh for any other array."""
-    def make():
-        geo = _norm_geometry(domain.norm_of(pts), radii)
-        geo.norms.flags.writeable = geo.order.flags.writeable = False
-        return geo
-
-    if not _is_table(pts):
-        return make()
-    return _GEOMETRY.get((pts,), (domain, tuple(radii)), make)
-
-
-def _gauge_values(phi: Gauge, pts: np.ndarray) -> tuple:
-    """(phi(pts), read-only, and whether every value is positive and
-    finite): one call of ``phi.eval``, kept per (sample table, gauge) while
-    both live, at most ``_TABLE_CACHE_SIZE`` of them; evaluated afresh for
-    any other array."""
-    def make():
-        values = np.asarray(phi.eval(pts)).view()
-        values.flags.writeable = False
-        return values, bool(np.all(values > 0) and np.all(np.isfinite(values)))
-
-    if not _is_table(pts):
-        return make()
-    return _GAUGE_VALUES.get((pts, phi), None, make)
-
-
-_GEOMETRY = _LiveMemo()
-_GAUGE_VALUES = _LiveMemo(_TABLE_CACHE_SIZE)
-
-
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     """Cumulative sample sets for the window and its three doublings.
@@ -526,6 +463,32 @@ def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _top_table(domain: Domain, scheme: SampleScheme) -> tuple:
+    """(the top table of (domain, scheme), its read-only geometry at the
+    doubling radii): the one place the norms of the top table are taken."""
+    pts = doubling_sample_sets(domain, scheme)[-1][1]
+    geo = _norm_geometry(domain.norm_of(pts), doubling_radii(scheme))
+    geo.norms.flags.writeable = geo.order.flags.writeable = False
+    return pts, geo
+
+
+def _gauge_values(phi: Gauge, pts: np.ndarray) -> tuple:
+    """(phi(pts), and whether every value is positive and finite)."""
+    values = np.asarray(phi.eval(pts))
+    return values, bool(np.all(values > 0) and np.all(np.isfinite(values)))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table_gauge(phi: Gauge, domain: Domain, scheme: SampleScheme) -> tuple:
+    """:func:`_gauge_values` of phi on the top table of (domain, scheme),
+    the values read-only."""
+    values, valid = _gauge_values(phi, _top_table(domain, scheme)[0])
+    values = values.view()
+    values.flags.writeable = False
+    return values, valid
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the window's table.
 
@@ -533,7 +496,7 @@ def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     read-only arrays.
     """
     base = doubling_sample_sets(domain, scheme)[0][1]
-    norms = _table_geometry(base, domain, doubling_radii(scheme)).norms
+    norms = domain.norm_of(base)
     out = []
     for k in range(scheme.exhaustion_levels + 1):
         cut = min(scheme.window_radius, float(2 ** k))
@@ -650,6 +613,13 @@ def validate_scale_pair(growth: RadialFn, scale: RadialFn, cross: CrossConstants
     ))
 
 
+def _shell_min(vals: np.ndarray, norms: np.ndarray, radius: float) -> float:
+    """The least of ``vals`` over the outer shell |x| >= radius / 2, or
+    over every row when the shell holds none."""
+    shell = norms >= 0.5 * radius
+    return float(np.min(vals[shell])) if np.any(shell) else float(np.min(vals))
+
+
 def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
                    scheme: SampleScheme,
                    tol: Tolerances = Tolerances()) -> ValidationReport:
@@ -660,28 +630,25 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
     Coercivity is a window-doubling diagnostic (the minimum of phi over
     the outer shell has to grow as the window doubles).
     """
-    shell_mins = []
-    radii = doubling_radii(scheme)
-    for radius, pts in doubling_sample_sets(domain, scheme):
-        vals = phi.eval(pts)
-        if np.any(~np.isfinite(vals)):
-            raise ValueError("gauge evaluated to a non-finite value")
-        norms = _table_geometry(pts, domain, radii).norms
-        shell = norms >= 0.5 * radius
-        shell_mins.append(float(np.min(vals[shell])) if np.any(shell)
-                          else float(np.min(vals)))
-
-    # the loop ends on the top table: pts, vals and norms are its own
-    Rn = growth.eval(norms)
+    # every level is a subset of the top table, so the top's values hold
+    # every value the levels take
+    pts, geo = _top_table(domain, scheme)
+    vals = _table_gauge(phi, domain, scheme)[0]
+    if np.any(~np.isfinite(vals)):
+        raise ValueError("gauge evaluated to a non-finite value")
+    radius, inner = doubling_sample_sets(domain, scheme)[0]
+    inner_min = _shell_min(phi.eval(inner), domain.norm_of(inner), radius)
+    outer_min = _shell_min(vals, geo.norms, geo.radii[-1])
+    Rn = growth.eval(geo.norms)
     where = tuple(pts.T)
     # the shortfall of the outer minimum against the growth it must show,
     # so the margin is positive exactly when the check fails
-    shortfall = shell_mins[0] + tol.tau_abs - shell_mins[-1]
+    shortfall = inner_min + tol.tau_abs - outer_min
     return ValidationReport(checks=(
         _sup_check("floor_m", phi.m - vals, where, tol),
         _sup_check("cone_lower", phi.gamma * Rn - vals, where, tol),
         _sup_check("cone_upper", vals - phi.beta * Rn, where, tol),
         ConditionCheck("coercive_shell_growth", shortfall < 0,
                        max(0.0, shortfall),
-                       (shell_mins[0], shell_mins[-1])),
+                       (inner_min, outer_min)),
     ))

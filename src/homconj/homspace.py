@@ -36,13 +36,16 @@ the same calls, so eviction changes no number either.  Cached images are
 shared, so they are read-only; atoms must not write to their input.  The
 memos are not locked: the package is single-threaded.
 
-Table geometry.  ``funcspace`` keeps, for each sample table it handed out,
-the norms, their stable order, the largest norm and the cuts at the
-doubling radii, and phi on the table per (table, gauge) while both live,
-so a ``displacement`` whose map keeps every row computes only the images
-and their checks, r(|f(P) - P|)/phi(P), one running maximum and one
-argmax; on a 2-core host this took a ``premetric_pool`` pass of the
-benchmark from 0.128 s to 0.106 s (median of ten seeds).
+Table geometry.  Two cache rules hold in the package.  Data derived from
+a sample table is cached with ``functools.lru_cache``, keyed by value:
+``funcspace`` keeps the top table of each (domain, scheme) with its
+norms, their stable order, the largest norm and the cuts at the doubling
+radii, and phi on that table per (gauge, domain, scheme).  Chain images
+are cached in the run and process memos above, keyed by identity.  So a
+``displacement`` whose map keeps every row computes only the images and
+their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax;
+on a 2-core host this took a ``premetric_pool`` pass of the benchmark
+from 0.128 s to 0.106 s (median of ten seeds).
 """
 
 from collections import OrderedDict
@@ -62,9 +65,10 @@ from .funcspace import (
     Tolerances,
     _gauge_values,
     _is_table,
-    _table_geometry,
+    _norm_geometry,
+    _table_gauge,
+    _top_table,
     doubling_radii,
-    doubling_sample_sets,
     exhaustion_sets,
 )
 
@@ -353,18 +357,19 @@ def displacement(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
         trace = tuple((float(rad), 0.0) for rad in doubling_radii(scheme))
         return DisplacementEstimate(0.0, None, "finite", trace, 0)
 
-    radii = doubling_radii(scheme)
-    top = doubling_sample_sets(f.domain, scheme)[-1][1]
-    geo = _table_geometry(top, f.domain, radii)
+    top, geo = _top_table(f.domain, scheme)
     kept, fx, dropped = _kept_images(f, top, geo.radius)
     if dropped:
-        # the kept rows' own geometry and gauge values; with every row kept
-        # both are the table's, read off their memos
-        geo = _table_geometry(kept, f.domain, radii)
-    if kept.shape[0] == 0:
-        return DisplacementEstimate(np.nan, None, "undetermined",
-                                    _shell_trace(np.empty(0), geo), dropped)
-    den, valid = _gauge_values(phi, kept)
+        # the kept rows' own geometry; with every row kept it is the
+        # table's, and so are the gauge values, read off their caches
+        geo = _norm_geometry(f.domain.norm_of(kept), geo.radii)
+        if kept.shape[0] == 0:
+            return DisplacementEstimate(np.nan, None, "undetermined",
+                                        _shell_trace(np.empty(0), geo),
+                                        dropped)
+        den, valid = _gauge_values(phi, kept)
+    else:
+        den, valid = _table_gauge(phi, f.domain, scheme)
     if not valid:
         raise EvaluationError("gauge must be positive and finite on samples")
     ratio = r.eval(f.domain.norm_of(fx - kept)) / den

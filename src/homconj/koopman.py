@@ -9,6 +9,7 @@ and the pointwise gate inequalities are checked on the same windowed sample
 sets the rest of the package uses.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,11 @@ from .funcspace import (
     RadialFn,
     SampleScheme,
     Tolerances,
-    _gauge_values,
+    _TABLE_CACHE_SIZE,
     _norm_geometry,
     _strided_subset,
-    _table_geometry,
+    _table_gauge,
+    _top_table,
     doubling_radii,
     doubling_sample_sets,
 )
@@ -113,16 +115,20 @@ def _near_partners(pts: np.ndarray, pts_norms: np.ndarray,
 _BLOCK_ROWS = 64
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _pair_cloud(domain: Domain, scheme: SampleScheme,
                 pair_cap: int) -> np.ndarray:
-    """Top table and near partners, strided to pair_cap, in norm order."""
-    pts = doubling_sample_sets(domain, scheme)[-1][1]
-    norms = _table_geometry(pts, domain, doubling_radii(scheme)).norms
-    partners = _near_partners(pts, norms, scheme.seed)
+    """Top table and near partners, strided to pair_cap, in norm order,
+    read-only.  Not a sample table: the process memo caches no image of
+    it."""
+    pts, geo = _top_table(domain, scheme)
+    partners = _near_partners(pts, geo.norms, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
     cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
-    return cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
+    cloud = cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
+    cloud.flags.writeable = False
+    return cloud
 
 
 def _later(x: np.ndarray, lo: int, hi: int):
@@ -260,8 +266,7 @@ def _neighbour_slopes(maps: tuple, scheme: SampleScheme, tol: Tolerances,
 
 
 def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
-                tol: Tolerances = Tolerances(),
-                pair_cap: int = PAIR_CAP) -> RLipschitzEstimate:
+                tol: Tolerances = Tolerances()) -> RLipschitzEstimate:
     """Windowed estimate of the r-Lipschitz constant of f.
 
     All pair ratios come from one cloud, in stable norm order, built over
@@ -270,12 +275,12 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     later, outer point; a NaN ratio fills its shell and every larger one),
     so trace growth reflects where the steep pairs live.  Degenerate pairs
     (closer than the separation floor, or at zero scale separation) are
-    skipped.  f runs once on the cloud, and the pairs are walked in row
-    blocks with nothing cached.  Each block is evaluated densely and
-    masked: r runs on every cell of the block, 0 and separations below the
-    floor included, so r must be defined on all of [0, inf); a masked cell
-    never reaches the sup, the witness or the count, whatever r returns
-    there.  Every quantity is symmetric in the
+    skipped.  The cloud is cached per (domain, scheme); f runs once on it,
+    and the pairs are walked in row blocks.  Each block is evaluated
+    densely and masked: r runs on every cell of the block, 0 and
+    separations below the floor included, so r must be defined on all of
+    [0, inf); a masked cell never reaches the sup, the witness or the
+    count, whatever r returns there.  Every quantity is symmetric in the
     pair, so each unordered pair is visited once: the witness, the first
     row-major maximizer over i < j in norm order, is the first over all
     (i, j), and ``pair_count`` counts both orders.  Classification follows
@@ -291,7 +296,7 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     and only chords through a dropped point, and rounding, can make the
     value differ from the pair walk's.
     """
-    return _r_lipschitz((f,), r, scheme, tol, pair_cap)[0]
+    return _r_lipschitz((f,), r, scheme, tol, PAIR_CAP)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +331,12 @@ def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
     the top table's points kept by :func:`homspace._kept_images`, and the
     first point attaining it; (NaN, None) when none is kept.  Every lower
     level is a subset of the top table, so this is the least over all."""
-    top = doubling_sample_sets(f.domain, scheme)[-1][1]
-    radius = _table_geometry(top, f.domain, doubling_radii(scheme)).radius
-    kept, fx, _ = _kept_images(f, top, radius)
+    top, geo = _top_table(f.domain, scheme)
+    kept, fx, dropped = _kept_images(f, top, geo.radius)
     if kept.shape[0] == 0:
         return np.nan, None
-    slack = phi.eval(fx) - alpha * lam * _gauge_values(phi, kept)[0]
+    den = phi.eval(kept) if dropped else _table_gauge(phi, f.domain, scheme)[0]
+    slack = phi.eval(fx) - alpha * lam * den
     i = int(np.argmin(slack))     # np.argmin takes the first NaN as least
     return float(slack[i]), tuple(kept[i])
 
@@ -404,7 +409,7 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
         raise ValueError("multiplier must lie in (0, 1)")
     domain = f.domain
     star = np.atleast_2d(np.asarray(fixed_point, dtype=float))
-    pts = doubling_sample_sets(domain, scheme)[-1][1]
+    pts, geo = _top_table(domain, scheme)
 
     orbit = pts
     psi_prev = (orbit - star) / 1.0
@@ -443,8 +448,7 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
 
     # growth across the window doublings, reported as an exponent only
     (_, sup_inner), *_, (_, sup_outer) = _shell_trace(
-        domain.norm_of(psi_prev),
-        _table_geometry(pts, domain, doubling_radii(scheme)))
+        domain.norm_of(psi_prev), geo)
     growth_exponent = float(
         np.log2((sup_outer + 1e-300) / (sup_inner + 1e-300)) / DOUBLINGS)
 
@@ -497,9 +501,8 @@ def schroeder_functional_check(f: Homeo, scheme: SampleScheme) -> FunctionalLowe
     domain = f.domain
     if bool(domain.contains(np.zeros((1, domain.dim)), slack=0.0)[0]):
         raise ValueError("the log construction needs 0 outside the domain")
-    pts = doubling_sample_sets(domain, scheme)[-1][1]
-    norms = _table_geometry(pts, domain, doubling_radii(scheme)).norms
-    ratio = domain.norm_of(_images(f, pts)) / norms
+    pts, geo = _top_table(domain, scheme)
+    ratio = domain.norm_of(_images(f, pts)) / geo.norms
     i = int(np.argmax(ratio))
     kappa = float(ratio[i])
     if kappa <= 0:

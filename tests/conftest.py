@@ -14,7 +14,7 @@ from homconj import (
     builtin_triple,
     primitive,
 )
-from homconj import funcspace, homspace
+from homconj import funcspace, homspace, koopman
 
 
 @pytest.fixture(scope="session")
@@ -48,14 +48,17 @@ def process_memo(monkeypatch):
 
 
 @pytest.fixture
-def geometry_memo(monkeypatch):
-    """Empty table-geometry and gauge-value memos of funcspace, in place for
-    one test, as the pair (geometry memo, gauge memo)."""
-    memos = (funcspace._LiveMemo(),
-             funcspace._LiveMemo(funcspace._TABLE_CACHE_SIZE))
-    monkeypatch.setattr(funcspace, "_GEOMETRY", memos[0])
-    monkeypatch.setattr(funcspace, "_GAUGE_VALUES", memos[1])
-    return memos
+def table_caches():
+    """The value-keyed caches of sample-table data, emptied before and
+    after one test, as the triple (top table and geometry, gauge values,
+    pair cloud)."""
+    caches = (funcspace._top_table, funcspace._table_gauge,
+              koopman._pair_cloud)
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,7 @@ from homconj import (
     wandering_check,
 )
 from homconj.cli import main
-from homconj.homspace import doubling_sample_sets
+from homconj.funcspace import doubling_sample_sets
 
 from conftest import seeded_members
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from homconj.cli import (
     main,
     parse_config,
 )
+from homconj import cli
 from homconj.families import FAMILIES
 from homconj.funcspace import Tolerances
 
@@ -299,6 +301,27 @@ def test_run_fk_sweep_writes_artifacts(tmp_path, capsys):
     assert len(rows) == 2  # one grid cell
     assert not (rd / "trace.csv").exists()
     assert "run directory" in capsys.readouterr().out
+
+
+def test_runs_of_one_config_in_one_second_get_their_own_directories(
+        tmp_path, monkeypatch):
+    class OneSecond(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+    monkeypatch.setattr(cli, "datetime", OneSecond)
+    cfg = write_cfg(tmp_path, fk_sweep_payload())
+    root = tmp_path / "runs"
+    for _ in range(3):
+        assert main(["run", cfg, "--out", str(root)]) == 0
+    first, *rest = sorted(root.iterdir())
+    assert first.name.startswith("fk_sweep-20260102T030405Z-")
+    assert [p.name for p in rest] == [first.name + "-2", first.name + "-3"]
+    for rd in (first, *rest):
+        assert sorted(p.name for p in rd.iterdir()) == ["record.json",
+                                                        "results.csv"]
+        assert json.loads((rd / "record.json").read_text())["results"]
 
 
 def test_fk_sweep_near_one_validates_and_runs(tmp_path):

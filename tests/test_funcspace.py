@@ -1,5 +1,7 @@
 """Gauges, scale/growth functions, domains, and the sampling machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,10 @@ from homconj import (
     validate_scale_pair,
 )
 from homconj.funcspace import (
-    _gauge_values,
+    _TABLE_CACHE_SIZE,
     _norm_geometry,
-    _table_geometry,
+    _table_gauge,
+    _top_table,
     doubling_radii,
 )
 
@@ -265,36 +268,39 @@ def test_sample_tables_are_memoized_read_only(half_dom):
                 pts[0, 0] = 1.0
 
 
-def test_table_geometry_is_computed_once_per_table(geometry_memo):
-    # a table's geometry and gauge values are memoized, read-only and equal
-    # to a fresh computation bit for bit; any other array is not memoized
-    geometry, gauge = geometry_memo
+def test_table_geometry_is_computed_once_per_table(table_caches):
+    # the top table's geometry and gauge values are cached by value, per
+    # (domain, scheme) and per (gauge, domain, scheme), read-only and
+    # equal to a fresh computation bit for bit
+    tables, gauges, _ = table_caches
     for domain in (Domain(dim=1, region="half_line"),
                    Domain(dim=2, norm="sup")):
-        sch = SampleScheme(window_radius=4.0, grid_points_per_axis=9,
-                           quasirandom_count=8)
-        radii = doubling_radii(sch)
-        phi = builtin_triple("sqrt_plus", domain)[3]
-        for _, pts in doubling_sample_sets(domain, sch):
-            geo = _table_geometry(pts, domain, radii)
-            assert _table_geometry(pts, domain, radii) is geo
+        for seed in (0, 1):
+            def sch():
+                return SampleScheme(window_radius=4.0, grid_points_per_axis=9,
+                                    quasirandom_count=8, seed=seed)
+
+            radii = doubling_radii(sch())
+            phi = builtin_triple("sqrt_plus", domain)[3]
+            table = _top_table(domain, sch())
+            assert _top_table(dataclasses.replace(domain), sch()) is table
+            pts, geo = table
+            assert pts is doubling_sample_sets(domain, sch())[-1][1]
             fresh = _norm_geometry(domain.norm_of(pts.copy()), radii)
             assert geo.radii == fresh.radii and geo.cuts == fresh.cuts
             assert geo.radius == fresh.radius == np.max(fresh.norms)
             for a, b in ((geo.norms, fresh.norms), (geo.order, fresh.order)):
                 assert a.tobytes() == b.tobytes() and not a.flags.writeable
-            memoized = _gauge_values(phi, pts)
-            assert _gauge_values(phi, pts) is memoized
-            values, valid = memoized
+            cached = _table_gauge(phi, domain, sch())
+            assert _table_gauge(phi, domain, sch()) is cached
+            values, valid = cached
             assert values.tobytes() == phi.eval(pts).tobytes() and valid
             assert not values.flags.writeable
-            copy = pts.copy()
-            assert _table_geometry(copy, domain, radii) is not \
-                _table_geometry(copy, domain, radii)
-            assert _gauge_values(phi, copy) is not _gauge_values(phi, copy)
-        # one entry per level; the last domain's gauge died with its binding
-        assert len(gauge.entries) == 4
-    assert len(geometry.entries) == 8
+    # each key once, and at most _TABLE_CACHE_SIZE entries per cache
+    for cache in (tables, gauges):
+        info = cache.cache_info()
+        assert (info.currsize, info.misses) == (4, 4)
+        assert info.maxsize == _TABLE_CACHE_SIZE
 
 
 def test_exhaustion_sets_nested(half_dom):
@@ -408,6 +414,36 @@ def test_gauge_margins_are_the_per_level_rule(half_dom, scheme):
     rep = validate_gauge(dipped, growth, half_dom, scheme)
     assert rep.margin_of("floor_m") == 0.5
     assert next(c for c in rep.checks if c.name == "floor_m").witness == (dip,)
+
+
+def test_validate_gauge_evaluates_the_inner_level_and_the_top_only(
+        half_dom, scheme, table_caches):
+    # every level is a subset of the top table, whose values are cached
+    sqrt_gauge = builtin_triple("sqrt_plus", half_dom)[3]
+    rows = []
+
+    def counted(p):
+        rows.append(p.shape[0])
+        return sqrt_gauge.eval(p)
+
+    phi = Gauge(eval=counted, beta=2.0, gamma=0.5, m=1.0, label="counted")
+    growth = make_radial("sqrt_plus")
+    (_, inner), *_, (_, top) = doubling_sample_sets(half_dom, scheme)
+    rep = validate_gauge(phi, growth, half_dom, scheme)
+    assert rows == [top.shape[0], inner.shape[0]]
+    assert repr(rep) == repr(validate_gauge(sqrt_gauge, growth, half_dom,
+                                            scheme))
+    validate_gauge(phi, growth, half_dom, scheme)
+    assert rows[2:] == [inner.shape[0]]
+    # a value that is not finite past the inner level raises, every call
+    for bad in (np.inf, np.nan):
+        phi = Gauge(eval=lambda p, bad=bad: np.where(p[:, 0] > 30.0, bad,
+                                                     1.0),
+                    beta=2.0, gamma=0.5, m=1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^gauge evaluated to a "
+                               "non-finite value$"):
+                validate_gauge(phi, growth, half_dom, scheme)
 
 
 def test_nan_growth_fails_the_cone_with_nan_margins(half_dom, scheme):

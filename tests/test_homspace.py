@@ -217,11 +217,11 @@ def test_process_memo_changes_no_rho(half_dom, sqrt_triple, scheme_fast,
     cached, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
     assert process_memo.entries
 
-    def copied_tables(domain, scheme):
-        return tuple((radius, pts.copy())
-                     for radius, pts in doubling_sample_sets(domain, scheme))
+    def copied_table(domain, scheme):
+        pts, geo = funcspace._top_table(domain, scheme)
+        return pts.copy(), geo
 
-    monkeypatch.setattr(homspace, "doubling_sample_sets", copied_tables)
+    monkeypatch.setattr(homspace, "_top_table", copied_table)
     entries = dict(process_memo.entries)
     plain, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
     assert process_memo.entries == entries
@@ -290,16 +290,16 @@ def test_displacement_raises_on_nonfinite_map(half_dom, sqrt_triple, scheme):
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_displacement_rejects_a_gauge_not_positive_and_finite(
-        half_dom, scheme, geometry_memo, bad):
-    # on a memoized table the verdict on the gauge is memoized with its
-    # values, so every call raises, not only the first
+        half_dom, scheme, table_caches, bad):
+    # the verdict on the gauge is cached with its values on the table, so
+    # every call raises, not only the first
     _, r, _, _ = builtin_triple("sqrt_plus", half_dom)
     phi = Gauge(eval=lambda p: np.where(p[:, 0] > 5.0, bad, 1.0), beta=2.0,
                 gamma=0.5, m=1.0)
     for _ in range(2):
         with pytest.raises(EvaluationError, match="positive and finite"):
             displacement(translation(half_dom, 0.75), phi, r, scheme)
-    assert len(geometry_memo[1].entries) == 1
+    assert table_caches[1].cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("shift", [1.0, 100.0])
@@ -358,37 +358,37 @@ def _bits(est):
 
 
 def test_geometry_memo_changes_no_displacement(half_dom, sqrt_triple, scheme,
-                                               geometry_memo, process_memo):
+                                               table_caches, process_memo):
     _, r, _, phi = sqrt_triple
     f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
     cold = displacement(f, phi, r, scheme)
-    geometry, gauge = geometry_memo
-    assert geometry.entries and gauge.entries
+    tables, gauges, _ = table_caches
+    assert tables.cache_info().currsize and gauges.cache_info().currsize
     warm = displacement(f, phi, r, scheme)
-    for memo in (geometry, gauge, process_memo):
-        memo.entries.clear()
+    for cache in table_caches:
+        cache.cache_clear()
+    process_memo.entries.clear()
     process_memo.nbytes = 0
     emptied = displacement(f, phi, r, scheme)
     assert _bits(cold) == _bits(warm) == _bits(emptied)
 
 
-def test_equal_gauges_share_no_stale_values(half_dom, scheme, geometry_memo):
-    # the CLI builds a new, equal gauge per run: each is its own memo key,
-    # the memo stays within its bound, and a dead gauge leaves nothing
-    _, gauge_memo = geometry_memo
+def test_equal_gauges_share_no_stale_values(half_dom, scheme, table_caches):
+    # the CLI builds a new, equal gauge per run: each is its own cache key,
+    # and the cache keeps at most _TABLE_CACHE_SIZE of them
+    gauges = table_caches[1]
     f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
     triples = [builtin_triple("sqrt_plus", half_dom) for _ in range(200)]
     want = _bits(displacement(f, triples[0][3], triples[0][1], scheme))
     for _, r, _, phi in triples:
         assert _bits(displacement(f, phi, r, scheme)) == want
-        assert len(gauge_memo.entries) <= funcspace._TABLE_CACHE_SIZE
-    assert len(gauge_memo.entries) == funcspace._TABLE_CACHE_SIZE
-    del triples, r, phi
-    assert not gauge_memo.entries
+        assert gauges.cache_info().currsize <= funcspace._TABLE_CACHE_SIZE
+    info = gauges.cache_info()
+    assert (info.currsize, info.misses) == (funcspace._TABLE_CACHE_SIZE, 200)
 
 
 def test_gauge_memo_keys_each_gauge(half_dom, sqrt_triple, scheme,
-                                    geometry_memo):
+                                    table_caches):
     # one table under phi and under 2 phi: each gauge reads its own values
     _, r, _, phi = sqrt_triple
     double = Gauge(eval=lambda p: 2.0 * phi.eval(p), beta=4.0, gamma=1.0,
@@ -396,11 +396,11 @@ def test_gauge_memo_keys_each_gauge(half_dom, sqrt_triple, scheme,
     f = translation(half_dom, 0.75)
     assert displacement(f, phi, r, scheme).value == 0.75
     assert displacement(f, double, r, scheme).value == 0.375
-    assert len(geometry_memo[1].entries) == 2
+    assert table_caches[1].cache_info().currsize == 2
 
 
 def test_displacement_caches_no_scale_values(half_dom, sqrt_triple, scheme,
-                                             geometry_memo):
+                                             table_caches):
     # one table and one gauge under two scales: r runs on every call
     _, r, _, phi = sqrt_triple
     f = translation(half_dom, 0.75)

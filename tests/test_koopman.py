@@ -29,7 +29,7 @@ from homconj import (
     schroeder_functional_check,
     wandering_check,
 )
-from homconj import koopman
+from homconj import funcspace, koopman
 from homconj.families import BumpSpec
 from homconj.funcspace import (
     RadialFn,
@@ -210,7 +210,8 @@ def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap):
     ref = reference_r_lipschitz(f, r, scheme, pair_cap=cap)
     _assert_same_estimate(pair_walk((f,), r, scheme, cap)[0], ref)
     if not takes_neighbour_slopes(f, r):
-        _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap), ref)
+        _assert_same_estimate(
+            _r_lipschitz((f,), r, scheme, Tolerances(), cap)[0], ref)
 
 
 def _block_boundary_cases():
@@ -242,7 +243,7 @@ def test_r_lipschitz_matches_reference_at_block_boundaries(label, f, r,
                                                            scheme, cap, rows):
     assert _BLOCK_ROWS == 64
     assert _pair_cloud(f.domain, scheme, cap).shape[0] == rows
-    _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap),
+    _assert_same_estimate(_r_lipschitz((f,), r, scheme, Tolerances(), cap)[0],
                           reference_r_lipschitz(f, r, scheme, pair_cap=cap))
 
 
@@ -336,7 +337,8 @@ def test_r_lipschitz_matches_the_reshaped_block_walk(label, f, r, scheme,
         assert _pair_cloud(f.domain, scheme, cap).shape[0] \
             < _pair_cloud(f.domain, scheme, PAIR_CAP).shape[0]
     ref, = reference_block_walk((f,), r, scheme, pair_cap=cap)
-    _assert_same_estimate(r_lipschitz(f, r, scheme, pair_cap=cap), ref)
+    _assert_same_estimate(
+        _r_lipschitz((f,), r, scheme, Tolerances(), cap)[0], ref)
 
 
 def test_gate_matches_the_reshaped_block_walk(bundle_025, scheme):
@@ -422,7 +424,8 @@ def test_r_lipschitz_without_pairs_is_undetermined(half_dom, sqrt_triple):
     _, r, _, _ = sqrt_triple
     f = primitive(half_dom, lambda p: 2.0 * p, lambda p: p / 2.0, "2x")
     # a 2-pair cap strides the cloud down to its first point alone
-    est = r_lipschitz(f, r, SampleScheme(window_radius=8.0), pair_cap=1)
+    est = _r_lipschitz((f,), r, SampleScheme(window_radius=8.0),
+                       Tolerances(), 1)[0]
     assert est.finiteness == "undetermined" and est.pair_count == 0
     assert np.isnan(est.value) and est.witness_pair is None
 
@@ -542,6 +545,38 @@ def test_r_lipschitz_work_counts(bundle_025, scheme):
                   bundle_025.r, bundle_025.alpha, scheme)
     top = doubling_sample_sets(bundle_025.domain, scheme)[-1][1]
     assert f_rows == g_rows == [cloud_rows, top.shape[0]]
+
+
+def test_cached_pair_cloud_changes_no_gate(bundle_025, scheme, table_caches,
+                                          process_memo):
+    # the cloud is cached per (domain, scheme, cap), read-only; it is not a
+    # sample table, so the process memo caches no image of it
+    b = bundle_025
+    lozi, light = build_lozi(1.4, 0.3), SampleScheme(
+        window_radius=4.0, grid_points_per_axis=15, quasirandom_count=8)
+    r_lipschitz(b.g, b.r, scheme)
+    cloud = _pair_cloud(b.domain, scheme, PAIR_CAP)
+    assert not cloud.flags.writeable and not funcspace._is_table(cloud)
+    assert not process_memo.entries
+
+    def gates():
+        # the 1-d gate takes neighbour slopes, the 2-d Lozi map the pair walk
+        lams = _r_lipschitz((b.f, b.g), b.r, scheme, Tolerances(), PAIR_CAP)
+        lams.append(r_lipschitz(lozi, make_radial("identity"), light))
+        return lams, repr(check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha,
+                                        scheme))
+
+    cold = gates()
+    assert _pair_cloud(b.domain, scheme, PAIR_CAP) is cloud
+    warm = gates()
+    for cache in table_caches:
+        cache.cache_clear()
+    cleared = gates()
+    for lams, report in (warm, cleared):
+        for new, ref in zip(lams, cold[0], strict=True):
+            _assert_same_estimate(new, ref)
+        assert report == cold[1]
+    assert table_caches[2].cache_info().currsize == 2
 
 
 def test_r_lipschitz_memory_stays_within_blocks():
