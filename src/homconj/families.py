@@ -14,7 +14,8 @@ on the half line.  Their inverses are the one sanctioned exception to
 "closures only": :func:`damped_inverse` writes y = T^-1 x - s T^-1 e_0
 and finds the scalar s = bump(|y|) of each row by a bracketed Newton
 iteration, the same in every dimension, so a row's inverse does not
-depend on the other rows of its batch.
+depend on the other rows of its batch.  A row the bump does not reach at
+|T^-1 x| is T^-1 x and never enters the iteration.
 """
 
 import inspect
@@ -81,19 +82,24 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+def _cutoff(spec: BumpSpec, x: np.ndarray) -> np.ndarray:
+    """The profile's argument t = clip(1 - |x - center| / halfwidth, 0, 1):
+    0 off the support, 1 at its centre."""
+    t = 1.0 - np.abs(x - spec.center) / spec.halfwidth
+    return np.minimum(np.maximum(t, 0.0), 1.0)
+
+
 def bump_eval(spec: BumpSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    t = np.clip(1.0 - np.abs(x - spec.center) / spec.halfwidth, 0.0, 1.0)
-    return spec.height * _smoothstep(t)
+    return spec.height * _smoothstep(_cutoff(spec, np.asarray(x, dtype=float)))
 
 
 def _bump_with_slope(spec: BumpSpec, x: np.ndarray) -> tuple:
     """``bump_eval(spec, x)`` and its derivative in x, from one argument."""
-    u = x - spec.center
-    t = np.clip(1.0 - np.abs(u) / spec.halfwidth, 0.0, 1.0)
+    t = _cutoff(spec, x)
     w = t * (1.0 - t)
     return (spec.height * _smoothstep(t),
-            (-30.0 * spec.height / spec.halfwidth) * np.sign(u) * (w * w))
+            (-30.0 * spec.height / spec.halfwidth) * np.sign(x - spec.center)
+            * (w * w))
 
 
 def bump_lipschitz(spec: BumpSpec) -> float:
@@ -228,7 +234,22 @@ def _rows_times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _radial(p: np.ndarray) -> np.ndarray:
     """|x| of each row: the absolute value in dimension 1, else euclidean."""
     return np.abs(p[:, 0]) if p.shape[1] == 1 else \
-        np.sqrt(np.sum(p * p, axis=1))
+        np.sqrt(np.add.reduce(p * p, axis=1))
+
+
+def _unit_dot(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(y / |y|) . c of each row, given r = |y|, taking y / |y| as 0 at
+    y = 0; in dimension 1 that is sign(y) c_0."""
+    if y.shape[1] == 1:
+        return np.sign(y[:, 0]) * c[0]
+    unit = np.divide(y, r[:, None], out=np.zeros(y.shape),
+                     where=r[:, None] > 0.0)
+    return _rows_times(unit, c[None, :])[:, 0]
+
+
+def _sup_norm(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """max_k |y_k| of each row, given r = |y|."""
+    return r if y.shape[1] == 1 else np.maximum.reduce(np.abs(y), axis=1)
 
 
 # stop rule and sweep cap of damped_inverse
@@ -249,43 +270,52 @@ def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
     bracket takes the midpoint of [lo, min(hi, height)] instead, so each
     sweep that moves s narrows the bracket.  A row stops on its own once
     its step moves y by at most _TOL (1 + |y|) in the sup norm, and
-    returns the y after that step; a row the bump does not reach takes no
-    step and returns z.  A row whose z is not finite, or that is still
+    returns the y after that step.  A row the bump does not reach
+    (bump(|z|) = 0, so F(0) = 0 and s = 0 is its root) returns z and
+    never enters the iteration; a call that leaves no row to iterate
+    counts one sweep.  A row whose z is not finite, or that is still
     moving after _MAX_SWEEPS sweeps, comes back NaN, so the caller's
     finiteness checks fire.  Returns the solution together with the
     number of sweeps used.
     """
     c = Tinv[:, 0]
-    c_max = np.max(np.abs(c))
+    c_max = np.maximum.reduce(np.abs(c))
     z = _rows_times(x, Tinv)
     out = np.full_like(z, np.nan)
-    rows = np.flatnonzero(np.all(np.isfinite(z), axis=1))
+    rows = np.isfinite(z).all(axis=1).nonzero()[0]
+    r = _radial(z[rows])
+    reached = bump_eval(bump, r) > 0.0
+    out[rows[~reached]] = z[rows[~reached]]
+    rows, r = rows[reached], r[reached]
+    if not rows.size:
+        return out, 1
     z = y = z[rows]
     s = lo = np.zeros(rows.shape[0])
     hi = np.full(rows.shape[0], np.inf)
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        r = _radial(y)
         b, slope = _bump_with_slope(bump, r)
         F = s - b
         lo = np.where(F < 0.0, s, lo)
         hi = np.where(F > 0.0, s, hi)
-        # F'(s) = 1 + bump'(|y|) (y / |y|) . c, taking y / |y| as 0 at y = 0
-        unit = np.divide(y, r[:, None], out=np.zeros_like(y),
-                         where=r[:, None] > 0.0)
-        step = np.minimum(
-            s - F / (1.0 + slope * _rows_times(unit, c[None, :])[:, 0]),
-            bump.height)
+        # F'(s) = 1 + bump'(|y|) (y / |y|) . c
+        step = np.minimum(s - F / (1.0 + slope * _unit_dot(y, r, c)),
+                          bump.height)
         # a step that stays put has converged
         step = np.where(((lo < step) & (step < hi)) | (step == s), step,
                         0.5 * (lo + np.minimum(hi, bump.height)))
         moved = np.abs(step - s)
         y = np.where(moved[:, None] > 0.0, z - step[:, None] * c, y)
-        done = moved * c_max <= _TOL * (1.0 + np.max(np.abs(y), axis=1))
-        out[rows[done]] = y[done]
-        live = ~done
-        if sweeps == _MAX_SWEEPS or not live.any():
+        r = _radial(y)
+        done = moved * c_max <= _TOL * (1.0 + _sup_norm(y, r))
+        finished = done.nonzero()[0]
+        if finished.size:
+            out[rows[finished]] = y[finished]
+            live = ~done
+            rows, z, y, r, step, lo, hi = (
+                a[live] for a in (rows, z, y, r, step, lo, hi))
+        if not rows.size:
             break
-        rows, z, y, s, lo, hi = (a[live] for a in (rows, z, y, step, lo, hi))
+        s = step
     return out, sweeps
 
 

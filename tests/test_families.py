@@ -1,5 +1,7 @@
 """Built-in map families and their invertibility guarantees."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,6 +364,148 @@ def test_g_inverse_orbits_match_the_written_out_inverse_bit_for_bit(eta):
     for _ in range(40):
         y, y_ref = b.g.inverse(y), damped_inverse(Tinv, b.bump, y_ref)[0]
         assert np.array_equal(_bits(y), _bits(y_ref))
+
+
+# ===================================================================
+# the inverse against its unscreened sweep loop
+# ===================================================================
+
+def unscreened_damped_inverse(Tinv, bump, x, max_sweeps=200):
+    """damped_inverse before it screened out the rows the bump does not
+    reach, verbatim: every finite row enters the sweep loop, and every
+    sweep runs over the whole live batch."""
+    def rows_times(x, M):
+        out = x[:, :1] * M[:, 0]
+        for k in range(1, M.shape[1]):
+            out = out + x[:, k:k + 1] * M[:, k]
+        return out
+
+    def radial(p):
+        return np.abs(p[:, 0]) if p.shape[1] == 1 else \
+            np.sqrt(np.sum(p * p, axis=1))
+
+    def bump_with_slope(spec, x):
+        u = x - spec.center
+        t = np.clip(1.0 - np.abs(u) / spec.halfwidth, 0.0, 1.0)
+        w = t * (1.0 - t)
+        return (spec.height * (t * t * t * (10.0 + t * (-15.0 + 6.0 * t))),
+                (-30.0 * spec.height / spec.halfwidth) * np.sign(u) * (w * w))
+
+    c = Tinv[:, 0]
+    c_max = np.max(np.abs(c))
+    z = rows_times(x, Tinv)
+    out = np.full_like(z, np.nan)
+    rows = np.flatnonzero(np.all(np.isfinite(z), axis=1))
+    z = y = z[rows]
+    s = lo = np.zeros(rows.shape[0])
+    hi = np.full(rows.shape[0], np.inf)
+    for sweeps in range(1, max_sweeps + 1):
+        r = radial(y)
+        b, slope = bump_with_slope(bump, r)
+        F = s - b
+        lo = np.where(F < 0.0, s, lo)
+        hi = np.where(F > 0.0, s, hi)
+        unit = np.divide(y, r[:, None], out=np.zeros_like(y),
+                         where=r[:, None] > 0.0)
+        step = np.minimum(
+            s - F / (1.0 + slope * rows_times(unit, c[None, :])[:, 0]),
+            bump.height)
+        step = np.where(((lo < step) & (step < hi)) | (step == s), step,
+                        0.5 * (lo + np.minimum(hi, bump.height)))
+        moved = np.abs(step - s)
+        y = np.where(moved[:, None] > 0.0, z - step[:, None] * c, y)
+        done = moved * c_max <= 1e-14 * (1.0 + np.max(np.abs(y), axis=1))
+        out[rows[done]] = y[done]
+        live = ~done
+        if sweeps == max_sweeps or not live.any():
+            break
+        rows, z, y, s, lo, hi = (a[live] for a in (rows, z, y, step, lo, hi))
+    return out, sweeps
+
+
+def _unscreened_cases():
+    """Seeded (T, bump, x) cases in dimensions 1 to 3, for diagonal,
+    negative and tilted T, each bump with its first-axis rows at
+    |z| = center -+ halfwidth exactly and one ulp inside, of +-0, with a
+    |z| too large to square, and x overflowing in T^-1 x."""
+    rng = np.random.default_rng(2010)
+    for dim in (1, 2, 3):
+        diag = np.diag(2.0 ** rng.integers(-3, 0, dim))
+        tilted = 0.5 * (np.eye(dim) + rng.uniform(-0.3, 0.3, (dim, dim)))
+        for T in (diag, -diag, tilted):
+            smin = float(np.linalg.svd(T, compute_uv=False)[-1])
+            halfwidth = rng.uniform(0.3, 1.5)
+            for center, width, lip in (
+                    (2.0, 1.0, 0.9),
+                    (rng.uniform(1.0, 4.0), halfwidth, rng.uniform(0.2, 0.99)),
+                    (2.0, 1.0, 0.0),
+                    (0.5, 1.0, 0.5)):        # the support covers |y| = 0
+                spec = BumpSpec(center=center, halfwidth=width,
+                                height=lip * smin * width / BUMP_SLOPE_FACTOR)
+                reach = center + width + 0.5
+                z = rng.uniform(-reach, reach, size=(200, dim))
+                edges = [center - width, center + width]
+                edges += [np.nextafter(e, center) for e in edges]
+                axis = np.zeros((2 * len(edges), dim))
+                axis[:, 0] = edges + [-e for e in edges]
+                big = np.zeros((1, dim))
+                big[0, 0] = big[0, -1] = 1e200
+                x = np.vstack([z @ T.T, axis @ T.T,
+                               np.zeros((1, dim)), np.full((1, dim), -0.0),
+                               big @ T.T,
+                               1.7e308 * np.sign(np.linalg.inv(T)[:1])])
+                yield T, spec, x
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2])
+def test_inverse_matches_its_unscreened_loop_bit_for_bit(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(families, "_MAX_SWEEPS", cap)
+    # the screen raises no floating-point warning the loop did not raise
+    for T, spec, x in _unscreened_cases():
+        Tinv = np.linalg.inv(T)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not np.all(np.isfinite(families._rows_times(x, Tinv)))
+            caught.clear()
+            y, used = damped_inverse(Tinv, spec, x)
+            warned = {str(w.message) for w in caught}
+            caught.clear()
+            y_ref, used_ref = unscreened_damped_inverse(
+                Tinv, spec, x, cap or families._MAX_SWEEPS)
+            assert warned <= {str(w.message) for w in caught}
+        assert used == used_ref
+        assert np.array_equal(_bits(y), _bits(y_ref))
+
+
+def test_the_sweep_loop_sees_only_the_rows_the_bump_reaches(monkeypatch):
+    # g^-1 of the top table at eta 0.25: the rows with bump(|z|) = 0 return
+    # z = x / eta and never reach the sweep's bump evaluation
+    b = build_contraction_pair(0.25)
+    top = doubling_sample_sets(b.domain, SampleScheme(window_radius=8.0))[-1][1]
+    Tinv = np.linalg.inv([[0.25]])
+    z = families._rows_times(top, Tinv)
+    reached = bump_eval(b.bump, np.abs(z[:, 0])) > 0.0
+    assert 0 < np.count_nonzero(reached) < top.shape[0]
+    seen = []
+    bump_with_slope = families._bump_with_slope
+
+    def recorded(spec, r):
+        seen.append(r.copy())
+        return bump_with_slope(spec, r)
+
+    monkeypatch.setattr(families, "_bump_with_slope", recorded)
+    y, used = damped_inverse(Tinv, b.bump, top)
+    assert len(seen) == used
+    assert np.array_equal(_bits(seen[0]), _bits(np.abs(z[reached, 0])))
+    assert all(u.shape[0] >= v.shape[0] for u, v in zip(seen, seen[1:]))
+    assert np.array_equal(_bits(y[~reached]), _bits(z[~reached]))
+    assert np.array_equal(_bits(y), _bits(b.g.inverse(top)))
+    # a call with a bump that reaches none of its rows takes z as it is
+    seen.clear()
+    y, used = damped_inverse(Tinv, b.bump, top[~reached])
+    assert used == 1 and not seen
+    assert np.array_equal(_bits(y), _bits(z[~reached]))
 
 
 # ===================================================================
