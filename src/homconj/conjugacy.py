@@ -29,6 +29,7 @@ from .homspace import (
     Homeo,
     InequalityReport,
     MembershipVerdict,
+    _apply,
     _chain_memo,
     _gate_constant,
     _images,
@@ -215,18 +216,64 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
                             tol: Tolerances = Tolerances()) -> BoundReport:
     """Sup norms of f^n∘h0∘g^-n over ``pts`` for |n| <= n_bnd.
 
-    Runs under a chain memo, so the orbits g^-n(pts) and g^n(pts) are
-    walked once, not once per n.  The report keeps the per-point norms,
-    so its restriction to a subset of ``pts`` needs no second walk.
+    Each iterate is split into its leading run of f (n >= 0) or f^-1
+    (n < 0) atoms and the rest.  The rests are walked under a chain memo,
+    so the orbits g^-n(pts) and g^n(pts) are walked once, not once per n;
+    the runs are applied in lockstep by :func:`_lockstep_norms`, so f and
+    f^-1 are each called once per round, O(n_bnd) calls in all, not once
+    per atom of every chain.  Every atom is row-wise, so the norms are bit
+    for bit those of a walk of each chain alone.  The report keeps the
+    per-point norms in the order 0, 1, -1, 2, -2, ..., so its restriction
+    to a subset of ``pts`` needs no second walk.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    norm_of = h0.domain.norm_of
+    pos, neg = {0: h0}, {}
+    for n, (h_pos, h_neg) in zip(range(1, n_bnd + 1), _iterates(f, g, h0)):
+        pos[n], neg[-n] = h_pos, h_neg
     with _chain_memo():
-        rows = {0: norm_of(h0.forward(pts))}
-        for n, (pos, neg) in zip(range(1, n_bnd + 1), _iterates(f, g, h0)):
-            rows[n] = norm_of(pos.forward(pts))
-            rows[-n] = norm_of(neg.forward(pts))
+        norms = _lockstep_norms(pos, f, pts)
+        norms.update(_lockstep_norms(neg, invert(f), pts))
+    rows = {n: norms[n] for n in sorted(norms, key=lambda n: (abs(n), n < 0))}
     return _bound_report(rows, n_bnd, tol)
+
+
+def _leading_run(chain: tuple, block: tuple) -> int:
+    """How many copies of ``block`` open ``chain``; 0 for an empty block."""
+    k, w = 0, len(block)
+    while w and chain[k * w:(k + 1) * w] == block:
+        k += 1
+    return k
+
+
+def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray) -> dict:
+    """The norms of h(pts) for each map h of ``chains``, keyed alike.
+
+    Each chain is k copies of ``step`` after a rest.  The rest images are
+    stacked in order of decreasing k, and each round applies ``step`` once
+    to the prefix of chains whose run is not yet done; a chain's norms are
+    taken as its run ends, so no finished image outlives its round and
+    none is filed in a memo.
+    """
+    if not chains:
+        return {}
+    norm_of, m = step.domain.norm_of, pts.shape[0]
+    runs = {}
+    for key, h in chains.items():
+        k = _leading_run(h.chain, step.chain)
+        rest = Homeo(h.domain, h.chain[k * len(step.chain):])
+        runs[key] = (k, rest.forward(pts))
+    order = sorted(runs, key=lambda key: -runs[key][0])
+    stack = np.concatenate([runs[key][1] for key in order])
+    norms, live = {}, len(order)
+    for k in range(runs[order[0]][0] + 1):
+        while live and runs[order[live - 1]][0] == k:
+            live -= 1
+            norms[order[live]] = norm_of(stack[live * m:(live + 1) * m])
+        if live:
+            stack = stack[:live * m]
+            for atom_step in reversed(step.chain):
+                stack = _apply(atom_step, stack)
+    return norms
 
 
 def _bound_report(rows: dict, n_bnd: int, tol: Tolerances) -> BoundReport:
@@ -257,13 +304,20 @@ def _check_domains(est: EstimateContext, *maps: Homeo) -> None:
 def conjugacy_residual(f: Homeo, g: Homeo, h: Homeo, ctx: EstimateContext) -> float:
     """sup over samples of r(|f(h(x)) - h(g(x))|) / phi(g(x)).
 
+    Both images are walks of composed chains, f∘h and h∘g, from the top
+    sample table, the premetric's rule (see homspace), not walks of h from
+    the images g(x).  For an iterate h = f^n∘h0∘g^-n seam cancellation
+    makes h∘g the chain f∘h' of the previous iterate h'.  So under a chain
+    memo, after the residual of h', this one walks no image twice and
+    grows only the orbit g^-k of the table, by one step; no second orbit
+    starts from g(x).  phi(g(x)) still reads the images g(x).
     Raises DomainMismatchError unless f, g, h and ctx share one domain.
     """
     _check_domains(ctx, f, g, h)
     pts = doubling_sample_sets(ctx.domain, ctx.scheme)[-1][1]
     gx = _images(g, pts)
-    fhx = _images(f, _images(h, pts), "images of h")
-    num = ctx.r.eval(ctx.domain.norm_of(fhx - _images(h, gx, "images of g")))
+    fhx = _images(compose(f, h), pts)
+    num = ctx.r.eval(ctx.domain.norm_of(fhx - _images(compose(h, g), pts)))
     return float(np.max(num / ctx.phi.eval(gx)))
 
 
@@ -353,8 +407,12 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     cannot be evaluated (an image left the float range) ends the run as
     ``non_finite``, and a step whose increment or residual is NaN ends it
     as ``undetermined``, each with the steps before it and no membership.
-    The whole solve runs under one chain memo (see homspace), so a step
-    costs one new inverse orbit step per sample table instead of n.  Raises
+    Each step's compact bound is the probe's value at +-(n+1) on the
+    innermost compact while n + 1 <= n_bnd, and a walk of the outermost
+    compact beyond that.  The whole solve runs under one chain memo (see
+    homspace), and a step's increment and residual both walk from the top
+    sample table, so a step extends the one orbit g^-k of that table by
+    one inverse step instead of walking n of them.  Raises
     DomainMismatchError unless f, g, h0 and ``ctx.est`` share one domain.
     """
     est = ctx.est
@@ -418,9 +476,14 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             step_residual = conjugacy_residual(f, g, h_next, est)
             observed = inc if anchor is None else premetric(
                 h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
-            compact = max(
-                float(np.max(norm_of(h_next.forward(outer))[in_inner])),
-                float(np.max(norm_of(neg_next.forward(outer))[in_inner])))
+            if n < ctx.n_bnd:
+                # iterate n + 1 is a probe row: its norms are walked already
+                compact = max(bound_pre.values[n + 1],
+                              bound_pre.values[-n - 1])
+            else:
+                compact = max(
+                    float(np.max(norm_of(h_next.forward(outer))[in_inner])),
+                    float(np.max(norm_of(neg_next.forward(outer))[in_inner])))
         except EvaluationError as exc:
             # once f^-n leaves the float range no estimate of step n exists;
             # the steps before it stand

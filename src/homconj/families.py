@@ -304,7 +304,7 @@ def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
         step = np.where(((lo < step) & (step < hi)) | (step == s), step,
                         0.5 * (lo + np.minimum(hi, bump.height)))
         moved = np.abs(step - s)
-        y = np.where(moved[:, None] > 0.0, z - step[:, None] * c, y)
+        y = z - step[:, None] * c
         r = _radial(y)
         done = moved * c_max <= _TOL * (1.0 + _sup_norm(y, r))
         finished = done.nonzero()[0]

@@ -17,9 +17,14 @@ passes through it.  There are two lifetimes:
 
 * the run memo, which ``picard_solve`` and ``negative_iterates_bound``
   open for one call (a nested call shares the outer memo).  Picard iterates
-  h_n = f^n∘h0∘g^-n share long right-hand suffixes, and every walk of the
-  run, from any root array, goes through it.  Its images are dropped when
-  the run ends, so the orbits of a finished run do not stay resident.
+  h_n = f^n∘h0∘g^-n share long right-hand suffixes.  A step's increment
+  and residual walk them from the top sample table, so a step extends the
+  one orbit g^-k(P) by one step.  Every walk of the run, from any root
+  array, goes through it, with one exception: the boundedness probe
+  applies the leading runs of f or f^-1 of its iterates to a stack of its
+  own, and files none of those images, since no other walk starts from
+  them.  The memo's images are dropped when the run ends, so the orbits
+  of a finished run do not stay resident.
 * the process memo, which every walk uses while no run memo is open,
   provided its root array is a sample table that ``funcspace`` handed out
   (``doubling_sample_sets`` and ``exhaustion_sets``).  Premetrics that

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homconj import (
+    BumpSpec,
     CrossConstants,
     Domain,
     DomainMismatchError,
@@ -19,6 +20,10 @@ from homconj import (
     SampleScheme,
     Tolerances,
     build_contraction_pair,
+    build_lozi,
+    build_perturbed_linear,
+    build_translation,
+    builtin_triple,
     cauchy_envelope,
     check_p_alpha,
     compose,
@@ -39,7 +44,7 @@ from homconj import (
 
 import homconj.conjugacy as conjugacy_module
 from conftest import bump_member
-from homconj.homspace import _gate_constant
+from homconj.homspace import _chain_memo, _gate_constant
 
 
 def scaling(domain, c):
@@ -218,6 +223,86 @@ def test_bound_probe_flags_a_non_finite_iterate(half_dom, sqrt_triple,
     assert res.trace.notes == ("boundedness probe: iterate n=32 is not finite",)
 
 
+def _per_chain_rows(f, g, h0, pts, n_bnd):
+    """The probe's rows as a walk of each iterate alone, without a memo,
+    in the order 0, 1, -1, 2, -2, ..."""
+    norm_of = h0.domain.norm_of
+    rows = {0: norm_of(h0.forward(pts))}
+    pos = neg = h0
+    for n in range(1, n_bnd + 1):
+        pos = compose(compose(f, pos), invert(g))
+        neg = compose(compose(invert(f), neg), g)
+        rows[n] = norm_of(pos.forward(pts))
+        rows[-n] = norm_of(neg.forward(pts))
+    return rows
+
+
+def _probe_maps(case):
+    """(f, g, writable sample points) on the half line or the 2-d box."""
+    if case == "half_line":
+        b = build_contraction_pair(0.25)
+        pts = sample_points(b.domain, SampleScheme(window_radius=8.0))
+        return b.f, b.g, np.array(pts)
+    # a two-atom f, so a run is a run of blocks, and an f^-1 that solves
+    g = build_lozi(1.4, 0.3)
+    bump = BumpSpec(center=1.5, halfwidth=1.0, height=0.1)
+    f = compose(build_perturbed_linear([[0.8, 0.2], [-0.1, 0.9]], bump),
+                build_translation([0.25, -0.5]))
+    scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=7,
+                          quasirandom_count=8, exhaustion_levels=2)
+    return f, g, np.array(sample_points(g.domain, scheme))
+
+
+@pytest.mark.parametrize("n_bnd", [0, 1, 2, 32])
+@pytest.mark.parametrize("h0_name", ["g", "id", "f", "f∘g", "f^-1∘g"])
+@pytest.mark.parametrize("case", ["half_line", "box2"])
+def test_lockstep_probe_rows_are_the_per_chain_walks(case, h0_name, n_bnd):
+    # the probe applies each leading run of f or f^-1 to a stack of
+    # chains at once; every atom is row-wise, so each row must carry the
+    # bits of the iterate walked alone, and the keys keep their order
+    f, g, pts = _probe_maps(case)
+    h0 = {"g": g, "id": identity(g.domain), "f": f, "f∘g": compose(f, g),
+          "f^-1∘g": compose(invert(f), g)}[h0_name]
+    rep = negative_iterates_bound(f, g, h0, pts, n_bnd)
+    ref = _per_chain_rows(f, g, h0, pts, n_bnd)
+    assert list(rep.rows) == list(ref)
+    for n, norms in ref.items():
+        assert rep.rows[n].view(np.uint64).tobytes() \
+            == norms.view(np.uint64).tobytes(), n
+
+
+def _counting(domain, scale, calls):
+    """x -> scale x whose forward and inverse calls land in ``calls``."""
+    def fwd(p):
+        calls.append(p.shape[0])
+        return scale * p
+
+    def inv(p):
+        calls.append(p.shape[0])
+        return p / scale
+
+    return primitive(domain, fwd, inv, f"{scale:g}x counted")
+
+
+@pytest.mark.parametrize("h0_name", ["g", "f∘g"])
+def test_lockstep_probe_calls_f_linearly_in_n_bnd(h0_name):
+    # chain +-n opens with n atoms f^+-1 that no other chain shares; walked
+    # alone they cost n (n_bnd + 1) calls, in lockstep one call per round
+    b = build_contraction_pair(0.25)
+    calls = []
+    f = _counting(b.domain, 0.25, calls)
+    h0 = b.g if h0_name == "g" else compose(f, b.g)
+    pts = np.array(sample_points(b.domain, SampleScheme(window_radius=8.0)))
+    used = {}
+    for n_bnd in (8, 16, 32):
+        del calls[:]
+        negative_iterates_bound(f, b.g, h0, pts, n_bnd)
+        used[n_bnd] = len(calls)
+        # f and f^-1 once per round, and h0 may add one run step
+        assert used[n_bnd] <= 2 * (n_bnd + 1)
+    assert used[32] - used[16] == 2 * (used[16] - used[8])
+
+
 # ===================================================================
 # the Picard driver
 # ===================================================================
@@ -300,6 +385,81 @@ def test_picard_probe_reports_are_walks_of_the_compacts(monkeypatch,
         expect = max(steps[k + 1], steps[-k - 1])
         assert np.float64(step.compact_bound).tobytes() \
             == np.float64(expect).tobytes()
+
+
+@pytest.mark.parametrize("n_bnd", [4, 32])
+def test_picard_compact_bounds_are_walks_of_the_outer_compact(
+        half_dom, sqrt_triple, scheme_fast, bundle_025, n_bnd):
+    # a step's compact bound is read off the probe's rows while n + 1 <=
+    # n_bnd and walked beyond: both must be the bits of walking iterate
+    # n + 1 on the outer compact and restricting it to the inner one
+    b = bundle_025
+    ctx = PicardContext(est=make_ctx(half_dom, sqrt_triple, scheme_fast),
+                        alpha=b.alpha, n_bnd=n_bnd)
+    res = picard_solve(b.f, b.g, b.g, ctx)
+    assert res.converged and res.trace.n_steps > 4
+    levels = exhaustion_sets(half_dom, scheme_fast)
+    outer = np.array(levels[-1])
+    norm_of = half_dom.norm_of
+    in_inner = norm_of(outer) <= np.max(norm_of(levels[0]))
+    pos = neg = b.g
+    for step in res.trace.steps:
+        pos = compose(compose(b.f, pos), invert(b.g))
+        neg = compose(compose(invert(b.f), neg), b.g)
+        old = max(float(np.max(norm_of(pos.forward(outer))[in_inner])),
+                  float(np.max(norm_of(neg.forward(outer))[in_inner])))
+        assert np.float64(step.compact_bound).tobytes() \
+            == np.float64(old).tobytes(), step.n
+
+
+def test_residual_of_a_planted_affine_conjugacy_is_rounding(half_dom,
+                                                            scheme_fast):
+    # g = h^-1∘f∘h = 2x + 1 for f = 2x and h = x + 1, so f∘h and h∘g agree
+    # up to rounding.  On x >= 0 with u the unit roundoff: fl(x + 1) times
+    # 2 is off by at most 2u(x + 1), and fl(fl(2x + 1) + 1) by at most
+    # u(2x + 1) + u(2x + 2) + u^2 (2x + 1), so their gap is at most
+    # (2x + 2)(3u + u^2).  The gauge 1 + |g(x)| = 2x + 2 is computed at
+    # most a factor (1 - u)^2 low, the gap and the quotient each round up
+    # by at most (1 + u), so the residual is at most 3u(1 + 8u).
+    growth, r, cross, phi = builtin_triple("linear_plus", half_dom)
+    est = EstimateContext(domain=half_dom, scheme=scheme_fast, phi=phi, r=r,
+                          cross=cross)
+    f = scaling(half_dom, 2.0)
+    h = translation(half_dom, 1.0)
+    g = primitive(half_dom, lambda p: 2.0 * p + 1.0,
+                  lambda p: (p - 1.0) / 2.0, "2x+1")
+    u = np.finfo(float).eps / 2
+    assert 0.0 <= conjugacy_residual(f, g, h, est) <= 3 * u * (1 + 8 * u)
+    assert conjugacy_residual(f, f, identity(half_dom), est) == 0.0
+
+
+def test_residuals_of_successive_iterates_extend_one_orbit(monkeypatch,
+                                                            scheme_fast):
+    # under one run memo, h_{n+1}∘g is the chain f∘h_n, so each residual
+    # after the first walks only one new g^-1 step from the sample table;
+    # walking h_{n+1} from the images g(x) started a second orbit there
+    b = build_contraction_pair(0.25)
+    atom = b.g.chain[0][0]
+    inverse, calls = atom.inv, []
+
+    def counted(p):
+        calls.append(p.shape[0])
+        return inverse(p)
+
+    monkeypatch.setattr(atom, "inv", counted)
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    used = []
+    with _chain_memo():
+        h = b.g
+        for _ in range(8):
+            h = conjugacy_operator(b.f, b.g, h)
+            del calls[:]
+            conjugacy_residual(b.f, b.g, h, est)
+            used.append(len(calls))
+    # h_1 = f walks no g^-1; h_2 = f^2∘g^-1 walks one
+    assert used[0] + used[1] <= 1
+    assert all(n <= 1 for n in used)
 
 
 def test_picard_rejects_alpha_below_one(half_dom, sqrt_triple, scheme_fast):
