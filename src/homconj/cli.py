@@ -217,7 +217,7 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
     _check_keys(raw, source, _TOP_KEYS,
                 [k for k, req in _TOP_KEYS.items() if req])
 
-    if raw["schema"] != 1:
+    if _integer(raw["schema"], f"{source}.schema") != 1:
         raise ConfigError(f"{source}.schema: unsupported value {raw['schema']!r}"
                           " (this tool reads schema 1)")
 
@@ -318,17 +318,12 @@ def _displacement_dict(est) -> dict:
     return {"value": float(est.value), "finiteness": est.finiteness}
 
 
-def _eigen_dict(rep) -> dict:
-    return {
-        "alpha": rep.alpha,
-        "lambda_f": rep.lambda_f,
-        "lambda_g": rep.lambda_g,
-        "min_slack_f": rep.min_slack_f,
-        "min_slack_g": rep.min_slack_g,
-        "satisfied": rep.satisfied,
-        "worst_point": None if rep.worst_point is None
-        else [float(v) for v in rep.worst_point],
-    }
+def _fields(rep) -> dict:
+    """A report's fields by name, as its dataclass states them, less those
+    that take no part in comparing it (such as ``EigenReport.inputs``);
+    the record writer turns tuples and numpy scalars into JSON."""
+    return {f.name: getattr(rep, f.name)
+            for f in dataclasses.fields(rep) if f.compare}
 
 
 _GAUGE = Param("string", "built-in gauge for families without their own",
@@ -370,7 +365,7 @@ def _exp_eigen_check(cfg: RunConfig) -> Outcome:
     else:
         f, g = cfg.built, None
     rep = check_p_alpha(f, g, phi, r, alpha, cfg.scheme, cfg.tol)
-    results = {"family": cfg.family.family, "eigen": _eigen_dict(rep)}
+    results = {"family": cfg.family.family, "eigen": _fields(rep)}
     return Outcome(exit_code=0 if rep.satisfied else 2, results=results,
                    warnings=warnings)
 
@@ -406,7 +401,7 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
         "final_residual": res.residual,
         "membership": None if res.membership is None
         else res.membership.verdict,
-        "eigen": _eigen_dict(tr.eigen),
+        "eigen": _fields(tr.eigen),
         "family_notes": list(bundle.notes),
     }
     return Outcome(exit_code=0 if res.converged else 2, results=results,
@@ -454,16 +449,9 @@ def _exp_koenigs(cfg: RunConfig) -> Outcome:
         return Outcome(exit_code=2, results={
             "family": cfg.family.family, "converged": False,
             "reason": str(e)})
-    results = {
-        "family": cfg.family.family,
-        "multiplier": multiplier,
-        "converged": rep.converged,
-        "n_steps": rep.n_steps,
-        "final_increment": rep.final_increment,
-        "residual": rep.residual,
-        "growth_exponent": rep.growth_exponent,
-    }
-    return Outcome(exit_code=0, results=results)
+    return Outcome(exit_code=0, results={
+        "family": cfg.family.family, "multiplier": multiplier,
+        **_fields(rep)})
 
 
 def _exp_abel(cfg: RunConfig) -> Outcome:
@@ -478,12 +466,7 @@ def _exp_abel(cfg: RunConfig) -> Outcome:
         return np.log(domain.norm_of(pts)) / log_scale
 
     rep = abel_check(mp, varphi, cfg.scheme)
-    results = {
-        "family": cfg.family.family,
-        "scale": scale,
-        "residual": rep.residual,
-        "worst_point": [float(v) for v in rep.worst_point],
-    }
+    results = {"family": cfg.family.family, "scale": scale, **_fields(rep)}
     if 0.0 < scale < 1.0:
         low = schroeder_functional_check(mp, cfg.scheme)
         results["log_margin"] = low.margin
@@ -498,16 +481,8 @@ def _exp_wandering(cfg: RunConfig) -> Outcome:
     rep = wandering_check(cfg.built, opts["cloud"],
                           covering_radius=opts["covering_radius"],
                           nu=opts["nu"], n_max=opts["n_max"])
-    results = {
-        "family": cfg.family.family,
-        "verdict": rep.verdict,
-        "collision_pair": None if rep.collision_pair is None
-        else list(rep.collision_pair),
-        "min_separation": rep.min_separation,
-        "radii_trace": list(rep.radii_trace),
-    }
     return Outcome(exit_code=0 if rep.verdict == "wandering" else 2,
-                   results=results)
+                   results={"family": cfg.family.family, **_fields(rep)})
 
 
 def _exp_fk_sweep(cfg: RunConfig) -> Outcome:

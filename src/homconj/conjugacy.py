@@ -407,22 +407,22 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     cannot be evaluated (an image left the float range) ends the run as
     ``non_finite``, and a step whose increment or residual is NaN ends it
     as ``undetermined``, each with the steps before it and no membership.
-    Each step's compact bound is the probe's value at +-(n+1) on the
-    innermost compact while n + 1 <= n_bnd, and a walk of the outermost
-    compact beyond that.  The whole solve runs under one chain memo (see
-    homspace), and a step's increment and residual both walk from the top
-    sample table, so a step extends the one orbit g^-k of that table by
-    one inverse step instead of walking n of them.  Raises
+    Each step's compact bound is the larger of the probe's values at
+    +-(n+1) on the innermost compact (NaN if either is); a run of more
+    than n_bnd steps probes once more after its last step, as far as it
+    went, and that probe enters neither ``bound_pre`` nor ``bound_post``.
+    The whole solve runs under one chain memo (see homspace), and a step's
+    increment and residual both walk from the top sample table, so a step
+    extends the one orbit g^-k of that table by one inverse step instead
+    of walking n of them.  Raises
     DomainMismatchError unless f, g, h0 and ``ctx.est`` share one domain.
     """
     est = ctx.est
     _check_domains(est, f, g, h0)
     tol = est.tol
-    eigen = ctx.eigen_report
-    if eigen is None:
-        eigen = check_p_alpha(f, g, est.phi, est.r, ctx.alpha, est.scheme,
-                              tol)
-    elif eigen.inputs != (f, g, est.phi, est.r, est.scheme, tol):
+    eigen = ctx.eigen_report or check_p_alpha(f, g, est.phi, est.r,
+                                              ctx.alpha, est.scheme, tol)
+    if eigen.inputs != (f, g, est.phi, est.r, est.scheme, tol):
         raise ValueError("eigen_report was computed on other maps, gauge, "
                          "scale, scheme or tolerances than this solve's")
     C = 1.0 / ctx.alpha
@@ -433,8 +433,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         raise ValueError("empty compact exhaustion")
     # the compacts are norm cuts of one table, each in the table's order
     outer = levels[-1]
-    norm_of = est.domain.norm_of
-    in_inner = norm_of(outer) <= np.max(norm_of(inner))
+    in_inner = est.domain.norm_of(outer) <= np.max(est.domain.norm_of(inner))
 
     delta_est = premetric(conjugacy_operator(f, g, h0), h0,
                           est.phi, est.r, est.scheme, tol)
@@ -460,14 +459,14 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             failed = ("unbounded_on_compacts", "iterate_boundedness", None)
     verdict, failed_gate, margin = failed or ("budget_exhausted", None, None)
 
-    steps, anchored = [], []
+    measured, anchored = [], []
     notes = [] if bound_pre is None else list(bound_pre.notes)
     anchor = eps_monitor = envelope = h_anchor = None
     h = h0
     residual = np.nan
 
     n_max = 0 if failed else ctx.n_max
-    for n, (h_next, neg_next) in zip(range(n_max), _iterates(f, g, h0)):
+    for n, (h_next, _) in zip(range(n_max), _iterates(f, g, h0)):
         try:
             if n == 0:
                 inc = constants.delta
@@ -476,14 +475,6 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             step_residual = conjugacy_residual(f, g, h_next, est)
             observed = inc if anchor is None else premetric(
                 h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
-            if n < ctx.n_bnd:
-                # iterate n + 1 is a probe row: its norms are walked already
-                compact = max(bound_pre.values[n + 1],
-                              bound_pre.values[-n - 1])
-            else:
-                compact = max(
-                    float(np.max(norm_of(h_next.forward(outer))[in_inner])),
-                    float(np.max(norm_of(neg_next.forward(outer))[in_inner])))
         except EvaluationError as exc:
             # once f^-n leaves the float range no estimate of step n exists;
             # the steps before it stand
@@ -513,14 +504,23 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             env_val = envelope.value_at(n - anchor)
             anchored.append((n, float(observed), float(env_val)))
 
-        steps.append(StepRecord(
-            n=n, rho_increment=float(inc), conj_residual=float(residual),
-            compact_bound=compact, fk_envelope=float(env_val)))
+        measured.append((n, float(inc), float(residual), float(env_val)))
 
         h = h_next
         if inc < tol.tol_conj and residual < tol.tol_conj:
             verdict = "converged"
             break
+
+    # a step's compact bound is the larger norm of iterates +-(n + 1) on the
+    # inner compact; a run that outlived the probe walks one probe as far
+    # as it went, for its steps alone
+    probe = bound if len(measured) <= ctx.n_bnd else \
+        negative_iterates_bound(f, g, h0, outer, len(measured), tol)
+    steps = tuple(StepRecord(
+        n=n, rho_increment=inc, conj_residual=res,
+        compact_bound=float(np.maximum(np.max(probe.rows[n + 1][in_inner]),
+                                       np.max(probe.rows[-n - 1][in_inner]))),
+        fk_envelope=env) for n, inc, res, env in measured)
 
     bound_post = bound if verdict == "converged" else None
     if bound_post is not None and bound_post.flagged:
@@ -533,7 +533,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                   for _, obs, env in anchored) if anchored else None
 
     trace = IterationTrace(
-        steps=tuple(steps), verdict=verdict, constants=constants,
+        steps=steps, verdict=verdict, constants=constants,
         alpha=ctx.alpha, eigen=eigen, failed_gate=failed_gate,
         gate_margin=margin, anchor=anchor, eps_monitor=eps_monitor,
         anchored=tuple(anchored), incrementally_bounded=incr_ok,

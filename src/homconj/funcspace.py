@@ -307,6 +307,8 @@ class SampleScheme:
             raise ValueError("quasirandom_count must be >= 0")
         if self.exhaustion_levels < 1:
             raise ValueError("exhaustion_levels must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)

@@ -48,9 +48,7 @@ norms, their stable order, the largest norm and the cuts at the doubling
 radii, and phi on that table per (gauge, domain, scheme).  Chain images
 are cached in the run and process memos above, keyed by identity.  So a
 ``displacement`` whose map keeps every row computes only the images and
-their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax;
-on a 2-core host this took a ``premetric_pool`` pass of the benchmark
-from 0.128 s to 0.106 s (median of ten seeds).
+their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax.
 """
 
 from collections import OrderedDict
@@ -296,15 +294,31 @@ class DisplacementEstimate:
         return self.finiteness == "finite"
 
 
-def _kept_images(f: Homeo, pts: np.ndarray, radius: float) -> tuple:
-    """(kept points, their images, dropped count) of f on ``pts``, whose
-    largest norm is ``radius``: an image outside the domain by more than
-    1e-9 * (1 + radius) is dropped.  When none is, the kept points and the
-    images are ``pts`` and f(pts) themselves, not copies."""
-    fx = _images(f, pts)
-    keep = f.domain.contains(fx, slack=1e-9 * (1.0 + radius))
-    dropped = int(pts.shape[0] - np.count_nonzero(keep))
-    return (pts, fx, 0) if not dropped else (pts[keep], fx[keep], dropped)
+def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
+    """(kept points, their images, phi on them, their geometry, dropped
+    count) of f on the top table of (f.domain, scheme): the one walk of a
+    map over the samples that weighs its images by the gauge.
+
+    An image outside the domain by more than 1e-9 * (1 + the table's
+    largest norm) is dropped.  When none is, the kept points, the gauge
+    values and the geometry are the table's own cached ones, not copies.
+    Raises EvaluationError on a non-finite image, and unless phi is
+    positive and finite on the kept points.
+    """
+    top, geo = _top_table(f.domain, scheme)
+    fx = _images(f, top)
+    keep = f.domain.contains(fx, slack=1e-9 * (1.0 + geo.radius))
+    dropped = int(top.shape[0] - np.count_nonzero(keep))
+    if dropped:
+        kept, fx = top[keep], fx[keep]
+        geo = _norm_geometry(geo.norms[keep], geo.radii)
+        den, valid = _gauge_values(phi, kept)
+    else:
+        kept = top
+        den, valid = _table_gauge(phi, f.domain, scheme)
+    if not valid:
+        raise EvaluationError("gauge must be positive and finite on samples")
+    return kept, fx, den, geo, dropped
 
 
 def _classify(trace, kappa_div: float, tau_abs: float, rel: float) -> str:
@@ -353,7 +367,7 @@ def displacement(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
     The identity chain short-circuits to an exact 0 independent of phi, r
     and the samples.  Otherwise the ratios r(|f(x)-x|)/phi(x) are evaluated
     once, over the points of the full cumulative sample table that
-    :func:`_kept_images` keeps, and the trace restricts that one profile to
+    :func:`_on_table` keeps, and the trace restricts that one profile to
     the doubling shells, so growth across the trace reflects where the large
     ratios live rather than how finely each window happened to be sampled.
     The growth of the trace decides the finiteness label.
@@ -362,21 +376,10 @@ def displacement(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
         trace = tuple((float(rad), 0.0) for rad in doubling_radii(scheme))
         return DisplacementEstimate(0.0, None, "finite", trace, 0)
 
-    top, geo = _top_table(f.domain, scheme)
-    kept, fx, dropped = _kept_images(f, top, geo.radius)
-    if dropped:
-        # the kept rows' own geometry; with every row kept it is the
-        # table's, and so are the gauge values, read off their caches
-        geo = _norm_geometry(f.domain.norm_of(kept), geo.radii)
-        if kept.shape[0] == 0:
-            return DisplacementEstimate(np.nan, None, "undetermined",
-                                        _shell_trace(np.empty(0), geo),
-                                        dropped)
-        den, valid = _gauge_values(phi, kept)
-    else:
-        den, valid = _table_gauge(phi, f.domain, scheme)
-    if not valid:
-        raise EvaluationError("gauge must be positive and finite on samples")
+    kept, fx, den, geo, dropped = _on_table(f, phi, scheme)
+    if kept.shape[0] == 0:
+        return DisplacementEstimate(np.nan, None, "undetermined",
+                                    _shell_trace(np.empty(0), geo), dropped)
     ratio = r.eval(f.domain.norm_of(fx - kept)) / den
     trace = _shell_trace(ratio, geo)
     i = int(np.argmax(ratio))

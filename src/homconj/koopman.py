@@ -25,7 +25,6 @@ from .funcspace import (
     _TABLE_CACHE_SIZE,
     _norm_geometry,
     _strided_subset,
-    _table_gauge,
     _top_table,
     doubling_radii,
     doubling_sample_sets,
@@ -34,7 +33,7 @@ from .homspace import (
     Homeo,
     _classify,
     _images,
-    _kept_images,
+    _on_table,
     _shell_trace,
 )
 
@@ -328,14 +327,12 @@ class EigenReport:
 def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
                    scheme: SampleScheme) -> tuple:
     """Least phi(f(x)) - alpha * lam * phi(x) (a NaN counts as least) over
-    the top table's points kept by :func:`homspace._kept_images`, and the
+    the top table's points kept by :func:`homspace._on_table`, and the
     first point attaining it; (NaN, None) when none is kept.  Every lower
     level is a subset of the top table, so this is the least over all."""
-    top, geo = _top_table(f.domain, scheme)
-    kept, fx, dropped = _kept_images(f, top, geo.radius)
+    kept, fx, den, _, _ = _on_table(f, phi, scheme)
     if kept.shape[0] == 0:
         return np.nan, None
-    den = phi.eval(kept) if dropped else _table_gauge(phi, f.domain, scheme)[0]
     slack = phi.eval(fx) - alpha * lam * den
     i = int(np.argmin(slack))     # np.argmin takes the first NaN as least
     return float(slack[i]), tuple(kept[i])
@@ -347,10 +344,11 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
     """Sampled verification of the generalized eigenvalue gate at alpha > 1.
 
     Pass ``g=None`` for the single-operator form.  One walk over the pair
-    cloud gives lam_r of f and g.  The slack keeps sample images as
-    :func:`displacement` does, so a map keeping none fails the gate.
-    Raises on a divergent r-Lipschitz estimate; an undetermined one yields
-    an unsatisfied report.
+    cloud gives lam_r of f and g.  The slack keeps sample images and
+    checks the gauge as :func:`displacement` does, so a map keeping none
+    fails the gate and a gauge not positive and finite on the kept points
+    raises EvaluationError.  Raises on a divergent r-Lipschitz estimate;
+    an undetermined one yields an unsatisfied report.
     """
     if not alpha > 1.0:
         raise ValueError("the gate needs alpha > 1")

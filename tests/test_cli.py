@@ -72,6 +72,8 @@ def test_parse_picard_with_sampling():
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d.update(extra=1), "unknown key"),
     (lambda d: d.update(schema=2), "schema"),
+    (lambda d: d.update(schema=True), "schema: expected an integer"),
+    (lambda d: d.update(schema=1.0), "schema: expected an integer"),
     (lambda d: d.update(experiment="picnic"), "unknown experiment"),
     (lambda d: d.update(family={"name": "lozi", "params": {"a": 1, "b": 1}}),
      "fk_sweep takes no family"),
@@ -144,6 +146,9 @@ REJECTED = [
      "dim: expected an integer"),
     (_cfg("validate", ("perturbed_linear", {"scale": 2.0, "dim": 0})),
      "dim >= 1"),
+    # numpy's seed sequence takes no negative entropy
+    ({**_cfg("eigen_check", PAIR), "sampling": {"seed": -1}},
+     "sampling: seed must be >= 0"),
     # option ranges the library enforces only at run time
     (_cfg("picard", PAIR, alpha=0.5), "alpha: must exceed 1"),
     (_cfg("picard", PAIR, n_max=0), "n_max: must be >= 1"),

@@ -412,6 +412,35 @@ def test_picard_compact_bounds_are_walks_of_the_outer_compact(
             == np.float64(old).tobytes(), step.n
 
 
+def test_compact_bounds_past_the_probe_cost_no_extra_calls(monkeypatch,
+                                                          scheme):
+    # a run longer than n_bnd reads its later compact bounds off one more
+    # lockstep probe, so a shorter probe never walks f or f^-1 more often;
+    # walking each iterate past the probe on its own would call them once
+    # per leading atom of every chain
+    b = build_contraction_pair(0.5)
+    atom = b.f.chain[0][0]
+    calls = {}
+    for name in ("fwd", "inv"):
+        def counted(p, real=getattr(atom, name), name=name):
+            calls[name] += 1
+            return real(p)
+
+        monkeypatch.setattr(atom, name, counted)
+    est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
+                          cross=b.cross)
+    used = {}
+    for n_bnd in (0, 4, 32):
+        calls.update(fwd=0, inv=0)
+        res = picard_solve(b.f, b.g, b.g,
+                           PicardContext(est=est, alpha=b.alpha, n_bnd=n_bnd))
+        assert res.converged and 4 < res.trace.n_steps < 32
+        used[n_bnd] = dict(calls)
+    for n_bnd in (0, 4):
+        for name in ("fwd", "inv"):
+            assert used[n_bnd][name] <= used[32][name], (n_bnd, name)
+
+
 def test_residual_of_a_planted_affine_conjugacy_is_rounding(half_dom,
                                                             scheme_fast):
     # g = h^-1∘f∘h = 2x + 1 for f = 2x and h = x + 1, so f∘h and h∘g agree

@@ -148,6 +148,17 @@ def test_sample_points_deterministic_and_contained(half_dom):
     assert norms[1] < 1e-12  # deepest ladder rung sits near the origin
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window_radius", 0.0), ("grid_points_per_axis", 1),
+    ("quasirandom_count", -1), ("exhaustion_levels", 0), ("seed", -1)])
+def test_sample_scheme_rejects_what_sampling_cannot_honour(field, value):
+    # numpy's seed sequence takes no negative entropy, so a negative seed
+    # must fail here, not at the first table built from the scheme
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        SampleScheme(**{"window_radius": 8.0, field: value})
+    SampleScheme(window_radius=8.0, seed=0)
+
+
 def test_sample_points_unique_rows(half_dom):
     pts = sample_points(half_dom, SampleScheme(window_radius=2.0))
     assert np.unique(pts, axis=0).shape[0] == pts.shape[0]

@@ -8,6 +8,7 @@ import pytest
 from homconj import (
     ConvergenceError,
     Domain,
+    Gauge,
     SampleScheme,
     Tolerances,
     abel_check,
@@ -835,6 +836,19 @@ def test_gate_that_keeps_no_image_is_undetermined():
     assert np.isfinite(rep.lambda_f)
     assert np.isnan(rep.min_slack_f) and rep.worst_point is None
     assert not rep.satisfied
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_gate_rejects_a_gauge_not_positive_and_finite(bundle_025, scheme,
+                                                      bad):
+    # the gate walks the table as displacement does and rejects the same
+    # gauges; a gauge 0 beyond 5 makes every slack there phi(f(x)) >= 0, so
+    # only the gauge check can fail it
+    b = bundle_025
+    phi = Gauge(eval=lambda p: np.where(p[:, 0] > 5.0, bad, 1.0), beta=2.0,
+                gamma=0.5, m=1.0)
+    with pytest.raises(EvaluationError, match="positive and finite"):
+        check_p_alpha(b.f, b.g, phi, b.r, b.alpha, scheme)
 
 
 def test_gate_raises_on_a_non_finite_image_the_pair_cloud_skips(
