@@ -5,22 +5,24 @@ driver iterates it only after three gates pass: the eigenvalue gate at some
 alpha > 1 (which makes the operator a 1/alpha contraction in the
 premetric), the initial-defect gate rho(L(h0), h0) < min(1, 1/A), and a
 boundedness probe of the iterates in both directions on the innermost
-compact, read off one probe walk of the outermost compact, whose whole
-walk a converged run must pass too.  Alongside the iteration the driver
-runs the envelope recurrence: once an increment drops below 1 it becomes
-the seed of a per-step upper envelope that every later increment measured
-against the anchor iterate has to respect.
+compact, read off one probe walk of the top sample table cut to the
+outermost compact, whose whole walk a converged run must pass too.
+Alongside the iteration the driver runs the envelope recurrence: the
+initial defect, below 1 by its gate, seeds a per-step upper envelope that
+the distance of every iterate to h0 has to respect.
 """
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .funcspace import (
     Tolerances,
+    _compact_rows,
+    _top_table,
     doubling_sample_sets,
-    exhaustion_sets,
 )
 from .homspace import (
     DomainMismatchError,
@@ -29,6 +31,7 @@ from .homspace import (
     Homeo,
     InequalityReport,
     MembershipVerdict,
+    _MEMO,
     _apply,
     _chain_memo,
     _gate_constant,
@@ -212,29 +215,35 @@ def _iterates(f: Homeo, g: Homeo, h0: Homeo):
 
 
 def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
-                            n_bnd: int,
-                            tol: Tolerances = Tolerances()) -> BoundReport:
-    """Sup norms of f^n∘h0∘g^-n over ``pts`` for |n| <= n_bnd.
+                            n_bnd: int, tol: Tolerances = Tolerances(),
+                            rows: np.ndarray | None = None) -> BoundReport:
+    """Sup norms of f^n∘h0∘g^-n over ``pts[rows]`` for |n| <= n_bnd.
 
     Each iterate is split into its leading run of f (n >= 0) or f^-1
-    (n < 0) atoms and the rest.  The rests are walked under a chain memo,
-    so the orbits g^-n(pts) and g^n(pts) are walked once, not once per n;
-    the runs are applied in lockstep by :func:`_lockstep_norms`, so f and
-    f^-1 are each called once per round, O(n_bnd) calls in all, not once
-    per atom of every chain.  Every atom is row-wise, so the norms are bit
-    for bit those of a walk of each chain alone.  The report keeps the
-    per-point norms in the order 0, 1, -1, 2, -2, ..., so its restriction
-    to a subset of ``pts`` needs no second walk.
+    (n < 0) atoms and the rest.  The rests are walked on all of ``pts``
+    under a chain memo, so the orbits g^-n(pts) and g^n(pts) are walked
+    once, not once per n, and a caller's memo keeps them for its own walks
+    from ``pts``; each rest image is then cut to ``rows`` (None: every
+    row).  The runs are applied in lockstep by :func:`_lockstep_norms`, so
+    f and f^-1 are each called once per round, O(n_bnd) calls in all, not
+    once per atom of every chain.  Every atom is row-wise, so the norms are
+    bit for bit those of a walk of each chain alone on ``pts[rows]``.  An
+    image that leaves the float range warns nowhere: the probe flags it
+    (see :class:`BoundReport`), and rows outside ``rows`` are never
+    looked at.  The report keeps the per-point norms in the order 0, 1,
+    -1, 2, -2, ..., so its restriction to a subset of the rows needs no
+    second walk.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    rows = slice(None) if rows is None else rows
     pos, neg = {0: h0}, {}
     for n, (h_pos, h_neg) in zip(range(1, n_bnd + 1), _iterates(f, g, h0)):
         pos[n], neg[-n] = h_pos, h_neg
-    with _chain_memo():
-        norms = _lockstep_norms(pos, f, pts)
-        norms.update(_lockstep_norms(neg, invert(f), pts))
-    rows = {n: norms[n] for n in sorted(norms, key=lambda n: (abs(n), n < 0))}
-    return _bound_report(rows, n_bnd, tol)
+    with _chain_memo(), np.errstate(over="ignore", invalid="ignore"):
+        norms = _lockstep_norms(pos, f, pts, rows)
+        norms.update(_lockstep_norms(neg, invert(f), pts, rows))
+    order = sorted(norms, key=lambda n: (abs(n), n < 0))
+    return _bound_report({n: norms[n] for n in order}, n_bnd, tol)
 
 
 def _leading_run(chain: tuple, block: tuple) -> int:
@@ -245,25 +254,31 @@ def _leading_run(chain: tuple, block: tuple) -> int:
     return k
 
 
-def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray) -> dict:
-    """The norms of h(pts) for each map h of ``chains``, keyed alike.
+def _trailing_run(chain: tuple, block: tuple) -> int:
+    """How many copies of ``block`` close ``chain``; 0 for an empty block."""
+    return _leading_run(chain[::-1], block[::-1])
 
-    Each chain is k copies of ``step`` after a rest.  The rest images are
-    stacked in order of decreasing k, and each round applies ``step`` once
-    to the prefix of chains whose run is not yet done; a chain's norms are
-    taken as its run ends, so no finished image outlives its round and
-    none is filed in a memo.
+
+def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray,
+                    rows) -> dict:
+    """The norms of h(pts)[rows] for each map h of ``chains``, keyed alike.
+
+    Each chain is k copies of ``step`` after a rest.  The rest images, cut
+    to ``rows``, are stacked in order of decreasing k, and each round
+    applies ``step`` once to the prefix of chains whose run is not yet
+    done; a chain's norms are taken as its run ends, so no finished image
+    outlives its round and none is filed in a memo.
     """
     if not chains:
         return {}
-    norm_of, m = step.domain.norm_of, pts.shape[0]
     runs = {}
     for key, h in chains.items():
         k = _leading_run(h.chain, step.chain)
         rest = Homeo(h.domain, h.chain[k * len(step.chain):])
-        runs[key] = (k, rest.forward(pts))
+        runs[key] = (k, rest.forward(pts)[rows])
     order = sorted(runs, key=lambda key: -runs[key][0])
     stack = np.concatenate([runs[key][1] for key in order])
+    norm_of, m = step.domain.norm_of, runs[order[0]][1].shape[0]
     norms, live = {}, len(order)
     for k in range(runs[order[0]][0] + 1):
         while live and runs[order[live - 1]][0] == k:
@@ -331,7 +346,7 @@ class StepRecord:
     rho_increment: float
     conj_residual: float
     compact_bound: float
-    fk_envelope: float       # nan before the envelope anchor exists
+    fk_envelope: float       # the envelope at n, seeded at step 0
 
 
 @dataclass(frozen=True)
@@ -345,9 +360,9 @@ class IterationTrace:
     eigen: EigenReport
     failed_gate: str | None = None
     gate_margin: float | None = None
-    anchor: int | None = None
-    eps_monitor: float | None = None
-    anchored: tuple = ()     # (step, observed rho to anchor, envelope value)
+    anchor: int | None = None            # 0 once a step is measured
+    eps_monitor: float | None = None     # the envelope seed, delta
+    anchored: tuple = ()     # (step, observed rho to h0, envelope value)
     incrementally_bounded: bool | None = None
     bound_pre: BoundReport | None = None
     bound_post: BoundReport | None = None
@@ -390,6 +405,35 @@ class PicardContext:
                 f", not at {self.alpha}")
 
 
+def _walk_increments(f: Homeo, hs: list, pts: np.ndarray) -> None:
+    """File in the run memo the middles of the increment chains
+    h_{n+1}∘h_n^-1, n >= 1, of the iterates ``hs`` = [h_0, h_1, ...] on
+    ``pts``, one stacked call per distinct middle and atom step.
+
+    Each chain is a leading run of f, a middle and a trailing run of f^-1;
+    from h0 = g or the identity the middle is g^-1, the same for every n.
+    The trailing runs are walked from ``pts`` through the memo, and each
+    middle once over the stack of their images f^-n(pts), by
+    ``_ChainMemo.forward_stacked``.  A step's increment then walks its
+    chain as before and finds its middle image filed; its leading run is
+    its own.  Images that leave the float range warn nowhere here: a step
+    that reads one raises EvaluationError on it, and the roots of steps
+    the run never takes are read by no one.
+    """
+    f_inv = invert(f)
+    tails = {}
+    for h_next, h in zip(hs[2:], hs[1:]):
+        chain = compose(h_next, invert(h)).chain
+        chain = chain[_leading_run(chain, f.chain) * len(f.chain):]
+        cut = len(chain) - _trailing_run(chain, f_inv.chain) * len(f_inv.chain)
+        tails.setdefault(chain[:cut], []).append(chain[cut:])
+    memo = _MEMO.get()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for middle, trails in tails.items():
+            if middle:
+                memo.forward_stacked(middle, trails, pts)
+
+
 @_chain_memo()
 def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                  ctx: PicardContext) -> ConjugacyResult:
@@ -401,20 +445,27 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     this solve's f, g, gauge, scale, scheme and tolerances raises
     ValueError.  Never weakens a gate: a failed gate or a flagged
     boundedness probe ends the run with its verdict, no steps and no
-    membership.  The probe walks the outermost compact once; its rows in
-    the innermost compact decide the gate (``bound_pre``), and a converged
-    run must pass the whole walk (``bound_post``).  A step whose estimates
-    cannot be evaluated (an image left the float range) ends the run as
-    ``non_finite``, and a step whose increment or residual is NaN ends it
-    as ``undetermined``, each with the steps before it and no membership.
-    Each step's compact bound is the larger of the probe's values at
-    +-(n+1) on the innermost compact (NaN if either is); a run of more
-    than n_bnd steps probes once more after its last step, as far as it
-    went, and that probe enters neither ``bound_pre`` nor ``bound_post``.
-    The whole solve runs under one chain memo (see homspace), and a step's
-    increment and residual both walk from the top sample table, so a step
-    extends the one orbit g^-k of that table by one inverse step instead
-    of walking n of them.  Raises
+    membership.  The probe walks the top sample table and reports its rows
+    in the outermost compact; its rows in the innermost compact decide the
+    gate (``bound_pre``), and a converged run must pass the whole report
+    (``bound_post``).  A step whose estimates cannot be evaluated (an
+    image left the float range) ends the run as ``non_finite``, and a step
+    whose increment or residual is NaN ends it as ``undetermined``, each
+    with the steps before it and no membership.  Each step's compact bound
+    is the larger of the probe's values at +-(n+1) on the innermost
+    compact (NaN if either is); a run of more than n_bnd steps probes once
+    more after its last step, as far as it went, and that probe enters
+    neither ``bound_pre`` nor ``bound_post``.  The defect gate makes
+    delta < min(1, 1/A) <= 1, so the envelope is seeded at step 0 with
+    epsilon = delta, and step n's observation is rho(h_{n+1}, h0).
+
+    The whole solve runs under one chain memo (see homspace), and every
+    estimate walks from the top sample table.  The probe walks the orbits
+    g^-k and g^k of that table up to n_bnd, so the steps' residuals and
+    observations find them in the memo.  Once the gates pass, the g^-1 of
+    the increments of steps 1..min(n_bnd, n_max - 1) is solved in one
+    stacked call (:func:`_walk_increments`).  Every atom is row-wise, so
+    every number is bit for bit that of walking each chain alone.  Raises
     DomainMismatchError unless f, g, h0 and ``ctx.est`` share one domain.
     """
     est = ctx.est
@@ -427,13 +478,13 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                          "scale, scheme or tolerances than this solve's")
     C = 1.0 / ctx.alpha
 
-    levels = exhaustion_sets(est.domain, est.scheme)
-    inner = next((k for k in levels if k.shape[0] > 0), None)
+    top = _top_table(est.domain, est.scheme)[0]
+    compacts = _compact_rows(est.domain, est.scheme)
+    inner = next((rows for rows in compacts if rows.size), None)
     if inner is None:
         raise ValueError("empty compact exhaustion")
-    # the compacts are norm cuts of one table, each in the table's order
-    outer = levels[-1]
-    in_inner = est.domain.norm_of(outer) <= np.max(est.domain.norm_of(inner))
+    outer = compacts[-1]
+    in_inner = np.isin(outer, inner)
 
     delta_est = premetric(conjugacy_operator(f, g, h0), h0,
                           est.phi, est.r, est.scheme, tol)
@@ -451,7 +502,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         failed = ("gate_failed", "initial_defect",
                   float(constants.threshold - constants.delta))
     else:
-        bound = negative_iterates_bound(f, g, h0, outer, ctx.n_bnd, tol)
+        bound = negative_iterates_bound(f, g, h0, top, ctx.n_bnd, tol, outer)
         bound_pre = _bound_report(
             {n: norms[in_inner] for n, norms in bound.rows.items()},
             ctx.n_bnd, tol)
@@ -461,20 +512,24 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
 
     measured, anchored = [], []
     notes = [] if bound_pre is None else list(bound_pre.notes)
-    anchor = eps_monitor = envelope = h_anchor = None
+    n_max = 0 if failed else ctx.n_max
+    hs = [h0]
+    iterates = (pos for pos, _ in _iterates(f, g, h0))
+    if n_max:
+        envelope = cauchy_envelope(m=1, epsilon=constants.delta, C=C,
+                                   k_max=n_max)
+        hs += itertools.islice(iterates, min(ctx.n_bnd, n_max - 1) + 1)
+        _walk_increments(f, hs, top)
     h = h0
     residual = np.nan
 
-    n_max = 0 if failed else ctx.n_max
-    for n, (h_next, _) in zip(range(n_max), _iterates(f, g, h0)):
+    for n, h_next in zip(range(n_max), itertools.chain(hs[1:], iterates)):
         try:
-            if n == 0:
-                inc = constants.delta
-            else:
-                inc = premetric(h_next, h, est.phi, est.r, est.scheme, tol).rho
+            inc = constants.delta if n == 0 else premetric(
+                h_next, h, est.phi, est.r, est.scheme, tol).rho
             step_residual = conjugacy_residual(f, g, h_next, est)
-            observed = inc if anchor is None else premetric(
-                h_next, h_anchor, est.phi, est.r, est.scheme, tol).rho
+            observed = inc if n == 0 else premetric(
+                h_next, h0, est.phi, est.r, est.scheme, tol).rho
         except EvaluationError as exc:
             # once f^-n leaves the float range no estimate of step n exists;
             # the steps before it stand
@@ -489,21 +544,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                          f"residual {step_residual!r}")
             break
         residual = step_residual
-
-        if anchor is None and inc < 1.0:
-            anchor = n
-            eps_monitor = float(inc)
-            h_anchor = h
-            envelope = cauchy_envelope(
-                m=anchor + 1, epsilon=eps_monitor, C=C,
-                k_max=ctx.n_max - anchor)
-
-        if anchor is None:
-            env_val = np.nan
-        else:
-            env_val = envelope.value_at(n - anchor)
-            anchored.append((n, float(observed), float(env_val)))
-
+        env_val = envelope.value_at(n)
+        anchored.append((n, float(observed), float(env_val)))
         measured.append((n, float(inc), float(residual), float(env_val)))
 
         h = h_next
@@ -514,8 +556,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     # a step's compact bound is the larger norm of iterates +-(n + 1) on the
     # inner compact; a run that outlived the probe walks one probe as far
     # as it went, for its steps alone
-    probe = bound if len(measured) <= ctx.n_bnd else \
-        negative_iterates_bound(f, g, h0, outer, len(measured), tol)
+    probe = bound if len(measured) <= ctx.n_bnd else negative_iterates_bound(
+        f, g, h0, top, len(measured), tol, outer)
     steps = tuple(StepRecord(
         n=n, rho_increment=inc, conj_residual=res,
         compact_bound=float(np.maximum(np.max(probe.rows[n + 1][in_inner]),
@@ -535,7 +577,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     trace = IterationTrace(
         steps=steps, verdict=verdict, constants=constants,
         alpha=ctx.alpha, eigen=eigen, failed_gate=failed_gate,
-        gate_margin=margin, anchor=anchor, eps_monitor=eps_monitor,
+        gate_margin=margin, anchor=0 if measured else None,
+        eps_monitor=constants.delta if measured else None,
         anchored=tuple(anchored), incrementally_bounded=incr_ok,
         bound_pre=bound_pre, bound_post=bound_post, notes=tuple(notes),
     )

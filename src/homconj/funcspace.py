@@ -446,22 +446,33 @@ def _norm_geometry(norms: np.ndarray, radii) -> _Geometry:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _sample_levels(domain: Domain, scheme: SampleScheme) -> tuple:
+    """(the top table: the distinct raw points of the window and its three
+    doublings in ``np.unique`` order, read-only; the index of the first
+    level that samples each of its rows).  One ``np.unique`` sorts the raw
+    points of all four levels; no level is sorted on its own."""
+    levels = [_window_points(domain, scheme, radius)
+              for radius in doubling_radii(scheme)]
+    level = np.repeat(np.arange(len(levels)), [len(lvl) for lvl in levels])
+    pts, first = np.unique(np.concatenate(levels), axis=0, return_index=True)
+    return _read_only(pts), level[first]
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     """Cumulative sample sets for the window and its three doublings.
 
     Each set contains the previous one, so sup estimates taken level by
     level are nondecreasing by construction.  Returns a tuple of
-    (radius, points) pairs.  One ``np.unique`` sorts the raw window points
-    of all four levels (no level is sorted on its own); level k keeps those
-    first sampled at a level <= k, still sorted.  Memoized on (domain,
-    scheme): equal keys get the same read-only arrays.
+    (radius, points) pairs.  Level k keeps the points of the top table
+    first sampled at a level <= k, in its order, so every level is a
+    subsequence of the top one.  Memoized on (domain, scheme): equal keys
+    get the same read-only arrays.
     """
+    top, first = _sample_levels(domain, scheme)
     radii = doubling_radii(scheme)
-    levels = [_window_points(domain, scheme, radius) for radius in radii]
-    level = np.repeat(np.arange(len(levels)), [len(lvl) for lvl in levels])
-    pts, first = np.unique(np.concatenate(levels), axis=0, return_index=True)
-    return tuple((radius, _read_only(pts[level[first] <= k]))
-                 for k, radius in enumerate(radii))
+    return tuple((radius, _read_only(top[first <= k]))
+                 for k, radius in enumerate(radii[:-1])) + ((radii[-1], top),)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -491,19 +502,36 @@ def _table_gauge(phi: Gauge, domain: Domain, scheme: SampleScheme) -> tuple:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _compact_rows(domain: Domain, scheme: SampleScheme) -> tuple:
+    """Per compact K_k of :func:`exhaustion_sets`, the ascending indices of
+    its rows in the top table: the one place the compacts are cut.
+
+    K_k holds the window's own points (level 0) of norm at most
+    min(window radius, 2^k), relative slack 1e-12.  The indices are
+    read-only.
+    """
+    first = _sample_levels(domain, scheme)[1]
+    norms = _top_table(domain, scheme)[1].norms
+    out = []
+    for k in range(scheme.exhaustion_levels + 1):
+        cut = min(scheme.window_radius, float(2 ** k))
+        rows = np.flatnonzero((first == 0) & (norms <= cut * (1.0 + 1e-12)))
+        rows.flags.writeable = False
+        out.append(rows)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
-    """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the window's table.
+    """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the window's table,
+    each the rows :func:`_compact_rows` names of the top table.
 
     Memoized on (domain, scheme): equal keys get the same tuple of
     read-only arrays.
     """
-    base = doubling_sample_sets(domain, scheme)[0][1]
-    norms = domain.norm_of(base)
-    out = []
-    for k in range(scheme.exhaustion_levels + 1):
-        cut = min(scheme.window_radius, float(2 ** k))
-        out.append(_read_only(base[norms <= cut * (1.0 + 1e-12)]))
-    return tuple(out)
+    top = _top_table(domain, scheme)[0]
+    return tuple(_read_only(top[rows])
+                 for rows in _compact_rows(domain, scheme))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Operator iteration: gates, envelope recurrence, and the Picard driver."""
 
 import dataclasses
+import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from homconj import (
 )
 
 import homconj.conjugacy as conjugacy_module
+from homconj import homspace
 from conftest import bump_member
 from homconj.homspace import _chain_memo, _gate_constant
 
@@ -343,9 +346,9 @@ def test_picard_probe_reports_are_walks_of_the_compacts(monkeypatch,
                                                         half_dom,
                                                         sqrt_triple,
                                                         scheme_fast, case):
-    # the driver walks the outer compact once and reads the inner compact's
-    # report and each step's compact bound off its rows; every number must
-    # be what a walk of that compact's own array gives
+    # the driver walks the top table once, cut to the outer compact, and
+    # reads the inner compact's report and each step's compact bound off its
+    # rows; every number must be what a walk of that compact's own array gives
     if case == "unbounded":
         f = g = scaling(half_dom, 0.9)
         h0, alpha = translation(half_dom, 1.0), 1.05
@@ -373,7 +376,8 @@ def test_picard_probe_reports_are_walks_of_the_compacts(monkeypatch,
         n = res.trace.n_steps
         steps = negative_iterates_bound(f, g, h0, inner, n + 1).values
     tr = res.trace
-    assert len(walked) == 1 and walked[0] is outer
+    top = doubling_sample_sets(half_dom, scheme_fast)[-1][1]
+    assert len(walked) == 1 and walked[0] is top
     assert _report_bits(tr.bound_pre) == _report_bits(pre)
     if case.startswith("eta0"):
         assert res.converged and n > 0
@@ -439,6 +443,154 @@ def test_compact_bounds_past_the_probe_cost_no_extra_calls(monkeypatch,
     for n_bnd in (0, 4):
         for name in ("fwd", "inv"):
             assert used[n_bnd][name] <= used[32][name], (n_bnd, name)
+
+
+@pytest.mark.parametrize("n_bnd, most", [(32, 33), (4, 67)])
+def test_picard_walks_one_g_inverse_orbit(monkeypatch, scheme, n_bnd, most):
+    # the probe walks g^-k of the top table, which every later walk of the
+    # run reuses, and the increments' g^-1 on the roots f^-n of the table
+    # is one stacked call; the orbit of the outer compact and one g^-1 per
+    # increment made 76 calls at n_bnd 32 and 67 at n_bnd 4
+    b = build_contraction_pair(0.5)
+    atom = b.g.chain[0][0]
+    inverse, calls = atom.inv, []
+
+    def counted(p):
+        calls.append(p.shape[0])
+        return inverse(p)
+
+    monkeypatch.setattr(atom, "inv", counted)
+    est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
+                          cross=b.cross)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme, est.tol)
+    del calls[:]
+    res = picard_solve(b.f, b.g, b.g, PicardContext(
+        est=est, alpha=b.alpha, n_bnd=n_bnd, eigen_report=eigen))
+    assert res.converged and 4 < res.trace.n_steps < 32
+    assert len(calls) <= most
+
+
+def _solve_bits(res):
+    """Everything a Picard result states, floats as their bits."""
+    tr = res.trace
+    bits = [tr.verdict, tr.failed_gate, tr.anchor, tr.notes,
+            tr.incrementally_bounded, [dataclasses.astuple(s) for s in tr.steps],
+            tr.anchored, np.float64(res.residual).tobytes(),
+            dataclasses.astuple(tr.constants), tr.eps_monitor]
+    for rep in (tr.bound_pre, tr.bound_post):
+        bits.append(None if rep is None else (
+            _report_bits(rep), [(n, r.tobytes()) for n, r in rep.rows.items()]))
+    m = res.membership
+    bits.append(None if m is None else (
+        m.verdict, m.forward.value, m.forward.window_trace, m.inverse.value,
+        m.inverse.window_trace))
+    pts = np.array(doubling_sample_sets(res.h.domain, tr.eigen.inputs[4])[-1][1])
+    bits.append(res.h.forward(pts).tobytes())
+    return [repr(b) for b in bits]
+
+
+class _MissingEntries(OrderedDict):
+    """Memo entries that every lookup misses: each walk recomputes each
+    image, so nothing a walk reads can come from another walk."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __contains__(self, key):
+        return False
+
+
+@pytest.mark.parametrize("n_bnd", [4, 32])
+@pytest.mark.parametrize("h0_name", ["g", "id"])
+def test_picard_outputs_do_not_depend_on_memo_lookups(monkeypatch,
+                                                      scheme_fast, h0_name,
+                                                      n_bnd):
+    # the probe's orbits and the stacked increments are filed for the
+    # steps' walks to find; every number must be the one those walks
+    # compute on their own
+    b = build_contraction_pair(0.5)
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme_fast, est.tol)
+    ctx = PicardContext(est=est, alpha=b.alpha, n_bnd=n_bnd,
+                        eigen_report=eigen)
+    h0 = b.g if h0_name == "g" else identity(b.domain)
+    res = picard_solve(b.f, b.g, h0, ctx)
+    assert res.converged and res.trace.n_steps > n_bnd // 2
+    memo_class = homspace._ChainMemo
+
+    class Unread(memo_class):
+        def __init__(self):
+            super().__init__()
+            self.entries = _MissingEntries()
+
+    monkeypatch.setattr(homspace, "_ChainMemo", Unread)
+    assert _solve_bits(picard_solve(b.f, b.g, h0, ctx)) == _solve_bits(res)
+
+
+@pytest.mark.parametrize("eta", [1.25e-10, 1.5e-10, 2e-10, 5e-10])
+def test_picard_work_for_steps_never_taken_does_not_warn(eta):
+    # at these rates f^-n of the top table leaves the float range for n
+    # below n_bnd, on the roots of increments the run never takes, and at
+    # 1.25e-10 so does the probe's g^-31 on rows of the table outside the
+    # outer compact; the run converges in one step and reads none of them,
+    # so nothing may warn
+    b = build_contraction_pair(eta)
+    scheme = SampleScheme(window_radius=8.0, seed=1)
+    est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
+                          cross=b.cross)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = picard_solve(b.f, b.g, b.g, PicardContext(est=est,
+                                                        alpha=b.alpha))
+    assert res.converged and res.trace.n_steps == 1
+    assert not res.trace.bound_pre.flagged
+
+
+def test_every_measured_step_is_anchored_at_step_zero(scheme_fast):
+    # the defect gate passes only with delta < min(1, 1/A) <= 1, so the
+    # envelope is seeded at step 0 by delta and observes rho(h_{n+1}, h0)
+    b = build_contraction_pair(0.25)
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    tight = dataclasses.replace(est, tol=Tolerances(tol_conj=1e-300))
+    overflowing = build_contraction_pair(0.001)
+    runs = [
+        (b, PicardContext(est=est, alpha=b.alpha)),
+        (b, PicardContext(est=est, alpha=b.alpha, n_bnd=4)),
+        (b, PicardContext(est=tight, alpha=b.alpha, n_max=5)),
+        (overflowing, PicardContext(
+            est=dataclasses.replace(tight, phi=overflowing.phi,
+                                    r=overflowing.r, cross=overflowing.cross),
+            alpha=overflowing.alpha)),
+    ]
+    traces = []
+    for pair, ctx in runs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = picard_solve(pair.f, pair.g, pair.g, ctx).trace
+        traces.append(tr)
+        assert tr.n_steps > 0
+        assert tr.anchor == 0 and tr.eps_monitor == tr.constants.delta
+        envelope = cauchy_envelope(1, tr.constants.delta, tr.constants.C,
+                                   ctx.n_max)
+        assert tr.anchored[0][1:] == (tr.constants.delta,) * 2
+        assert [a[0] for a in tr.anchored] == [s.n for s in tr.steps]
+        for (_, _, env), step in zip(tr.anchored, tr.steps):
+            assert env == step.fk_envelope == envelope.value_at(step.n)
+    assert [tr.verdict for tr in traces] == [
+        "converged", "converged", "budget_exhausted", "non_finite"]
+    # each observation is the premetric of the step's iterate to h0
+    h = b.g
+    for n, observed, _ in traces[0].anchored:
+        h = conjugacy_operator(b.f, b.g, h)
+        rho = premetric(h, b.g, b.phi, b.r, scheme_fast, est.tol).rho
+        assert np.float64(observed).tobytes() == np.float64(rho).tobytes()
+    # a run that measures no step has no anchor
+    f = scaling(b.domain, 0.9)
+    failed = picard_solve(f, f, translation(b.domain, 1.0),
+                          PicardContext(est=est, alpha=1.05))
+    assert failed.trace.n_steps == 0
+    assert failed.trace.anchor is None and failed.trace.eps_monitor is None
 
 
 def test_residual_of_a_planted_affine_conjugacy_is_rounding(half_dom,

@@ -28,6 +28,7 @@ from homconj import (
 )
 from homconj.funcspace import (
     _TABLE_CACHE_SIZE,
+    _compact_rows,
     _norm_geometry,
     _table_gauge,
     _top_table,
@@ -277,6 +278,27 @@ def test_sample_tables_are_memoized_read_only(half_dom):
             assert np.array_equal(pts, ref)
             with pytest.raises(ValueError):
                 pts[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("domain", [Domain(dim=1, region="half_line"),
+                                    Domain(dim=2), Domain(dim=2, norm="sup")],
+                         ids=["half_line", "box2", "box2_sup"])
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_compacts_are_rows_of_the_top_table(domain, seed):
+    # each compact is the top table at its ascending row indices, bit for
+    # bit; that the compacts are the norm cuts of the window's own table is
+    # test_sample_tables_equal_the_level_by_level_build's to check
+    sch = SampleScheme(window_radius=4.0, grid_points_per_axis=11,
+                       quasirandom_count=8, seed=seed)
+    top = doubling_sample_sets(domain, sch)[-1][1]
+    levels = exhaustion_sets(domain, sch)
+    rows = _compact_rows(domain, sch)
+    assert len(rows) == len(levels) == sch.exhaustion_levels + 1
+    for idx, pts in zip(rows, levels):
+        assert not idx.flags.writeable
+        assert np.all(np.diff(idx) > 0)
+        assert top[idx].tobytes() == pts.tobytes()
+    assert 0 < rows[0].size < rows[-1].size < top.shape[0]
 
 
 def test_table_geometry_is_computed_once_per_table(table_caches):
