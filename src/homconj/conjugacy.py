@@ -20,9 +20,7 @@ import numpy as np
 
 from .funcspace import (
     Tolerances,
-    _compact_rows,
-    _top_table,
-    doubling_sample_sets,
+    _table,
 )
 from .homspace import (
     DomainMismatchError,
@@ -142,19 +140,23 @@ def _envelope_tail(m: int, epsilon: float, C: float) -> tuple:
     return a_m, C ** m * (epsilon / (1.0 - a_m) + 1.0 / (1.0 - C))
 
 
+def _envelope(m: int, epsilon: float, C: float):
+    """Yield F_0, F_1, ... of the :class:`CauchyEnvelope` recurrence, which
+    needs no 1/epsilon, so epsilon = 0 is allowed."""
+    value, power = float(epsilon), C ** m
+    while True:
+        yield value
+        value, power = power * value + power + value, power * C
+
+
 def cauchy_envelope(m: int, epsilon: float, C: float,
                     k_max: int) -> CauchyEnvelope:
     a_m, tail = _envelope_tail(m, epsilon, C)
     if m < 1 or k_max < 0:
         raise ValueError("m >= 1 and k_max >= 0 required")
-    values = [float(epsilon)]
-    power = C ** m
-    for _ in range(k_max):
-        prev = values[-1]
-        values.append(power * prev + power + prev)
-        power *= C
     return CauchyEnvelope(
-        m=m, epsilon=float(epsilon), C=float(C), values=tuple(values),
+        m=m, epsilon=float(epsilon), C=float(C),
+        values=tuple(itertools.islice(_envelope(m, epsilon, C), k_max + 1)),
         a_m=float(a_m), tail=float(tail), bound=float(epsilon + tail),
     )
 
@@ -329,7 +331,7 @@ def conjugacy_residual(f: Homeo, g: Homeo, h: Homeo, ctx: EstimateContext) -> fl
     Raises DomainMismatchError unless f, g, h and ctx share one domain.
     """
     _check_domains(ctx, f, g, h)
-    pts = doubling_sample_sets(ctx.domain, ctx.scheme)[-1][1]
+    pts = _table(ctx.domain, ctx.scheme).pts
     gx = _images(g, pts)
     fhx = _images(compose(f, h), pts)
     num = ctx.r.eval(ctx.domain.norm_of(fhx - _images(compose(h, g), pts)))
@@ -452,12 +454,12 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     image left the float range) ends the run as ``non_finite``, and a step
     whose increment or residual is NaN ends it as ``undetermined``, each
     with the steps before it and no membership.  Each step's compact bound
-    is the larger of the probe's values at +-(n+1) on the innermost
-    compact (NaN if either is); a run of more than n_bnd steps probes once
+    is the larger of the values of ``bound_pre`` at +-(n+1) (NaN if either
+    is); a run of more than n_bnd steps probes the innermost compact once
     more after its last step, as far as it went, and that probe enters
     neither ``bound_pre`` nor ``bound_post``.  The defect gate makes
     delta < min(1, 1/A) <= 1, so the envelope is seeded at step 0 with
-    epsilon = delta, and step n's observation is rho(h_{n+1}, h0).
+    epsilon = delta (0 too), and step n's observation is rho(h_{n+1}, h0).
 
     The whole solve runs under one chain memo (see homspace), and every
     estimate walks from the top sample table.  The probe walks the orbits
@@ -478,8 +480,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                          "scale, scheme or tolerances than this solve's")
     C = 1.0 / ctx.alpha
 
-    top = _top_table(est.domain, est.scheme)[0]
-    compacts = _compact_rows(est.domain, est.scheme)
+    table = _table(est.domain, est.scheme)
+    top, compacts = table.pts, table.rows
     inner = next((rows for rows in compacts if rows.size), None)
     if inner is None:
         raise ValueError("empty compact exhaustion")
@@ -516,14 +518,13 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     hs = [h0]
     iterates = (pos for pos, _ in _iterates(f, g, h0))
     if n_max:
-        envelope = cauchy_envelope(m=1, epsilon=constants.delta, C=C,
-                                   k_max=n_max)
         hs += itertools.islice(iterates, min(ctx.n_bnd, n_max - 1) + 1)
         _walk_increments(f, hs, top)
     h = h0
     residual = np.nan
 
-    for n, h_next in zip(range(n_max), itertools.chain(hs[1:], iterates)):
+    for n, h_next, env_val in zip(range(n_max), itertools.chain(
+            hs[1:], iterates), _envelope(1, constants.delta, C)):
         try:
             inc = constants.delta if n == 0 else premetric(
                 h_next, h, est.phi, est.r, est.scheme, tol).rho
@@ -544,7 +545,6 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                          f"residual {step_residual!r}")
             break
         residual = step_residual
-        env_val = envelope.value_at(n)
         anchored.append((n, float(observed), float(env_val)))
         measured.append((n, float(inc), float(residual), float(env_val)))
 
@@ -554,14 +554,14 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
             break
 
     # a step's compact bound is the larger norm of iterates +-(n + 1) on the
-    # inner compact; a run that outlived the probe walks one probe as far
-    # as it went, for its steps alone
-    probe = bound if len(measured) <= ctx.n_bnd else negative_iterates_bound(
-        f, g, h0, top, len(measured), tol, outer)
+    # inner compact; a run that outlived the probe walks one probe of the
+    # inner compact as far as it went, for its steps alone
+    probe = bound_pre if len(measured) <= ctx.n_bnd else \
+        negative_iterates_bound(f, g, h0, top, len(measured), tol, inner)
     steps = tuple(StepRecord(
         n=n, rho_increment=inc, conj_residual=res,
-        compact_bound=float(np.maximum(np.max(probe.rows[n + 1][in_inner]),
-                                       np.max(probe.rows[-n - 1][in_inner]))),
+        compact_bound=float(np.maximum(probe.values[n + 1],
+                                       probe.values[-n - 1])),
         fk_envelope=env) for n, inc, res, env in measured)
 
     bound_post = bound if verdict == "converged" else None

@@ -395,15 +395,15 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
     return tuple(scheme.window_radius * (2 ** j) for j in range(DOUBLINGS + 1))
 
 
-# Two cache rules.  Data derived from a sample table (the tables, their
-# geometry, phi on them, the r_lipschitz pair cloud) depends on (domain,
-# scheme[, gauge]) alone, so it is cached with functools.lru_cache, keyed
-# by value, at most _TABLE_CACHE_SIZE entries per function.  Chain images
-# are not values: homspace caches them in its run and process memos, keyed
-# on the identity of their input array.  A Picard run asks for the same
-# few tables dozens of times.  Tables of a 2-d window hold a few thousand
-# rows, so 64 keys stay small; an image cached on a table the LRU dropped
-# keeps that table alive until the image is evicted too.
+# Two cache rules.  Data derived from a sample table depends on (domain,
+# scheme[, gauge or cap]) alone, so it is cached with functools.lru_cache,
+# keyed by value, at most _TABLE_CACHE_SIZE entries per function; a table's own
+# data is one _Table record, so no part of it outlives the rest and hands out a
+# second copy of the table.  Chain images are not values: homspace caches them
+# in its run and process memos, keyed on the identity of their input array.  A
+# Picard run asks for the same few tables dozens of times.  Tables of a 2-d
+# window hold a few thousand rows, so 64 keys stay small; an image cached on a
+# table the LRU dropped keeps that table alive until the image is evicted too.
 _TABLE_CACHE_SIZE = 64
 
 # id -> every table handed out and still alive.  A read-only flag alone
@@ -445,20 +445,56 @@ def _norm_geometry(norms: np.ndarray, radii) -> _Geometry:
                      float(np.max(norms, initial=0.0)), tuple(cuts.tolist()))
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _sample_levels(domain: Domain, scheme: SampleScheme) -> tuple:
-    """(the top table: the distinct raw points of the window and its three
-    doublings in ``np.unique`` order, read-only; the index of the first
-    level that samples each of its rows).  One ``np.unique`` sorts the raw
-    points of all four levels; no level is sorted on its own."""
-    levels = [_window_points(domain, scheme, radius)
-              for radius in doubling_radii(scheme)]
-    level = np.repeat(np.arange(len(levels)), [len(lvl) for lvl in levels])
-    pts, first = np.unique(np.concatenate(levels), axis=0, return_index=True)
-    return _read_only(pts), level[first]
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """The data of one (domain, scheme), every array read-only: the top
+    table ``pts``, the first ``level`` sampling each row, their geometry
+    ``geo``, the ``levels`` of :func:`doubling_sample_sets` and, cut on
+    first use since most tables are never cut, the compacts."""
+
+    scheme: SampleScheme
+    pts: np.ndarray
+    level: np.ndarray
+    geo: _Geometry
+    levels: tuple
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """Per compact K_k of :func:`exhaustion_sets`, the window's own
+        points (level 0) of norm at most min(window radius, 2^k), relative
+        slack 1e-12, its ascending row indices in ``pts``: the one place
+        the compacts are cut."""
+        out = []
+        for k in range(self.scheme.exhaustion_levels + 1):
+            cut = min(self.scheme.window_radius, float(2 ** k))
+            rows = np.flatnonzero((self.level == 0)
+                                  & (self.geo.norms <= cut * (1.0 + 1e-12)))
+            rows.flags.writeable = False
+            out.append(rows)
+        return tuple(out)
+
+    @functools.cached_property
+    def compacts(self) -> tuple:
+        return tuple(_read_only(self.pts[rows]) for rows in self.rows)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table(domain: Domain, scheme: SampleScheme) -> _Table:
+    """The :class:`_Table` of (domain, scheme).  One ``np.unique`` sorts the
+    raw points of all four levels; no level is sorted on its own."""
+    radii = doubling_radii(scheme)
+    raw = [_window_points(domain, scheme, radius) for radius in radii]
+    level = np.repeat(np.arange(len(raw)), [len(lvl) for lvl in raw])
+    pts, first = np.unique(np.concatenate(raw), axis=0, return_index=True)
+    pts, level = _read_only(pts), level[first]
+    levels = tuple((radius, _read_only(pts[level <= k]))
+                   for k, radius in enumerate(radii[:-1])) + ((radii[-1], pts),)
+    geo = _norm_geometry(domain.norm_of(pts), radii)
+    level.flags.writeable = False
+    geo.norms.flags.writeable = geo.order.flags.writeable = False
+    return _Table(scheme, pts, level, geo, levels)
+
+
 def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     """Cumulative sample sets for the window and its three doublings.
 
@@ -469,20 +505,7 @@ def doubling_sample_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     subsequence of the top one.  Memoized on (domain, scheme): equal keys
     get the same read-only arrays.
     """
-    top, first = _sample_levels(domain, scheme)
-    radii = doubling_radii(scheme)
-    return tuple((radius, _read_only(top[first <= k]))
-                 for k, radius in enumerate(radii[:-1])) + ((radii[-1], top),)
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _top_table(domain: Domain, scheme: SampleScheme) -> tuple:
-    """(the top table of (domain, scheme), its read-only geometry at the
-    doubling radii): the one place the norms of the top table are taken."""
-    pts = doubling_sample_sets(domain, scheme)[-1][1]
-    geo = _norm_geometry(domain.norm_of(pts), doubling_radii(scheme))
-    geo.norms.flags.writeable = geo.order.flags.writeable = False
-    return pts, geo
+    return _table(domain, scheme).levels
 
 
 def _gauge_values(phi: Gauge, pts: np.ndarray) -> tuple:
@@ -495,43 +518,20 @@ def _gauge_values(phi: Gauge, pts: np.ndarray) -> tuple:
 def _table_gauge(phi: Gauge, domain: Domain, scheme: SampleScheme) -> tuple:
     """:func:`_gauge_values` of phi on the top table of (domain, scheme),
     the values read-only."""
-    values, valid = _gauge_values(phi, _top_table(domain, scheme)[0])
+    values, valid = _gauge_values(phi, _table(domain, scheme).pts)
     values = values.view()
     values.flags.writeable = False
     return values, valid
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _compact_rows(domain: Domain, scheme: SampleScheme) -> tuple:
-    """Per compact K_k of :func:`exhaustion_sets`, the ascending indices of
-    its rows in the top table: the one place the compacts are cut.
-
-    K_k holds the window's own points (level 0) of norm at most
-    min(window radius, 2^k), relative slack 1e-12.  The indices are
-    read-only.
-    """
-    first = _sample_levels(domain, scheme)[1]
-    norms = _top_table(domain, scheme)[1].norms
-    out = []
-    for k in range(scheme.exhaustion_levels + 1):
-        cut = min(scheme.window_radius, float(2 ** k))
-        rows = np.flatnonzero((first == 0) & (norms <= cut * (1.0 + 1e-12)))
-        rows.flags.writeable = False
-        out.append(rows)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def exhaustion_sets(domain: Domain, scheme: SampleScheme) -> tuple:
     """Nested compacts K_0 ⊆ ... ⊆ K_{k_max} cut from the window's table,
-    each the rows :func:`_compact_rows` names of the top table.
+    each the rows ``_Table.rows`` names of the top table.
 
     Memoized on (domain, scheme): equal keys get the same tuple of
     read-only arrays.
     """
-    top = _top_table(domain, scheme)[0]
-    return tuple(_read_only(top[rows])
-                 for rows in _compact_rows(domain, scheme))
+    return _table(domain, scheme).compacts
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +662,15 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
     """
     # every level is a subset of the top table, so the top's values hold
     # every value the levels take
-    pts, geo = _top_table(domain, scheme)
+    table = _table(domain, scheme)
     vals = _table_gauge(phi, domain, scheme)[0]
     if np.any(~np.isfinite(vals)):
         raise ValueError("gauge evaluated to a non-finite value")
-    radius, inner = doubling_sample_sets(domain, scheme)[0]
+    radius, inner = table.levels[0]
     inner_min = _shell_min(phi.eval(inner), domain.norm_of(inner), radius)
-    outer_min = _shell_min(vals, geo.norms, geo.radii[-1])
-    Rn = growth.eval(geo.norms)
-    where = tuple(pts.T)
+    outer_min = _shell_min(vals, table.geo.norms, table.geo.radii[-1])
+    Rn = growth.eval(table.geo.norms)
+    where = tuple(table.pts.T)
     # the shortfall of the outer minimum against the growth it must show,
     # so the margin is positive exactly when the check fails
     shortfall = inner_min + tol.tau_abs - outer_min

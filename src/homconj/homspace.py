@@ -49,12 +49,12 @@ single-threaded.
 
 Table geometry.  Two cache rules hold in the package.  Data derived from
 a sample table is cached with ``functools.lru_cache``, keyed by value:
-``funcspace`` keeps the top table of each (domain, scheme) with its
-norms, their stable order, the largest norm and the cuts at the doubling
-radii, and phi on that table per (gauge, domain, scheme).  Chain images
-are cached in the run and process memos above, keyed by identity.  So a
-``displacement`` whose map keeps every row computes only the images and
-their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax.
+``funcspace._table`` keeps one record per (domain, scheme), the top table
+with its norms, their stable order, the largest norm and the cuts at the
+doubling radii, and phi on that table per (gauge, domain, scheme).  Chain
+images are cached in the run and process memos above, keyed by identity.
+So a ``displacement`` whose map keeps every row computes only the images
+and their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax.
 """
 
 from collections import OrderedDict
@@ -75,8 +75,8 @@ from .funcspace import (
     _gauge_values,
     _is_table,
     _norm_geometry,
+    _table,
     _table_gauge,
-    _top_table,
     doubling_radii,
     exhaustion_sets,
 )
@@ -353,16 +353,16 @@ def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
     Raises EvaluationError on a non-finite image, and unless phi is
     positive and finite on the kept points.
     """
-    top, geo = _top_table(f.domain, scheme)
-    fx = _images(f, top)
+    table = _table(f.domain, scheme)
+    kept, geo = table.pts, table.geo
+    fx = _images(f, kept)
     keep = f.domain.contains(fx, slack=1e-9 * (1.0 + geo.radius))
-    dropped = int(top.shape[0] - np.count_nonzero(keep))
+    dropped = int(kept.shape[0] - np.count_nonzero(keep))
     if dropped:
-        kept, fx = top[keep], fx[keep]
+        kept, fx = kept[keep], fx[keep]
         geo = _norm_geometry(geo.norms[keep], geo.radii)
         den, valid = _gauge_values(phi, kept)
     else:
-        kept = top
         den, valid = _table_gauge(phi, f.domain, scheme)
     if not valid:
         raise EvaluationError("gauge must be positive and finite on samples")

@@ -25,9 +25,8 @@ from .funcspace import (
     _TABLE_CACHE_SIZE,
     _norm_geometry,
     _strided_subset,
-    _top_table,
+    _table,
     doubling_radii,
-    doubling_sample_sets,
 )
 from .homspace import (
     Homeo,
@@ -120,10 +119,10 @@ def _pair_cloud(domain: Domain, scheme: SampleScheme,
     """Top table and near partners, strided to pair_cap, in norm order,
     read-only.  Not a sample table: the process memo caches no image of
     it."""
-    pts, geo = _top_table(domain, scheme)
-    partners = _near_partners(pts, geo.norms, scheme.seed)
+    table = _table(domain, scheme)
+    partners = _near_partners(table.pts, table.geo.norms, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
-    cloud = np.concatenate([pts, partners[keep]], axis=0)
+    cloud = np.concatenate([table.pts, partners[keep]], axis=0)
     cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
     cloud = cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
     cloud.flags.writeable = False
@@ -407,9 +406,9 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
         raise ValueError("multiplier must lie in (0, 1)")
     domain = f.domain
     star = np.atleast_2d(np.asarray(fixed_point, dtype=float))
-    pts, geo = _top_table(domain, scheme)
+    table = _table(domain, scheme)
 
-    orbit = pts
+    orbit = table.pts
     psi_prev = (orbit - star) / 1.0
     initial_scale = float(np.max(domain.norm_of(psi_prev))) + 1.0
     increment = np.inf
@@ -446,7 +445,7 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
 
     # growth across the window doublings, reported as an exponent only
     (_, sup_inner), *_, (_, sup_outer) = _shell_trace(
-        domain.norm_of(psi_prev), geo)
+        domain.norm_of(psi_prev), table.geo)
     growth_exponent = float(
         np.log2((sup_outer + 1e-300) / (sup_inner + 1e-300)) / DOUBLINGS)
 
@@ -472,7 +471,7 @@ class ResidualReport:
 
 def abel_check(f: Homeo, varphi, scheme: SampleScheme) -> ResidualReport:
     """sup over samples of |varphi(f(x)) - varphi(x) - 1|."""
-    pts = doubling_sample_sets(f.domain, scheme)[-1][1]
+    pts = _table(f.domain, scheme).pts
     vals = np.asarray(varphi(_images(f, pts)), dtype=float).ravel() \
         - np.asarray(varphi(pts), dtype=float).ravel() - 1.0
     err = np.abs(vals)
@@ -499,8 +498,8 @@ def schroeder_functional_check(f: Homeo, scheme: SampleScheme) -> FunctionalLowe
     domain = f.domain
     if bool(domain.contains(np.zeros((1, domain.dim)), slack=0.0)[0]):
         raise ValueError("the log construction needs 0 outside the domain")
-    pts, geo = _top_table(domain, scheme)
-    ratio = domain.norm_of(_images(f, pts)) / geo.norms
+    table = _table(domain, scheme)
+    ratio = domain.norm_of(_images(f, table.pts)) / table.geo.norms
     i = int(np.argmax(ratio))
     kappa = float(ratio[i])
     if kappa <= 0:
@@ -508,7 +507,7 @@ def schroeder_functional_check(f: Homeo, scheme: SampleScheme) -> FunctionalLowe
     return FunctionalLowerBound(
         margin=float(-np.log(kappa)),
         contraction_factor=kappa,
-        worst_point=tuple(pts[i]),
+        worst_point=tuple(table.pts[i]),
     )
 
 

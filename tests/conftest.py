@@ -50,9 +50,9 @@ def process_memo(monkeypatch):
 @pytest.fixture
 def table_caches():
     """The value-keyed caches of sample-table data, emptied before and
-    after one test, as the triple (top table and geometry, gauge values,
-    pair cloud)."""
-    caches = (funcspace._top_table, funcspace._table_gauge,
+    after one test, as the triple (table record, gauge values, pair
+    cloud)."""
+    caches = (funcspace._table, funcspace._table_gauge,
               koopman._pair_cloud)
     for cache in caches:
         cache.cache_clear()
@@ -73,6 +73,18 @@ def bump_member(domain: Domain, center: float, halfwidth: float,
     spec = BumpSpec(center=center, halfwidth=halfwidth, height=height)
     return dataclasses.replace(
         build_perturbed_linear([[1.0]], spec, domain=domain), label=label)
+
+
+def churn_tables(domain: Domain, reread) -> None:
+    """Build one more table key than the table caches hold, and call
+    ``reread()`` halfway, so a key that ``reread`` reads outlives the churn
+    in a least-recently-used cache only through that call."""
+    for k in range(funcspace._TABLE_CACHE_SIZE + 1):
+        if k == funcspace._TABLE_CACHE_SIZE // 2:
+            reread()
+        funcspace.exhaustion_sets(domain, SampleScheme(
+            window_radius=2.0, grid_points_per_axis=3, quasirandom_count=1,
+            seed=k))
 
 
 def seeded_members(domain: Domain, count: int, seed: int,

@@ -32,6 +32,7 @@ from homconj import (
     conjugacy_operator,
     conjugacy_residual,
     contraction_check,
+    displacement,
     doubling_sample_sets,
     envelope_threshold,
     exhaustion_sets,
@@ -46,7 +47,7 @@ from homconj import (
 
 import homconj.conjugacy as conjugacy_module
 from homconj import homspace
-from conftest import bump_member
+from conftest import bump_member, churn_tables
 from homconj.homspace import _chain_memo, _gate_constant
 
 
@@ -468,6 +469,53 @@ def test_picard_walks_one_g_inverse_orbit(monkeypatch, scheme, n_bnd, most):
         est=est, alpha=b.alpha, n_bnd=n_bnd, eigen_report=eigen))
     assert res.converged and 4 < res.trace.n_steps < 32
     assert len(calls) <= most
+
+
+def test_picard_walks_one_g_inverse_orbit_after_table_churn(monkeypatch,
+                                                            table_caches):
+    # the probe and the residuals read the top table from one record, so a
+    # cache churn that keeps only part of a key's data cannot make them walk
+    # g^-k from two copies of the table: 54 calls where a fresh process
+    # makes 32
+    b = build_contraction_pair(0.5)
+    atom = b.g.chain[0][0]
+    inverse, calls = atom.inv, []
+
+    def counted(p):
+        calls.append(p.shape[0])
+        return inverse(p)
+
+    monkeypatch.setattr(atom, "inv", counted)
+    scheme = SampleScheme(window_radius=8.0, seed=1)
+    est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
+                          cross=b.cross)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme, est.tol)
+    exhaustion_sets(b.domain, scheme)
+    churn_tables(b.domain, lambda: displacement(b.f, b.phi, b.r, scheme))
+    del calls[:]
+    res = picard_solve(b.f, b.g, b.g, PicardContext(
+        est=est, alpha=b.alpha, eigen_report=eigen))
+    assert res.converged and 4 < res.trace.n_steps < 32
+    assert len(calls) <= 33
+
+
+def test_picard_converges_at_step_0_from_the_fixed_point(scheme_fast,
+                                                         bundle_025):
+    # g∘id∘g^-1 cancels to the identity, so the initial defect is exactly 0;
+    # the envelope recurrence needs no 1/epsilon and seeds at 0
+    b = bundle_025
+    est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
+                          r=b.r, cross=b.cross)
+    res = picard_solve(b.g, b.g, identity(b.domain),
+                       PicardContext(est=est, alpha=b.alpha))
+    tr = res.trace
+    assert tr.constants.delta == 0.0 and tr.verdict == "converged"
+    assert [s.n for s in tr.steps] == [0]
+    assert tr.steps[0].rho_increment == 0.0
+    assert tr.steps[0].fk_envelope == 0.0
+    assert tr.anchored == ((0, 0.0, 0.0),)
+    assert res.residual == 0.0 and tr.eps_monitor == 0.0
+    assert res.membership.verdict == "member"
 
 
 def _solve_bits(res):

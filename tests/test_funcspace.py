@@ -16,6 +16,7 @@ from homconj import (
     Tolerances,
     builtin_triple,
     compose,
+    displacement,
     doubling_sample_sets,
     exhaustion_sets,
     gauge_from_growth,
@@ -26,12 +27,12 @@ from homconj import (
     validate_gauge,
     validate_scale_pair,
 )
+from conftest import churn_tables
 from homconj.funcspace import (
     _TABLE_CACHE_SIZE,
-    _compact_rows,
     _norm_geometry,
+    _table,
     _table_gauge,
-    _top_table,
     doubling_radii,
 )
 
@@ -236,7 +237,7 @@ def test_sample_tables_equal_the_per_level_unique_build():
         level = np.repeat(np.arange(len(levels)), [len(v) for v in levels])
         pts, first = np.unique(np.concatenate(levels), axis=0,
                                return_index=True)
-        table = doubling_sample_sets.__wrapped__(domain, sch)
+        table = _table.__wrapped__(domain, sch).levels
         for k, (radius, got) in enumerate(table):
             want = pts[level[first] <= k]
             assert radius == radii[k]
@@ -251,7 +252,7 @@ def test_sampling_rejects_a_window_it_cannot_sample():
     far = Domain(dim=1, bounds=((5.0, 10.0),))
     corner = Domain(dim=2, bounds=((1.5, 3.0), (1.5, 3.0)))
     sch = SampleScheme(window_radius=2.0)
-    for sample in (sample_points, doubling_sample_sets.__wrapped__):
+    for sample in (sample_points, _table.__wrapped__):
         with pytest.raises(ValueError, match="does not intersect"):
             sample(far, sch)
         with pytest.raises(ValueError, match="empty window"):
@@ -269,11 +270,12 @@ def test_sample_tables_are_memoized_read_only(half_dom):
                                       grid_points_per_axis=11,
                                       quasirandom_count=8)
 
-    for table, arrays in ((doubling_sample_sets, lambda t: [p for _, p in t]),
-                          (exhaustion_sets, list)):
+    for table, arrays, field in (
+            (doubling_sample_sets, lambda t: [p for _, p in t], "levels"),
+            (exhaustion_sets, list, "compacts")):
         first = table(*key())
         assert table(*key()) is first   # equal keys, the very same arrays
-        fresh = table.__wrapped__(*key())
+        fresh = getattr(_table.__wrapped__(*key()), field)
         for pts, ref in zip(arrays(first), arrays(fresh), strict=True):
             assert np.array_equal(pts, ref)
             with pytest.raises(ValueError):
@@ -292,7 +294,7 @@ def test_compacts_are_rows_of_the_top_table(domain, seed):
                        quasirandom_count=8, seed=seed)
     top = doubling_sample_sets(domain, sch)[-1][1]
     levels = exhaustion_sets(domain, sch)
-    rows = _compact_rows(domain, sch)
+    rows = _table(domain, sch).rows
     assert len(rows) == len(levels) == sch.exhaustion_levels + 1
     for idx, pts in zip(rows, levels):
         assert not idx.flags.writeable
@@ -315,9 +317,9 @@ def test_table_geometry_is_computed_once_per_table(table_caches):
 
             radii = doubling_radii(sch())
             phi = builtin_triple("sqrt_plus", domain)[3]
-            table = _top_table(domain, sch())
-            assert _top_table(dataclasses.replace(domain), sch()) is table
-            pts, geo = table
+            table = _table(domain, sch())
+            assert _table(dataclasses.replace(domain), sch()) is table
+            pts, geo = table.pts, table.geo
             assert pts is doubling_sample_sets(domain, sch())[-1][1]
             fresh = _norm_geometry(domain.norm_of(pts.copy()), radii)
             assert geo.radii == fresh.radii and geo.cuts == fresh.cuts
@@ -334,6 +336,39 @@ def test_table_geometry_is_computed_once_per_table(table_caches):
         info = cache.cache_info()
         assert (info.currsize, info.misses) == (4, 4)
         assert info.maxsize == _TABLE_CACHE_SIZE
+
+
+def test_one_table_per_key_after_churn(half_dom, table_caches):
+    # every array of a key comes from its one record, so a re-read that
+    # keeps part of the key's data cannot hand out a second copy of the
+    # table beside the first
+    sch = SampleScheme(window_radius=8.0, seed=1)
+    _, r, _, phi = builtin_triple("sqrt_plus", half_dom)
+    f = primitive(half_dom, lambda p: p + 0.5, lambda p: p - 0.5, "x+0.5")
+    exhaustion_sets(half_dom, sch)
+    before = _table(half_dom, sch)
+    churn_tables(half_dom, lambda: displacement(f, phi, r, sch))
+    table = _table(half_dom, sch)
+    assert table is before
+    assert doubling_sample_sets(half_dom, sch)[-1][1] is table.pts
+    levels = exhaustion_sets(half_dom, sch)
+    assert len(levels) == len(table.rows) == sch.exhaustion_levels + 1
+    for k, pts in enumerate(levels):
+        assert pts.tobytes() == table.pts[table.rows[k]].tobytes()
+
+
+def test_compacts_are_built_on_first_use(half_dom, sqrt_triple, scheme,
+                                         table_caches):
+    # a table read only by displacement cuts no compact; exhaustion_sets
+    # cuts them once, into the record
+    _, r, _, phi = sqrt_triple
+    f = primitive(half_dom, lambda p: p + 0.5, lambda p: p - 0.5, "x+0.5")
+    displacement(f, phi, r, scheme)
+    table = _table(half_dom, scheme)
+    assert "rows" not in vars(table) and "compacts" not in vars(table)
+    levels = exhaustion_sets(half_dom, scheme)
+    assert vars(table)["compacts"] is levels
+    assert exhaustion_sets(half_dom, scheme) is levels
 
 
 def test_exhaustion_sets_nested(half_dom):

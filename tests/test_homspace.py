@@ -1,5 +1,7 @@
 """Homeomorphism chains, displacement, the premetric, and its inequalities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,10 +311,10 @@ def test_process_memo_changes_no_rho(half_dom, sqrt_triple, scheme_fast,
     assert process_memo.entries
 
     def copied_table(domain, scheme):
-        pts, geo = funcspace._top_table(domain, scheme)
-        return pts.copy(), geo
+        table = funcspace._table(domain, scheme)
+        return dataclasses.replace(table, pts=table.pts.copy())
 
-    monkeypatch.setattr(homspace, "_top_table", copied_table)
+    monkeypatch.setattr(homspace, "_table", copied_table)
     entries = dict(process_memo.entries)
     plain, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
     assert process_memo.entries == entries
