@@ -256,11 +256,6 @@ def _leading_run(chain: tuple, block: tuple) -> int:
     return k
 
 
-def _trailing_run(chain: tuple, block: tuple) -> int:
-    """How many copies of ``block`` close ``chain``; 0 for an empty block."""
-    return _leading_run(chain[::-1], block[::-1])
-
-
 def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray,
                     rows) -> dict:
     """The norms of h(pts)[rows] for each map h of ``chains``, keyed alike.
@@ -407,33 +402,26 @@ class PicardContext:
                 f", not at {self.alpha}")
 
 
-def _walk_increments(f: Homeo, hs: list, pts: np.ndarray) -> None:
+def _walk_increments(f: Homeo, g: Homeo, h0: Homeo, steps: int,
+                     pts: np.ndarray) -> None:
     """File in the run memo the middles of the increment chains
-    h_{n+1}∘h_n^-1, n >= 1, of the iterates ``hs`` = [h_0, h_1, ...] on
-    ``pts``, one stacked call per distinct middle and atom step.
+    h_{n+1}∘h_n^-1 = f^{n+1}∘(h0∘g^-1∘h0^-1)∘f^-n, n = 1..steps, on
+    ``pts``, in one stacked call per atom step of the middle.
 
-    Each chain is a leading run of f, a middle and a trailing run of f^-1;
-    from h0 = g or the identity the middle is g^-1, the same for every n.
-    The trailing runs are walked from ``pts`` through the memo, and each
-    middle once over the stack of their images f^-n(pts), by
-    ``_ChainMemo.forward_stacked``.  A step's increment then walks its
-    chain as before and finds its middle image filed; its leading run is
-    its own.  Images that leave the float range warn nowhere here: a step
-    that reads one raises EvaluationError on it, and the roots of steps
-    the run never takes are read by no one.
+    From h0 = g or the identity the middle is g^-1.  The roots f^-n are
+    walked from ``pts`` through the memo, and the middle once over the
+    stack of their images f^-n(pts), by ``_ChainMemo.forward_stacked``.  A
+    step's increment then walks its chain as before and finds its middle
+    image filed; its leading run of f is its own.  Images that leave the
+    float range warn nowhere here: a step that reads one raises
+    EvaluationError on it, and the roots of steps the run never takes are
+    read by no one.
     """
-    f_inv = invert(f)
-    tails = {}
-    for h_next, h in zip(hs[2:], hs[1:]):
-        chain = compose(h_next, invert(h)).chain
-        chain = chain[_leading_run(chain, f.chain) * len(f.chain):]
-        cut = len(chain) - _trailing_run(chain, f_inv.chain) * len(f_inv.chain)
-        tails.setdefault(chain[:cut], []).append(chain[cut:])
-    memo = _MEMO.get()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for middle, trails in tails.items():
-            if middle:
-                memo.forward_stacked(middle, trails, pts)
+    middle = compose(compose(h0, invert(g)), invert(h0)).chain
+    roots = itertools.accumulate(itertools.repeat(invert(f), steps), compose)
+    if middle:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _MEMO.get().forward_stacked(middle, [h.chain for h in roots], pts)
 
 
 @_chain_memo()
@@ -464,8 +452,9 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     The whole solve runs under one chain memo (see homspace), and every
     estimate walks from the top sample table.  The probe walks the orbits
     g^-k and g^k of that table up to n_bnd, so the steps' residuals and
-    observations find them in the memo.  Once the gates pass, the g^-1 of
-    the increments of steps 1..min(n_bnd, n_max - 1) is solved in one
+    observations find them in the memo.  Once the gates pass, the middle
+    h0∘g^-1∘h0^-1 (g^-1 from h0 = g or the identity) of the increments of
+    steps 1..min(n_bnd, n_max - 1) is solved on their roots f^-n(P) in one
     stacked call (:func:`_walk_increments`).  Every atom is row-wise, so
     every number is bit for bit that of walking each chain alone.  Raises
     DomainMismatchError unless f, g, h0 and ``ctx.est`` share one domain.
@@ -515,16 +504,13 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     measured, anchored = [], []
     notes = [] if bound_pre is None else list(bound_pre.notes)
     n_max = 0 if failed else ctx.n_max
-    hs = [h0]
-    iterates = (pos for pos, _ in _iterates(f, g, h0))
     if n_max:
-        hs += itertools.islice(iterates, min(ctx.n_bnd, n_max - 1) + 1)
-        _walk_increments(f, hs, top)
+        _walk_increments(f, g, h0, min(ctx.n_bnd, n_max - 1), top)
     h = h0
     residual = np.nan
 
-    for n, h_next, env_val in zip(range(n_max), itertools.chain(
-            hs[1:], iterates), _envelope(1, constants.delta, C)):
+    for n, (h_next, _), env_val in zip(range(n_max), _iterates(f, g, h0),
+                                       _envelope(1, constants.delta, C)):
         try:
             inc = constants.delta if n == 0 else premetric(
                 h_next, h, est.phi, est.r, est.scheme, tol).rho

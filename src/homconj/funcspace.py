@@ -17,7 +17,6 @@ closures are trusted on this point.
 """
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -163,11 +162,12 @@ class Domain:
 
         ``parts`` yields one array per axis, all of one shape.  The sup norm
         is a running maximum of |x_k|; the euclidean norm is the running sum
-        x_0^2 + x_1^2 + ... followed by one square root.
+        x_0^2 + x_1^2 + ... followed by one square root.  In dimension 1 both
+        are |x_0|, which no square overflows or underflows.
         """
         parts = iter(parts)
         first = next(parts)
-        if self.norm == "sup":
+        if self.norm == "sup" or self.dim == 1:
             out = np.abs(first)
             for x in parts:
                 np.maximum(out, np.abs(x), out=out)
@@ -180,12 +180,15 @@ class Domain:
     def norm_of(self, pts: np.ndarray) -> np.ndarray:
         """The norm of each point of a ``(..., dim)`` array (its last axis).
 
-        One :meth:`fold_norm` over ``pts[..., k]``.  Up to 7 axes the bits
-        equal ``np.sqrt(np.sum(p * p, axis=-1))`` and
-        ``np.max(np.abs(p), axis=-1)``: numpy adds fewer than 8 terms in
-        order, every term is a square >= 0, and a maximum is exact.  From 8
-        axes on numpy sums pairwise, so the euclidean norm may differ from
-        it in the last bits.
+        One :meth:`fold_norm` over ``pts[..., k]``.  The sup norm's bits
+        equal ``np.max(np.abs(p), axis=-1)``, since a maximum is exact.  In
+        dimension 1 the norm is |x_0|: a finite |x_0| stays finite, and the
+        bits equal ``np.sqrt(p * p)`` wherever x_0^2 neither overflows nor
+        underflows, about 1.5e-154 <= |x_0| <= 1.34e154.  From 2 up to 7
+        axes the euclidean bits equal ``np.sqrt(np.sum(p * p, axis=-1))``:
+        numpy adds fewer than 8 terms in order, and every term is a square
+        >= 0.  From 8 axes on numpy sums pairwise, so the euclidean norm may
+        differ from it in the last bits.
         """
         pts = np.atleast_2d(pts)
         return self.fold_norm(pts[..., k] for k in range(pts.shape[-1]))
@@ -406,20 +409,10 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
 # table the LRU dropped keeps that table alive until the image is evicted too.
 _TABLE_CACHE_SIZE = 64
 
-# id -> every table handed out and still alive.  A read-only flag alone
-# does not mark a table: a read-only view of a writable array can change.
-_TABLES = weakref.WeakValueDictionary()
-
 
 def _read_only(pts: np.ndarray) -> np.ndarray:
     pts.flags.writeable = False
-    _TABLES[id(pts)] = pts
     return pts
-
-
-def _is_table(pts: np.ndarray) -> bool:
-    """Whether ``pts`` is itself a sample table this module handed out."""
-    return _TABLES.get(id(pts)) is pts
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,12 +29,14 @@ passes through it.  There are two lifetimes:
   iterates to a stack of its own, and files none of those images, since
   no other walk starts from them.  The memo's images are dropped when the
   run ends, so the orbits of a finished run do not stay resident.
-* the process memo, which every walk uses while no run memo is open,
-  provided its root array is a sample table that ``funcspace`` handed out
-  (``doubling_sample_sets`` and ``exhaustion_sets``).  Premetrics that
-  share a factor g then compute g^-1(P) and g(P) once.  Any other root,
-  a writable array or a read-only view of one included, is walked plainly
-  and nothing is cached, since its values could change under the cache.
+* the process memo, through which :func:`_on_table`, the one walk of a
+  map over the top table P, walks while no run memo is open.  Premetrics
+  that share a factor g then compute g^-1(P) and g(P) once.  P is a
+  read-only array that ``funcspace`` owns, so its images cannot go stale.
+  No other walk consults this memo: ``Homeo.forward`` outside a run walks
+  plainly and caches nothing, since the values of any other root, a
+  writable array or a read-only view of one included, could change under
+  the cache.
 
 An entry holds its input and its step, so no other array or atom can take
 over that identity while the entry lives.  A cached image is the same atom
@@ -73,7 +75,6 @@ from .funcspace import (
     SampleScheme,
     Tolerances,
     _gauge_values,
-    _is_table,
     _norm_geometry,
     _table,
     _table_gauge,
@@ -147,8 +148,6 @@ class Homeo:
     def forward(self, pts: np.ndarray) -> np.ndarray:
         out = np.atleast_2d(np.asarray(pts, dtype=float))
         memo = _MEMO.get()
-        if memo is None and _is_table(out):
-            memo = _PROCESS_MEMO
         if memo is not None:
             return memo.forward(self.chain, out)
         for step in reversed(self.chain):
@@ -297,11 +296,13 @@ def compose(f: Homeo, g: Homeo) -> Homeo:
     return Homeo(domain=f.domain, chain=chain, label=label)
 
 
-def _images(f: Homeo, pts: np.ndarray, on: str = "samples") -> np.ndarray:
-    """f(pts), or EvaluationError naming the map, ``on`` and the first row
-    of ``pts`` whose image is not finite: the one finiteness rule of every
-    estimator, since a NaN compares false with every threshold."""
-    fx = f.forward(pts)
+def _images(f: Homeo, pts: np.ndarray, on: str = "samples",
+            memo: _ChainMemo | None = None) -> np.ndarray:
+    """f(pts), walked through ``memo`` if one is given, or EvaluationError
+    naming the map, ``on`` and the first row of ``pts`` whose image is not
+    finite: the one finiteness rule of every estimator, since a NaN
+    compares false with every threshold."""
+    fx = f.forward(pts) if memo is None else memo.forward(f.chain, pts)
     if not np.isfinite(fx).all():   # the per-row search only on failure
         bad = ~np.all(np.isfinite(fx), axis=1)
         raise EvaluationError(
@@ -345,7 +346,8 @@ class DisplacementEstimate:
 def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
     """(kept points, their images, phi on them, their geometry, dropped
     count) of f on the top table of (f.domain, scheme): the one walk of a
-    map over the samples that weighs its images by the gauge.
+    map over the samples that weighs its images by the gauge, and the one
+    walk through the process memo while no run memo is open.
 
     An image outside the domain by more than 1e-9 * (1 + the table's
     largest norm) is dropped.  When none is, the kept points, the gauge
@@ -355,7 +357,7 @@ def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
     """
     table = _table(f.domain, scheme)
     kept, geo = table.pts, table.geo
-    fx = _images(f, kept)
+    fx = _images(f, kept, memo=_MEMO.get() or _PROCESS_MEMO)
     keep = f.domain.contains(fx, slack=1e-9 * (1.0 + geo.radius))
     dropped = int(kept.shape[0] - np.count_nonzero(keep))
     if dropped:

@@ -117,8 +117,8 @@ _BLOCK_ROWS = 64
 def _pair_cloud(domain: Domain, scheme: SampleScheme,
                 pair_cap: int) -> np.ndarray:
     """Top table and near partners, strided to pair_cap, in norm order,
-    read-only.  Not a sample table: the process memo caches no image of
-    it."""
+    read-only.  Its walks go through no process memo: only
+    ``homspace._on_table`` does, and only on the top table."""
     table = _table(domain, scheme)
     partners = _near_partners(table.pts, table.geo.norms, scheme.seed)
     keep = domain.contains(partners, slack=0.0)

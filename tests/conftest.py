@@ -1,6 +1,7 @@
 """Shared fixtures: domains, gauges, sample schemes, and seeded map pools."""
 
 import dataclasses
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def process_memo(monkeypatch):
     memo = homspace._ChainMemo()
     monkeypatch.setattr(homspace, "_PROCESS_MEMO", memo)
     return memo
+
+
+class MissingEntries(OrderedDict):
+    """Memo entries that every lookup misses: each walk recomputes each
+    image, so nothing a walk reads can come from another walk."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __contains__(self, key):
+        return False
 
 
 @pytest.fixture

@@ -235,6 +235,41 @@ def test_bump_parameters_reach_eigen_check_and_koenigs(tmp_path):
     assert results["koenigs", 2.0] != results["koenigs", 5.0]
 
 
+def _koenigs_run(tmp_path, family, **options):
+    payload = _cfg("koenigs", family, **options)
+    payload["sampling"] = {"window_radius": 4.0}
+    out = tmp_path / f"{family[0]}-{options.get('multiplier')}"
+    code = main(["run", write_cfg(tmp_path, payload), "--out", str(out)])
+    record = json.loads((only_run_dir(out) / "record.json").read_text())
+    return code, record["results"]
+
+
+def test_koenigs_linearizes_a_pure_linear_map_at_its_scale(tmp_path):
+    # x -> 0.5x is its own linearization: psi(x) = x after one step, exactly
+    linear = ("pure_linear", {"scale": 0.5})
+    code, results = _koenigs_run(tmp_path, linear)
+    assert code == 0
+    assert results == {"family": "pure_linear", "multiplier": 0.5,
+                       "converged": True, "n_steps": 1, "residual": 0.0,
+                       "final_increment": 0.0, "growth_exponent": 1.0}
+    assert _koenigs_run(tmp_path, linear, multiplier=0.5) == (code, results)
+
+
+@pytest.mark.parametrize("family, multiplier", [
+    (("pure_linear", {"scale": 0.5}), 0.3),
+    (PAIR, 0.1),
+], ids=["pure_linear", "contraction_pair"])
+def test_koenigs_reports_a_mis_specified_multiplier(tmp_path, family,
+                                                    multiplier):
+    # the multiplier option replaces the default (scale or eta); one below
+    # the map's own makes (f^n(x) - 0) / multiplier^n blow up
+    assert _koenigs_run(tmp_path, family)[0] == 0
+    code, results = _koenigs_run(tmp_path, family, multiplier=multiplier)
+    assert code == 2
+    assert results.pop("reason").startswith("linearization diverging")
+    assert results == {"family": family[0], "converged": False}
+
+
 class _RecordingTolerances:
     """Tolerances that remember which fields were read."""
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ from homconj import (
 
 import homconj.conjugacy as conjugacy_module
 from homconj import homspace
-from conftest import bump_member, churn_tables
+from conftest import MissingEntries, bump_member, churn_tables
 from homconj.homspace import _chain_memo, _gate_constant
 
 
@@ -537,17 +536,6 @@ def _solve_bits(res):
     return [repr(b) for b in bits]
 
 
-class _MissingEntries(OrderedDict):
-    """Memo entries that every lookup misses: each walk recomputes each
-    image, so nothing a walk reads can come from another walk."""
-
-    def get(self, key, default=None):
-        return default
-
-    def __contains__(self, key):
-        return False
-
-
 @pytest.mark.parametrize("n_bnd", [4, 32])
 @pytest.mark.parametrize("h0_name", ["g", "id"])
 def test_picard_outputs_do_not_depend_on_memo_lookups(monkeypatch,
@@ -570,7 +558,7 @@ def test_picard_outputs_do_not_depend_on_memo_lookups(monkeypatch,
     class Unread(memo_class):
         def __init__(self):
             super().__init__()
-            self.entries = _MissingEntries()
+            self.entries = MissingEntries()
 
     monkeypatch.setattr(homspace, "_ChainMemo", Unread)
     assert _solve_bits(picard_solve(b.f, b.g, h0, ctx)) == _solve_bits(res)
@@ -798,6 +786,47 @@ def test_picard_unbounded_negative_iterates(half_dom, sqrt_triple,
     res = picard_solve(f, f, translation(half_dom, 1.0), ctx)
     assert res.trace.verdict == "unbounded_on_compacts"
     assert res.trace.bound_pre is not None and res.trace.bound_pre.flagged
+
+
+@pytest.mark.parametrize("spike", [1e6, np.inf])
+def test_picard_converged_run_flagged_on_the_outer_compact(
+        monkeypatch, half_dom, sqrt_triple, scheme_fast, bundle_025, spike):
+    # the probe's report on the inner compact gates the run; a converged
+    # run must also pass it on the outer compact.  The probe is stubbed to
+    # grow (or leave the float range) at |n| = n_bnd on rows outside the
+    # inner compact only, so the run converges as before and then takes the
+    # verdict unbounded_on_compacts, with its note and its membership
+    b = bundle_025
+    ctx = PicardContext(est=make_ctx(half_dom, sqrt_triple, scheme_fast),
+                        alpha=b.alpha)
+    real = picard_solve(b.f, b.g, b.g, ctx)
+    assert real.converged and not real.trace.bound_post.flagged
+    inner = exhaustion_sets(half_dom, scheme_fast)[0]
+    real_bound = conjugacy_module.negative_iterates_bound
+
+    def outer_spike(f, g, h0, pts, n_bnd, tol, rows):
+        report = real_bound(f, g, h0, pts, n_bnd, tol, rows)
+        outside = half_dom.norm_of(pts[rows]) \
+            > np.max(half_dom.norm_of(inner))
+        spiked = {n: np.where(outside, spike, norms) if abs(n) == n_bnd
+                  else norms for n, norms in report.rows.items()}
+        return conjugacy_module._bound_report(spiked, n_bnd, tol)
+
+    monkeypatch.setattr(conjugacy_module, "negative_iterates_bound",
+                        outer_spike)
+    res = picard_solve(b.f, b.g, b.g, ctx)
+    tr = res.trace
+    assert tr.verdict == "unbounded_on_compacts" and not res.converged
+    assert tr.failed_gate is None and tr.gate_margin is None
+    assert _report_bits(tr.bound_pre) == _report_bits(real.trace.bound_pre)
+    assert tr.bound_post.flagged and tr.bound_post.max_value == spike
+    assert tr.steps == real.trace.steps and res.residual == real.residual
+    assert tr.notes[0] == ("boundedness probe failed on the outer compact "
+                           "after convergence")
+    assert tr.notes[1:] == tr.bound_post.notes
+    assert len(tr.notes) == (1 if np.isfinite(spike) else 2)
+    assert res.membership is not None
+    assert repr(res.membership) == repr(real.membership)
 
 
 def test_picard_budget_exhaustion(half_dom, sqrt_triple, scheme_fast,

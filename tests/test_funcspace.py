@@ -112,6 +112,23 @@ def test_domain_contains_no_nan_row(domain):
     assert not got[0] and got.any()
 
 
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+def test_one_dimensional_norm_is_the_absolute_value(norm):
+    # sqrt(x * x) overflows to inf above about 1.34e154, with a warning
+    # that fails here, and loses bits below about 1.5e-154: 1e-170 read 0
+    domain = Domain(dim=1, norm=norm)
+    x = np.array([1e200, -1e200, 1e-170, -1e-170, 5e-324, -0.0, 3.0,
+                  -np.inf])
+    for pts in (x[:, None], x[:, None, None]):
+        got = domain.norm_of(pts)
+        assert got.shape == pts.shape[:-1]
+        assert got.ravel().tobytes() == np.abs(x).tobytes()
+    assert domain.fold_norm([x]).tobytes() == np.abs(x).tobytes()
+    moderate = np.array([1e-150, 0.1, 3.0, 7.5e153])
+    assert domain.norm_of(moderate[:, None]).tobytes() \
+        == np.sqrt(moderate * moderate).tobytes()
+
+
 def test_domain_bounds_are_normalized():
     # a list of lists, ints and numpy scalars give the same hashable domain
     as_list = Domain(dim=1, bounds=[[0, 5]])

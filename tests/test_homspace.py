@@ -1,6 +1,7 @@
 """Homeomorphism chains, displacement, the premetric, and its inequalities."""
 
-import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from homconj import (build_perturbed_linear, build_pure_linear,
                      build_translation, funcspace, homspace)
 from homconj.homspace import _chain_memo
 
-from conftest import bump_member, seeded_members
+from conftest import MissingEntries, bump_member, seeded_members
 
 
 def translation(domain, t, label=None):
@@ -260,8 +261,12 @@ def test_stacked_walk_evicts_only_entries_no_other_entry_builds_on(
             assert memo.nbytes <= cap * pts.nbytes
 
 
-def test_process_memo_caches_sample_tables_only(half_dom, scheme_fast,
-                                                process_memo):
+def test_process_memo_caches_sample_tables_only(half_dom, sqrt_triple,
+                                                scheme_fast, process_memo):
+    # a plain walk caches nothing, whatever its input, so a writable array
+    # or a read-only view of one is walked afresh after it changes; only
+    # the walk of a map over the top table goes through the process memo
+    _, r, _, phi = sqrt_triple
     f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
     base = sample_points(half_dom, scheme_fast)
     view = base.view()
@@ -274,9 +279,15 @@ def test_process_memo_caches_sample_tables_only(half_dom, scheme_fast,
         assert after.tobytes() == f.forward(base.copy()).tobytes()
         assert after.tobytes() != before.tobytes()
     table = doubling_sample_sets(half_dom, scheme_fast)[-1][1]
-    f.forward(table.view())
+    assert f.forward(table) is not f.forward(table)
     assert not process_memo.entries
-    assert f.forward(table) is f.forward(table)
+    # two displacements of f share f(P)
+    first = displacement(f, phi, r, scheme_fast)
+    assert len(process_memo.entries) == 1
+    (held, image), = process_memo.entries.values()
+    assert held is table
+    assert homspace._on_table(f, phi, scheme_fast)[1] is image
+    assert _bits(displacement(f, phi, r, scheme_fast)) == _bits(first)
     assert len(process_memo.entries) == 1
 
 
@@ -309,12 +320,9 @@ def test_process_memo_changes_no_rho(half_dom, sqrt_triple, scheme_fast,
                                      process_memo, monkeypatch):
     cached, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
     assert process_memo.entries
-
-    def copied_table(domain, scheme):
-        table = funcspace._table(domain, scheme)
-        return dataclasses.replace(table, pts=table.pts.copy())
-
-    monkeypatch.setattr(homspace, "_table", copied_table)
+    unread = homspace._ChainMemo()
+    unread.entries = MissingEntries()
+    monkeypatch.setattr(homspace, "_PROCESS_MEMO", unread)
     entries = dict(process_memo.entries)
     plain, _ = _pool_premetrics(half_dom, sqrt_triple, scheme_fast)
     assert process_memo.entries == entries
@@ -552,6 +560,44 @@ def test_premetric_not_symmetric_in_general(half_dom, sqrt_triple, scheme):
     ab = premetric(f, g, phi, r, scheme)
     ba = premetric(g, f, phi, r, scheme)
     assert ba.rho > ab.rho + 1e-3
+
+
+def _premetric_pool(seed):
+    """The premetric_pool workload of ``bench/workloads.py`` at ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PremetricPool(seed, False, path.parent)
+
+
+def test_premetrics_do_not_depend_on_call_order(table_caches, process_memo):
+    # the in-process twin of CI's step of that name: the image, table and
+    # gauge memos outlive each call, so the 400 premetric_pool pairs run in
+    # order, then in reverse from emptied memos; rho, both traces and both
+    # witnesses must agree to the bit
+    pool = _premetric_pool(7919)
+
+    def side(d):
+        point = [] if d.argmax_point is None else d.argmax_point.tolist()
+        return [d.finiteness, float(d.value).hex(), d.dropped] \
+            + [float(x).hex() for x in point] \
+            + [float(v).hex() for _, v in d.window_trace]
+
+    def run(order):
+        lines = {}
+        for i in order:
+            est = pool.run(i)
+            lines[i] = [float(est.rho).hex(), side(est.left), side(est.right)]
+        return [lines[i] for i in sorted(lines)]
+
+    forward = run(range(len(pool.ops)))
+    assert len(forward) == 400 and process_memo.entries
+    for cache in table_caches:
+        cache.cache_clear()
+    process_memo.entries.clear()
+    process_memo.nbytes = 0
+    assert run(reversed(range(len(pool.ops)))) == forward
 
 
 def test_koopman_lambda_frozen_values(half_dom, sqrt_triple):

@@ -30,7 +30,7 @@ from homconj import (
     schroeder_functional_check,
     wandering_check,
 )
-from homconj import funcspace, koopman
+from homconj import koopman
 from homconj.families import BumpSpec
 from homconj.funcspace import (
     RadialFn,
@@ -550,14 +550,14 @@ def test_r_lipschitz_work_counts(bundle_025, scheme):
 
 def test_cached_pair_cloud_changes_no_gate(bundle_025, scheme, table_caches,
                                           process_memo):
-    # the cloud is cached per (domain, scheme, cap), read-only; it is not a
-    # sample table, so the process memo caches no image of it
+    # the cloud is cached per (domain, scheme, cap), read-only; it is not
+    # the top table, so the process memo caches no image of it
     b = bundle_025
     lozi, light = build_lozi(1.4, 0.3), SampleScheme(
         window_radius=4.0, grid_points_per_axis=15, quasirandom_count=8)
     r_lipschitz(b.g, b.r, scheme)
     cloud = _pair_cloud(b.domain, scheme, PAIR_CAP)
-    assert not cloud.flags.writeable and not funcspace._is_table(cloud)
+    assert not cloud.flags.writeable
     assert not process_memo.entries
 
     def gates():
