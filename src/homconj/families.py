@@ -232,9 +232,25 @@ def _rows_times(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _radial(p: np.ndarray) -> np.ndarray:
-    """|x| of each row: the absolute value in dimension 1, else euclidean."""
-    return np.abs(p[:, 0]) if p.shape[1] == 1 else \
-        np.sqrt(np.add.reduce(p * p, axis=1))
+    """|x| of each row: the absolute value in dimension 1, else euclidean.
+
+    A finite row whose squares overflow (|x| above about 1.3e154) is taken
+    again as m sqrt(sum (x_k / m)^2) with m = max |x_k|, so it reads its
+    radius, or inf past the float range, without a warning; every other
+    row keeps the bits of sqrt(sum x_k^2).
+    """
+    if p.shape[1] == 1:
+        return np.abs(p[:, 0])
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.add.reduce(p * p, axis=1))
+        big = np.isinf(r)
+        if big.any():
+            big &= np.isfinite(p).all(axis=1)
+            q = p[big]
+            m = np.maximum.reduce(np.abs(q), axis=1)
+            q = q / m[:, None]
+            r[big] = m * np.sqrt(np.add.reduce(q * q, axis=1))
+    return r
 
 
 def _unit_dot(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:

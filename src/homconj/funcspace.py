@@ -157,25 +157,33 @@ class Domain:
         if self.region == "box_minus_ball" and not self.inner_radius > 0:
             raise ValueError("box_minus_ball needs a positive inner_radius")
 
-    def fold_norm(self, parts) -> np.ndarray:
+    def fold_norm(self, parts, out: np.ndarray | None = None) -> np.ndarray:
         """The norm of vectors given by their per-axis parts, in axis order.
 
         ``parts`` yields one array per axis, all of one shape.  The sup norm
         is a running maximum of |x_k|; the euclidean norm is the running sum
         x_0^2 + x_1^2 + ... followed by one square root.  In dimension 1 both
         are |x_0|, which no square overflows or underflows.
+
+        With ``out`` (float, of the parts' shape) the norm is written into
+        it and no array is allocated: ``out`` may be the first part itself,
+        and every part is overwritten, so a generator may write each part
+        into one scratch array after the previous one is folded.  Without
+        it the parts are read only.  Either way the bits are the same.
         """
         parts = iter(parts)
         first = next(parts)
+        overwrite = out is not None
         if self.norm == "sup" or self.dim == 1:
-            out = np.abs(first)
+            out = np.abs(first, out=out)
             for x in parts:
-                np.maximum(out, np.abs(x), out=out)
+                np.maximum(out, np.abs(x, out=x if overwrite else None),
+                           out=out)
             return out
-        out = first * first
+        out = np.multiply(first, first, out=out)
         for x in parts:
-            out += x * x
-        return np.sqrt(out)
+            out += np.multiply(x, x, out=x if overwrite else None)
+        return np.sqrt(out, out=out if overwrite else None)
 
     def norm_of(self, pts: np.ndarray) -> np.ndarray:
         """The norm of each point of a ``(..., dim)`` array (its last axis).
@@ -387,11 +395,23 @@ def _window_points(domain: Domain, scheme: SampleScheme,
     return pts
 
 
+def _distinct_rows(pts: np.ndarray) -> tuple:
+    """The distinct rows of a ``(n, d)`` array in lexicographic order, and
+    the index of each one's first occurrence: the bits of ``np.unique(pts,
+    axis=0, return_index=True)``, from one stable ``np.lexsort`` over the
+    columns and one comparison of neighbours."""
+    order = np.lexsort(pts.T[::-1])
+    ordered = pts[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return ordered[new], order[new]
+
+
 def sample_points(domain: Domain, scheme: SampleScheme,
                   radius: float | None = None) -> np.ndarray:
     """Finite sample of domain ∩ ball(0, radius); grid, low-discrepancy,
     seeded random points, and the origin anchor, deduplicated."""
-    return np.unique(_window_points(domain, scheme, radius), axis=0)
+    return _distinct_rows(_window_points(domain, scheme, radius))[0]
 
 
 def doubling_radii(scheme: SampleScheme) -> tuple:
@@ -473,12 +493,13 @@ class _Table:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _table(domain: Domain, scheme: SampleScheme) -> _Table:
-    """The :class:`_Table` of (domain, scheme).  One ``np.unique`` sorts the
-    raw points of all four levels; no level is sorted on its own."""
+    """The :class:`_Table` of (domain, scheme).  One :func:`_distinct_rows`
+    sorts the raw points of all four levels; no level is sorted on its
+    own."""
     radii = doubling_radii(scheme)
     raw = [_window_points(domain, scheme, radius) for radius in radii]
     level = np.repeat(np.arange(len(raw)), [len(lvl) for lvl in raw])
-    pts, first = np.unique(np.concatenate(raw), axis=0, return_index=True)
+    pts, first = _distinct_rows(np.concatenate(raw))
     pts, level = _read_only(pts), level[first]
     levels = tuple((radius, _read_only(pts[level <= k]))
                    for k, radius in enumerate(radii[:-1])) + ((radii[-1], pts),)
@@ -570,7 +591,7 @@ def _u_samples(scheme: SampleScheme) -> np.ndarray:
     us.append(_kronecker(scheme.quasirandom_count, 1)[:, 0] * scheme.window_radius)
     rng = np.random.default_rng(np.random.SeedSequence([int(scheme.seed), 97]))
     us.append(rng.random(scheme.quasirandom_count) * scheme.window_radius)
-    return np.unique(np.concatenate(us))
+    return _distinct_rows(np.concatenate(us)[:, None])[0][:, 0]
 
 
 def _strided_subset(n: int, cap: int) -> np.ndarray:

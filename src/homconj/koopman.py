@@ -109,7 +109,9 @@ def _near_partners(pts: np.ndarray, pts_norms: np.ndarray,
 
 # Cloud rows per block of the pair walk: a block pairs its rows with every
 # row after its first, densely, so it holds at most this many times the
-# cloud's rows of cells; a mask keeps the pairs the sup runs over.
+# cloud's rows of cells; a mask keeps the pairs the sup runs over.  The
+# walk's buffers are sized for its first block, the largest, and every
+# block writes into views of them.
 _BLOCK_ROWS = 64
 
 
@@ -129,15 +131,19 @@ def _pair_cloud(domain: Domain, scheme: SampleScheme,
     return cloud
 
 
-def _later(x: np.ndarray, lo: int, hi: int):
+def _later(x: np.ndarray, lo: int, hi: int, out: np.ndarray,
+           scratch: np.ndarray):
     """Per axis k, the ``(hi - lo, len(x) - lo - 1)`` array of
-    x[i, k] - x[j, k] over lo <= i < hi and every j > lo.
+    x[i, k] - x[j, k] over lo <= i < hi and every j > lo: axis 0 written
+    into ``out``, every later axis into ``scratch``.
 
-    The parts go to :meth:`Domain.fold_norm`, so no ``(rows, later, dim)``
-    tensor of differences is ever built.
+    The parts go to :meth:`Domain.fold_norm` with ``out``, which folds each
+    part before the next is written, so no ``(rows, later, dim)`` tensor of
+    differences is ever built and one scratch serves every later axis.
     """
-    return (x[lo:hi, k, None] - x[None, lo + 1:, k]
-            for k in range(x.shape[1]))
+    for k in range(x.shape[1]):
+        yield np.subtract(x[lo:hi, k, None], x[None, lo + 1:, k],
+                          out=scratch if k else out)
 
 
 def _r_lipschitz(maps: tuple, r: RadialFn, scheme: SampleScheme,
@@ -169,35 +175,55 @@ def _estimates(best: list, columns, norms: np.ndarray, scheme: SampleScheme,
 def _all_pairs(maps: tuple, r: RadialFn, scheme: SampleScheme,
                tol: Tolerances, pair_cap: int) -> list:
     """The pair walk of :func:`_r_lipschitz`: every pair of the cloud, in
-    row blocks."""
+    row blocks, each written into views of buffers allocated once here."""
     domain = maps[0].domain
     cloud = _pair_cloud(domain, scheme, pair_cap)
     images = [_images(f, cloud, "pair samples") for f in maps]
     # in norm order a pair i < j has shell norms[j]; per map, each column's
     # running maximum over its kept rows, by np.maximum (fmax drops a NaN)
     norms = domain.norm_of(cloud)
+    floor = _SEP_FLOOR * (1.0 + norms)
     columns = np.full((len(maps), len(cloud)), -np.inf)
     seen = np.zeros(len(cloud), dtype=bool)     # columns with a kept pair
     best = [(np.nan, None)] * len(maps)     # (value, witness pair) per map
     kept = 0
-    for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
-        raw = domain.fold_norm(_later(cloud, lo, hi))
+    # the folded cloud separation, a scratch for the later axes and the
+    # folded images, and the quotients, which serve the image fold as its
+    # later-axis scratch first; then two masks.  r.eval may hand back its
+    # input (the identity does), so the images never fold into the
+    # separation that sep may be
+    later = len(cloud) - 1
+    size = min(_BLOCK_ROWS, later) * later
+    sep_buf, scratch_buf, quot_buf = np.empty((3, size))
+    ok_buf, pos_buf = np.empty((2, size), dtype=bool)
+    upper = np.triu(np.ones((_BLOCK_ROWS, _BLOCK_ROWS), dtype=bool))
+    for lo in range(0, later, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, later)
+        shape = (hi - lo, later - lo)
+        raw, scratch, block, ok, pos = (
+            buf[:shape[0] * shape[1]].reshape(shape) for buf in
+            (sep_buf, scratch_buf, quot_buf, ok_buf, pos_buf))
+        domain.fold_norm(_later(cloud, lo, hi, raw, scratch), out=raw)
         sep = r.eval(raw)
         # below ~1e-9 relative separation the quotient measures evaluation
         # rounding, not the map; the deliberate near-partner blocks stay
-        # three orders of magnitude above this floor.  triu keeps j > i.
-        ok = (raw > _SEP_FLOOR * (1.0 + norms[lo + 1:])) & (sep > 0)
-        ok[:, :hi - lo] = np.triu(ok[:, :hi - lo])
+        # three orders of magnitude above this floor.  upper keeps j > i.
+        np.greater(raw, floor[lo + 1:], out=ok)
+        ok &= np.greater(sep, 0, out=pos)
+        ok[:, :hi - lo] &= upper[:hi - lo, :hi - lo]
         if not ok.any():
             continue
         kept += np.count_nonzero(ok)
         seen[lo + 1:] |= ok.any(axis=0)
-        block = np.full(ok.shape, -np.inf)
         for m, fc in enumerate(images):
-            np.divide(r.eval(domain.fold_norm(_later(fc, lo, hi))), sep,
-                      out=block, where=ok)
-            columns[m, lo + 1:] = np.maximum(columns[m, lo + 1:], block.max(0))
+            image = domain.fold_norm(_later(fc, lo, hi, scratch, block),
+                                     out=scratch)
+            # the fold wrote into the quotients, and a masked cell must
+            # read -inf, never a part or another map's quotient
+            block.fill(-np.inf)
+            np.divide(r.eval(image), sep, out=block, where=ok)
+            np.maximum(columns[m, lo + 1:], block.max(0),
+                       out=columns[m, lo + 1:])
             # np.argmax takes the first NaN as the maximum; so does the fold
             k = int(np.argmax(block))
             if not ok.flat[k]:      # a masked -inf cell ties every kept one
@@ -274,11 +300,14 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     so trace growth reflects where the steep pairs live.  Degenerate pairs
     (closer than the separation floor, or at zero scale separation) are
     skipped.  The cloud is cached per (domain, scheme); f runs once on it,
-    and the pairs are walked in row blocks.  Each block is evaluated
-    densely and masked: r runs on every cell of the block, 0 and
-    separations below the floor included, so r must be defined on all of
-    [0, inf); a masked cell never reaches the sup, the witness or the
-    count, whatever r returns there.  Every quantity is symmetric in the
+    and the pairs are walked in row blocks, each written into views of
+    buffers the call allocates once, for its first and largest block.
+    Each block is evaluated densely and masked: r runs on every cell of
+    the block, 0 and separations below the floor included, so r must be
+    defined on all of [0, inf); a masked cell never reaches the sup, the
+    witness or the count, whatever r returns there.  r may return its
+    input array, as the identity does, but must not keep it: the next
+    block overwrites it.  Every quantity is symmetric in the
     pair, so each unordered pair is visited once: the witness, the first
     row-major maximizer over i < j in norm order, is the first over all
     (i, j), and ``pair_count`` counts both orders.  Classification follows

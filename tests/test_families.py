@@ -308,6 +308,36 @@ def test_inverse_gives_up_at_once_on_rows_that_overflow():
     assert 1 < used < 200
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_huge_finite_rows_raise_no_warning_and_keep_their_bits(dim,
+                                                               monkeypatch):
+    # rows of norm 1e200, whose squares overflow, beside rows the bump
+    # reaches: forward and inverse raise nothing, and every row equals the
+    # squared radius's result, inf where it overflows (the bump is 0 at
+    # 1e200 and at inf alike)
+    rng = np.random.default_rng(dim)
+    T = 0.5 * (np.eye(dim) + rng.uniform(-0.3, 0.3, (dim, dim)))
+    mp = build_perturbed_linear(T, BumpSpec(center=2.0, halfwidth=1.0,
+                                            height=0.1))
+    unit = rng.standard_normal((40, dim))
+    unit /= np.sqrt(np.sum(unit * unit, axis=1))[:, None]
+    x = np.vstack([1e200 * unit, rng.uniform(0.5, 3.0, (40, 1)) * unit])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fx, y = mp.forward(x), mp.inverse(x)
+
+    def squared(p):
+        with np.errstate(over="ignore"):
+            return np.abs(p[:, 0]) if p.shape[1] == 1 else \
+                np.sqrt(np.add.reduce(p * p, axis=1))
+
+    assert np.isinf(squared(x[:40])).all()
+    monkeypatch.setattr(families, "_radial", squared)
+    assert np.array_equal(_bits(fx), _bits(mp.forward(x)))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_bits(y), _bits(mp.inverse(x)))
+
+
 def test_inverse_where_the_bump_covers_the_origin():
     # a bump whose support holds |y| = 0 meets y = 0 with a nonzero slope
     # and no direction; the solve takes no 0/0 there and raises no warning

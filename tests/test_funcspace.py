@@ -1,6 +1,10 @@
 """Gauges, scale/growth functions, domains, and the sampling machinery."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +34,11 @@ from homconj import (
 from conftest import churn_tables
 from homconj.funcspace import (
     _TABLE_CACHE_SIZE,
+    _distinct_rows,
     _norm_geometry,
     _table,
     _table_gauge,
+    _window_points,
     doubling_radii,
 )
 
@@ -261,6 +267,75 @@ def test_sample_tables_equal_the_per_level_unique_build():
             assert got.shape == want.shape
             assert got.view(np.uint64).tobytes() \
                 == want.view(np.uint64).tobytes()
+
+
+def _dedup_battery():
+    # every region, both norms, one to three axes, and grids both coarse
+    # and fine enough that the window levels share many rows
+    domains = [Domain(dim=1, region="half_line"), Domain(dim=1),
+               Domain(dim=2), Domain(dim=2, norm="sup"),
+               Domain(dim=2, region="box_minus_ball", inner_radius=0.5),
+               Domain(dim=3), Domain(dim=3, norm="sup"),
+               Domain(dim=3, region="box_minus_ball", inner_radius=0.5,
+                      norm="sup")]
+    for domain in domains:
+        for seed in (0, 7919):
+            for grid in (5, 11):
+                yield domain, SampleScheme(window_radius=4.0,
+                                           grid_points_per_axis=grid,
+                                           quasirandom_count=8, seed=seed)
+
+
+@pytest.mark.parametrize("domain, sch", list(_dedup_battery()))
+def test_distinct_rows_are_the_rows_np_unique_keeps(domain, sch):
+    # the raw points of a table's four levels, and of one level, give the
+    # bits (as uint64, so the sign of a zero counts) and first indices of
+    # np.unique
+    def bits(pts):
+        return pts.shape, pts.view(np.uint64).tobytes()
+
+    raw = np.concatenate([_window_points(domain, sch, radius)
+                          for radius in doubling_radii(sch)])
+    pts, first = _distinct_rows(raw)
+    want, want_first = np.unique(raw, axis=0, return_index=True)
+    assert bits(pts) == bits(want)
+    assert np.array_equal(first, want_first)
+    level = _window_points(domain, sch, None)
+    assert bits(_distinct_rows(level)[0]) == bits(np.unique(level, axis=0))
+    assert bits(sample_points(domain, sch)) == bits(np.unique(level, axis=0))
+
+
+def test_distinct_rows_keep_the_first_of_rows_equal_but_for_signed_zeros():
+    x = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0],
+                  [0.0, 1.0], [-1.0, 3.0]])
+    pts, first = _distinct_rows(x)
+    want, want_first = np.unique(x, axis=0, return_index=True)
+    assert pts.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    assert first.tolist() == want_first.tolist() == [5, 0, 2]
+    u = np.concatenate([np.linspace(0.0, 8.0, 17), np.linspace(0.0, 4.0, 9),
+                        np.random.default_rng(3).random(50) * 4.0])
+    assert _distinct_rows(u[:, None])[0][:, 0].tobytes() \
+        == np.unique(u).tobytes()
+
+
+def test_sampling_imports_no_masked_arrays():
+    # np.unique imports numpy.ma on first use, about 5 ms of a CLI run
+    code = (
+        "import sys\n"
+        "from homconj import (CrossConstants, Domain, SampleScheme,\n"
+        "                     make_radial, sample_points,\n"
+        "                     validate_scale_pair)\n"
+        "scheme = SampleScheme(window_radius=4.0)\n"
+        "validate_scale_pair(make_radial('linear_plus'),\n"
+        "                    make_radial('sqrt_plus'),\n"
+        "                    CrossConstants(a=2.0, b=2.0), scheme)\n"
+        "sample_points(Domain(dim=2), scheme)\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    import homconj
+    src = str(Path(homconj.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_sampling_rejects_a_window_it_cannot_sample():

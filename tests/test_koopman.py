@@ -384,6 +384,20 @@ def test_norm_of_is_an_axis_fold(dim):
     stacked = Domain(dim=dim, norm="euclidean").norm_of(p.reshape(20, 20, dim))
     np.testing.assert_array_equal(_bits(stacked),
                                   _bits(euclid).reshape(20, 20))
+    # folded into out, each later axis written into one scratch once the
+    # axis before it is folded, as the pair walk does: the same bits
+    for norm, want in (("euclidean", euclid), ("sup", sup)):
+        out, scratch = np.empty(len(p)), np.empty(len(p))
+
+        def parts():
+            for k in range(dim):
+                buf = scratch if k else out
+                buf[:] = p[:, k]
+                yield buf
+
+        got = Domain(dim=dim, norm=norm).fold_norm(parts(), out=out)
+        assert got is out
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("norm", ["euclidean", "sup"])
@@ -581,8 +595,13 @@ def test_cached_pair_cloud_changes_no_gate(bundle_025, scheme, table_caches,
 
 
 def test_r_lipschitz_memory_stays_within_blocks():
-    # one call on the 2-d Lozi cloud (about 930k ordered pairs) holds a few
-    # row blocks of pairs, not arrays over every pair of the cloud
+    # one call on the 2-d Lozi cloud (about 930k ordered pairs) holds the
+    # walk's buffers, each one block of _BLOCK_ROWS rows by every later row
+    # of the cloud: three of float64 (separation, scratch, quotients) and
+    # two bool masks, 3 + 2/8 blocks of float64.  One more block covers
+    # every array of the cloud's own length (the cloud, its near partners,
+    # images, norms, column maxima); a fresh temporary per block does not
+    # fit
     lozi = build_lozi(1.4, 0.3)
     scheme = SampleScheme(window_radius=8.0, seed=31337)
     doubling_sample_sets(lozi.domain, scheme)
@@ -592,8 +611,58 @@ def test_r_lipschitz_memory_stays_within_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    n = _pair_cloud(lozi.domain, scheme, PAIR_CAP).shape[0]
+    block = _BLOCK_ROWS * (n - 1) * np.dtype(float).itemsize
     assert est.pair_count > 900_000
-    assert peak < 12 * 2 ** 20
+    assert peak < (3 + 2 / 8 + 1) * block
+
+
+def _two_map_cases():
+    light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                         quasirandom_count=8, exhaustion_levels=2)
+    # r is -inf beyond 100 and the stretch takes every image separation
+    # past it, so each of its kept quotients is -inf: a masked cell that
+    # kept the Lozi map's quotient would win its column and its witness
+    minus_inf = RadialFn(lambda u: np.where(
+        u <= 100.0, np.maximum(u - 0.05, 0.0), -np.inf), "minus_inf")
+    cases = []
+    for norm in ("euclidean", "sup"):
+        a = build_lozi(1.4, 0.3, norm=norm)
+        b = build_lozi(1.1, -0.45, norm=norm)
+        stretch = build_pure_linear(1e12, Domain(dim=2, norm=norm))
+        cases += [(f"lozi-lozi-{norm}", (a, b), make_radial("identity"),
+                   light),
+                  (f"lozi-stretch-{norm}", (a, stretch), minus_inf, light)]
+    return cases
+
+
+@pytest.mark.parametrize("label, maps, r, scheme", _two_map_cases(),
+                         ids=[c[0] for c in _two_map_cases()])
+def test_two_maps_in_one_pair_walk_are_each_its_own_walk(label, maps, r,
+                                                         scheme):
+    both = _r_lipschitz(maps, r, scheme, Tolerances(), PAIR_CAP)
+    for f, est in zip(maps, both):
+        _assert_same_estimate(
+            est, _r_lipschitz((f,), r, scheme, Tolerances(), PAIR_CAP)[0])
+        _assert_same_estimate(est, reference_r_lipschitz(f, r, scheme))
+    if label.startswith("lozi-stretch"):
+        assert np.isfinite(both[0].value) and both[1].value == -np.inf
+
+
+def test_pair_walks_keep_no_state_between_calls():
+    # a small and a large cloud, each walked after the other: the second
+    # walk of each gives the bits of its first
+    lozi = build_lozi(1.4, 0.3, norm="sup")
+    r = make_radial("identity")
+    small = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                         quasirandom_count=8, exhaustion_levels=2)
+    large = SampleScheme(window_radius=4.0, grid_points_per_axis=21)
+    assert _pair_cloud(lozi.domain, small, PAIR_CAP).shape[0] \
+        < _pair_cloud(lozi.domain, large, PAIR_CAP).shape[0]
+    walks = [_r_lipschitz((lozi,), r, scheme, Tolerances(), PAIR_CAP)[0]
+             for scheme in (small, large, small, large)]
+    for first, again in zip(walks[:2], walks[2:]):
+        _assert_same_estimate(again, first)
 
 
 # -------------------------------------------------------------------
