@@ -15,10 +15,14 @@ on the half line.  Their inverses are the one sanctioned exception to
 and finds the scalar s = bump(|y|) of each row by a bracketed Newton
 iteration, the same in every dimension, so a row's inverse does not
 depend on the other rows of its batch.  A row the bump does not reach at
-|T^-1 x| is T^-1 x and never enters the iteration.
+|T^-1 x| is T^-1 x and never enters the iteration.  The iteration sweeps
+numpy arrays while many rows are live and, in dimension 1, finishes the
+last few as Python floats, bit for bit the same, because a numpy call's
+fixed cost outweighs a few rows' arithmetic.
 """
 
 import inspect
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -272,6 +276,17 @@ def _sup_norm(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 _TOL = 1e-14
 _MAX_SWEEPS = 200
 
+# damped_inverse finishes its rows in Python floats, in dimension 1, once
+# no more than this many are live.  A numpy sweep costs about 30 us, nearly
+# all of it fixed per call; a row's sweep in floats costs about 0.65 us.
+# So floats cost less below about 45 rows, and more so as rows stop at
+# different sweeps, since a numpy sweep runs until its last row stops.
+# Replaying the benchmark's recorded calls, 32 and 64 tie and beat 16 and
+# 128.  Best of 40 rounds on a 2-core x86-64 host, Python 3.11, numpy 2.4.
+# The benchmark makes no damped_inverse call in dimension 2 or more, so
+# those rows always sweep in numpy.
+_FLOAT_ROWS = 32
+
 
 def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
     """Solve T y + e_0 bump(|y|) = x row by row, given Tinv = T^-1.
@@ -293,6 +308,15 @@ def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
     moving after _MAX_SWEEPS sweeps, comes back NaN, so the caller's
     finiteness checks fire.  Returns the solution together with the
     number of sweeps used.
+
+    The live rows sweep together as numpy arrays.  In dimension 1, once
+    no more than _FLOAT_ROWS of them are live, at entry or after any
+    sweep, the few left finish one by one in Python floats
+    (:func:`_float_sweeps`).  A numpy sweep costs about the same for 1 row
+    as for 30, so a handful of rows is cheaper as scalars, and a large
+    batch cheaper as arrays.  Both paths take the same IEEE operations in
+    the same order, so a row ends on the same bits, and at the same
+    sweep, on either.
     """
     c = Tinv[:, 0]
     c_max = np.maximum.reduce(np.abs(c))
@@ -308,7 +332,10 @@ def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
     z = y = z[rows]
     s = lo = np.zeros(rows.shape[0])
     hi = np.full(rows.shape[0], np.inf)
-    for sweeps in range(1, _MAX_SWEEPS + 1):
+    floats = _FLOAT_ROWS if c.size == 1 else 0
+    sweeps = 0
+    while rows.size > floats and sweeps < _MAX_SWEEPS:
+        sweeps += 1
         b, slope = _bump_with_slope(bump, r)
         F = s - b
         lo = np.where(F < 0.0, s, lo)
@@ -329,10 +356,70 @@ def damped_inverse(Tinv: np.ndarray, bump: BumpSpec, x: np.ndarray):
             live = ~done
             rows, z, y, r, step, lo, hi = (
                 a[live] for a in (rows, z, y, r, step, lo, hi))
-        if not rows.size:
-            break
         s = step
+    if rows.size and sweeps < _MAX_SWEEPS:
+        sweeps = _float_sweeps(out, rows, bump, float(c[0]), sweeps + 1,
+                               z[:, 0], y[:, 0], r, s, lo, hi)
     return out, sweeps
+
+
+def _float_sweeps(out: np.ndarray, rows: np.ndarray, bump: BumpSpec,
+                  c: float, first: int, *state: np.ndarray) -> int:
+    """Finish the live ``rows`` of a dimension-1 :func:`damped_inverse` in
+    Python floats.
+
+    ``c`` is T^-1, ``state`` the rows' (z, y, |y|, s, lo, hi) as the last
+    numpy sweep left them, and ``first`` the next sweep's number.  Each
+    row goes on with that sweep's formulas in its order: the clamped
+    cutoff, smoothstep and slope as :func:`_bump_with_slope`, the
+    direction as :func:`_unit_dot` and the stop rule on |y|.  Python's
+    float + - * /, abs and comparisons are the IEEE binary64 operations of
+    numpy's float64 ufuncs, so each row ends on the bits, and at the
+    sweep, that the numpy loop gives it.  Writes each row's y into ``out``
+    as it stops, and returns the last sweep any row used (_MAX_SWEEPS if
+    one never stopped).
+    """
+    center, width, height = (float(v) for v in (bump.center, bump.halfwidth,
+                                                 bump.height))
+    gain = -30.0 * height / width
+    c_max = abs(c)
+    last = first
+    for row, z, y, r, s, lo, hi in zip(rows.tolist(),
+                                       *(a.tolist() for a in state)):
+        for sweep in range(first, _MAX_SWEEPS + 1):
+            u = r - center
+            t = 1.0 - abs(u) / width
+            # np.minimum(np.maximum(t, 0), 1): t is never NaN or -0, the
+            # inputs on which numpy's clamps and these could differ
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            w = t * (1.0 - t)
+            F = s - height * (t * t * t * (10.0 + t * (-15.0 + 6.0 * t)))
+            if F < 0.0:
+                lo = s
+            elif F > 0.0:
+                hi = s
+            slope = gain * (1.0 if u > 0.0 else -1.0 if u < 0.0 else 0.0) \
+                * (w * w)
+            dot = (1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0) * c
+            den = 1.0 + slope * dot
+            # F * inf is numpy's F / 0 (den is never -0)
+            step = s - (F / den if den else F * math.inf)
+            if step > height:
+                step = height
+            if not (lo < step < hi or step == s):
+                step = 0.5 * (lo + (hi if hi < height else height))
+            moved = abs(step - s)
+            y = z - step * c
+            r = abs(y)
+            if moved * c_max <= _TOL * (1.0 + r):
+                out[row] = y
+                if sweep > last:
+                    last = sweep
+                break
+            s = step
+        else:
+            last = _MAX_SWEEPS
+    return last
 
 
 def build_perturbed_linear(T, perturbation: BumpSpec | None = None,

@@ -329,7 +329,10 @@ class DisplacementEstimate:
 
     ``finiteness`` is "finite", "divergent", or "undetermined", decided by
     how the estimate grows over three window doublings.  ``dropped`` counts
-    samples whose image left the domain near the window boundary.
+    samples whose image left the *domain* by more than 1e-9 * (1 + the
+    table's largest norm), wherever in the window the sample lies; a drop
+    means the map left the domain F on the samples, so it is not in
+    Hom(F).
     """
 
     value: float

@@ -23,8 +23,10 @@ from homconj import (
     build_contraction_pair,
     build_lozi,
     build_perturbed_linear,
+    build_pure_linear,
     build_translation,
     builtin_triple,
+    bump_lipschitz,
     cauchy_envelope,
     check_p_alpha,
     compose,
@@ -1030,4 +1032,41 @@ def test_picard_recovers_a_planted_conjugacy(half_dom, scheme_fast, eta,
     pts = doubling_sample_sets(half_dom, scheme_fast)[-1][1]
     planted = compose(phi, g).forward(pts)
     gap = np.max(np.abs(res.h.forward(pts) - planted) / (1.0 + np.abs(pts)))
+    assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.5])
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_picard_recovers_a_planted_conjugacy_on_the_box(dim, norm, eta):
+    # the planted pair above on the box of R^d: f = eta x and
+    # g = phi^-1∘f∘phi, phi = x + e_0 bump(|x|) with the bump on the
+    # euclidean |x| in every norm; g^-1 runs damped_inverse in dimension d
+    domain = Domain(dim=dim, region="box", norm=norm)
+    _, r, cross, gauge = builtin_triple("sqrt_plus", domain)
+    bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.05)
+    f = build_pure_linear(eta, domain)
+    phi = build_perturbed_linear(np.eye(dim), bump, domain=domain)
+    g = compose(compose(invert(phi), f), phi)
+    scheme = SampleScheme(window_radius=4.0,
+                          grid_points_per_axis=7 if dim == 3 else 15,
+                          quasirandom_count=16, seed=1)
+    est = EstimateContext(domain=domain, scheme=scheme, phi=gauge, r=r,
+                          cross=cross)
+    alpha = build_contraction_pair(eta).alpha
+    eigen = check_p_alpha(f, g, gauge, r, alpha, scheme, est.tol)
+    assert eigen.satisfied
+    # Lip phi <= 1 + k and Lip phi^-1 <= 1 / (1 - k) in the euclidean
+    # norm, k = Lip(bump); the sup norm pays sqrt(d) for reading |x|
+    k = bump_lipschitz(bump)
+    assert eigen.lambda_f == eta
+    assert eigen.lambda_g <= eta * (1.0 + k) / (1.0 - k) \
+        * (np.sqrt(dim) if norm == "sup" else 1.0)
+    res = picard_solve(f, g, g, PicardContext(est=est, alpha=alpha,
+                                              eigen_report=eigen))
+    assert res.converged, res.trace.verdict
+    pts = doubling_sample_sets(domain, scheme)[-1][1]
+    planted = compose(phi, g).forward(pts)
+    gap = np.max(np.abs(res.h.forward(pts) - planted)
+                 / (1.0 + domain.norm_of(pts))[:, None])
     assert gap <= 1e-8

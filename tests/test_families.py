@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homconj import (
@@ -219,9 +219,14 @@ ATOM_CLOSURES = _atom_closures()
 
 @settings(max_examples=40, deadline=None)
 @given(unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@example(unit=np.random.default_rng(2010).uniform(0.0, 1.0, 256).tolist())
 def test_inverse_row_does_not_depend_on_its_batch(unit):
     # covers the forward of every atom too: the Picard driver reads a
-    # compact's bounds off the rows of a larger table's images
+    # compact's bounds off the rows of a larger table's images.  In the
+    # 256-row example the bump reaches 47 to 109 rows of each bump map's
+    # batch in dimensions 1 to 3, so in dimension 1 the batch starts in
+    # numpy sweeps, while each row alone runs in Python floats; dimensions
+    # 2 and 3 sweep in numpy either way
     flat = np.asarray(unit)
     for name, (closure, dim, lo, hi) in ATOM_CLOSURES.items():
         # axis k pairs each draw with the k-th one before it, cyclically
@@ -487,55 +492,97 @@ def _unscreened_cases():
                 yield T, spec, x
 
 
+# live rows at or below which damped_inverse sweeps in Python floats: numpy
+# sweeps only, its own choice, and floats only
+FLOAT_ROWS = {"numpy": 0, "shipped": families._FLOAT_ROWS,
+              "floats": 10 ** 9}
+
+
 @pytest.mark.parametrize("cap", [None, 1, 2])
 def test_inverse_matches_its_unscreened_loop_bit_for_bit(cap, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(families, "_MAX_SWEEPS", cap)
-    # the screen raises no floating-point warning the loop did not raise
+    # on numpy sweeps only, on floats only and as shipped; the screen
+    # raises no floating-point warning the loop did not raise
     for T, spec, x in _unscreened_cases():
         Tinv = np.linalg.inv(T)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert not np.all(np.isfinite(families._rows_times(x, Tinv)))
             caught.clear()
-            y, used = damped_inverse(Tinv, spec, x)
-            warned = {str(w.message) for w in caught}
-            caught.clear()
             y_ref, used_ref = unscreened_damped_inverse(
                 Tinv, spec, x, cap or families._MAX_SWEEPS)
-            assert warned <= {str(w.message) for w in caught}
-        assert used == used_ref
-        assert np.array_equal(_bits(y), _bits(y_ref))
+            warned_ref = {str(w.message) for w in caught}
+            for rows in FLOAT_ROWS.values():
+                monkeypatch.setattr(families, "_FLOAT_ROWS", rows)
+                caught.clear()
+                y, used = damped_inverse(Tinv, spec, x)
+                assert {str(w.message) for w in caught} <= warned_ref
+                assert used == used_ref
+                assert np.array_equal(_bits(y), _bits(y_ref))
 
 
 def test_the_sweep_loop_sees_only_the_rows_the_bump_reaches(monkeypatch):
-    # g^-1 of the top table at eta 0.25: the rows with bump(|z|) = 0 return
-    # z = x / eta and never reach the sweep's bump evaluation
-    b = build_contraction_pair(0.25)
+    # g^-1 at eta 0.1 of the top table and of 64 points across the bump's
+    # support (x / eta in [1, 3]): the rows with bump(|z|) = 0 return
+    # z = x / eta and enter neither the numpy sweeps' bump evaluation nor
+    # the float sweeps, on numpy sweeps only, on floats only and as
+    # shipped, which takes both paths
+    b = build_contraction_pair(0.1)
     top = doubling_sample_sets(b.domain, SampleScheme(window_radius=8.0))[-1][1]
-    Tinv = np.linalg.inv([[0.25]])
-    z = families._rows_times(top, Tinv)
+    x = np.vstack([top, np.linspace(0.1, 0.3, 64)[:, None]])
+    Tinv = np.linalg.inv([[0.1]])
+    z = families._rows_times(x, Tinv)
     reached = bump_eval(b.bump, np.abs(z[:, 0])) > 0.0
-    assert 0 < np.count_nonzero(reached) < top.shape[0]
-    seen = []
+    assert FLOAT_ROWS["shipped"] < np.count_nonzero(reached) < x.shape[0]
+    seen, floats = [], []
     bump_with_slope = families._bump_with_slope
+    float_sweeps = families._float_sweeps
 
     def recorded(spec, r):
         seen.append(r.copy())
         return bump_with_slope(spec, r)
 
+    def recorded_floats(out, rows, bump, c, first, z, *state):
+        last = float_sweeps(out, rows, bump, c, first, z, *state)
+        floats.append((rows.copy(), z.copy(), first, last))
+        return last
+
     monkeypatch.setattr(families, "_bump_with_slope", recorded)
-    y, used = damped_inverse(Tinv, b.bump, top)
-    assert len(seen) == used
-    assert np.array_equal(_bits(seen[0]), _bits(np.abs(z[reached, 0])))
-    assert all(u.shape[0] >= v.shape[0] for u, v in zip(seen, seen[1:]))
-    assert np.array_equal(_bits(y[~reached]), _bits(z[~reached]))
-    assert np.array_equal(_bits(y), _bits(b.g.inverse(top)))
-    # a call with a bump that reaches none of its rows takes z as it is
-    seen.clear()
-    y, used = damped_inverse(Tinv, b.bump, top[~reached])
-    assert used == 1 and not seen
-    assert np.array_equal(_bits(y), _bits(z[~reached]))
+    monkeypatch.setattr(families, "_float_sweeps", recorded_floats)
+    for path, live in FLOAT_ROWS.items():
+        monkeypatch.setattr(families, "_FLOAT_ROWS", live)
+        seen.clear()
+        floats.clear()
+        y, used = damped_inverse(Tinv, b.bump, x)
+        assert (path != "floats") == bool(seen)
+        assert (path != "numpy") == bool(floats)
+        # the numpy sweeps start on the reached rows, only drop rows, and
+        # run while more than _FLOAT_ROWS rows are live
+        if seen:
+            assert np.array_equal(_bits(seen[0]),
+                                  _bits(np.abs(z[reached, 0])))
+        assert all(u.shape[0] >= v.shape[0] for u, v in zip(seen, seen[1:]))
+        assert all(u.shape[0] > live for u in seen)
+        # the float sweeps take over the reached rows still live, at most
+        # _FLOAT_ROWS of them, from the next sweep on
+        if floats:
+            (rows, z_rows, first, last), = floats
+            assert first == len(seen) + 1 and last == used
+            assert reached[rows].all() and rows.shape[0] <= live
+            if not seen:
+                assert np.array_equal(rows, reached.nonzero()[0])
+            assert np.array_equal(_bits(z_rows), _bits(z[rows, 0]))
+        else:
+            assert len(seen) == used
+        assert np.array_equal(_bits(y[~reached]), _bits(z[~reached]))
+        assert np.array_equal(_bits(y), _bits(b.g.inverse(x)))
+        # a call with a bump that reaches none of its rows takes z as it is
+        seen.clear()
+        floats.clear()
+        y, used = damped_inverse(Tinv, b.bump, x[~reached])
+        assert used == 1 and not seen and not floats
+        assert np.array_equal(_bits(y), _bits(z[~reached]))
 
 
 # ===================================================================
