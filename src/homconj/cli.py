@@ -395,8 +395,6 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
         "gate_constant_A": tr.constants.A,
         "gate_threshold": tr.constants.threshold,
         "failed_gate": tr.failed_gate,
-        "anchor": tr.anchor,
-        "eps_monitor": tr.eps_monitor,
         "incrementally_bounded": tr.incrementally_bounded,
         "final_residual": res.residual,
         "membership": None if res.membership is None

@@ -29,7 +29,6 @@ from .homspace import (
     Homeo,
     InequalityReport,
     MembershipVerdict,
-    _MEMO,
     _apply,
     _chain_memo,
     _gate_constant,
@@ -357,8 +356,6 @@ class IterationTrace:
     eigen: EigenReport
     failed_gate: str | None = None
     gate_margin: float | None = None
-    anchor: int | None = None            # 0 once a step is measured
-    eps_monitor: float | None = None     # the envelope seed, delta
     anchored: tuple = ()     # (step, observed rho to h0, envelope value)
     incrementally_bounded: bool | None = None
     bound_pre: BoundReport | None = None
@@ -402,28 +399,6 @@ class PicardContext:
                 f", not at {self.alpha}")
 
 
-def _walk_increments(f: Homeo, g: Homeo, h0: Homeo, steps: int,
-                     pts: np.ndarray) -> None:
-    """File in the run memo the middles of the increment chains
-    h_{n+1}∘h_n^-1 = f^{n+1}∘(h0∘g^-1∘h0^-1)∘f^-n, n = 1..steps, on
-    ``pts``, in one stacked call per atom step of the middle.
-
-    From h0 = g or the identity the middle is g^-1.  The roots f^-n are
-    walked from ``pts`` through the memo, and the middle once over the
-    stack of their images f^-n(pts), by ``_ChainMemo.forward_stacked``.  A
-    step's increment then walks its chain as before and finds its middle
-    image filed; its leading run of f is its own.  Images that leave the
-    float range warn nowhere here: a step that reads one raises
-    EvaluationError on it, and the roots of steps the run never takes are
-    read by no one.
-    """
-    middle = compose(compose(h0, invert(g)), invert(h0)).chain
-    roots = itertools.accumulate(itertools.repeat(invert(f), steps), compose)
-    if middle:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _MEMO.get().forward_stacked(middle, [h.chain for h in roots], pts)
-
-
 @_chain_memo()
 def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                  ctx: PicardContext) -> ConjugacyResult:
@@ -452,11 +427,9 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     The whole solve runs under one chain memo (see homspace), and every
     estimate walks from the top sample table.  The probe walks the orbits
     g^-k and g^k of that table up to n_bnd, so the steps' residuals and
-    observations find them in the memo.  Once the gates pass, the middle
-    h0∘g^-1∘h0^-1 (g^-1 from h0 = g or the identity) of the increments of
-    steps 1..min(n_bnd, n_max - 1) is solved on their roots f^-n(P) in one
-    stacked call (:func:`_walk_increments`).  Every atom is row-wise, so
-    every number is bit for bit that of walking each chain alone.  Raises
+    observations find them in the memo; each step's increment walks its
+    own g^-1 on its root f^-n(P).  Every atom is row-wise, so every number
+    is bit for bit that of walking each chain alone.  Raises
     DomainMismatchError unless f, g, h0 and ``ctx.est`` share one domain.
     """
     est = ctx.est
@@ -504,8 +477,6 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     measured, anchored = [], []
     notes = [] if bound_pre is None else list(bound_pre.notes)
     n_max = 0 if failed else ctx.n_max
-    if n_max:
-        _walk_increments(f, g, h0, min(ctx.n_bnd, n_max - 1), top)
     h = h0
     residual = np.nan
 
@@ -563,9 +534,8 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     trace = IterationTrace(
         steps=steps, verdict=verdict, constants=constants,
         alpha=ctx.alpha, eigen=eigen, failed_gate=failed_gate,
-        gate_margin=margin, anchor=0 if measured else None,
-        eps_monitor=constants.delta if measured else None,
-        anchored=tuple(anchored), incrementally_bounded=incr_ok,
+        gate_margin=margin, anchored=tuple(anchored),
+        incrementally_bounded=incr_ok,
         bound_pre=bound_pre, bound_post=bound_post, notes=tuple(notes),
     )
     membership = None

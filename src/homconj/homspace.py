@@ -21,14 +21,13 @@ passes through it.  There are two lifetimes:
   run starts from the top sample table P.  The boundedness probe walks
   the orbits g^-k(P) and g^k(P) first, so the steps' residuals and
   observations find them filed.  The increments' chains
-  f^{n+1}∘g^-1∘f^-n meet g^-1 on a new root f^-n(P) per step, and
-  :meth:`_ChainMemo.forward_stacked` files those images for all the
-  steps at once, one stacked atom call per step of the middle.  Every
-  walk of the run, from any root array, goes through the memo, with one
-  exception: the probe applies the leading runs of f or f^-1 of its
-  iterates to a stack of its own, and files none of those images, since
-  no other walk starts from them.  The memo's images are dropped when the
-  run ends, so the orbits of a finished run do not stay resident.
+  f^{n+1}∘g^-1∘f^-n meet g^-1 on a new root f^-n(P) per step, which each
+  step walks for itself.  Every walk of the run, from any root array,
+  goes through the memo, with one exception: the probe applies the
+  leading runs of f or f^-1 of its iterates to a stack of its own, and
+  files none of those images, since no other walk starts from them.  The
+  memo's images are dropped when the run ends, so the orbits of a
+  finished run do not stay resident.
 * the process memo, through which :func:`_on_table`, the one walk of a
   map over the top table P, walks while no run memo is open.  Premetrics
   that share a factor g then compute g^-1(P) and g(P) once.  P is a
@@ -40,14 +39,12 @@ passes through it.  There are two lifetimes:
 
 An entry holds its input and its step, so no other array or atom can take
 over that identity while the entry lives.  A cached image is the same atom
-call that an uncached walk makes, or the rows of its input in one call on
-a stack, which is the same bits since every atom is row-wise; so every
-number is bit for bit what it would be without a memo.  Each memo keeps
-at most ``_MEMO_BYTES`` of images, least recently used out first; an
-evicted image is recomputed by the same calls, so eviction changes no
-number either.  Cached images are shared, so they are read-only; atoms
-must not write to their input.  The memos are not locked: the package is
-single-threaded.
+call that an uncached walk makes, so every number is bit for bit what it
+would be without a memo.  Each memo keeps at most ``_MEMO_BYTES`` of
+images, least recently used out first; an evicted image is recomputed by
+the same calls, so eviction changes no number either.  Cached images are
+shared, so they are read-only; atoms must not write to their input.  The
+memos are not locked: the package is single-threaded.
 
 Table geometry.  Two cache rules hold in the package.  Data derived from
 a sample table is cached with ``functools.lru_cache``, keyed by value:
@@ -186,65 +183,24 @@ class _ChainMemo:
         self.nbytes = 0
 
     def forward(self, chain: tuple, out: np.ndarray) -> np.ndarray:
+        """chain(out), filing each missing step image."""
         keys = []
-        out = self._walk(chain, out, keys)
-        self._renew([keys])
-        return out
-
-    def forward_stacked(self, middle: tuple, tails: list,
-                        pts: np.ndarray) -> None:
-        """File middle∘tail(pts) for each chain ``tail``, as :meth:`forward`
-        would, but apply each step of ``middle`` once, to the stack of the
-        distinct inputs whose image the memo does not yet hold.
-
-        Each input's image is filed as an array of its own, not as a view
-        of the stack, and every atom is row-wise, so each image carries the
-        bits of its input walked alone.  The walks are renewed deepest
-        first, so the memo's order rule holds as after :meth:`forward`.
-        """
-        paths = [[] for _ in tails]
-        outs = [self._walk(tail, pts, keys) for tail, keys in zip(tails, paths)]
-        for step in reversed(middle):
-            missing = {id(out): out for out in outs
-                       if (id(out), step) not in self.entries}
-            if missing:
-                ins = list(missing.values())
-                cuts = np.cumsum([a.shape[0] for a in ins[:-1]])
-                for out, image in zip(ins, np.split(
-                        _apply(step, np.concatenate(ins)), cuts)):
-                    self._file((id(out), step), out, image.copy())
-            for i, keys in enumerate(paths):
-                keys.append((id(outs[i]), step))
-                outs[i] = self.entries[keys[-1]][1]
-        self._renew(paths)
-
-    def _walk(self, chain: tuple, out: np.ndarray, keys: list) -> np.ndarray:
-        """chain(out), filing each missing step image; ``keys`` gets the
-        walk's keys in walk order."""
         for step in reversed(chain):
             key = (id(out), step)
             entry = self.entries.get(key)
             if entry is None:
-                entry = self._file(key, out, _apply(step, out))
+                # a read-only view: never freeze an array an atom hands back
+                image = _apply(step, out).view()
+                image.flags.writeable = False
+                entry = self.entries[key] = (out, image)
+                self.nbytes += image.nbytes
             out = entry[1]
             keys.append(key)
-        return out
-
-    def _file(self, key: tuple, out: np.ndarray, image: np.ndarray) -> tuple:
-        # a read-only view: never freeze an array an atom hands back
-        image = image.view()
-        image.flags.writeable = False
-        entry = self.entries[key] = (out, image)
-        self.nbytes += image.nbytes
-        return entry
-
-    def _renew(self, paths: list) -> None:
-        """Renew each walk's keys deepest first, then evict to the bound."""
-        for keys in paths:
-            for key in reversed(keys):
-                self.entries.move_to_end(key)
+        for key in reversed(keys):
+            self.entries.move_to_end(key)
         while self.nbytes > _MEMO_BYTES:
             self.nbytes -= self.entries.popitem(last=False)[1][1].nbytes
+        return out
 
 
 _MEMO = ContextVar("homconj_chain_memo", default=None)

@@ -206,8 +206,10 @@ def _all_pairs(maps: tuple, r: RadialFn, scheme: SampleScheme,
         domain.fold_norm(_later(cloud, lo, hi, raw, scratch), out=raw)
         sep = r.eval(raw)
         # below ~1e-9 relative separation the quotient measures evaluation
-        # rounding, not the map; the deliberate near-partner blocks stay
-        # three orders of magnitude above this floor.  upper keeps j > i.
+        # rounding, not the map.  The near partners are placed three orders
+        # of magnitude above this floor, but on the shipped 2-d clouds the
+        # stride keeps no partner with its source row, so no near pair
+        # reaches this walk there.  upper keeps j > i.
         np.greater(raw, floor[lo + 1:], out=ok)
         ok &= np.greater(sep, 0, out=pos)
         ok[:, :hi - lo] &= upper[:hi - lo, :hi - lo]

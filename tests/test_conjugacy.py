@@ -322,7 +322,7 @@ def test_picard_converges_on_contraction_pair(half_dom, sqrt_triple, scheme,
     assert tr.failed_gate is None
     assert res.residual < 1e-8
     assert tr.steps[-1].rho_increment < 1e-8
-    assert tr.anchor is not None
+    assert tr.anchored[0][0] == 0
     assert tr.incrementally_bounded is True
     assert not tr.bound_pre.flagged
     assert not tr.bound_post.flagged
@@ -447,12 +447,16 @@ def test_compact_bounds_past_the_probe_cost_no_extra_calls(monkeypatch,
             assert used[n_bnd][name] <= used[32][name], (n_bnd, name)
 
 
-@pytest.mark.parametrize("n_bnd, most", [(32, 33), (4, 67)])
-def test_picard_walks_one_g_inverse_orbit(monkeypatch, scheme, n_bnd, most):
-    # the probe walks g^-k of the top table, which every later walk of the
-    # run reuses, and the increments' g^-1 on the roots f^-n of the table
-    # is one stacked call; the orbit of the outer compact and one g^-1 per
-    # increment made 76 calls at n_bnd 32 and 67 at n_bnd 4
+@pytest.mark.parametrize("n_bnd, expected", [(32, 53), (4, 45)])
+def test_picard_walks_one_g_inverse_orbit(monkeypatch, scheme, n_bnd,
+                                          expected):
+    # the orbit g^-k of the top table is walked once, by the probe to
+    # k = n_bnd - 1 and by the observations to k = n_steps, so 31 calls at
+    # n_bnd 32 and 23 at n_bnd 4, and every later walk of the run reuses
+    # it; each increment 1..n_steps - 1 solves its own g^-1 on its root
+    # f^-n of the table, 22 calls, so no call is stacked or made for a
+    # step the run never takes.  Walking the orbit of the outer compact
+    # too made 76 calls at n_bnd 32
     b = build_contraction_pair(0.5)
     atom = b.g.chain[0][0]
     inverse, calls = atom.inv, []
@@ -468,16 +472,16 @@ def test_picard_walks_one_g_inverse_orbit(monkeypatch, scheme, n_bnd, most):
     del calls[:]
     res = picard_solve(b.f, b.g, b.g, PicardContext(
         est=est, alpha=b.alpha, n_bnd=n_bnd, eigen_report=eigen))
-    assert res.converged and 4 < res.trace.n_steps < 32
-    assert len(calls) <= most
+    assert res.converged and res.trace.n_steps == 23
+    assert calls == [607] * expected
 
 
 def test_picard_walks_one_g_inverse_orbit_after_table_churn(monkeypatch,
                                                             table_caches):
     # the probe and the residuals read the top table from one record, so a
     # cache churn that keeps only part of a key's data cannot make them walk
-    # g^-k from two copies of the table: 54 calls where a fresh process
-    # makes 32
+    # g^-k from two copies of the table: 31 orbit calls and 22 increment
+    # calls, as in a fresh process, each on the 607 rows of the table
     b = build_contraction_pair(0.5)
     atom = b.g.chain[0][0]
     inverse, calls = atom.inv, []
@@ -496,8 +500,8 @@ def test_picard_walks_one_g_inverse_orbit_after_table_churn(monkeypatch,
     del calls[:]
     res = picard_solve(b.f, b.g, b.g, PicardContext(
         est=est, alpha=b.alpha, eigen_report=eigen))
-    assert res.converged and 4 < res.trace.n_steps < 32
-    assert len(calls) <= 33
+    assert res.converged and res.trace.n_steps == 23
+    assert calls == [607] * 53
 
 
 def test_picard_converges_at_step_0_from_the_fixed_point(scheme_fast,
@@ -515,17 +519,17 @@ def test_picard_converges_at_step_0_from_the_fixed_point(scheme_fast,
     assert tr.steps[0].rho_increment == 0.0
     assert tr.steps[0].fk_envelope == 0.0
     assert tr.anchored == ((0, 0.0, 0.0),)
-    assert res.residual == 0.0 and tr.eps_monitor == 0.0
+    assert res.residual == 0.0
     assert res.membership.verdict == "member"
 
 
 def _solve_bits(res):
     """Everything a Picard result states, floats as their bits."""
     tr = res.trace
-    bits = [tr.verdict, tr.failed_gate, tr.anchor, tr.notes,
+    bits = [tr.verdict, tr.failed_gate, tr.notes,
             tr.incrementally_bounded, [dataclasses.astuple(s) for s in tr.steps],
             tr.anchored, np.float64(res.residual).tobytes(),
-            dataclasses.astuple(tr.constants), tr.eps_monitor]
+            dataclasses.astuple(tr.constants)]
     for rep in (tr.bound_pre, tr.bound_post):
         bits.append(None if rep is None else (
             _report_bits(rep), [(n, r.tobytes()) for n, r in rep.rows.items()]))
@@ -543,9 +547,8 @@ def _solve_bits(res):
 def test_picard_outputs_do_not_depend_on_memo_lookups(monkeypatch,
                                                       scheme_fast, h0_name,
                                                       n_bnd):
-    # the probe's orbits and the stacked increments are filed for the
-    # steps' walks to find; every number must be the one those walks
-    # compute on their own
+    # the probe's orbits are filed for the steps' walks to find; every
+    # number must be the one those walks compute on their own
     b = build_contraction_pair(0.5)
     est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
                           r=b.r, cross=b.cross)
@@ -569,10 +572,10 @@ def test_picard_outputs_do_not_depend_on_memo_lookups(monkeypatch,
 @pytest.mark.parametrize("eta", [1.25e-10, 1.5e-10, 2e-10, 5e-10])
 def test_picard_work_for_steps_never_taken_does_not_warn(eta):
     # at these rates f^-n of the top table leaves the float range for n
-    # below n_bnd, on the roots of increments the run never takes, and at
-    # 1.25e-10 so does the probe's g^-31 on rows of the table outside the
-    # outer compact; the run converges in one step and reads none of them,
-    # so nothing may warn
+    # below n_bnd, and at 1.25e-10 so does the probe's g^-31 on rows of the
+    # table outside the outer compact; the run converges in one step, so it
+    # walks no root f^-n of an increment it never takes, and the probe
+    # reads none of those rows, so nothing may warn
     b = build_contraction_pair(eta)
     scheme = SampleScheme(window_radius=8.0, seed=1)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
@@ -608,7 +611,6 @@ def test_every_measured_step_is_anchored_at_step_zero(scheme_fast):
             tr = picard_solve(pair.f, pair.g, pair.g, ctx).trace
         traces.append(tr)
         assert tr.n_steps > 0
-        assert tr.anchor == 0 and tr.eps_monitor == tr.constants.delta
         envelope = cauchy_envelope(1, tr.constants.delta, tr.constants.C,
                                    ctx.n_max)
         assert tr.anchored[0][1:] == (tr.constants.delta,) * 2
@@ -623,12 +625,13 @@ def test_every_measured_step_is_anchored_at_step_zero(scheme_fast):
         h = conjugacy_operator(b.f, b.g, h)
         rho = premetric(h, b.g, b.phi, b.r, scheme_fast, est.tol).rho
         assert np.float64(observed).tobytes() == np.float64(rho).tobytes()
-    # a run that measures no step has no anchor
+    # a run that measures no step observes nothing
     f = scaling(b.domain, 0.9)
     failed = picard_solve(f, f, translation(b.domain, 1.0),
                           PicardContext(est=est, alpha=1.05))
     assert failed.trace.n_steps == 0
-    assert failed.trace.anchor is None and failed.trace.eps_monitor is None
+    assert failed.trace.anchored == ()
+    assert failed.trace.incrementally_bounded is None
 
 
 def test_residual_of_a_planted_affine_conjugacy_is_rounding(half_dom,

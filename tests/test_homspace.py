@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from homconj import (
-    BumpSpec,
     Domain,
     DomainMismatchError,
     EstimateContext,
@@ -32,8 +31,8 @@ from homconj import (
     roundtrip_error,
     sample_points,
 )
-from homconj import (build_perturbed_linear, build_pure_linear,
-                     build_translation, funcspace, homspace)
+from homconj import (build_pure_linear, build_translation, funcspace,
+                     homspace)
 from homconj.homspace import _chain_memo
 
 from conftest import MissingEntries, bump_member, seeded_members
@@ -170,95 +169,6 @@ def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
                 assert all(x is pts or id(x) in images for x, _ in live)
                 assert memo.nbytes == sum(image.nbytes for _, image in live)
                 assert memo.nbytes <= 5 * pts.nbytes
-
-
-def _stacked_case(case):
-    """(middle chain, tail chains, writable points) of a stacked walk: the
-    tails are f^-n, n = 0..7, and the middle solves a bump inverse."""
-    if case == "box2":
-        bump = BumpSpec(center=1.5, halfwidth=1.0, height=0.1)
-        g = build_perturbed_linear([[0.8, 0.2], [-0.1, 0.9]], bump)
-        f = build_translation([0.25, -0.5])
-        pts = sample_points(g.domain, SampleScheme(
-            window_radius=4.0, grid_points_per_axis=9, quasirandom_count=8))
-        middle = invert(g)
-    else:
-        dom = Domain(dim=1, region="half_line")
-        g = bump_member(dom, 2.0, 1.0, 0.3, "g")
-        f = build_pure_linear(0.5, dom)
-        pts = sample_points(dom, SampleScheme(window_radius=4.0))
-        middle = invert(g)
-        if case == "two_atoms":
-            middle = compose(translation(dom, 0.75), middle)
-    tails, h = [], identity(f.domain)
-    for _ in range(8):
-        tails.append(h)
-        h = compose(invert(f), h)
-    return middle, tails, np.array(pts)
-
-
-@pytest.mark.parametrize("case", ["half_line", "two_atoms", "box2"])
-def test_stacked_walk_files_each_root_as_walked_alone(case):
-    # every atom is row-wise, so a step applied to the stack of all roots
-    # must file, per root, the bits of that root's own walk; each image is
-    # an array of its own, never a view that pins the stack
-    middle, tails, pts = _stacked_case(case)
-    alone = [compose(middle, tail).forward(pts) for tail in tails]
-    memo = homspace._ChainMemo()
-    memo.forward_stacked(middle.chain, [t.chain for t in tails], pts)
-    for _, image in memo.entries.values():
-        owner = image if image.base is None else image.base
-        assert owner.nbytes == image.nbytes and not image.flags.writeable
-    for tail, ref in zip(tails, alone):
-        held = len(memo.entries)
-        out = memo.forward(compose(middle, tail).chain, pts)
-        assert len(memo.entries) == held        # every image was filed
-        assert out.tobytes() == ref.tobytes()
-
-
-def test_stacked_walk_solves_only_roots_the_memo_lacks():
-    middle, tails, pts = _stacked_case("half_line")
-    atom = middle.chain[0][0]
-    inverse, calls = atom.inv, []
-
-    def counted(p):
-        calls.append(p.shape[0])
-        return inverse(p)
-
-    atom.inv = counted
-    memo = homspace._ChainMemo()
-    for tail in tails[:3]:
-        memo.forward(compose(middle, tail).chain, pts)
-    del calls[:]
-    chains = [t.chain for t in tails]
-    memo.forward_stacked(middle.chain, chains, pts)
-    # one call, on the five roots the walks above left unsolved
-    assert calls == [5 * pts.shape[0]]
-    memo.forward_stacked(middle.chain, chains + chains[:2], pts)
-    assert calls == [5 * pts.shape[0]]
-
-
-@pytest.mark.parametrize("case", ["half_line", "two_atoms"])
-def test_stacked_walk_evicts_only_entries_no_other_entry_builds_on(
-        case, monkeypatch):
-    # the stacked walk renews its walks deepest first, as forward does, so
-    # under a tight bound every live entry can still be reached from the
-    # root, and the byte count is that of the live images
-    middle, tails, pts = _stacked_case(case)
-    chains = [t.chain for t in tails]
-    for cap in (3, 7, 20):
-        monkeypatch.setattr(homspace, "_MEMO_BYTES", cap * pts.nbytes)
-        memo = homspace._ChainMemo()
-        for walk in range(4):
-            if walk % 2:
-                memo.forward(compose(middle, tails[walk]).chain, pts)
-            else:
-                memo.forward_stacked(middle.chain, chains[walk:], pts)
-            live = memo.entries.values()
-            images = {id(image) for _, image in live}
-            assert all(x is pts or id(x) in images for x, _ in live)
-            assert memo.nbytes == sum(image.nbytes for _, image in live)
-            assert memo.nbytes <= cap * pts.nbytes
 
 
 def test_process_memo_caches_sample_tables_only(half_dom, sqrt_triple,
