@@ -352,7 +352,6 @@ class IterationTrace:
                              # unbounded_on_compacts | non_finite |
                              # undetermined
     constants: GateConstants
-    alpha: float
     eigen: EigenReport
     failed_gate: str | None = None
     gate_margin: float | None = None
@@ -533,7 +532,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
 
     trace = IterationTrace(
         steps=steps, verdict=verdict, constants=constants,
-        alpha=ctx.alpha, eigen=eigen, failed_gate=failed_gate,
+        eigen=eigen, failed_gate=failed_gate,
         gate_margin=margin, anchored=tuple(anchored),
         incrementally_bounded=incr_ok,
         bound_pre=bound_pre, bound_post=bound_post, notes=tuple(notes),

@@ -17,6 +17,7 @@ closures are trusted on this point.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -596,10 +597,11 @@ def _u_samples(scheme: SampleScheme) -> np.ndarray:
 
 def _strided_subset(n: int, cap: int) -> np.ndarray:
     """Indices of all n items or, when n * n exceeds ``cap``, of an evenly
-    strided subset of about sqrt(cap) of them."""
+    strided subset of at most isqrt(cap) of them, so that the kept items
+    make at most ``cap`` ordered pairs."""
     if n * n <= cap:
         return np.arange(n)
-    return np.arange(0, n, int(np.ceil(n / np.sqrt(cap))))
+    return np.arange(0, n, -(-n // math.isqrt(cap)))
 
 
 def _worst(excess: np.ndarray, args) -> tuple:

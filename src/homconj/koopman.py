@@ -11,6 +11,7 @@ sets the rest of the package uses.
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .funcspace import (
     Tolerances,
     _TABLE_CACHE_SIZE,
     _norm_geometry,
+    _read_only,
     _strided_subset,
     _table,
     doubling_radii,
@@ -115,20 +117,42 @@ def _near_partners(pts: np.ndarray, pts_norms: np.ndarray,
 _BLOCK_ROWS = 64
 
 
+class _Cloud(NamedTuple):
+    """A pair cloud, every array read-only: the points ``pts`` in stable
+    norm order and their ``norms``; in one dimension, the ``line``
+    (a, b, sep, geo) of neighbour pairs too: the rows a < b of each
+    neighbour pair of the thinned cloud in increasing x, its separation
+    by the domain's norm and the geometry of its shell, b's norm.  The
+    ``line`` is None in higher dimensions."""
+
+    pts: np.ndarray
+    norms: np.ndarray
+    line: tuple | None
+
+
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _pair_cloud(domain: Domain, scheme: SampleScheme,
-                pair_cap: int) -> np.ndarray:
-    """Top table and near partners, strided to pair_cap, in norm order,
-    read-only.  Its walks go through no process memo: only
+                pair_cap: int) -> _Cloud:
+    """The :class:`_Cloud` of the top table and its near partners, strided
+    to pair_cap.  Its walks go through no process memo: only
     ``homspace._on_table`` does, and only on the top table."""
     table = _table(domain, scheme)
     partners = _near_partners(table.pts, table.geo.norms, scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([table.pts, partners[keep]], axis=0)
     cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
-    cloud = cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
-    cloud.flags.writeable = False
-    return cloud
+    norms = domain.norm_of(cloud)
+    order = np.argsort(norms, kind="stable")
+    pts, norms = _read_only(cloud[order]), _read_only(norms[order])
+    if domain.dim != 1:
+        return _Cloud(pts, norms, None)
+    kept = _thinned(pts[:, 0], norms)
+    a, b = np.minimum(kept[:-1], kept[1:]), np.maximum(kept[:-1], kept[1:])
+    sep = domain.norm_of(pts[a] - pts[b])
+    geo = _norm_geometry(norms[b], table.geo.radii)
+    for arr in (a, b, sep, geo.norms, geo.order):
+        _read_only(arr)
+    return _Cloud(pts, norms, (a, b, sep, geo))
 
 
 def _later(x: np.ndarray, lo: int, hi: int, out: np.ndarray,
@@ -146,53 +170,36 @@ def _later(x: np.ndarray, lo: int, hi: int, out: np.ndarray,
                           out=scratch if k else out)
 
 
-def _r_lipschitz(maps: tuple, r: RadialFn, scheme: SampleScheme,
-                 tol: Tolerances, pair_cap: int) -> list:
-    """:func:`r_lipschitz` of each of ``maps`` (one domain), from one walk
-    over the pair cloud, so the pair geometry is built once for all: the
-    neighbour slopes in one dimension with r the built-in identity (the
-    function object, not its label), the pair walk otherwise."""
-    if maps[0].domain.dim == 1 and r.eval is _BUILTIN_EVALS["identity"]:
-        return _neighbour_slopes(maps, scheme, tol, pair_cap)
-    return _all_pairs(maps, r, scheme, tol, pair_cap)
+def _estimate(value: float, witness: tuple | None, column: np.ndarray,
+              geo, tol: Tolerances, pair_count: int) -> RLipschitzEstimate:
+    """The estimate of one map from its (value, witness pair) and its
+    ratios ``column``, each taken at the shell of ``geo``."""
+    trace = _shell_trace(column, geo)
+    finiteness = "undetermined" if np.isnan(value) else \
+        _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    return RLipschitzEstimate(value, witness, finiteness, trace, pair_count)
 
 
-def _estimates(best: list, columns, norms: np.ndarray, scheme: SampleScheme,
-               tol: Tolerances, pair_count: int) -> list:
-    """One estimate per map from its (value, witness pair) and its ratios
-    ``columns``, each taken at the shell of ``norms``."""
-    geo = _norm_geometry(norms, doubling_radii(scheme))
-    out = []
-    for (value, witness), column in zip(best, columns):
-        trace = _shell_trace(column, geo)
-        finiteness = "undetermined" if np.isnan(value) else \
-            _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-        out.append(RLipschitzEstimate(value, witness, finiteness, trace,
-                                      pair_count))
-    return out
-
-
-def _all_pairs(maps: tuple, r: RadialFn, scheme: SampleScheme,
-               tol: Tolerances, pair_cap: int) -> list:
-    """The pair walk of :func:`_r_lipschitz`: every pair of the cloud, in
+def _all_pairs(f: Homeo, r: RadialFn, scheme: SampleScheme,
+               tol: Tolerances) -> RLipschitzEstimate:
+    """The pair walk of :func:`r_lipschitz`: every pair of the cloud, in
     row blocks, each written into views of buffers allocated once here."""
-    domain = maps[0].domain
-    cloud = _pair_cloud(domain, scheme, pair_cap)
-    images = [_images(f, cloud, "pair samples") for f in maps]
-    # in norm order a pair i < j has shell norms[j]; per map, each column's
-    # running maximum over its kept rows, by np.maximum (fmax drops a NaN)
-    norms = domain.norm_of(cloud)
+    domain = f.domain
+    pts, norms, _ = _pair_cloud(domain, scheme, PAIR_CAP)
+    images = _images(f, pts, "pair samples")
+    # in norm order a pair i < j has shell norms[j]: each column's running
+    # maximum over its kept rows, by np.maximum (fmax drops a NaN)
     floor = _SEP_FLOOR * (1.0 + norms)
-    columns = np.full((len(maps), len(cloud)), -np.inf)
-    seen = np.zeros(len(cloud), dtype=bool)     # columns with a kept pair
-    best = [(np.nan, None)] * len(maps)     # (value, witness pair) per map
+    column = np.full(len(pts), -np.inf)
+    seen = np.zeros(len(pts), dtype=bool)       # columns with a kept pair
+    value, witness = np.nan, None
     kept = 0
     # the folded cloud separation, a scratch for the later axes and the
     # folded images, and the quotients, which serve the image fold as its
     # later-axis scratch first; then two masks.  r.eval may hand back its
     # input (the identity does), so the images never fold into the
     # separation that sep may be
-    later = len(cloud) - 1
+    later = len(pts) - 1
     size = min(_BLOCK_ROWS, later) * later
     sep_buf, scratch_buf, quot_buf = np.empty((3, size))
     ok_buf, pos_buf = np.empty((2, size), dtype=bool)
@@ -203,7 +210,7 @@ def _all_pairs(maps: tuple, r: RadialFn, scheme: SampleScheme,
         raw, scratch, block, ok, pos = (
             buf[:shape[0] * shape[1]].reshape(shape) for buf in
             (sep_buf, scratch_buf, quot_buf, ok_buf, pos_buf))
-        domain.fold_norm(_later(cloud, lo, hi, raw, scratch), out=raw)
+        domain.fold_norm(_later(pts, lo, hi, raw, scratch), out=raw)
         sep = r.eval(raw)
         # below ~1e-9 relative separation the quotient measures evaluation
         # rounding, not the map.  The near partners are placed three orders
@@ -217,26 +224,24 @@ def _all_pairs(maps: tuple, r: RadialFn, scheme: SampleScheme,
             continue
         kept += np.count_nonzero(ok)
         seen[lo + 1:] |= ok.any(axis=0)
-        for m, fc in enumerate(images):
-            image = domain.fold_norm(_later(fc, lo, hi, scratch, block),
-                                     out=scratch)
-            # the fold wrote into the quotients, and a masked cell must
-            # read -inf, never a part or another map's quotient
-            block.fill(-np.inf)
-            np.divide(r.eval(image), sep, out=block, where=ok)
-            np.maximum(columns[m, lo + 1:], block.max(0),
-                       out=columns[m, lo + 1:])
-            # np.argmax takes the first NaN as the maximum; so does the fold
-            k = int(np.argmax(block))
-            if not ok.flat[k]:      # a masked -inf cell ties every kept one
-                k = int(np.argmax(ok))
-            value, pair = best[m]
-            if pair is None or not (np.isnan(value) or block.flat[k] <= value):
-                row, col = divmod(k, ok.shape[1])
-                best[m] = (float(block.flat[k]),
-                           tuple(cloud[[lo + row, lo + 1 + col]]))
-    return _estimates(best, columns[:, seen], norms[seen], scheme, tol,
-                      2 * kept)
+        image = domain.fold_norm(_later(images, lo, hi, scratch, block),
+                                 out=scratch)
+        # the fold wrote into the quotients, and a masked cell must read
+        # -inf, never a part or an earlier block's quotient
+        block.fill(-np.inf)
+        np.divide(r.eval(image), sep, out=block, where=ok)
+        np.maximum(column[lo + 1:], block.max(0), out=column[lo + 1:])
+        # np.argmax takes the first NaN as the maximum; so does the fold
+        k = int(np.argmax(block))
+        if not ok.flat[k]:      # a masked -inf cell ties every kept one
+            k = int(np.argmax(ok))
+        if witness is None or not (np.isnan(value) or block.flat[k] <= value):
+            row, col = divmod(k, ok.shape[1])
+            value = float(block.flat[k])
+            witness = tuple(pts[[lo + row, lo + 1 + col]])
+    return _estimate(value, witness, column[seen],
+                     _norm_geometry(norms[seen], doubling_radii(scheme)), tol,
+                     2 * kept)
 
 
 def _thinned(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -262,9 +267,9 @@ def _thinned(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def _neighbour_slopes(maps: tuple, scheme: SampleScheme, tol: Tolerances,
-                      pair_cap: int) -> list:
-    """:func:`_r_lipschitz` in one dimension with r the identity.
+def _neighbour_slopes(f: Homeo, scheme: SampleScheme,
+                      tol: Tolerances) -> RLipschitzEstimate:
+    """:func:`r_lipschitz` in one dimension with r the identity.
 
     Along the thinned cloud in increasing x, a chord's slope is a weighted
     average of the neighbour slopes it spans, and a shell {|x| <= R} is a
@@ -273,22 +278,16 @@ def _neighbour_slopes(maps: tuple, scheme: SampleScheme, tol: Tolerances,
     shell is the sup over its chords.  Only chords that span a sub-floor
     gap drop out (Strongin 1973; Wood & Zhang, J. Global Optim. 8, 1996).
     """
-    domain = maps[0].domain
-    cloud = _pair_cloud(domain, scheme, pair_cap)
-    images = [_images(f, cloud, "pair samples") for f in maps]
-    norms = domain.norm_of(cloud)
-    line = _thinned(cloud[:, 0], norms)
-    # each neighbour pair in norm order, inner point first: its shell is b's,
-    # and its quotient, by the domain's norm, has the pair walk's bits
-    a, b = np.minimum(line[:-1], line[1:]), np.maximum(line[:-1], line[1:])
-    sep = domain.norm_of(cloud[a] - cloud[b])
-    columns = [domain.norm_of(fc[a] - fc[b]) / sep for fc in images]
-    best = []
-    for column in columns:
-        k = int(np.argmax(column)) if column.size else None
-        best.append((np.nan, None) if k is None else
-                    (float(column[k]), tuple(cloud[[a[k], b[k]]])))
-    return _estimates(best, columns, norms[b], scheme, tol, 2 * len(a))
+    # the cloud's neighbour pairs, whose quotients, by the domain's norm,
+    # have the pair walk's bits
+    pts, _, (a, b, sep, geo) = _pair_cloud(f.domain, scheme, PAIR_CAP)
+    images = _images(f, pts, "pair samples")
+    column = f.domain.norm_of(images[a] - images[b]) / sep
+    value, witness = np.nan, None
+    if column.size:
+        k = int(np.argmax(column))
+        value, witness = float(column[k]), tuple(pts[[a[k], b[k]]])
+    return _estimate(value, witness, column, geo, tol, 2 * len(a))
 
 
 def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
@@ -301,8 +300,10 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     later, outer point; a NaN ratio fills its shell and every larger one),
     so trace growth reflects where the steep pairs live.  Degenerate pairs
     (closer than the separation floor, or at zero scale separation) are
-    skipped.  The cloud is cached per (domain, scheme); f runs once on it,
-    and the pairs are walked in row blocks, each written into views of
+    skipped.  This is the one r-Lipschitz walk: the eigenvalue gate calls
+    it once per map.  The cloud, with its norms, is cached per (domain,
+    scheme) and shared by every map's walk; f runs once on it, and the
+    pairs are walked in row blocks, each written into views of
     buffers the call allocates once, for its first and largest block.
     Each block is evaluated densely and masked: r runs on every cell of
     the block, 0 and separations below the floor included, so r must be
@@ -323,9 +324,13 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     each neighbour pair counts, at its later norm.  Then ``pair_count``
     counts neighbour pairs (both orders), the witness is a neighbour pair,
     and only chords through a dropped point, and rounding, can make the
-    value differ from the pair walk's.
+    value differ from the pair walk's.  The neighbour pairs, their
+    separations and their shells are cached with the cloud, so each map
+    pays for its images and quotients alone.
     """
-    return _r_lipschitz((f,), r, scheme, tol, PAIR_CAP)[0]
+    if f.domain.dim == 1 and r.eval is _BUILTIN_EVALS["identity"]:
+        return _neighbour_slopes(f, scheme, tol)
+    return _all_pairs(f, r, scheme, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +378,9 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
                   tol: Tolerances = Tolerances()) -> EigenReport:
     """Sampled verification of the generalized eigenvalue gate at alpha > 1.
 
-    Pass ``g=None`` for the single-operator form.  One walk over the pair
-    cloud gives lam_r of f and g.  The slack keeps sample images and
+    Pass ``g=None`` for the single-operator form.  lam_r of f and of g
+    are each one :func:`r_lipschitz` call, both made before either slack,
+    on the one cached pair cloud.  The slack keeps sample images and
     checks the gauge as :func:`displacement` does, so a map keeping none
     fails the gate and a gauge not positive and finite on the kept points
     raises EvaluationError.  Raises on a divergent r-Lipschitz estimate;
@@ -384,8 +390,8 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
         raise ValueError("the gate needs alpha > 1")
     maps = (f,) if g is None else (f, g)
     gates = []
-    for T, lam, name in zip(maps, _r_lipschitz(maps, r, scheme, tol, PAIR_CAP),
-                            "fg"):
+    for T, lam, name in zip(maps, [r_lipschitz(T, r, scheme, tol)
+                                   for T in maps], "fg"):
         if lam.finiteness == "divergent":
             raise ValueError(f"r-Lipschitz estimate of {name} diverges")
         slack, worst = _slack_profile(T, phi, lam.value, alpha, scheme)

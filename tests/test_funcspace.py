@@ -1,6 +1,7 @@
 """Gauges, scale/growth functions, domains, and the sampling machinery."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from homconj.funcspace import (
     _TABLE_CACHE_SIZE,
     _distinct_rows,
     _norm_geometry,
+    _strided_subset,
     _table,
     _table_gauge,
     _window_points,
@@ -624,3 +626,21 @@ def test_nan_growth_fails_the_cone_with_nan_margins(half_dom, scheme):
     for name in ("R_positive", "R_subadditive", "cross_bound"):
         check = next(c for c in pair.checks if c.name == name)
         assert not check.passed and np.isnan(check.margin)
+
+
+def test_strided_subset_keeps_at_most_cap_ordered_pairs():
+    # the stride is ceil(n / isqrt(cap)), so at most isqrt(cap) items stay
+    # and they make at most cap ordered pairs: a cap of 300 keeps 17 items
+    # (272 pairs), not the 18 (306) that a stride of ceil(n / sqrt(cap))
+    # kept.  On a square cap, as every shipped cap is, the two strides agree
+    assert len(_strided_subset(2381, 300)) == 17
+    for cap in [*range(1, 150), 300, 3888, 4142, 4246, 999_999, 1_000_000]:
+        side = math.isqrt(cap)
+        for n in [*range(1, 3 * side + 3), 10 * side + 1, 1001, 21_176]:
+            kept = _strided_subset(n, cap)
+            assert len(kept) ** 2 <= cap
+            assert kept[0] == 0 and kept[-1] < n
+            assert len(set(np.diff(kept).tolist())) <= 1
+            if side * side == cap and n * n > cap:
+                np.testing.assert_array_equal(
+                    kept, np.arange(0, n, int(np.ceil(n / np.sqrt(cap)))))

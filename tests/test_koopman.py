@@ -48,7 +48,6 @@ from homconj.koopman import (
     _all_pairs,
     _near_partners,
     _pair_cloud,
-    _r_lipschitz,
     _thinned,
 )
 
@@ -89,16 +88,17 @@ def test_lozi_lipschitz_bound_sup_norm(scheme_fast):
     assert est.value > 1.0
 
 
-def reference_r_lipschitz(f, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
+def reference_r_lipschitz(f, r, scheme, tol=Tolerances()):
     """The ordered-pair estimator r_lipschitz replaced: f on both pair
-    arrays, every (i, j) of the strided cloud visited in stable norm
-    order, the order whose first maximizer the walk reports."""
+    arrays, every (i, j) of the cloud strided to koopman.PAIR_CAP visited
+    in stable norm order, the order whose first maximizer the walk
+    reports."""
     domain = f.domain
     pts = doubling_sample_sets(domain, scheme)[-1][1]
     partners = _near_partners(pts, domain.norm_of(pts), scheme.seed)
     keep = domain.contains(partners, slack=0.0)
     cloud = np.concatenate([pts, partners[keep]], axis=0)
-    cloud = cloud[_strided_subset(cloud.shape[0], pair_cap)]
+    cloud = cloud[_strided_subset(cloud.shape[0], koopman.PAIR_CAP)]
     cloud = cloud[np.argsort(domain.norm_of(cloud), kind="stable")]
     n = cloud.shape[0]
     i, j = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
@@ -134,10 +134,10 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def pair_walk(maps, r, scheme, pair_cap=PAIR_CAP):
+def pair_walk(f, r, scheme):
     """The general pair walk, called directly: in one dimension with r the
     identity, r_lipschitz takes neighbour slopes instead."""
-    return _all_pairs(maps, r, scheme, Tolerances(), pair_cap)
+    return _all_pairs(f, r, scheme, Tolerances())
 
 
 def takes_neighbour_slopes(f, r):
@@ -158,8 +158,8 @@ def _reference_cases():
         if eta == 0.25:
             cases.append(("pair0.25-g_inverse", invert(b.g), b.r, light,
                           PAIR_CAP))
-            # a 300-pair cap strides the cloud down to at most 18 points
-            cases.append(("pair0.25-g-strided", b.g, b.r, scheme, 300))
+            # a cap of 18 ** 2 strides the cloud down to 18 points
+            cases.append(("pair0.25-g-strided", b.g, b.r, scheme, 324))
     for norm in ("euclidean", "sup"):
         cases.append((f"lozi-{norm}", build_lozi(1.4, 0.3, norm=norm),
                       ident, light, PAIR_CAP))
@@ -183,13 +183,17 @@ def _reference_cases():
     # every kept ratio is -inf, as is every masked cell: r is -inf beyond
     # 100, f stretches every separation past it, and r vanishing below
     # 0.05 masks the first cell of most blocks; the witness is still the
-    # first kept pair
+    # first kept pair, and no masked cell keeps an earlier block's quotient
     stretch = primitive(Domain(dim=1, region="half_line"),
                         lambda p: 1e12 * p, lambda p: p / 1e12, "1e12x")
     minus_inf = RadialFn(lambda u: np.where(
         u <= 100.0, np.maximum(u - 0.05, 0.0), -np.inf), "minus_inf")
     cases.append(("stretch-minus_inf", stretch, minus_inf,
                   SampleScheme(window_radius=8.0), PAIR_CAP))
+    for norm in ("euclidean", "sup"):
+        cases.append((f"stretch2d-{norm}-minus_inf",
+                      build_pure_linear(1e12, Domain(dim=2, norm=norm)),
+                      minus_inf, light, PAIR_CAP))
     return cases
 
 
@@ -204,19 +208,22 @@ def _assert_same_estimate(new, ref):
 
 @pytest.mark.parametrize("label, f, r, scheme, cap", _reference_cases(),
                          ids=[c[0] for c in _reference_cases()])
-def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap):
+def test_r_lipschitz_matches_ordered_pair_reference(label, f, r, scheme, cap,
+                                                    monkeypatch):
     # one forward pass per point over unordered pairs gives the same bits
     # as evaluating f on both ordered-pair arrays; the 1-d identity cases,
     # which r_lipschitz takes by neighbour slopes, check the pair walk
-    ref = reference_r_lipschitz(f, r, scheme, pair_cap=cap)
-    _assert_same_estimate(pair_walk((f,), r, scheme, cap)[0], ref)
+    monkeypatch.setattr(koopman, "PAIR_CAP", cap)
+    ref = reference_r_lipschitz(f, r, scheme)
+    _assert_same_estimate(pair_walk(f, r, scheme), ref)
     if not takes_neighbour_slopes(f, r):
-        _assert_same_estimate(
-            _r_lipschitz((f,), r, scheme, Tolerances(), cap)[0], ref)
+        _assert_same_estimate(r_lipschitz(f, r, scheme), ref)
+    if r.kind == "minus_inf":
+        assert ref.value == -np.inf
 
 
 def _block_boundary_cases():
-    # caps that stride each cloud to a given row count; the walk visits
+    # a cap of rows ** 2 strides each cloud to rows points; the walk visits
     # rows 0 .. rows - 2, so 65 rows fill one block exactly and 66 spill
     # one row into a second
     light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
@@ -226,14 +233,16 @@ def _block_boundary_cases():
     half = SampleScheme(window_radius=8.0)
     ident, sqrt_r = make_radial("identity"), make_radial("sqrt_plus")
     return [
-        ("lozi-2-rows", lozi, ident, light, 2, 2),
-        ("lozi-63-rows", lozi, ident, light, 3888, 63),
-        ("lozi-64-rows", lozi, ident, light, 4045, 64),
-        ("lozi-65-rows", lozi, ident, light, 4212, 65),
-        ("lozi-66-rows", lozi, ident, half, 4246, 66),
-        ("pair-g-2-rows", g, sqrt_r, half, 2, 2),
-        ("pair-g-63-rows", g, sqrt_r, half, 3927, 63),
-        ("pair-g-65-rows", g, sqrt_r, half, 4142, 65),
+        (f"{label}-{rows}-rows", f, r, scheme, rows ** 2, rows)
+        for label, f, r, scheme, rows in [
+            ("lozi", lozi, ident, light, 2),
+            ("lozi", lozi, ident, light, 63),
+            ("lozi", lozi, ident, light, 64),
+            ("lozi", lozi, ident, light, 65),
+            ("lozi", lozi, ident, half, 66),
+            ("pair-g", g, sqrt_r, half, 2),
+            ("pair-g", g, sqrt_r, half, 63),
+            ("pair-g", g, sqrt_r, half, 65)]
     ]
 
 
@@ -241,11 +250,13 @@ def _block_boundary_cases():
                          _block_boundary_cases(),
                          ids=[c[0] for c in _block_boundary_cases()])
 def test_r_lipschitz_matches_reference_at_block_boundaries(label, f, r,
-                                                           scheme, cap, rows):
+                                                           scheme, cap, rows,
+                                                           monkeypatch):
     assert _BLOCK_ROWS == 64
-    assert _pair_cloud(f.domain, scheme, cap).shape[0] == rows
-    _assert_same_estimate(_r_lipschitz((f,), r, scheme, Tolerances(), cap)[0],
-                          reference_r_lipschitz(f, r, scheme, pair_cap=cap))
+    monkeypatch.setattr(koopman, "PAIR_CAP", cap)
+    assert _pair_cloud(f.domain, scheme, cap).pts.shape[0] == rows
+    _assert_same_estimate(r_lipschitz(f, r, scheme),
+                          reference_r_lipschitz(f, r, scheme))
 
 
 def _reshaped_norm(domain, p):
@@ -255,13 +266,13 @@ def _reshaped_norm(domain, p):
     return np.sqrt(np.sum(p * p, axis=1))
 
 
-def reference_block_walk(maps, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
+def reference_block_walk(f, r, scheme, tol=Tolerances()):
     """The block walk before the axis fold, written out: each block builds
     the (rows, later, dim) tensor of differences and takes the norm over
     its reshaped rows."""
-    domain = maps[0].domain
-    cloud = _pair_cloud(domain, scheme, pair_cap)
-    images = [f.forward(cloud) for f in maps]
+    domain = f.domain
+    cloud = _pair_cloud(domain, scheme, koopman.PAIR_CAP).pts
+    fc = f.forward(cloud)
     radii = doubling_radii(scheme)
     norms = _reshaped_norm(domain, cloud)
     dim = cloud.shape[1]
@@ -269,8 +280,8 @@ def reference_block_walk(maps, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
     def later(x, lo, hi):
         return (x[lo:hi, None, :] - x[None, lo + 1:, :]).reshape(-1, dim)
 
-    sups = np.full((len(maps), len(radii)), np.nan)
-    best = [(np.nan, None)] * len(maps)
+    sup = np.full(len(radii), np.nan)
+    value, witness = np.nan, None
     kept = 0
     for lo in range(0, len(cloud) - 1, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(cloud) - 1)
@@ -284,25 +295,18 @@ def reference_block_walk(maps, r, scheme, tol=Tolerances(), pair_cap=PAIR_CAP):
             continue
         kept += sep.shape[0]
         shell = shell[ok]
-        for m, fc in enumerate(images):
-            ratio = r.eval(_reshaped_norm(
-                domain, later(fc, lo, hi)[ok.ravel()])) / sep
-            sups[m] = np.fmax(sups[m], [v for _, v in
-                                        mask_trace(radii, ratio, shell)])
-            k = int(np.argmax(ratio))
-            value, pair = best[m]
-            if pair is None or not (np.isnan(value) or ratio[k] <= value):
-                rows, cols = np.nonzero(ok)
-                best[m] = (float(ratio[k]),
-                           tuple(cloud[[lo + rows[k], lo + 1 + cols[k]]]))
-    out = []
-    for (value, witness), sup in zip(best, sups):
-        trace = tuple(zip(map(float, radii), map(float, sup)))
-        finiteness = "undetermined" if np.isnan(value) else \
-            _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
-        out.append(RLipschitzEstimate(value, witness, finiteness, trace,
-                                      2 * kept))
-    return out
+        ratio = r.eval(_reshaped_norm(
+            domain, later(fc, lo, hi)[ok.ravel()])) / sep
+        sup = np.fmax(sup, [v for _, v in mask_trace(radii, ratio, shell)])
+        k = int(np.argmax(ratio))
+        if witness is None or not (np.isnan(value) or ratio[k] <= value):
+            rows, cols = np.nonzero(ok)
+            value = float(ratio[k])
+            witness = tuple(cloud[[lo + rows[k], lo + 1 + cols[k]]])
+    trace = tuple(zip(map(float, radii), map(float, sup)))
+    finiteness = "undetermined" if np.isnan(value) else \
+        _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    return RLipschitzEstimate(value, witness, finiteness, trace, 2 * kept)
 
 
 def _bits(x):
@@ -316,40 +320,41 @@ def _axis_fold_cases():
     ident, sqrt_r = make_radial("identity"), make_radial("sqrt_plus")
     g = build_contraction_pair(0.25).g
     bump = BumpSpec(center=2.0, halfwidth=1.0, height=0.2)
+    # each strided cap is a square, of the row count it strides to
     cases = [("dim1", g, sqrt_r, half, PAIR_CAP),
-             ("dim1-strided", g, sqrt_r, half, 300)]
+             ("dim1-strided", g, sqrt_r, half, 18 ** 2)]
     for norm in ("euclidean", "sup"):
         lozi = build_lozi(1.4, 0.3, norm=norm)
         cases += [(f"dim2-{norm}", lozi, ident, light, PAIR_CAP),
-                  (f"dim2-{norm}-strided", lozi, ident, half, 4246)]
+                  (f"dim2-{norm}-strided", lozi, ident, half, 66 ** 2)]
     dim3 = build_perturbed_linear(0.5 * np.eye(3), bump)
     cases += [("dim3", dim3, sqrt_r, light, PAIR_CAP),
-              ("dim3-strided", dim3, sqrt_r, light, 5000)]
+              ("dim3-strided", dim3, sqrt_r, light, 71 ** 2)]
     return cases
 
 
 @pytest.mark.parametrize("label, f, r, scheme, cap", _axis_fold_cases(),
                          ids=[c[0] for c in _axis_fold_cases()])
 def test_r_lipschitz_matches_the_reshaped_block_walk(label, f, r, scheme,
-                                                     cap):
+                                                     cap, monkeypatch):
     # folding the norm over per-axis differences gives the bits of the walk
     # that reduced the reshaped (rows * later, dim) difference rows
     if cap != PAIR_CAP:
-        assert _pair_cloud(f.domain, scheme, cap).shape[0] \
-            < _pair_cloud(f.domain, scheme, PAIR_CAP).shape[0]
-    ref, = reference_block_walk((f,), r, scheme, pair_cap=cap)
-    _assert_same_estimate(
-        _r_lipschitz((f,), r, scheme, Tolerances(), cap)[0], ref)
+        assert _pair_cloud(f.domain, scheme, cap).pts.shape[0] \
+            < _pair_cloud(f.domain, scheme, PAIR_CAP).pts.shape[0]
+    monkeypatch.setattr(koopman, "PAIR_CAP", cap)
+    _assert_same_estimate(r_lipschitz(f, r, scheme),
+                          reference_block_walk(f, r, scheme))
 
 
 def test_gate_matches_the_reshaped_block_walk(bundle_025, scheme):
     # the gate's maps on the pair walk (the gate itself takes neighbour
     # slopes)
     b = bundle_025
-    lam_f, lam_g = reference_block_walk((b.f, b.g), b.r, scheme)
-    rep_f, rep_g = pair_walk((b.f, b.g), b.r, scheme)
-    np.testing.assert_array_equal(_bits([rep_f.value, rep_g.value]),
-                                  _bits([lam_f.value, lam_g.value]))
+    np.testing.assert_array_equal(
+        _bits([pair_walk(T, b.r, scheme).value for T in (b.f, b.g)]),
+        _bits([reference_block_walk(T, b.r, scheme).value
+               for T in (b.f, b.g)]))
 
 
 def _norm_samples(dim, seed=5):
@@ -419,12 +424,14 @@ def test_r_lipschitz_of_a_scaling_on_the_half_line(half_dom):
     assert est.value == pytest.approx(0.3, rel=1e-9)
 
 
-def test_r_lipschitz_stride_path_is_taken():
+def test_r_lipschitz_stride_path_is_taken(monkeypatch):
     b = build_contraction_pair(0.25)
     scheme = SampleScheme(window_radius=8.0)
-    # at most 18 strided points, so at most 18 * 17 ordered pairs
-    assert 0 < pair_walk((b.g,), b.r, scheme, 300)[0].pair_count <= 306
-    assert pair_walk((b.g,), b.r, scheme)[0].pair_count > 100_000
+    assert pair_walk(b.g, b.r, scheme).pair_count > 100_000
+    # at most isqrt(300) = 17 strided points, so at most 17 * 16 ordered
+    # pairs: the cap bounds the pair count
+    monkeypatch.setattr(koopman, "PAIR_CAP", 300)
+    assert 0 < pair_walk(b.g, b.r, scheme).pair_count <= 300
 
 
 def test_r_lipschitz_raises_on_a_non_finite_image(half_dom, sqrt_triple, scheme):
@@ -435,12 +442,13 @@ def test_r_lipschitz_raises_on_a_non_finite_image(half_dom, sqrt_triple, scheme)
         r_lipschitz(f, r, scheme)
 
 
-def test_r_lipschitz_without_pairs_is_undetermined(half_dom, sqrt_triple):
+def test_r_lipschitz_without_pairs_is_undetermined(half_dom, sqrt_triple,
+                                                   monkeypatch):
     _, r, _, _ = sqrt_triple
     f = primitive(half_dom, lambda p: 2.0 * p, lambda p: p / 2.0, "2x")
-    # a 2-pair cap strides the cloud down to its first point alone
-    est = _r_lipschitz((f,), r, SampleScheme(window_radius=8.0),
-                       Tolerances(), 1)[0]
+    # a 1-pair cap strides the cloud down to its first point alone
+    monkeypatch.setattr(koopman, "PAIR_CAP", 1)
+    est = r_lipschitz(f, r, SampleScheme(window_radius=8.0))
     assert est.finiteness == "undetermined" and est.pair_count == 0
     assert np.isnan(est.value) and est.witness_pair is None
 
@@ -547,13 +555,13 @@ def test_r_lipschitz_work_counts(bundle_025, scheme):
     rows = []
     f = _counting(primitive(bundle_025.domain, lambda p: 0.5 * p,
                             lambda p: 2.0 * p, "x/2"), rows)
-    est, = pair_walk((f,), bundle_025.r, scheme)
-    cloud_rows = _pair_cloud(bundle_025.domain, scheme, PAIR_CAP).shape[0]
+    est = pair_walk(f, bundle_025.r, scheme)
+    cloud_rows = _pair_cloud(bundle_025.domain, scheme, PAIR_CAP).pts.shape[0]
     assert rows == [cloud_rows]
     assert est.pair_count > 100 * cloud_rows
 
-    # the gate walks the cloud once for f and g together: each map runs
-    # once on the cloud, then once on the top table for its slack
+    # the gate walks the cloud once per map: each map runs once on the
+    # cloud, then once on the top table for its slack
     f_rows, g_rows = [], []
     check_p_alpha(_counting(bundle_025.f, f_rows),
                   _counting(bundle_025.g, g_rows), bundle_025.phi,
@@ -564,25 +572,30 @@ def test_r_lipschitz_work_counts(bundle_025, scheme):
 
 def test_cached_pair_cloud_changes_no_gate(bundle_025, scheme, table_caches,
                                           process_memo):
-    # the cloud is cached per (domain, scheme, cap), read-only; it is not
-    # the top table, so the process memo caches no image of it
+    # the cloud record is cached per (domain, scheme, cap), every array of
+    # it read-only, its neighbour pairs built once; it is not the top
+    # table, so the process memo caches no image of it
     b = bundle_025
     lozi, light = build_lozi(1.4, 0.3), SampleScheme(
         window_radius=4.0, grid_points_per_axis=15, quasirandom_count=8)
     r_lipschitz(b.g, b.r, scheme)
     cloud = _pair_cloud(b.domain, scheme, PAIR_CAP)
-    assert not cloud.flags.writeable
+    line = cloud.line
+    a, _, sep, geo = line
+    for arr in (cloud.pts, cloud.norms, *line[:3], geo.norms, geo.order):
+        assert not arr.flags.writeable
     assert not process_memo.entries
 
     def gates():
         # the 1-d gate takes neighbour slopes, the 2-d Lozi map the pair walk
-        lams = _r_lipschitz((b.f, b.g), b.r, scheme, Tolerances(), PAIR_CAP)
+        lams = [r_lipschitz(T, b.r, scheme) for T in (b.f, b.g)]
         lams.append(r_lipschitz(lozi, make_radial("identity"), light))
         return lams, repr(check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha,
                                         scheme))
 
     cold = gates()
     assert _pair_cloud(b.domain, scheme, PAIR_CAP) is cloud
+    assert cloud.line is line
     warm = gates()
     for cache in table_caches:
         cache.cache_clear()
@@ -611,42 +624,10 @@ def test_r_lipschitz_memory_stays_within_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n = _pair_cloud(lozi.domain, scheme, PAIR_CAP).shape[0]
+    n = _pair_cloud(lozi.domain, scheme, PAIR_CAP).pts.shape[0]
     block = _BLOCK_ROWS * (n - 1) * np.dtype(float).itemsize
     assert est.pair_count > 900_000
     assert peak < (3 + 2 / 8 + 1) * block
-
-
-def _two_map_cases():
-    light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
-                         quasirandom_count=8, exhaustion_levels=2)
-    # r is -inf beyond 100 and the stretch takes every image separation
-    # past it, so each of its kept quotients is -inf: a masked cell that
-    # kept the Lozi map's quotient would win its column and its witness
-    minus_inf = RadialFn(lambda u: np.where(
-        u <= 100.0, np.maximum(u - 0.05, 0.0), -np.inf), "minus_inf")
-    cases = []
-    for norm in ("euclidean", "sup"):
-        a = build_lozi(1.4, 0.3, norm=norm)
-        b = build_lozi(1.1, -0.45, norm=norm)
-        stretch = build_pure_linear(1e12, Domain(dim=2, norm=norm))
-        cases += [(f"lozi-lozi-{norm}", (a, b), make_radial("identity"),
-                   light),
-                  (f"lozi-stretch-{norm}", (a, stretch), minus_inf, light)]
-    return cases
-
-
-@pytest.mark.parametrize("label, maps, r, scheme", _two_map_cases(),
-                         ids=[c[0] for c in _two_map_cases()])
-def test_two_maps_in_one_pair_walk_are_each_its_own_walk(label, maps, r,
-                                                         scheme):
-    both = _r_lipschitz(maps, r, scheme, Tolerances(), PAIR_CAP)
-    for f, est in zip(maps, both):
-        _assert_same_estimate(
-            est, _r_lipschitz((f,), r, scheme, Tolerances(), PAIR_CAP)[0])
-        _assert_same_estimate(est, reference_r_lipschitz(f, r, scheme))
-    if label.startswith("lozi-stretch"):
-        assert np.isfinite(both[0].value) and both[1].value == -np.inf
 
 
 def test_pair_walks_keep_no_state_between_calls():
@@ -657,9 +638,9 @@ def test_pair_walks_keep_no_state_between_calls():
     small = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                          quasirandom_count=8, exhaustion_levels=2)
     large = SampleScheme(window_radius=4.0, grid_points_per_axis=21)
-    assert _pair_cloud(lozi.domain, small, PAIR_CAP).shape[0] \
-        < _pair_cloud(lozi.domain, large, PAIR_CAP).shape[0]
-    walks = [_r_lipschitz((lozi,), r, scheme, Tolerances(), PAIR_CAP)[0]
+    assert _pair_cloud(lozi.domain, small, PAIR_CAP).pts.shape[0] \
+        < _pair_cloud(lozi.domain, large, PAIR_CAP).pts.shape[0]
+    walks = [r_lipschitz(lozi, r, scheme)
              for scheme in (small, large, small, large)]
     for first, again in zip(walks[:2], walks[2:]):
         _assert_same_estimate(again, first)
@@ -704,7 +685,7 @@ def test_neighbour_slopes_agree_with_the_pair_walk(eta, seed, window,
                                                     monkeypatch):
     b = build_contraction_pair(eta)
     scheme = SampleScheme(window_radius=window, seed=seed)
-    cloud = _pair_cloud(b.domain, scheme, PAIR_CAP)
+    cloud = _pair_cloud(b.domain, scheme, PAIR_CAP).pts
     # the thinning drops points only below the bump's support, where g is
     # fl(eta * x) bit for bit, as f is; a chord from there into the support
     # averages g's slope over at least the distance to the support, far
@@ -720,8 +701,8 @@ def test_neighbour_slopes_agree_with_the_pair_walk(eta, seed, window,
     bound = _chord_spread(cloud)
     assert bound < 1e-9
 
-    new = _r_lipschitz((b.f, b.g), b.r, scheme, Tolerances(), PAIR_CAP)
-    ref = pair_walk((b.f, b.g), b.r, scheme)
+    new = [r_lipschitz(T, b.r, scheme) for T in (b.f, b.g)]
+    ref = [pair_walk(T, b.r, scheme) for T in (b.f, b.g)]
     kept = len(cloud) - len(_dropped(cloud, b.domain))
     for est, pairs in zip(new, ref):
         assert est.finiteness == pairs.finiteness == "finite"
@@ -736,7 +717,7 @@ def test_neighbour_slopes_agree_with_the_pair_walk(eta, seed, window,
 
     # the gate reads the same verdict off either walk
     rep = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
-    monkeypatch.setattr(koopman, "_r_lipschitz", _all_pairs)
+    monkeypatch.setattr(koopman, "r_lipschitz", _all_pairs)
     ref_rep = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
     assert rep.satisfied == ref_rep.satisfied
 
@@ -746,7 +727,7 @@ def test_neighbour_slopes_of_a_ramp_are_exact(half_dom, scheme):
     # its slope 4 lies across the kinks at a and b alone, and fl(4b - 4a)
     # is 4 * fl(b - a), so the one steep quotient is 4 exactly.  The pair
     # (a, b) has the shell of b, past the window radius 8
-    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP)
+    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP).pts
     line = cloud[_thinned(cloud[:, 0], half_dom.norm_of(cloud)), 0]
     k = int(np.searchsorted(line, 8.0, side="right"))
     a, b = line[k - 1], line[k]
@@ -758,7 +739,7 @@ def test_neighbour_slopes_of_a_ramp_are_exact(half_dom, scheme):
     assert [v for _, v in est.window_trace] == [0.0, 4.0, 4.0, 4.0]
     assert est.witness_pair[0][0] == a and est.witness_pair[1][0] == b
     assert est.pair_count == 2 * (len(line) - 1)
-    ref, = pair_walk((f,), make_radial("identity"), scheme)
+    ref = pair_walk(f, make_radial("identity"), scheme)
     assert _same_bits(est.value, ref.value)
     assert _same_bits(est.window_trace, ref.window_trace)
     assert _same_bits(est.witness_pair, ref.witness_pair)
@@ -784,7 +765,7 @@ def test_neighbour_slopes_skip_the_sub_floor_gaps_of_the_shipped_cloud(
     # the geometric points near 0 sit closer together than the floor; each
     # dropped point lies within the floor of a kept one, no kept neighbour
     # gap is below it, and pair_count counts the kept neighbours
-    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP)
+    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP).pts
     norms = half_dom.norm_of(cloud)
     kept = _thinned(cloud[:, 0], norms)
     x, drop = cloud[kept, 0], cloud[_dropped(cloud, half_dom), 0]
@@ -799,9 +780,12 @@ def test_neighbour_slopes_skip_the_sub_floor_gaps_of_the_shipped_cloud(
 
 @pytest.mark.parametrize("rows", (0, 1))
 def test_neighbour_slopes_without_pairs_are_undetermined(half_dom, scheme,
-                                                         rows, monkeypatch):
-    cloud = _pair_cloud(half_dom, scheme, PAIR_CAP)[:rows]
-    monkeypatch.setattr(koopman, "_pair_cloud", lambda *_: cloud)
+                                                         rows, monkeypatch,
+                                                         table_caches):
+    # a cloud of the first rows alone, built and cached afresh
+    monkeypatch.setattr(koopman, "_strided_subset",
+                        lambda n, cap: np.arange(rows))
+    assert _pair_cloud(half_dom, scheme, PAIR_CAP).pts.shape[0] == rows
     est = r_lipschitz(build_pure_linear(0.5, half_dom),
                       make_radial("identity"), scheme)
     assert est.finiteness == "undetermined" and est.pair_count == 0
@@ -834,7 +818,7 @@ def test_neighbour_slopes_on_shells_that_straddle_0(label, f, scheme):
     # 0, so each shell's sup is a neighbour pair's
     ident = make_radial("identity")
     est = r_lipschitz(f, ident, scheme)
-    ref, = pair_walk((f,), ident, scheme)
+    ref = pair_walk(f, ident, scheme)
     assert _same_bits(est.value, ref.value)
     assert _same_bits(est.window_trace, ref.window_trace)
     assert _same_bits(est.witness_pair, ref.witness_pair)
@@ -845,7 +829,7 @@ def test_neighbour_slopes_on_shells_that_straddle_0(label, f, scheme):
     # 4 on the box, and on the box minus the ball the chord across the hole
     # between its nearest points
     assert values[0] == values[1] < values[2] == values[3] == est.value
-    x = _pair_cloud(f.domain, scheme, PAIR_CAP)
+    x = _pair_cloud(f.domain, scheme, PAIR_CAP).pts
     a, b = x[x < 0.0].max(), x[x > 0.0].min()
     across = abs(f.forward([[b]]) - f.forward([[a]]))[0, 0] / (b - a)
     assert values[0] == (4.0 if label == "box" else across)
@@ -855,7 +839,7 @@ def test_a_user_identity_closure_takes_the_pair_walk(bundle_025, scheme):
     # dispatch tests the function object, not the label
     r = RadialFn(lambda u: u, "identity")
     est = r_lipschitz(bundle_025.g, r, scheme)
-    ref, = pair_walk((bundle_025.g,), r, scheme)
+    ref = pair_walk(bundle_025.g, r, scheme)
     _assert_same_estimate(est, ref)
     assert est.pair_count > 100_000
 
@@ -894,6 +878,49 @@ def test_gate_rejects_alpha_at_most_one(bundle_025, scheme):
                       1.0, scheme)
 
 
+def _gate_cases():
+    b = build_contraction_pair(0.25)
+    half = SampleScheme(window_radius=8.0)
+    light = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
+                         quasirandom_count=8, exhaustion_levels=2)
+    # the contraction pair takes neighbour slopes, sqrt_plus the 1-d pair
+    # walk, the Lozi pairs the 2-d pair walk
+    cases = [("contraction", b.f, b.g, b.phi, b.r, half),
+             ("contraction-sqrt_plus", b.f, b.g, b.phi,
+              make_radial("sqrt_plus"), half),
+             ("single", b.f, None, b.phi, b.r, half)]
+    for norm in ("euclidean", "sup"):
+        f, g = build_lozi(1.4, 0.3, norm=norm), build_lozi(1.1, -0.45,
+                                                           norm=norm)
+        _, r, _, phi = builtin_triple("sqrt_plus", f.domain)
+        cases.append((f"lozi-{norm}", f, g, phi, r, light))
+    return cases
+
+
+@pytest.mark.parametrize("label, f, g, phi, r, scheme", _gate_cases(),
+                         ids=[c[0] for c in _gate_cases()])
+def test_gate_walks_each_map_through_r_lipschitz(label, f, g, phi, r, scheme,
+                                                 monkeypatch):
+    # the gate's lam_r of each map is one call of the public estimator, so
+    # whatever wraps r_lipschitz sees every gate walk; each estimate, its
+    # witness included, is the public one to the bit
+    public, calls = koopman.r_lipschitz, []
+
+    def counting(T, *args, **kwargs):
+        calls.append((T, public(T, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(koopman, "r_lipschitz", counting)
+    rep = check_p_alpha(f, g, phi, r, 1.5, scheme)
+    maps = (f,) if g is None else (f, g)
+    assert len(calls) == len(maps)
+    for (T, est), M, lam in zip(calls, maps, (rep.lambda_f, rep.lambda_g)):
+        assert T is M
+        _assert_same_estimate(est, public(M, r, scheme))
+        assert _same_bits(lam, est.value)
+    assert (rep.lambda_g is None) == (g is None)
+
+
 def test_gate_that_keeps_no_image_is_undetermined():
     # every image of x -> x + 100 leaves [-10, 10]: an empty sample
     # certifies nothing, so the slack is NaN and the gate does not pass
@@ -926,7 +953,7 @@ def test_gate_raises_on_a_non_finite_image_the_pair_cloud_skips(
     # cloud leaves out: lam_r is finite, and the slack sees the spike
     _, r, _, phi = sqrt_triple
     spike = doubling_sample_sets(half_dom, scheme)[-1][1][1, 0]
-    assert spike not in _pair_cloud(half_dom, scheme, PAIR_CAP)
+    assert spike not in _pair_cloud(half_dom, scheme, PAIR_CAP).pts
     f = primitive(half_dom, lambda p: np.where(p == spike, np.inf, 0.5 * p),
                   lambda p: 2.0 * p, "x/2 with a spike")
     with pytest.raises(EvaluationError, match="not finite"):
