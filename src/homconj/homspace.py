@@ -56,6 +56,7 @@ So a ``displacement`` whose map keeps every row computes only the images
 and their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax.
 """
 
+import math
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -339,7 +340,7 @@ def _classify(trace, kappa_div: float, tau_abs: float, rel: float) -> str:
     escapes with the window.
     """
     values = [v for _, v in trace]
-    if any(not np.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         return "undetermined"
     first, last = values[0], values[-1]
     total_growth = last > kappa_div * first + tau_abs

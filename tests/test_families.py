@@ -45,6 +45,17 @@ def test_bump_support_and_peak():
     assert np.all(vals >= 0.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"center": np.nan}, {"center": np.inf}, {"center": -np.inf},
+    {"halfwidth": np.inf}, {"height": np.inf}])
+def test_bump_spec_rejects_a_bump_without_compact_support(bad):
+    # a NaN or infinite centre makes the bump NaN or 0 on every row, and an
+    # infinite halfwidth or height gives no compact support, or NaN off it
+    kwargs = {"center": 2.0, "halfwidth": 1.0, "height": 0.1, **bad}
+    with pytest.raises(ValueError, match="finite"):
+        BumpSpec(**kwargs)
+
+
 def test_bump_slope_factor_is_sharp():
     # max slope of the quintic profile is 15/8 of height over halfwidth;
     # a dense difference quotient must approach it from below
@@ -386,6 +397,90 @@ def test_g_forward_is_eta_x_plus_bump(eta):
     for pts in (grid, top):
         assert np.array_equal(_bits(b.g.forward(pts)),
                               _bits(eta * pts + bump_eval(b.bump, pts)))
+
+
+def unscreened_bump_eval(spec, x):
+    """bump_eval before it screened out the entries off the support,
+    verbatim: the formula on every entry."""
+    t = 1.0 - np.abs(np.asarray(x, dtype=float) - spec.center) / spec.halfwidth
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    return spec.height * (t * t * t * (10.0 + t * (-15.0 + 6.0 * t)))
+
+
+def _unscreened_bump_cases():
+    """(spec, x) over every input shape bump_eval takes: each spec's
+    support edges center -+ halfwidth exactly and one ulp on either side,
+    0, -0, +-inf, NaN, 1e308 and seeded rows on and off the support."""
+    rng = np.random.default_rng(30)
+    specs = [BumpSpec(center=2.0, halfwidth=1.0, height=0.3),
+             BumpSpec(center=0.5, halfwidth=1.0, height=0.4),  # covers 0
+             BumpSpec(center=rng.uniform(1.0, 4.0),
+                      halfwidth=rng.uniform(0.3, 1.5),
+                      height=rng.uniform(0.0, 0.5)),
+             BumpSpec(center=2.0, halfwidth=1.0, height=0.0),
+             # x - center overflows at x = 1e308, as before the screen
+             BumpSpec(center=-1.5e308, halfwidth=1.0, height=0.2)]
+    for spec in specs:
+        c, w = spec.center, spec.halfwidth
+        edges = [c - w, c + w]
+        edges += [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)]
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]
+        pool = np.concatenate([edges, special,
+                               rng.uniform(c - w, c + w, 40),
+                               rng.uniform(c - 4 * w, c + 4 * w, 40)])
+        pool = pool[:pool.size // 2 * 2]
+        yield spec, np.zeros(0)
+        yield spec, np.zeros((0, 1))
+        for v in special + edges:
+            yield spec, np.float64(v)
+            yield spec, np.array(v)
+            yield spec, v
+        yield spec, pool
+        yield spec, pool[::7]                 # a few entries on the support
+        yield spec, pool[:, None]
+        yield spec, pool.reshape(-1, 2)
+
+
+def test_bump_eval_matches_the_unscreened_formula_bit_for_bit(monkeypatch):
+    # on numpy only, on floats only and as shipped, every entry, shape and
+    # scalar type equals the formula evaluated everywhere, and the screen
+    # raises no floating-point warning the formula did not raise
+    for spec, x in _unscreened_bump_cases():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expect = unscreened_bump_eval(spec, x)
+            warned_ref = {str(w.message) for w in caught}
+            for rows in FLOAT_ROWS.values():
+                monkeypatch.setattr(families, "_FLOAT_ROWS", rows)
+                caught.clear()
+                got = bump_eval(spec, x)
+                assert {str(w.message) for w in caught} <= warned_ref
+                assert type(got) is type(expect)
+                assert np.shape(got) == np.shape(expect)
+                assert np.array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(expect).view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_negative_t_forward_of_zero_rows_reads_plus_zero(dim, monkeypatch):
+    # T x is -0.0 on the +0.0 rows of a negative T, and the full-length bump
+    # column, +0.0 off the support, turns its first axis into +0.0 as
+    # before the screen
+    spec = BumpSpec(center=2.0, halfwidth=1.0, height=0.1)
+    T = -0.5 * np.eye(dim)
+    mp = build_perturbed_linear(T, spec)
+    x = np.zeros((5, dim))
+    x[3:, 0] = [2.0, 2.5]
+    expect = families._rows_times(x, T)
+    assert np.signbit(expect[:3]).all()
+    expect[:, 0] += unscreened_bump_eval(spec, families._radial(x))
+    for rows in FLOAT_ROWS.values():
+        monkeypatch.setattr(families, "_FLOAT_ROWS", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mp.forward(x)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert not np.signbit(got[:3, 0]).any()
 
 
 @pytest.mark.parametrize("eta", [0.1, 0.25, 0.5])

@@ -610,3 +610,20 @@ def test_compact_distance_frozen_translation_value(half_dom):
 def test_compact_distance_zero_on_equal_maps(half_dom, scheme):
     f = translation(half_dom, 1.0)
     assert compact_convergence_distance(f, f, scheme) == 0.0
+
+
+@pytest.mark.parametrize("values, label", [
+    ([1.0, 1.0, 1.0, 1.0], "finite"),
+    ([1.0, 2.0, 4.0, 8.0], "divergent"),
+    ([1.0, 4.0, 4.0, 4.0], "finite"),       # a jump, then a flat tail
+    ([1.0, 2.0, float("nan"), 8.0], "undetermined"),
+    ([1.0, 2.0, 4.0, float("inf")], "undetermined"),
+    ([float("-inf"), 2.0, 4.0, 8.0], "undetermined"),
+    ([np.float64(1.0), np.float64(np.nan), 1.0, 1.0], "undetermined"),
+    ([np.float64(1.0), np.float64(2.0), 4.0, 8.0], "divergent"),
+])
+def test_classify_labels_finite_nan_and_inf_traces(values, label):
+    tol = funcspace.Tolerances()
+    trace = tuple((2.0 ** k, v) for k, v in enumerate(values))
+    assert homspace._classify(trace, tol.kappa_div, tol.tau_abs,
+                              tol.rel) == label
