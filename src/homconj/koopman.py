@@ -113,7 +113,8 @@ def _near_partners(pts: np.ndarray, pts_norms: np.ndarray,
 # row after its first, densely, so it holds at most this many times the
 # cloud's rows of cells; a mask keeps the pairs the sup runs over.  The
 # walk's buffers are sized for its first block, the largest, and every
-# block writes into views of them.
+# block writes into views of them.  wandering_check's separation walk
+# takes its blocks of this many rows too.
 _BLOCK_ROWS = 64
 
 
@@ -579,6 +580,20 @@ def _cloud_stretch(before: np.ndarray, after: np.ndarray, domain: Domain) -> flo
     return float(np.max(out))
 
 
+def _cloud_distance(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
+    """The least distance from a row of ``a`` to a row of ``b``.
+
+    ``a`` is walked in blocks of ``_BLOCK_ROWS`` rows, so no more than a
+    block of ``a`` by every row of ``b`` of differences is held at once.
+    A minimum is exact, so the bits equal those of one dense minimum; a
+    NaN distance still reads NaN, and an empty cloud still raises
+    ``np.min``'s ValueError.
+    """
+    return float(np.min([
+        np.min(domain.norm_of(a[lo:lo + _BLOCK_ROWS, None, :] - b[None]))
+        for lo in range(0, a.shape[0], _BLOCK_ROWS)]))
+
+
 def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
                     nu: int, n_max: int) -> WanderingReport:
     """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max."""
@@ -600,8 +615,7 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     min_sep = np.inf
     for n in range(1, n_max + 1):
         for m in range(0, n - nu + 1):
-            d = float(np.min(domain.norm_of(
-                clouds[n][:, None, :] - clouds[m][None, :, :])))
+            d = _cloud_distance(clouds[n], clouds[m], domain)
             min_sep = min(min_sep, d - radii[n] - radii[m])
             if d <= radii[n] + radii[m]:
                 return WanderingReport("collision", (n, m), float(min_sep),

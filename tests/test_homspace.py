@@ -1,8 +1,5 @@
 """Homeomorphism chains, displacement, the premetric, and its inequalities."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -470,44 +467,6 @@ def test_premetric_not_symmetric_in_general(half_dom, sqrt_triple, scheme):
     ab = premetric(f, g, phi, r, scheme)
     ba = premetric(g, f, phi, r, scheme)
     assert ba.rho > ab.rho + 1e-3
-
-
-def _premetric_pool(seed):
-    """The premetric_pool workload of ``bench/workloads.py`` at ``seed``."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.PremetricPool(seed, False, path.parent)
-
-
-def test_premetrics_do_not_depend_on_call_order(table_caches, process_memo):
-    # the in-process twin of CI's step of that name: the image, table and
-    # gauge memos outlive each call, so the 400 premetric_pool pairs run in
-    # order, then in reverse from emptied memos; rho, both traces and both
-    # witnesses must agree to the bit
-    pool = _premetric_pool(7919)
-
-    def side(d):
-        point = [] if d.argmax_point is None else d.argmax_point.tolist()
-        return [d.finiteness, float(d.value).hex(), d.dropped] \
-            + [float(x).hex() for x in point] \
-            + [float(v).hex() for _, v in d.window_trace]
-
-    def run(order):
-        lines = {}
-        for i in order:
-            est = pool.run(i)
-            lines[i] = [float(est.rho).hex(), side(est.left), side(est.right)]
-        return [lines[i] for i in sorted(lines)]
-
-    forward = run(range(len(pool.ops)))
-    assert len(forward) == 400 and process_memo.entries
-    for cache in table_caches:
-        cache.cache_clear()
-    process_memo.entries.clear()
-    process_memo.nbytes = 0
-    assert run(reversed(range(len(pool.ops)))) == forward
 
 
 def test_koopman_lambda_frozen_values(half_dom, sqrt_triple):

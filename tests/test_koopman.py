@@ -1105,6 +1105,51 @@ def test_wandering_raises_on_an_iterate_that_is_not_finite():
         wandering_check(f, cloud, covering_radius=0.025, nu=1, n_max=6)
 
 
+@pytest.mark.parametrize("f, cloud, nu, n_max", [
+    # a 16-point cloud like the bundled wandering config's
+    (build_translation([1.0], Domain(dim=1)),
+     np.linspace(1.0, 1.75, 16).reshape(-1, 1), 1, 6),
+    # more rows than two blocks, not a multiple of one
+    (build_pure_linear(0.5, Domain(dim=1)),
+     np.linspace(1.0, 1.75, 2 * _BLOCK_ROWS + 7).reshape(-1, 1), 1, 4),
+    (identity(Domain(dim=1)),
+     np.linspace(1.0, 1.75, 2 * _BLOCK_ROWS + 7).reshape(-1, 1), 1, 3),
+    (build_lozi(1.4, 0.3), np.random.default_rng(3).uniform(
+        -0.2, 0.2, (2 * _BLOCK_ROWS + 7, 2)), 2, 4),
+    (build_lozi(1.4, 0.3, norm="sup"), np.random.default_rng(5).uniform(
+        -0.2, 0.2, (2 * _BLOCK_ROWS + 7, 2)), 1, 3),
+])
+def test_wandering_blocks_give_the_dense_bits(f, cloud, nu, n_max,
+                                               monkeypatch):
+    rep = wandering_check(f, cloud, 1e-4, nu, n_max)
+    # the unblocked formula: one dense (N, N, d) difference per pair
+    monkeypatch.setattr(koopman, "_cloud_distance", lambda a, b, domain:
+                        float(np.min(domain.norm_of(a[:, None, :]
+                                                    - b[None, :, :]))))
+    ref = wandering_check(f, cloud, 1e-4, nu, n_max)
+    assert rep == ref
+    assert rep.min_separation.hex() == ref.min_separation.hex()
+
+
+def test_wandering_memory_stays_within_blocks():
+    # a dense walk holds an (N, N) array of differences and one of their
+    # norms per pair of iterates, 61 MiB here; the blocked walk holds one
+    # block of _BLOCK_ROWS rows by N of each, and one more block covers
+    # the clouds and the stretch estimate
+    n = 2000
+    cloud = np.linspace(0.0, 0.5, n).reshape(-1, 1)
+    f = build_translation([1.0], Domain(dim=1))
+    tracemalloc.start()
+    try:
+        rep = wandering_check(f, cloud, 1e-4, nu=1, n_max=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "wandering"
+    block = _BLOCK_ROWS * n * np.dtype(float).itemsize
+    assert peak < 3 * block
+
+
 def test_periodic_obstruction_both_directions():
     dom = Domain(dim=1)
     f = primitive(dom, lambda p: 1.0 - p, lambda p: 1.0 - p, "1-x")
