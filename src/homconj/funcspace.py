@@ -420,7 +420,8 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
 
 
 # Two cache rules.  Data derived from a sample table depends on (domain,
-# scheme[, gauge or cap]) alone, so it is cached with functools.lru_cache,
+# scheme[, gauge or cap]) alone, and a scale-pair report on (growth, r,
+# cross, scheme, tol) alone, so each is cached with functools.lru_cache,
 # keyed by value, at most _TABLE_CACHE_SIZE entries per function; a table's own
 # data is one _Table record, so no part of it outlives the rest and hands out a
 # second copy of the table.  Chain images are not values: homspace caches them
@@ -609,14 +610,21 @@ def _worst(excess: np.ndarray, args) -> tuple:
     return tuple(float(np.asarray(a).ravel()[idx]) for a in args)
 
 
+def _max_check(name: str, worst: float, witness,
+               tol: Tolerances) -> ConditionCheck:
+    """Condition excess <= tau_abs on every sample, given the largest
+    excess ``worst`` and the sample ``witness`` first reaching it; a NaN
+    excess fails it, with margin NaN."""
+    return ConditionCheck(name, worst <= tol.tau_abs,
+                          float(np.maximum(0.0, worst)), witness)
+
+
 def _sup_check(name: str, excess: np.ndarray, args,
                tol: Tolerances) -> ConditionCheck:
-    """Condition excess <= tau_abs on every sample, witnessed at the worst;
-    a NaN excess fails it, with margin NaN."""
-    worst = float(np.max(excess)) if excess.size else 0.0
-    return ConditionCheck(name, worst <= tol.tau_abs,
-                          float(np.maximum(0.0, worst)),
-                          _worst(excess, args) if excess.size else None)
+    """:func:`_max_check` of an excess array, witnessed at its argmax."""
+    if not excess.size:
+        return _max_check(name, 0.0, None, tol)
+    return _max_check(name, float(np.max(excess)), _worst(excess, args), tol)
 
 
 def _positive_check(name: str, vals: np.ndarray,
@@ -628,34 +636,97 @@ def _positive_check(name: str, vals: np.ndarray,
     return ConditionCheck(name, ok, margin, None if ok else _worst(-vals, (u,)))
 
 
+# The pair checks walk their grid in blocks of whole rows of at most
+# _PAIR_BLOCK_CELLS cells, 64 KiB per float temporary: below glibc's 128 KiB
+# threshold, so no temporary is a fresh mmap whose pages fault on first use.
+_PAIR_BLOCK_CELLS = 8192
+
+
+def _fold_worst(worst, excess: np.ndarray, base: int):
+    """The running (largest excess, flat index of its first cell) of the
+    cells before one more block ``excess`` whose first cell has flat index
+    ``base``, folded with that block as ``np.max`` and ``np.argmax`` fold
+    the whole grid: the first NaN wins and sticks, and a tie keeps the
+    earlier cell.  ``worst`` is None before the first block.  The value
+    kept is the first cell's, so a largest excess of zero reached by both
+    +0.0 and -0.0 keeps the first one's sign, where ``np.max`` leaves it to
+    its SIMD lanes."""
+    k = int(np.argmax(excess))
+    m = float(excess.flat[k])
+    if worst is None or (not math.isnan(worst[0])
+                         and (m > worst[0] or math.isnan(m))):
+        return m, base + k
+    return worst
+
+
+def _pair_checks(growth: RadialFn, scale: RadialFn, sub: np.ndarray,
+                 r_sub: np.ndarray, R_sub: np.ndarray,
+                 tol: Tolerances) -> tuple:
+    """The r_nondecreasing, r_subadditive and R_subadditive checks over
+    every ordered pair (x, y) of the distinct samples ``sub``, x == y
+    included, x outer, given ``r_sub`` = r(sub) and ``R_sub`` = R(sub).
+    r and R are evaluated once more per block, on its pair sums."""
+    n = sub.shape[0]
+    rows = max(1, _PAIR_BLOCK_CELLS // n)
+    mono = r_add = R_add = None
+    for i0 in range(0, n, rows):
+        x, rx, Rx = (v[i0:i0 + rows, None] for v in (sub, r_sub, R_sub))
+        # r(min(x, y)) - r(max(x, y)), the samples being distinct
+        up = x <= sub
+        mono = _fold_worst(mono, np.where(up, rx, r_sub)
+                           - np.where(up, r_sub, rx), i0 * n)
+        s = (x + sub).ravel()
+        r_add = _fold_worst(r_add, np.reshape(scale.eval(s), up.shape)
+                            - rx - r_sub, i0 * n)
+        R_add = _fold_worst(R_add, np.reshape(growth.eval(s), up.shape)
+                            - Rx - R_sub, i0 * n)
+
+    def pair(k):
+        return float(sub[k // n]), float(sub[k % n])
+
+    return (_max_check("r_nondecreasing", mono[0],
+                       tuple(sorted(pair(mono[1]))), tol),
+            _max_check("r_subadditive", r_add[0], pair(r_add[1]), tol),
+            _max_check("R_subadditive", R_add[0], pair(R_add[1]), tol))
+
+
 def validate_scale_pair(growth: RadialFn, scale: RadialFn, cross: CrossConstants,
                         scheme: SampleScheme,
                         tol: Tolerances = Tolerances()) -> ValidationReport:
     """Sampled verification of the scale/growth axioms and the cross bound.
 
     Reported, never raised: each condition carries a pass flag and the worst
-    violation margin (0.0 for a clean pass, NaN for a NaN violation).
+    violation margin (0.0 for a clean pass, NaN for a NaN violation).  r and
+    R must be elementwise, mapping an array to one of its shape whose every
+    value depends on its own argument alone, as the rule that no estimate
+    depends on its batch already requires: each is evaluated once per sample
+    and once per pair sum, in blocks.  Memoized on (growth, r, cross,
+    scheme, tol): equal keys get the same report.
     """
+    return _scale_pair_report(growth, scale, cross, scheme, tol)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _scale_pair_report(growth: RadialFn, scale: RadialFn,
+                       cross: CrossConstants, scheme: SampleScheme,
+                       tol: Tolerances) -> ValidationReport:
+    """The report of :func:`validate_scale_pair`."""
     u = _u_samples(scheme)
-    upos = u[u > 0]
-    Ru = growth.eval(u)
+    pos = u > 0
+    ru, Ru = scale.eval(u), growth.eval(u)
     # every pair (x, y), x == y included, of a strided subset, x outer
-    sub = u[_strided_subset(u.shape[0], 250_000)]
-    a_u, b_u = (x.ravel() for x in np.meshgrid(sub, sub, indexing="ij"))
-    lo, hi = np.minimum(a_u, b_u), np.maximum(a_u, b_u)
+    kept = _strided_subset(u.shape[0], 250_000)
     zero = np.zeros(1)
+    r_nondecreasing, r_subadditive, R_subadditive = _pair_checks(
+        growth, scale, u[kept], ru[kept], Ru[kept], tol)
     return ValidationReport(checks=(
         _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,), tol),
-        _positive_check("r_positive_off_origin", scale.eval(upos), upos),
-        _sup_check("r_nondecreasing", scale.eval(lo) - scale.eval(hi),
-                   (lo, hi), tol),
-        _sup_check("r_subadditive", scale.eval(a_u + b_u) - scale.eval(a_u)
-                   - scale.eval(b_u), (a_u, b_u), tol),
+        _positive_check("r_positive_off_origin", ru[pos], u[pos]),
+        r_nondecreasing,
+        r_subadditive,
         _positive_check("R_positive", Ru, u),
-        _sup_check("R_subadditive", growth.eval(a_u + b_u) - growth.eval(a_u)
-                   - growth.eval(b_u), (a_u, b_u), tol),
-        _sup_check("cross_bound", Ru - cross.a * scale.eval(u) - cross.b,
-                   (u,), tol),
+        R_subadditive,
+        _sup_check("cross_bound", Ru - cross.a * ru - cross.b, (u,), tol),
     ))
 
 

@@ -61,14 +61,15 @@ class MissingEntries(OrderedDict):
 
 @pytest.fixture
 def table_caches():
-    """The value-keyed caches of sample-table data, emptied before and
-    after one test, as the triple (table record, gauge values, pair
-    cloud)."""
+    """The value-keyed caches, emptied before and after one test: those of
+    sample-table data, yielded as the triple (table record, gauge values,
+    pair cloud), and that of scale-pair reports,
+    ``funcspace._scale_pair_report``."""
     caches = (funcspace._table, funcspace._table_gauge,
-              koopman._pair_cloud)
+              koopman._pair_cloud, funcspace._scale_pair_report)
     for cache in caches:
         cache.cache_clear()
-    yield caches
+    yield caches[:3]
     for cache in caches:
         cache.cache_clear()
 

@@ -1,22 +1,22 @@
 """Fresh-process checks: no result depends on what ran before it in the
 process, and one traced benchmark pass per workload keeps its counts.
 
-The image, table, gauge and pair-cloud memos outlive each call, so every
-premetric, Picard iterate and gate number must read the same bits whatever
-ran before it.  Run as a script, this file runs one kind's operations in
-one order and prints one line per operation, in operation order, with
-every float as ``float.hex``:
+The image, table, gauge, pair-cloud and scale-pair report memos outlive
+each call, so every premetric, Picard iterate, gate number and validation
+report must read the same bits whatever ran before it.  Run as a script,
+this file runs one kind's operations in one order and prints one line per
+operation, in operation order, with every float as ``float.hex``:
 
     PYTHONPATH=src:bench python -W error::RuntimeWarning \\
         tests/test_fresh_process.py KIND forward|reverse SEED
 
 The kinds are ``premetric`` (the 400 ``premetric_pool`` pairs),
-``picard`` (the 3 ``picard_eta`` solves), ``configs`` (the 8 bundled
-configs through ``cli.main``; they carry their own seeds, so SEED is not
-read) and ``lozi`` (the 8 ``lozi_membership`` configs that
-``ConfigSuite(SEED)`` generates).  Under pytest,
-``test_results_do_not_depend_on_call_order`` runs a kind forward and
-reversed, each in a fresh process, and compares the two outputs;
+``picard`` (the 3 ``picard_eta`` solves, each with its scale-pair and
+gauge reports), ``configs`` (the 8 bundled configs through ``cli.main``;
+they carry their own seeds, so SEED is not read) and ``lozi`` (the 8
+``lozi_membership`` configs that ``ConfigSuite(SEED)`` generates).  Under
+pytest, ``test_results_do_not_depend_on_call_order`` runs a kind forward
+and reversed, each in a fresh process, and compares the two outputs;
 ``test_traced_pass_keeps_its_counts`` runs one traced ``bench/worker.py``
 pass per workload and compares its counts with ``counts.json``.  A change
 that moves a count edits ``counts.json`` and says why in CHANGES.md.
@@ -98,6 +98,10 @@ def _picard(seed: int, reverse: bool, tmp: Path) -> list:
         return " ".join([d.finiteness, *_hexes([d.value]),
                          *_hexes(v for _, v in d.window_trace)])
 
+    def report(rep):
+        return " ".join(" ".join([c.name, str(c.passed), *_hexes(
+            [c.margin, *(c.witness or ())])]) for c in rep.checks)
+
     def line(i):
         out = work.run(i)
         res, eigen = out["result"], out["eigen"]
@@ -106,7 +110,8 @@ def _picard(seed: int, reverse: bool, tmp: Path) -> list:
                      [s.rho_increment, s.conj_residual, s.compact_bound,
                       s.fk_envelope])]) for s in tr.steps]
         return " | ".join(
-            [work.ops[i], tr.verdict, *_hexes([res.residual]),
+            [work.ops[i], report(out["pair"]), report(out["gauge"]),
+             tr.verdict, *_hexes([res.residual]),
              " ".join(_hexes([eigen.min_slack_f, eigen.min_slack_g])),
              probe(tr.bound_pre), probe(tr.bound_post),
              "-" if m is None else " ".join([m.verdict, disp(m.forward),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homconj import (
+    BUILTIN_TRIPLE_NAMES,
+    ConditionCheck,
     CrossConstants,
     Domain,
     Gauge,
     RadialFn,
     SampleScheme,
     Tolerances,
+    ValidationReport,
     builtin_triple,
     compose,
     displacement,
@@ -34,12 +38,16 @@ from homconj import (
 )
 from conftest import churn_tables
 from homconj.funcspace import (
+    _PAIR_BLOCK_CELLS,
     _TABLE_CACHE_SIZE,
     _distinct_rows,
     _norm_geometry,
+    _positive_check,
+    _scale_pair_report,
     _strided_subset,
     _table,
     _table_gauge,
+    _u_samples,
     _window_points,
     doubling_radii,
 )
@@ -626,6 +634,188 @@ def test_nan_growth_fails_the_cone_with_nan_margins(half_dom, scheme):
     for name in ("R_positive", "R_subadditive", "cross_bound"):
         check = next(c for c in pair.checks if c.name == name)
         assert not check.passed and np.isnan(check.margin)
+
+
+def dense_sup_check(name, excess, args, tol):
+    """Condition excess <= tau_abs over a whole excess array, witnessed
+    at its first argmax: the rule the blocked pair checks must fold to."""
+    worst = float(np.max(excess)) if excess.size else 0.0
+    idx = int(np.argmax(excess)) if excess.size else None
+    return ConditionCheck(
+        name, worst <= tol.tau_abs, float(np.maximum(0.0, worst)),
+        tuple(float(np.asarray(a).ravel()[idx]) for a in args)
+        if excess.size else None)
+
+
+def dense_scale_pair(growth, scale, cross, scheme, tol=Tolerances()):
+    """``validate_scale_pair`` with its dense pair grid: the reference the
+    blocked pair checks must match bit for bit."""
+    _sup_check = dense_sup_check
+    u = _u_samples(scheme)
+    upos = u[u > 0]
+    Ru = growth.eval(u)
+    # every pair (x, y), x == y included, of a strided subset, x outer
+    sub = u[_strided_subset(u.shape[0], 250_000)]
+    a_u, b_u = (x.ravel() for x in np.meshgrid(sub, sub, indexing="ij"))
+    lo, hi = np.minimum(a_u, b_u), np.maximum(a_u, b_u)
+    zero = np.zeros(1)
+    return ValidationReport(checks=(
+        _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,), tol),
+        _positive_check("r_positive_off_origin", scale.eval(upos), upos),
+        _sup_check("r_nondecreasing", scale.eval(lo) - scale.eval(hi),
+                   (lo, hi), tol),
+        _sup_check("r_subadditive", scale.eval(a_u + b_u) - scale.eval(a_u)
+                   - scale.eval(b_u), (a_u, b_u), tol),
+        _positive_check("R_positive", Ru, u),
+        _sup_check("R_subadditive", growth.eval(a_u + b_u) - growth.eval(a_u)
+                   - growth.eval(b_u), (a_u, b_u), tol),
+        _sup_check("cross_bound", Ru - cross.a * scale.eval(u) - cross.b,
+                   (u,), tol),
+    ))
+
+
+def report_fields(rep):
+    """Every check's name and pass flag, its margin and witness as hex."""
+    return [(c.name, c.passed, float(c.margin).hex(),
+             None if c.witness is None
+             else tuple(float(w).hex() for w in c.witness))
+            for c in rep.checks]
+
+
+def assert_matches_dense(growth, scale, cross, scheme):
+    rep = validate_scale_pair(growth, scale, cross, scheme)
+    assert report_fields(rep) \
+        == report_fields(dense_scale_pair(growth, scale, cross, scheme))
+    return rep
+
+
+def squared(u):
+    return np.asarray(u, float) ** 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("name", BUILTIN_TRIPLE_NAMES)
+def test_blocked_pair_checks_match_the_dense_grid(half_dom, name, seed,
+                                                  table_caches):
+    growth, r, cross, _ = builtin_triple(name, half_dom)
+    scheme = SampleScheme(window_radius=8.0, seed=seed)
+    assert assert_matches_dense(growth, r, cross, scheme).passed
+    # the grid takes more than one block
+    assert len(_u_samples(scheme)) ** 2 > _PAIR_BLOCK_CELLS
+
+
+def scheme_ending_a_block(rows_left):
+    """A scheme whose pair grid, in blocks of _PAIR_BLOCK_CELLS // n rows,
+    takes more than one block and ends ``rows_left`` rows past a block
+    boundary: -1 ends one row short of one, 0 on one, +1 one row past."""
+    for q in range(400):
+        scheme = SampleScheme(window_radius=8.0, quasirandom_count=q)
+        n = len(_u_samples(scheme))
+        rows = _PAIR_BLOCK_CELLS // n
+        if n > rows and n % rows == rows_left % rows:
+            return scheme
+    raise AssertionError(f"no scheme ends {rows_left} rows past a block")
+
+
+@pytest.mark.parametrize("rows_left", [-1, 0, 1])
+def test_pair_checks_match_the_dense_grid_at_a_block_boundary(
+        half_dom, rows_left, table_caches):
+    scheme = scheme_ending_a_block(rows_left)
+    top = float(_u_samples(scheme)[-1])
+    # u^2 is least subadditive at the last cell, and the growth is NaN
+    # only on the sum of the last cell, so both witnesses lie in the last
+    # block's last row
+    nan_top = RadialFn(lambda u: np.where(
+        np.asarray(u) >= 2.0 * top, np.nan, np.sqrt(u) + 1.0), "nan_at_top")
+    cross = CrossConstants(a=1.0, b=1.25)
+    for growth in (make_radial("sqrt_plus"), nan_top):
+        for r in (make_radial("identity"), RadialFn(squared, "square")):
+            assert_matches_dense(growth, r, cross, scheme)
+    rep = validate_scale_pair(nan_top, RadialFn(squared, "square"), cross,
+                              scheme)
+    for name in ("r_subadditive", "R_subadditive"):
+        check = next(c for c in rep.checks if c.name == name)
+        assert not check.passed and check.witness == (top, top)
+    assert np.isnan(rep.margin_of("R_subadditive"))
+
+
+def test_pair_checks_witness_the_first_nan(half_dom, scheme, table_caches):
+    # R is NaN on (3, 5) and huge past 40: the first NaN cell comes before
+    # the largest finite excess, and NaN wins over it and sticks
+    def eval_(u):
+        u = np.asarray(u, float)
+        return np.where((u > 3.0) & (u < 5.0), np.nan,
+                        np.where(u > 40.0, 1e300, np.sqrt(u) + 1.0))
+
+    growth = RadialFn(eval_, "nan_band")
+    rep = assert_matches_dense(growth, make_radial("identity"),
+                               CrossConstants(a=1.0, b=1.25), scheme)
+    check = next(c for c in rep.checks if c.name == "R_subadditive")
+    assert not check.passed and np.isnan(check.margin)
+    u = _u_samples(scheme)
+    assert check.witness == (0.0, float(u[u > 3.0][0]))
+
+
+def test_pair_checks_keep_the_first_of_tied_cells(half_dom, scheme,
+                                                  table_caches):
+    # a constant r ties every cell of both r pair checks, across blocks
+    const = RadialFn(lambda u: np.full(np.shape(u), 2.0), "constant")
+    rep = assert_matches_dense(make_radial("sqrt_plus"), const,
+                               CrossConstants(a=1.0, b=1.25), scheme)
+    for name in ("r_nondecreasing", "r_subadditive"):
+        check = next(c for c in rep.checks if c.name == name)
+        assert check.passed and check.witness == (0.0, 0.0)
+    assert not rep.passed
+
+
+def test_squared_scale_is_witnessed_at_its_largest_pair(half_dom, scheme,
+                                                        table_caches):
+    rep = assert_matches_dense(make_radial("linear_plus"),
+                               RadialFn(squared, "square"),
+                               CrossConstants(a=1.0, b=1.0), scheme)
+    top = float(_u_samples(scheme)[-1])
+    check = next(c for c in rep.checks if c.name == "r_subadditive")
+    # (x + y)^2 - x^2 - y^2 = 2xy, largest at the last cell
+    assert check.margin == (top + top) ** 2 - top ** 2 - top ** 2 > 0.0
+    assert check.witness == (top, top)
+
+
+def test_scale_pair_reports_are_cached_by_value(half_dom, scheme,
+                                                table_caches):
+    growth, r, cross, _ = builtin_triple("sqrt_plus", half_dom)
+    first = assert_matches_dense(growth, r, cross, scheme)
+    assert _scale_pair_report.cache_info().currsize == 1
+    # a hit: equal inputs, built afresh, get the same report
+    again = builtin_triple("sqrt_plus", half_dom)[:3]
+    assert validate_scale_pair(*again, scheme) is first
+    others = [validate_scale_pair(growth, r, cross,
+                                  dataclasses.replace(scheme, seed=5)),
+              validate_scale_pair(growth, r, cross, scheme,
+                                  Tolerances(tau_abs=1e-10))]
+    assert all(rep is not first for rep in others)
+    assert _scale_pair_report.cache_info().currsize == 3
+    _scale_pair_report.cache_clear()
+    rebuilt = validate_scale_pair(growth, r, cross, scheme)
+    assert rebuilt is not first and rebuilt == first
+
+
+@pytest.mark.parametrize("sampling", [
+    {}, {"grid_points_per_axis": 300, "quasirandom_count": 600}])
+def test_scale_pair_memory_stays_within_blocks(half_dom, sampling,
+                                               table_caches):
+    # the dense grid held about a dozen pair arrays of n * n floats, 2.8
+    # MiB at the default scheme and 12.8 MiB at the larger one; the blocks
+    # hold a few of _PAIR_BLOCK_CELLS floats each
+    growth, r, cross, _ = builtin_triple("sqrt_plus", half_dom)
+    scheme = SampleScheme(window_radius=8.0, **sampling)
+    tracemalloc.start()
+    try:
+        rep = validate_scale_pair(growth, r, cross, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 2 ** 20
 
 
 def test_strided_subset_keeps_at_most_cap_ordered_pairs():
