@@ -630,9 +630,10 @@ def _sup_check(name: str, excess: np.ndarray, args,
 def _positive_check(name: str, vals: np.ndarray,
                     u: np.ndarray) -> ConditionCheck:
     """Condition vals > 0 on every sample, witnessed at the most negative;
-    a NaN value fails it, with margin NaN."""
+    a NaN value fails it, with margin NaN.  The margin is 0.0 - min, not
+    -min, so a least value of exactly 0 reports +0.0, not -0.0."""
     ok = bool(np.all(vals > 0))
-    margin = float(np.maximum(0.0, -np.min(vals))) if vals.size else 0.0
+    margin = float(np.maximum(0.0, 0.0 - np.min(vals))) if vals.size else 0.0
     return ConditionCheck(name, ok, margin, None if ok else _worst(-vals, (u,)))
 
 

@@ -11,23 +11,29 @@ separate per-factor estimates, because separate estimates can both be
 infinite while the composition is the identity.
 
 Chain memos.  ``Homeo.forward`` walks a chain right to left.  Under a
-memo it looks each step up by (input identity, step), so a suffix image
-such as g^-k(P) is computed once and reused by every later walk that
-passes through it.  There are two lifetimes:
+memo it looks up each step of the chain's first two runs from its root,
+a run being a maximal block of one repeated (atom, direction) step, by
+(input identity, step).  So a suffix image such as g^-k(P) or
+f^j∘g^-k(P) is computed once and reused by every later walk that passes
+through it.  The steps past the second run are applied plainly, and
+their images are filed nowhere.  There are two lifetimes:
 
 * the run memo, which ``picard_solve`` and ``negative_iterates_bound``
   open for one call (a nested call shares the outer memo).  Picard iterates
   h_n = f^n∘h0∘g^-n share long right-hand suffixes, and every walk of a
   run starts from the top sample table P.  The boundedness probe walks
   the orbits g^-k(P) and g^k(P) first, so the steps' residuals and
-  observations find them filed.  The increments' chains
-  f^{n+1}∘g^-1∘f^-n meet g^-1 on a new root f^-n(P) per step, which each
-  step walks for itself.  Every walk of the run, from any root array,
-  goes through the memo, with one exception: the probe applies the
-  leading runs of f or f^-1 of its iterates to a stack of its own, and
-  files none of those images, since no other walk starts from them.  The
-  memo's images are dropped when the run ends, so the orbits of a
-  finished run do not stay resident.
+  observations find them filed.  With h0 g or the identity, every image
+  a run reads again is a two-run word f^a∘g^b(P): the probe's orbits,
+  f^-k(P) and f^-k∘g(P), and the residuals' f^k∘g^-m(P).  The premetric
+  differences f^{n+1}∘g^-1∘f^-n, g^n∘f^-1∘g^-(n-1) and g^n∘f^-(n+1)∘g
+  have a third run, which starts on a new root per step that no later
+  walk meets, so none of its images is filed.  Every walk of the run,
+  from any root array, goes through the memo, with one exception: the
+  probe applies the leading runs of f or f^-1 of its iterates to a stack
+  of its own, and files none of those images, since no other walk starts
+  from them.  The memo's images are dropped when the run ends, so the
+  orbits of a finished run do not stay resident.
 * the process memo, through which :func:`_on_table`, the one walk of a
   map over the top table P, walks while no run memo is open.  Premetrics
   that share a factor g then compute g^-1(P) and g(P) once.  P is a
@@ -40,11 +46,12 @@ passes through it.  There are two lifetimes:
 An entry holds its input and its step, so no other array or atom can take
 over that identity while the entry lives.  A cached image is the same atom
 call that an uncached walk makes, so every number is bit for bit what it
-would be without a memo.  Each memo keeps at most ``_MEMO_BYTES`` of
-images, least recently used out first; an evicted image is recomputed by
-the same calls, so eviction changes no number either.  Cached images are
-shared, so they are read-only; atoms must not write to their input.  The
-memos are not locked: the package is single-threaded.
+would be without a memo.  Each walk renews the entries of its first two
+runs, and each memo keeps at most ``_MEMO_BYTES`` of images, least
+recently used out first; an evicted image, like an image past the second
+run, is recomputed by the same calls, so neither changes a number.
+Cached images are shared, so they are read-only; atoms must not write to
+their input.  The memos are not locked: the package is single-threaded.
 
 Table geometry.  Two cache rules hold in the package.  Data derived from
 a sample table is cached with ``functools.lru_cache``, keyed by value:
@@ -161,11 +168,12 @@ def _apply(step: tuple, pts: np.ndarray) -> np.ndarray:
     return atom.fwd(pts) if direction > 0 else atom.inv(pts)
 
 
-# Bytes of arrays a chain memo keeps alive.  A Picard step adds a few
-# images per step already taken, so an unbounded memo grows with the
-# square of the step count: 126 MiB at 100 steps and 493 MiB at 200 on
-# the 607-row default table of the half line.  Under this bound a
-# 400-step run on that table still reuses every orbit image it walks.
+# Bytes of arrays a chain memo keeps alive.  A Picard step files the
+# images f^j∘g^-m(P) of its residual for each j up to the step count, so
+# an unbounded memo grows with the square of the step count: 27.6 MiB at
+# 100 steps and 101 MiB at 200 on the 607-row window-8 table of the half
+# line (contraction_pair at eta 0.5, h0 = g).  Under this bound a 400-step
+# run on that table still reuses every orbit image it walks.
 _MEMO_BYTES = 64 << 20
 
 
@@ -173,10 +181,11 @@ class _ChainMemo:
     """Step images keyed by (id(input), step), least recently used out first.
 
     An entry maps its key to (input, image); holding the input keeps its
-    identity from being reused while the entry lives.  Every walk renews
-    its entries deepest first, so an entry is newer than every entry keyed
-    on its image, and the oldest entry's image is the input of no live
-    entry: evicting it never strands another.
+    identity from being reused while the entry lives.  A walk files only
+    the images of its chain's first two runs (see :meth:`forward`).  Every
+    walk renews those entries deepest first, so an entry is newer than
+    every entry keyed on its image, and the oldest entry's image is the
+    input of no live entry: evicting it never strands another.
     """
 
     def __init__(self):
@@ -184,9 +193,19 @@ class _ChainMemo:
         self.nbytes = 0
 
     def forward(self, chain: tuple, out: np.ndarray) -> np.ndarray:
-        """chain(out), filing each missing step image."""
+        """chain(out), filing each missing step image of the chain's first
+        two runs from its root; the steps past them are applied plainly.
+
+        A run is a maximal block of one repeated (atom, direction) step.
+        The images a walk reads again are two-run words f^a∘g^b(P) of the
+        root; a third run, as in the premetric difference
+        f^{n+1}∘g^-1∘f^-n, sits on a root no later walk meets.
+        """
+        steps = chain[::-1]
+        starts = [k for k in range(1, len(steps)) if steps[k] != steps[k - 1]]
+        filed = starts[1] if len(starts) > 1 else len(steps)
         keys = []
-        for step in reversed(chain):
+        for step in steps[:filed]:
             key = (id(out), step)
             entry = self.entries.get(key)
             if entry is None:
@@ -201,6 +220,8 @@ class _ChainMemo:
             self.entries.move_to_end(key)
         while self.nbytes > _MEMO_BYTES:
             self.nbytes -= self.entries.popitem(last=False)[1][1].nbytes
+        for step in steps[filed:]:
+            out = _apply(step, out)
         return out
 
 

@@ -834,3 +834,33 @@ def test_strided_subset_keeps_at_most_cap_ordered_pairs():
             if side * side == cap and n * n > cap:
                 np.testing.assert_array_equal(
                     kept, np.arange(0, n, int(np.ceil(n / np.sqrt(cap)))))
+
+
+def test_a_least_value_of_zero_fails_with_margin_plus_zero(half_dom,
+                                                           table_caches):
+    # r(u) = max(u - 1, 0) is exactly 0 on (0, 1], so r_positive_off_origin
+    # fails with a least value of 0.  Its margin is +0.0: -min gave -0.0,
+    # which reads equal to the 0.0 of a clean pass
+    growth, _, cross, _ = builtin_triple("linear_plus", half_dom)
+    r = RadialFn(eval=lambda u: np.maximum(np.asarray(u, float) - 1.0, 0.0))
+    rep = validate_scale_pair(growth, r, cross, SampleScheme(window_radius=8.0))
+    check = next(c for c in rep.checks if c.name == "r_positive_off_origin")
+    assert not check.passed and check.witness is not None
+    margins = [check.margin, rep.margin_of("r_positive_off_origin"),
+               next(c["margin"] for c in rep.as_dict()["checks"]
+                    if c["name"] == check.name)]
+    assert [math.copysign(1.0, m) for m in margins] == [1.0] * 3
+    assert margins == [0.0] * 3
+
+
+@pytest.mark.parametrize("vals, passed, margin", [
+    ([0.0, 1.0], False, 0.0), ([-0.0, 1.0], False, 0.0),
+    ([-2.5, 1.0], False, 2.5), ([0.5, 1.0], True, 0.0),
+    ([np.nan, 1.0], False, np.nan), ([], True, 0.0)])
+def test_positive_check_margins(vals, passed, margin):
+    # the margin is max(0, 0 - min): the bits of -min wherever min < 0 or
+    # is -0.0 or NaN, and +0.0 both where min > 0 and where min is +0.0
+    vals = np.array(vals)
+    check = _positive_check("x", vals, np.arange(vals.size, dtype=float))
+    assert check.passed is passed
+    assert float(check.margin).hex() == float(margin).hex()

@@ -9,6 +9,7 @@ from homconj import (
     EstimateContext,
     EvaluationError,
     Gauge,
+    Homeo,
     RadialFn,
     SampleScheme,
     ball_inside_ball_radius,
@@ -111,21 +112,72 @@ def _iterates(half_dom, n):
 
 
 def test_chain_memo_walks_each_suffix_once(half_dom):
+    # h_k = f^k∘h0∘g^-k has three runs from its root: g^-k, h0 and f^k.
+    # The images of the first two are filed and shared; the f^k run is
+    # applied afresh on each walk, with the bits of the plain walk
     pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
     hs, calls = _iterates(half_dom, 8)
     plain = [h.forward(pts) for h in hs]
     assert len(calls) == sum(range(1, 9))
     assert all(p.flags.writeable for p in plain)
+    heads = [Homeo(half_dom, h.chain[k:]) for k, h in enumerate(hs, 1)]
+    orbits = [Homeo(half_dom, head.chain[1:]) for head in heads]
     del calls[:]
     with _chain_memo():
         cached = [h.forward(pts) for h in hs]
         with _chain_memo():     # a nested memo is the outer one
             again = [h.forward(pts) for h in hs]
+            shared = [head.forward(pts) for head in heads]
+            orbit = [g_k.forward(pts) for g_k in orbits]
+            assert all(head.forward(pts) is s
+                       for head, s in zip(heads, shared))
+        filed = [image for _, image in homspace._MEMO.get().entries.values()]
     assert len(calls) == 8      # g^-k(pts) once for each k
-    for p, c, a in zip(plain, cached, again):
-        assert a is c and not c.flags.writeable
-        assert c.tobytes() == p.tobytes()
+    # g^-k(pts) and h0∘g^-k(pts) for each k, no image of an f^k run
+    assert {id(x) for x in filed} == {id(x) for x in shared + orbit}
+    assert len(filed) == 16
+    for p, c, a, s in zip(plain, cached, again, shared):
+        assert a is not c and c.flags.writeable
+        assert a.tobytes() == c.tobytes() == p.tobytes()
+        assert not s.flags.writeable
     assert hs[-1].forward(pts) is not hs[-1].forward(pts)
+
+
+def test_chain_memo_files_the_first_two_runs_only(half_dom):
+    # f∘g∘g∘h∘h∘h from its root: h^3, then g^2, then f.  The walk files
+    # the five images of its first two runs, walks f plainly, and a second
+    # walk calls only f again
+    pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
+    calls = []
+
+    def counted(name, c):
+        def fwd(p):
+            calls.append(name)
+            return c * p
+        return primitive(half_dom, fwd, lambda p: p / c, name)
+
+    f, g, h = counted("f", 0.5), counted("g", 2.0), counted("h", 3.0)
+    word = compose(f, compose(compose(g, g), compose(h, compose(h, h))))
+    assert len(word.chain) == 6
+    plain = word.forward(pts)
+    del calls[:]
+    with _chain_memo():
+        memo = homspace._MEMO.get()
+        first = word.forward(pts)
+        assert len(memo.entries) == 5
+        assert memo.nbytes == 5 * pts.nbytes
+        second = word.forward(pts)
+        assert len(memo.entries) == 5
+    assert calls == ["h", "h", "h", "g", "g", "f", "f"]
+    assert first is not second
+    assert first.tobytes() == second.tobytes() == plain.tobytes()
+    # a two-run word is filed whole, and its image shared
+    del calls[:]
+    with _chain_memo():
+        memo = homspace._MEMO.get()
+        head = compose(compose(g, g), compose(h, h))
+        assert head.forward(pts) is head.forward(pts)
+        assert len(memo.entries) == 4 and calls == ["h", "h", "g", "g"]
 
 
 def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
@@ -133,9 +185,10 @@ def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
     hs, calls = _iterates(half_dom, 12)
     plain = [h.forward(pts) for h in hs]
     del calls[:]
-    # room for 30 images: the longest walk needs 26, all twelve iterates
-    # together about 100, so the f-towers of old iterates are evicted
-    cap = 30 * pts.nbytes
+    # room for 18 images: the longest walk files 13 (g^-k(pts) for k up to
+    # 12 and h0∘g^-12(pts)), all twelve iterates together 24, so the h0
+    # images of old iterates are evicted
+    cap = 18 * pts.nbytes
     monkeypatch.setattr(homspace, "_MEMO_BYTES", cap)
     with _chain_memo():
         memo = homspace._MEMO.get()
@@ -148,6 +201,7 @@ def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
                 # images g^-k(pts) it passes through, and the least
                 # recently used image goes first, so none is recomputed
                 assert len(calls) == 12
+                assert len(memo.entries) == 18
 
 
 def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
