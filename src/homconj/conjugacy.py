@@ -206,13 +206,12 @@ class BoundReport:
 
 
 def _iterates(f: Homeo, g: Homeo, h0: Homeo):
-    """Yield (f^n∘h0∘g^-n, f^-n∘h0∘g^n) for n = 1, 2, ..."""
-    pos = neg = h0
-    f_inv, g_inv = invert(f), invert(g)
+    """Yield f^n∘h0∘g^-n for n = 1, 2, ...; the iterates f^-n∘h0∘g^n are
+    ``_iterates(invert(f), invert(g), h0)``."""
+    h, g_inv = h0, invert(g)
     while True:
-        pos = compose(compose(f, pos), g_inv)
-        neg = compose(compose(f_inv, neg), g)
-        yield pos, neg
+        h = compose(compose(f, h), g_inv)
+        yield h
 
 
 def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
@@ -237,9 +236,9 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rows = slice(None) if rows is None else rows
-    pos, neg = {0: h0}, {}
-    for n, (h_pos, h_neg) in zip(range(1, n_bnd + 1), _iterates(f, g, h0)):
-        pos[n], neg[-n] = h_pos, h_neg
+    pos = {0: h0, **dict(zip(range(1, n_bnd + 1), _iterates(f, g, h0)))}
+    neg = dict(zip(range(-1, -n_bnd - 1, -1),
+                   _iterates(invert(f), invert(g), h0)))
     with _chain_memo(), np.errstate(over="ignore", invalid="ignore"):
         norms = _lockstep_norms(pos, f, pts, rows)
         norms.update(_lockstep_norms(neg, invert(f), pts, rows))
@@ -479,7 +478,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     h = h0
     residual = np.nan
 
-    for n, (h_next, _), env_val in zip(range(n_max), _iterates(f, g, h0),
+    for n, h_next, env_val in zip(range(n_max), _iterates(f, g, h0),
                                        _envelope(1, constants.delta, C)):
         try:
             inc = constants.delta if n == 0 else premetric(

@@ -10,13 +10,16 @@ parts are always computed from the composed map, never combined from
 separate per-factor estimates, because separate estimates can both be
 infinite while the composition is the identity.
 
-Chain memos.  ``Homeo.forward`` walks a chain right to left.  Under a
-memo it looks up each step of the chain's first two runs from its root,
-a run being a maximal block of one repeated (atom, direction) step, by
-(input identity, step).  So a suffix image such as g^-k(P) or
-f^j∘g^-k(P) is computed once and reused by every later walk that passes
-through it.  The steps past the second run are applied plainly, and
-their images are filed nowhere.  There are two lifetimes:
+Chain memos.  ``Homeo.forward`` walks a chain right to left.  A run is a
+maximal block of one repeated (atom, direction) step, and a memo entry is
+one run: keyed by (root identity, step), it holds the images step^k(root)
+in order, for k up to the deepest walk so far.  Under a memo a walk looks
+up each of its chain's first two runs from its root once, reads a
+shallower image from the entry and computes only the deeper ones it is
+missing.  So a suffix image such as g^-k(P) or f^j∘g^-k(P) is computed
+once and reused by every later walk that passes through it.  The steps
+past the second run are applied plainly, and their images are filed
+nowhere.  There are two lifetimes:
 
 * the run memo, which ``picard_solve`` and ``negative_iterates_bound``
   open for one call (a nested call shares the outer memo).  Picard iterates
@@ -43,13 +46,14 @@ their images are filed nowhere.  There are two lifetimes:
   writable array or a read-only view of one included, could change under
   the cache.
 
-An entry holds its input and its step, so no other array or atom can take
+An entry holds its root and its step, so no other array or atom can take
 over that identity while the entry lives.  A cached image is the same atom
 call that an uncached walk makes, so every number is bit for bit what it
 would be without a memo.  Each walk renews the entries of its first two
 runs, and each memo keeps at most ``_MEMO_BYTES`` of images, least
-recently used out first; an evicted image, like an image past the second
-run, is recomputed by the same calls, so neither changes a number.
+recently used run out first, whole; an evicted image, like an image past
+the second run, is recomputed by the same calls, so neither changes a
+number.
 Cached images are shared, so they are read-only; atoms must not write to
 their input.  The memos are not locked: the package is single-threaded.
 
@@ -168,7 +172,8 @@ def _apply(step: tuple, pts: np.ndarray) -> np.ndarray:
     return atom.fwd(pts) if direction > 0 else atom.inv(pts)
 
 
-# Bytes of arrays a chain memo keeps alive.  A Picard step files the
+# Bytes of images a chain memo keeps alive, summed over its runs; past it
+# the least recently used run is dropped whole.  A Picard step files the
 # images f^j∘g^-m(P) of its residual for each j up to the step count, so
 # an unbounded memo grows with the square of the step count: 27.6 MiB at
 # 100 steps and 101 MiB at 200 on the 607-row window-8 table of the half
@@ -178,49 +183,57 @@ _MEMO_BYTES = 64 << 20
 
 
 class _ChainMemo:
-    """Step images keyed by (id(input), step), least recently used out first.
+    """Run images keyed by (id(root), step), least recently used out first.
 
-    An entry maps its key to (input, image); holding the input keeps its
-    identity from being reused while the entry lives.  A walk files only
-    the images of its chain's first two runs (see :meth:`forward`).  Every
-    walk renews those entries deepest first, so an entry is newer than
-    every entry keyed on its image, and the oldest entry's image is the
-    input of no live entry: evicting it never strands another.
+    An entry is one run: the tuple (root, step(root), step^2(root), ...),
+    so entry[k] = step^k(root); holding the root keeps its identity from
+    being reused while the entry lives.  A walk files only its chain's
+    first two runs (see :meth:`forward`) and renews the second run's entry
+    before the first's, so an entry is newer than every entry rooted on one
+    of its images, and the oldest entry's images are the root of no live
+    entry: evicting it, a whole run at once, never strands another.
     """
 
     def __init__(self):
-        self.entries = OrderedDict()    # (id(input), step) -> (input, image)
+        self.entries = OrderedDict()    # (id(root), step) -> (root, *images)
         self.nbytes = 0
 
     def forward(self, chain: tuple, out: np.ndarray) -> np.ndarray:
-        """chain(out), filing each missing step image of the chain's first
-        two runs from its root; the steps past them are applied plainly.
+        """chain(out), looking up each of the chain's first two runs from
+        its root once and filing the images of the run that its entry is
+        missing; the steps past the two runs are applied plainly.
 
         A run is a maximal block of one repeated (atom, direction) step.
         The images a walk reads again are two-run words f^a∘g^b(P) of the
         root; a third run, as in the premetric difference
         f^{n+1}∘g^-1∘f^-n, sits on a root no later walk meets.
         """
-        steps = chain[::-1]
-        starts = [k for k in range(1, len(steps)) if steps[k] != steps[k - 1]]
-        filed = starts[1] if len(starts) > 1 else len(steps)
-        keys = []
-        for step in steps[:filed]:
-            key = (id(out), step)
-            entry = self.entries.get(key)
-            if entry is None:
-                # a read-only view: never freeze an array an atom hands back
-                image = _apply(step, out).view()
-                image.flags.writeable = False
-                entry = self.entries[key] = (out, image)
-                self.nbytes += image.nbytes
-            out = entry[1]
+        end, keys = len(chain), []
+        while end and len(keys) < 2:
+            step, start = chain[end - 1], end - 1
+            while start and chain[start - 1] == step:
+                start -= 1
+            key, length = (id(out), step), end - start
+            entry = self.entries.get(key, (out,))
+            if len(entry) <= length:
+                run = list(entry)
+                while len(run) <= length:
+                    # a read-only view: never freeze an array an atom
+                    # hands back
+                    image = _apply(step, run[-1]).view()
+                    image.flags.writeable = False
+                    run.append(image)
+                    self.nbytes += image.nbytes
+                entry = self.entries[key] = tuple(run)
+            out = entry[length]
             keys.append(key)
+            end = start
         for key in reversed(keys):
             self.entries.move_to_end(key)
         while self.nbytes > _MEMO_BYTES:
-            self.nbytes -= self.entries.popitem(last=False)[1][1].nbytes
-        for step in steps[filed:]:
+            run = self.entries.popitem(last=False)[1]
+            self.nbytes -= sum(image.nbytes for image in run[1:])
+        for step in reversed(chain[:end]):
             out = _apply(step, out)
         return out
 
@@ -261,13 +274,12 @@ def compose(f: Homeo, g: Homeo) -> Homeo:
     if f.domain != g.domain:
         raise DomainMismatchError(
             f"cannot compose maps on different domains: {f.label} / {g.label}")
-    left = list(f.chain)
-    right = list(g.chain)
-    while left and right and left[-1][0] is right[0][0] \
-            and left[-1][1] == -right[0][1]:
-        left.pop()
-        right.pop(0)
-    chain = tuple(left) + tuple(right)
+    left, right = f.chain, g.chain
+    k, most = 0, min(len(left), len(right))
+    while k < most and left[-1 - k][0] is right[k][0] \
+            and left[-1 - k][1] == -right[k][1]:
+        k += 1
+    chain = left[:len(left) - k] + right[k:]
     label = f"{f.label}∘{g.label}" if chain else "id"
     if len(label) > 120:
         label = label[:117] + "..."

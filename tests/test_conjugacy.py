@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -529,6 +530,41 @@ def test_picard_memory_stays_below_the_filed_premetric_images(scheme,
     assert peak <= 5 * 2 ** 20
 
 
+def test_picard_solves_file_the_pinned_images(monkeypatch, process_memo,
+                                              table_caches):
+    # the three solves of one seed-1 picard_eta pass of the benchmark, each
+    # after its eigenvalue gate: the images their run memos and the process
+    # memo file, and the memo lookups of their walks, one per filed run
+    # walked.  Nothing is evicted: 4.3 MB is far below _MEMO_BYTES
+    lookups, memos = [], [process_memo]
+
+    class Counted(OrderedDict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    class Recorded(homspace._ChainMemo):
+        def __init__(self):
+            super().__init__()
+            self.entries = Counted()
+            memos.append(self)
+
+    monkeypatch.setattr(process_memo, "entries", Counted())
+    monkeypatch.setattr(homspace, "_ChainMemo", Recorded)
+    scheme = SampleScheme(window_radius=8.0, seed=1)
+    for eta in (0.1, 0.25, 0.5):
+        b = build_contraction_pair(eta)
+        est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi,
+                              r=b.r, cross=b.cross)
+        eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
+        res = picard_solve(b.f, b.g, b.g, PicardContext(
+            est=est, alpha=b.alpha, eigen_report=eigen))
+        assert res.converged
+    assert len(memos) == 4
+    assert sum(memo.nbytes for memo in memos) == 4_287_848
+    assert len(lookups) == 751
+
+
 def test_picard_walks_one_g_inverse_orbit_after_table_churn(monkeypatch,
                                                             table_caches):
     # the probe and the residuals read the top table from one record, so a
@@ -1034,17 +1070,18 @@ def test_picard_stops_as_undetermined_on_a_nan_increment(monkeypatch,
                           cross=bundle_025.cross,
                           tol=Tolerances(tol_conj=1e-300))
     ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=10)
-    # the boundedness probe walks the iterates first, then the step loop:
-    # in the last walk, walks[-1][k] is the iterate of step k
+    # the boundedness probe walks the iterates of n > 0 and of n < 0
+    # first, then the step loop: in the last walk, walks[-1][k] is the
+    # iterate of step k
     walks = []
     real_iterates = conjugacy_module._iterates
     real_premetric = conjugacy_module.premetric
 
     def recording_iterates(*args):
         walks.append([])
-        for pos, neg in real_iterates(*args):
-            walks[-1].append(pos)
-            yield pos, neg
+        for h in real_iterates(*args):
+            walks[-1].append(h)
+            yield h
 
     def premetric_undetermined_at_step_3(h1, *args):
         real = real_premetric(h1, *args)
@@ -1057,7 +1094,7 @@ def test_picard_stops_as_undetermined_on_a_nan_increment(monkeypatch,
     monkeypatch.setattr(conjugacy_module, "premetric",
                         premetric_undetermined_at_step_3)
     res = picard_solve(f, g, g, ctx)
-    assert len(walks) == 2
+    assert len(walks) == 3
     trace = res.trace
     assert trace.verdict == "undetermined"
     assert not res.converged and res.membership is None

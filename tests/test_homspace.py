@@ -92,9 +92,8 @@ def test_roundtrip_error_exact_inverse(half_dom):
 # chain memo
 # ===================================================================
 
-def _iterates(half_dom, n):
-    """h_k = f^k∘h0∘g^-k for k = 1..n, with a call counter on g's inverse."""
-    f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
+def _counted_g(half_dom):
+    """A bump map g whose inverse logs the rows of each call."""
     g = bump_member(half_dom, 3.0, 0.5, 0.2, "g")
     atom = g.chain[0][0]
     inverse, calls = atom.inv, []
@@ -104,11 +103,29 @@ def _iterates(half_dom, n):
         return inverse(p)
 
     atom.inv = counted
+    return g, calls
+
+
+def _iterates(half_dom, n):
+    """h_k = f^k∘h0∘g^-k for k = 1..n, with a call counter on g's inverse."""
+    f = bump_member(half_dom, 2.0, 1.0, 0.3, "f")
+    g, calls = _counted_g(half_dom)
     h, hs = bump_member(half_dom, 4.0, 1.0, 0.25, "h0"), []
     for _ in range(n):
         h = compose(compose(f, h), invert(g))
         hs.append(h)
     return hs, calls
+
+
+def _filed(memo) -> list:
+    """The images a chain memo holds, run by run, each run in step order."""
+    return [image for run in memo.entries.values() for image in run[1:]]
+
+
+def _same(xs, ys) -> bool:
+    """Whether xs and ys hold the same objects in the same order."""
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
 def test_chain_memo_walks_each_suffix_once(half_dom):
@@ -131,9 +148,17 @@ def test_chain_memo_walks_each_suffix_once(half_dom):
             orbit = [g_k.forward(pts) for g_k in orbits]
             assert all(head.forward(pts) is s
                        for head, s in zip(heads, shared))
-        filed = [image for _, image in homspace._MEMO.get().entries.values()]
+        memo = homspace._MEMO.get()
     assert len(calls) == 8      # g^-k(pts) once for each k
+    # one entry per run: the orbit g^-k(pts) for k up to 8, whose images
+    # are the orbit walks' own, and the h0 run on each of its images
+    *h0_runs, orbit_run = memo.entries.values()
+    assert orbit_run[0] is pts
+    assert _same(orbit_run[1:], orbit)
+    assert all(_same(run, (orbit_run[k], shared[k - 1]))
+               for k, run in enumerate(h0_runs, 1))
     # g^-k(pts) and h0∘g^-k(pts) for each k, no image of an f^k run
+    filed = _filed(memo)
     assert {id(x) for x in filed} == {id(x) for x in shared + orbit}
     assert len(filed) == 16
     for p, c, a, s in zip(plain, cached, again, shared):
@@ -145,8 +170,8 @@ def test_chain_memo_walks_each_suffix_once(half_dom):
 
 def test_chain_memo_files_the_first_two_runs_only(half_dom):
     # f∘g∘g∘h∘h∘h from its root: h^3, then g^2, then f.  The walk files
-    # the five images of its first two runs, walks f plainly, and a second
-    # walk calls only f again
+    # its first two runs, the five images of h^3 and g^2, as two entries,
+    # walks f plainly, and a second walk calls only f again
     pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
     calls = []
 
@@ -164,10 +189,14 @@ def test_chain_memo_files_the_first_two_runs_only(half_dom):
     with _chain_memo():
         memo = homspace._MEMO.get()
         first = word.forward(pts)
-        assert len(memo.entries) == 5
+        # the second run is renewed first, so it is the older entry
+        g_run, h_run = memo.entries.values()
+        assert h_run[0] is pts and len(h_run) == 4
+        assert g_run[0] is h_run[3] and len(g_run) == 3
         assert memo.nbytes == 5 * pts.nbytes
         second = word.forward(pts)
-        assert len(memo.entries) == 5
+        assert _same(memo.entries.values(), (g_run, h_run))
+        assert memo.nbytes == 5 * pts.nbytes
     assert calls == ["h", "h", "h", "g", "g", "f", "f"]
     assert first is not second
     assert first.tobytes() == second.tobytes() == plain.tobytes()
@@ -177,7 +206,34 @@ def test_chain_memo_files_the_first_two_runs_only(half_dom):
         memo = homspace._MEMO.get()
         head = compose(compose(g, g), compose(h, h))
         assert head.forward(pts) is head.forward(pts)
-        assert len(memo.entries) == 4 and calls == ["h", "h", "g", "g"]
+        assert len(memo.entries) == 2 and calls == ["h", "h", "g", "g"]
+        assert len(_filed(memo)) == 4
+
+
+def test_chain_memo_reads_and_extends_a_filed_run(half_dom):
+    # one entry holds the run g^-k(P) for k up to the deepest walk: after
+    # g^-5(P) the shallower g^-3(P) is its filed image, read with no atom
+    # call, and g^-7(P) extends it by the two images it is missing
+    pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
+    g, calls = _counted_g(half_dom)
+
+    def g_inv(k):
+        return Homeo(half_dom, invert(g).chain * k)
+
+    with _chain_memo():
+        memo = homspace._MEMO.get()
+        five = g_inv(5).forward(pts)
+        assert len(calls) == 5
+        run, = memo.entries.values()
+        assert run[0] is pts and run[5] is five
+        assert g_inv(3).forward(pts) is run[3]
+        assert len(calls) == 5
+        seven = g_inv(7).forward(pts)
+        assert len(calls) == 7
+        longer, = memo.entries.values()
+        assert _same(longer, run + (longer[6], seven))
+        assert memo.nbytes == 7 * pts.nbytes
+    assert seven.tobytes() == g_inv(7).forward(pts).tobytes()
 
 
 def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
@@ -187,7 +243,7 @@ def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
     del calls[:]
     # room for 18 images: the longest walk files 13 (g^-k(pts) for k up to
     # 12 and h0∘g^-12(pts)), all twelve iterates together 24, so the h0
-    # images of old iterates are evicted
+    # runs of old iterates are evicted
     cap = 18 * pts.nbytes
     monkeypatch.setattr(homspace, "_MEMO_BYTES", cap)
     with _chain_memo():
@@ -198,28 +254,44 @@ def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
                 assert memo.nbytes <= cap
             if rep == 0:
                 # walked in Picard order, each iterate renews the orbit
-                # images g^-k(pts) it passes through, and the least
-                # recently used image goes first, so none is recomputed
+                # run g^-k(pts) after its h0 run, so the orbit is the
+                # newest entry and the oldest h0 runs go first, whole: none
+                # of the orbit is recomputed
                 assert len(calls) == 12
-                assert len(memo.entries) == 18
+                *h0_runs, orbit = memo.entries.values()
+                assert orbit[0] is pts and len(orbit) == 13
+                assert _same((run[0] for run in h0_runs), orbit[7:])
+                assert memo.nbytes == cap
 
 
 def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
         half_dom, monkeypatch):
+    # at 5 images the orbit run outgrows the bound and is evicted whole
+    # with the h0 runs on it; at 14 it stays, and only h0 runs go
     pts = sample_points(half_dom, SampleScheme(window_radius=4.0))
-    hs, _ = _iterates(half_dom, 12)
-    monkeypatch.setattr(homspace, "_MEMO_BYTES", 5 * pts.nbytes)
-    with _chain_memo():
-        memo = homspace._MEMO.get()
-        for _ in range(2):
-            for h in hs:
-                h.forward(pts)
-                live = memo.entries.values()
-                images = {id(image) for _, image in live}
-                # every live entry can still be reached from the root
-                assert all(x is pts or id(x) in images for x, _ in live)
-                assert memo.nbytes == sum(image.nbytes for _, image in live)
-                assert memo.nbytes <= 5 * pts.nbytes
+    hs, calls = _iterates(half_dom, 12)
+    for images in (5, 14):
+        del calls[:]
+        cap = images * pts.nbytes
+        monkeypatch.setattr(homspace, "_MEMO_BYTES", cap)
+        with _chain_memo():
+            memo = homspace._MEMO.get()
+            for _ in range(2):
+                for h in hs:
+                    h.forward(pts)
+                    live = memo.entries.values()
+                    filed = {id(image) for image in _filed(memo)}
+                    # every live entry can still be reached from the root
+                    assert all(run[0] is pts or id(run[0]) in filed
+                               for run in live)
+                    assert memo.nbytes == sum(image.nbytes
+                                              for image in _filed(memo))
+                    assert memo.nbytes <= cap
+        # at 14 images the orbit g^-k(pts) is walked once; at 5 it grows
+        # step by step to g^-6 and is evicted, so each later iterate of a
+        # pass walks its g^-k afresh
+        assert len(calls) == (12 if images == 14
+                              else 2 * (6 + sum(range(7, 13))))
 
 
 def test_process_memo_caches_sample_tables_only(half_dom, sqrt_triple,
@@ -242,14 +314,15 @@ def test_process_memo_caches_sample_tables_only(half_dom, sqrt_triple,
     table = doubling_sample_sets(half_dom, scheme_fast)[-1][1]
     assert f.forward(table) is not f.forward(table)
     assert not process_memo.entries
-    # two displacements of f share f(P)
+    # two displacements of f share f(P), the one image of a one-step run
     first = displacement(f, phi, r, scheme_fast)
-    assert len(process_memo.entries) == 1
-    (held, image), = process_memo.entries.values()
-    assert held is table
-    assert homspace._on_table(f, phi, scheme_fast)[1] is image
+    run, = process_memo.entries.values()
+    assert run[0] is table and len(run) == 2
+    assert homspace._on_table(f, phi, scheme_fast)[1] is run[1]
+    assert not run[1].flags.writeable
+    assert process_memo.nbytes == run[1].nbytes
     assert _bits(displacement(f, phi, r, scheme_fast)) == _bits(first)
-    assert len(process_memo.entries) == 1
+    assert list(process_memo.entries.values()) == [run]
 
 
 def _pool_premetrics(domain, triple, scheme):
@@ -304,9 +377,11 @@ def test_process_memo_stays_within_its_bound(half_dom, sqrt_triple,
     for f in pool:
         for g in pool:
             premetric(f, g, phi, r, scheme_fast)
-            live = process_memo.entries.values()
-            assert process_memo.nbytes == sum(im.nbytes for _, im in live)
+            filed = _filed(process_memo)
+            assert process_memo.nbytes == sum(im.nbytes for im in filed)
             assert process_memo.nbytes <= cap
+            # each chain is two one-step runs, filed as two entries
+            assert all(len(run) == 2 for run in process_memo.entries.values())
     # 30 pairs walk two chains of two steps each, so most images were evicted
     assert process_memo.nbytes == cap
 
