@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
@@ -22,7 +25,8 @@ from homconj import cli
 from homconj.families import FAMILIES
 from homconj.funcspace import Tolerances
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -459,6 +463,25 @@ def test_validate_good_and_bad(tmp_path, capsys):
     broken.write_text("{oops")
     assert main(["validate", str(broken)]) == 2
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
+
+
+def test_the_module_entry_point_passes_on_the_exit_code(tmp_path):
+    # `python -m homconj.cli` reaches main only through the module's
+    # __main__ block, which the in-process calls above never run
+    payload = fk_sweep_payload()
+    payload["extra"] = True
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def validate(path):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "homconj.cli", "validate",
+             str(path)], env=env, capture_output=True, text=True, timeout=60)
+
+    good = validate(CONFIG_DIR / "contraction_pair.json")
+    assert good.returncode == 0, good.stderr
+    assert "config valid" in good.stdout
+    bad = validate(write_cfg(tmp_path, payload, "bad.json"))
+    assert bad.returncode == 2, bad.stderr
 
 
 def test_report_summarizes_run(tmp_path, capsys):

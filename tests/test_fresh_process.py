@@ -12,11 +12,13 @@ operation, in operation order, with every float as ``float.hex``:
 
 The kinds are ``premetric`` (the 400 ``premetric_pool`` pairs),
 ``picard`` (the 3 ``picard_eta`` solves, each with its scale-pair and
-gauge reports), ``configs`` (the 8 bundled configs through ``cli.main``;
-they carry their own seeds, so SEED is not read) and ``lozi`` (the 8
-``lozi_membership`` configs that ``ConfigSuite(SEED)`` generates).  Under
-pytest, ``test_results_do_not_depend_on_call_order`` runs a kind forward
-and reversed, each in a fresh process, and compares the two outputs;
+gauge reports), ``configs`` (the 8 bundled configs through ``cli.main``
+``validate``, ``run`` and ``report``; they carry their own seeds, so SEED
+is not read) and ``lozi`` (the same for the 8 ``lozi_membership`` configs
+that ``ConfigSuite(SEED)`` generates).  Under pytest,
+``test_results_do_not_depend_on_call_order`` runs a kind forward and
+reversed, each in a fresh process, compares the two outputs and, for the
+two config kinds, requires every exit code to be 0;
 ``test_traced_pass_keeps_its_counts`` runs one traced ``bench/worker.py``
 pass per workload and compares its counts with ``counts.json``.  A change
 that moves a count edits ``counts.json`` and says why in CHANGES.md.
@@ -121,21 +123,24 @@ def _picard(seed: int, reverse: bool, tmp: Path) -> list:
 
 
 def _cli_runs(paths: list, reverse: bool, tmp: Path) -> list:
-    """Each config through ``cli.main run``: its exit code, its results
-    and its results.csv and trace.csv, as one JSON line."""
+    """Each config through ``cli.main`` ``validate``, ``run`` and
+    ``report``: the three exit codes, its results and its results.csv and
+    trace.csv, as one JSON line."""
     from homconj import cli
 
     def line(i):
         out = tmp / "runs" / paths[i].stem
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-            code = cli.main(["run", str(paths[i]), "--out", str(out)])
-        run, = out.iterdir()
+            exits = [cli.main(["validate", str(paths[i])]),
+                     cli.main(["run", str(paths[i]), "--out", str(out)])]
+            run, = out.iterdir()
+            exits.append(cli.main(["report", str(run)]))
         record = json.loads((run / "record.json").read_text())
         files = {name: (run / name).read_text()
                  for name in ("results.csv", "trace.csv")
                  if (run / name).exists()}
         return paths[i].stem + " " + json.dumps(
-            {"exit": code, "results": _hexed(record["results"]), **files},
+            {"exits": exits, "results": _hexed(record["results"]), **files},
             sort_keys=True)
 
     return _in_order(len(paths), reverse, line)
@@ -198,6 +203,11 @@ def test_results_do_not_depend_on_call_order(kind, seed):
     forward, reverse = (out.splitlines() for out, _ in outputs)
     assert len(forward) == OPERATIONS[kind]
     assert forward == reverse
+    if kind in ("configs", "lozi"):
+        # every config validates, runs and reports with exit 0
+        exits = {name: json.loads(rest)["exits"]
+                 for name, rest in (line.split(" ", 1) for line in forward)}
+        assert exits == {name: [0, 0, 0] for name in exits}
 
 
 @pytest.mark.parametrize("workload", sorted(COUNTS["workloads"]))
