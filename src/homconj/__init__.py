@@ -29,7 +29,6 @@ from .families import (
     FAMILIES,
     BumpSpec,
     ContractionPairBundle,
-    FamilySpec,
     build_contraction_pair,
     build_lozi,
     build_perturbed_linear,

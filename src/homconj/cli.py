@@ -44,12 +44,12 @@ from .conjugacy import (
 from .families import (
     FAMILIES,
     REQUIRED,
-    FamilySpec,
     Param,
     build_pure_linear,
 )
 from .funcspace import (
     BUILTIN_TRIPLE_NAMES,
+    QUASIRANDOM_MAX_DIM,
     Domain,
     SampleScheme,
     Tolerances,
@@ -91,15 +91,8 @@ class ConfigError(ValueError):
 # config parsing
 
 
-_TOP_KEYS = {
-    "schema": True,
-    "experiment": True,
-    "family": False,
-    "sampling": False,
-    "tolerances": False,
-    "output_dir": False,
-    "options": False,
-}
+_TOP_KEYS = ("schema", "experiment", "family", "sampling", "tolerances",
+             "options")
 
 def _check_keys(obj: dict, path: str, allowed, required=()):
     unknown = sorted(set(obj) - set(allowed))
@@ -177,6 +170,11 @@ def _typed(schema: dict, given, path: str) -> dict:
             raise ConfigError(
                 f"{path}.{key}: expected one of "
                 f"{', '.join(map(repr, param.choices))}, got {val!r}")
+        if param.check:
+            ok, problem = param.check
+            vals = out[key] if isinstance(out[key], list) else [out[key]]
+            if not all(map(ok, vals)):
+                raise ConfigError(f"{path}.{key}: {problem}")
     return out
 
 
@@ -198,11 +196,11 @@ def _call(fn: Callable, kwargs: dict, path: str):
 class RunConfig:
     raw: dict
     experiment: str
-    family: FamilySpec | None    # typed params, as given
+    family: str | None           # the family's name
+    params: dict | None          # its typed parameters, as given
     built: object                # the family's builder output, or None
     scheme: SampleScheme
     tol: Tolerances
-    output_dir: str | None
     options: dict                # typed, every option's default filled in
 
 
@@ -214,8 +212,7 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    _check_keys(raw, source, _TOP_KEYS,
-                [k for k, req in _TOP_KEYS.items() if req])
+    _check_keys(raw, source, _TOP_KEYS, ("schema", "experiment"))
 
     if _integer(raw["schema"], f"{source}.schema") != 1:
         raise ConfigError(f"{source}.schema: unsupported value {raw['schema']!r}"
@@ -227,7 +224,7 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
                           f"{experiment!r} (one of: {', '.join(EXPERIMENTS)})")
     exp = _EXPERIMENTS[experiment]
 
-    family = built = None
+    family = params = built = None
     if "family" in raw:
         if not exp.families:
             raise ConfigError(f"{source}.family: {experiment} takes no family")
@@ -235,19 +232,19 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
         if not isinstance(fam, dict):
             raise ConfigError(f"{source}.family: expected an object")
         _check_keys(fam, f"{source}.family", ("name", "params"), ("name",))
-        name = _string(fam["name"], f"{source}.family.name")
-        if name not in FAMILIES:
+        family = _string(fam["name"], f"{source}.family.name")
+        if family not in FAMILIES:
             raise ConfigError(
-                f"{source}.family.name: unknown family {name!r} "
+                f"{source}.family.name: unknown family {family!r} "
                 f"(one of: {', '.join(sorted(FAMILIES))})")
-        if name not in exp.families:
+        if family not in exp.families:
             raise ConfigError(
                 f"{source}.family.name: experiment {experiment!r} needs "
-                f"family {' or '.join(map(repr, exp.families))}, got {name!r}")
+                f"family {' or '.join(map(repr, exp.families))}, "
+                f"got {family!r}")
         path = f"{source}.family.params"
-        family = FamilySpec(family=name, params=_typed(
-            FAMILIES[name].params, fam.get("params", {}), path))
-        built = _call(FAMILIES[name].builder, family.params, path)
+        params = _typed(FAMILIES[family].params, fam.get("params", {}), path)
+        built = _call(FAMILIES[family].builder, params, path)
     elif exp.families:
         raise ConfigError(f"{source}: experiment {experiment!r} needs a family")
 
@@ -260,21 +257,16 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
     tol = _call(Tolerances, _typed(read, raw.get("tolerances", {}), path),
                 path)
 
-    output_dir = None
-    if "output_dir" in raw:
-        output_dir = _string(raw["output_dir"], f"{source}.output_dir")
-
     options = {k: p.default for k, p in exp.options.items()}
     options.update(_typed(exp.options, raw.get("options", {}),
                           f"{source}.options"))
 
     cfg = RunConfig(raw=raw, experiment=experiment, family=family,
-                    built=built, scheme=scheme, tol=tol,
-                    output_dir=output_dir, options=options)
-    for violated, problem in exp.checks:
-        if violated(cfg):
-            if callable(problem):
-                problem = problem(cfg)
+                    params=params, built=built, scheme=scheme, tol=tol,
+                    options=options)
+    for check in exp.checks:
+        problem = check(cfg)
+        if problem:
             raise ConfigError(f"{source}.{problem}")
     return cfg
 
@@ -294,7 +286,7 @@ def load_config(path: str) -> RunConfig:
 
 def _is_pair(cfg: RunConfig) -> bool:
     # contraction_pair brings its own f, g, gauge and alpha
-    return cfg.family.family == "contraction_pair"
+    return cfg.family == "contraction_pair"
 
 
 def _given(cfg: RunConfig, option: str) -> bool:
@@ -309,7 +301,7 @@ def _given(cfg: RunConfig, option: str) -> bool:
 class Outcome:
     exit_code: int
     results: dict
-    trace_rows: tuple | None = None
+    trace_rows: tuple | None = None      # rows of TRACE_COLUMNS
     results_rows: tuple | None = None    # (header, rows)
     warnings: tuple = ()
 
@@ -346,7 +338,6 @@ def _exp_validate(cfg: RunConfig) -> Outcome:
                                cfg.tol)
     passed = scale_rep.passed and gauge_rep.passed
     results = {
-        "family": cfg.family.family,
         "scale_pair": scale_rep.as_dict(),
         "gauge": gauge_rep.as_dict(),
         "passed": passed,
@@ -365,9 +356,8 @@ def _exp_eigen_check(cfg: RunConfig) -> Outcome:
     else:
         f, g = cfg.built, None
     rep = check_p_alpha(f, g, phi, r, alpha, cfg.scheme, cfg.tol)
-    results = {"family": cfg.family.family, "eigen": _fields(rep)}
-    return Outcome(exit_code=0 if rep.satisfied else 2, results=results,
-                   warnings=warnings)
+    return Outcome(exit_code=0 if rep.satisfied else 2,
+                   results={"eigen": _fields(rep)}, warnings=warnings)
 
 
 def _exp_picard(cfg: RunConfig) -> Outcome:
@@ -382,10 +372,9 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
                          n_bnd=opts["n_bnd"])
     res = picard_solve(bundle.f, bundle.g, h0, pctx)
     tr = res.trace
-    trace_rows = tuple({c: getattr(s, c) for c in TRACE_COLUMNS}
+    trace_rows = tuple([getattr(s, c) for c in TRACE_COLUMNS]
                        for s in tr.steps)
     results = {
-        "family": cfg.family.family,
         "eta": bundle.eta,
         "alpha": alpha,
         "h0": opts["h0"],
@@ -417,8 +406,7 @@ def _exp_lozi_membership(cfg: RunConfig) -> Outcome:
         coeff = koopman_lambda(verdict.forward.value, phi, cross)
     pts = doubling_sample_sets(mp.domain, cfg.scheme)[0][1]
     results = {
-        "family": cfg.family.family,
-        "params": dict(cfg.family.params),
+        "params": dict(cfg.params),
         "verdict": verdict.verdict,
         "displacement_forward": _displacement_dict(verdict.forward),
         "displacement_inverse": _displacement_dict(verdict.inverse),
@@ -436,7 +424,7 @@ def _exp_koenigs(cfg: RunConfig) -> Outcome:
     if _is_pair(cfg):
         mp, multiplier = getattr(cfg.built, opts["use"]), cfg.built.eta
     else:
-        mp, multiplier = cfg.built, cfg.family.params["scale"]
+        mp, multiplier = cfg.built, cfg.params["scale"]
     if opts["multiplier"] is not None:
         multiplier = opts["multiplier"]
     try:
@@ -444,17 +432,15 @@ def _exp_koenigs(cfg: RunConfig) -> Outcome:
             mp, np.zeros(mp.domain.dim), multiplier, cfg.scheme,
             n_max=opts["n_max"], tol=cfg.tol)
     except ConvergenceError as e:
-        return Outcome(exit_code=2, results={
-            "family": cfg.family.family, "converged": False,
-            "reason": str(e)})
-    return Outcome(exit_code=0, results={
-        "family": cfg.family.family, "multiplier": multiplier,
-        **_fields(rep)})
+        return Outcome(exit_code=2, results={"converged": False,
+                                             "reason": str(e)})
+    return Outcome(exit_code=0,
+                   results={"multiplier": multiplier, **_fields(rep)})
 
 
 def _exp_abel(cfg: RunConfig) -> Outcome:
     """Abel equation for log|x| / log(scale) on the box minus a ball."""
-    scale = cfg.family.params["scale"]
+    scale = cfg.params["scale"]
     domain = Domain(dim=1, region="box_minus_ball",
                     inner_radius=cfg.options["inner_radius"])
     mp = build_pure_linear(scale, domain)
@@ -464,12 +450,12 @@ def _exp_abel(cfg: RunConfig) -> Outcome:
         return np.log(domain.norm_of(pts)) / log_scale
 
     rep = abel_check(mp, varphi, cfg.scheme)
-    results = {"family": cfg.family.family, "scale": scale, **_fields(rep)}
+    results = {"scale": scale, **_fields(rep)}
     if 0.0 < scale < 1.0:
         low = schroeder_functional_check(mp, cfg.scheme)
         results["log_margin"] = low.margin
         results["contraction_factor"] = low.contraction_factor
-    code = 0 if rep.residual <= cfg.options["residual_tol"] else 2
+    code = 0 if rep.residual <= _ABEL_RESIDUAL_TOL else 2
     return Outcome(exit_code=code, results=results)
 
 
@@ -480,33 +466,30 @@ def _exp_wandering(cfg: RunConfig) -> Outcome:
                           covering_radius=opts["covering_radius"],
                           nu=opts["nu"], n_max=opts["n_max"])
     return Outcome(exit_code=0 if rep.verdict == "wandering" else 2,
-                   results={"family": cfg.family.family, **_fields(rep)})
+                   results=_fields(rep))
 
 
 def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
     """Increment-envelope grid over (epsilon, C) at the taming threshold."""
     opts = cfg.options
-    header = ("epsilon", "C", "threshold_n", "a_m", "tail", "bound",
-              "max_envelope", "ok")
-    rows = []
     grid = []
-    all_ok = True
     for eps in opts["epsilons"]:
         for c in opts["Cs"]:
             n_star = envelope_threshold(eps, c)
             env = cauchy_envelope(m=n_star + 1, epsilon=eps, C=c,
                                   k_max=opts["k_max"])
             max_env = max(env.values)
-            ok = bool(max_env <= 2.0 * eps + cfg.tol.tau_env)
-            all_ok = all_ok and ok
-            entry = {"epsilon": eps, "C": c, "threshold_n": n_star,
-                     "a_m": env.a_m, "tail": env.tail, "bound": env.bound,
-                     "max_envelope": max_env, "ok": ok}
-            grid.append(entry)
-            rows.append([entry[h] for h in header])
-    results = {"grid": grid, "all_ok": all_ok}
-    return Outcome(exit_code=0 if all_ok else 2, results=results,
-                   results_rows=(header, rows))
+            grid.append({"epsilon": eps, "C": c, "threshold_n": n_star,
+                         "a_m": env.a_m, "tail": env.tail, "bound": env.bound,
+                         "max_envelope": max_env,
+                         "ok": bool(max_env <= 2.0 * eps + cfg.tol.tau_env)})
+    all_ok = all(entry["ok"] for entry in grid)
+    header = ("epsilon", "C", "threshold_n", "a_m", "tail", "bound",
+              "max_envelope", "ok")
+    return Outcome(exit_code=0 if all_ok else 2,
+                   results={"grid": grid, "all_ok": all_ok},
+                   results_rows=(header, [[entry[h] for h in header]
+                                          for entry in grid]))
 
 
 # ---------------------------------------------------------------------------
@@ -518,38 +501,45 @@ class Experiment:
     """Runner, allowed families, typed options and read tolerances.
 
     ``tolerances`` names the ``Tolerances`` fields the runner reads; a
-    config may set only those.  ``checks`` cover what the option types
-    cannot express.  They run at parse time, so the runner gets typed
-    values and re-checks nothing.  A problem is text, or a function of the
-    config that writes it.
+    config may set only those.  Each option's own range is its ``Param``'s
+    ``check``; ``checks`` hold the rules that span fields, each a function
+    of the config that returns the problem, or None.  All of them run at
+    parse time, so the runner gets typed values and re-checks nothing.
     """
 
     run: Callable[[RunConfig], Outcome]
     families: tuple
     options: dict                   # name -> Param
     tolerances: tuple
-    checks: tuple = ()              # (violated(cfg) -> bool, problem)
+    checks: tuple = ()              # cfg -> problem text or None
 
 
 def _default_of(fn: Callable, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-_OWN_GAUGE = (lambda c: _is_pair(c) and _given(c, "gauge"),
-              "options.gauge: contraction_pair carries its own gauge")
+# Option ranges.  These repeat the library's own range checks at parse
+# time, so a config that validates never fails them at run time.
+_ABOVE_ONE = (lambda a: a > 1.0, "must exceed 1")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
+_AT_LEAST_ZERO = (lambda n: n >= 0, "must be >= 0")
+_POSITIVE = (lambda r: r > 0.0, "must be positive")
+_IN_UNIT = (lambda m: 0.0 < m < 1.0, "must lie in (0, 1)")
 
 
-def _in_range(option: str, ok: Callable, expected: str) -> tuple:
-    """Check that a set option (every entry, for a list) satisfies ``ok``.
+def _own_gauge(cfg: RunConfig) -> str | None:
+    if _is_pair(cfg) and _given(cfg, "gauge"):
+        return "options.gauge: contraction_pair carries its own gauge"
+    return None
 
-    These repeat the library's own range checks at parse time, so a config
-    that validates never fails them at run time.
-    """
-    def violated(cfg: RunConfig) -> bool:
-        val = cfg.options[option]
-        vals = val if isinstance(val, (list, tuple)) else [val]
-        return val is not None and not all(ok(v) for v in vals)
-    return violated, f"options.{option}: {expected}"
+
+def _table_dim(cfg: RunConfig) -> str | None:
+    """Why the run cannot sample the family's tables, or None."""
+    dim = cfg.built.domain.dim
+    if dim > QUASIRANDOM_MAX_DIM and cfg.scheme.quasirandom_count > 0:
+        return (f"sampling.quasirandom_count: quasirandom sampling supports "
+                f"dim <= {QUASIRANDOM_MAX_DIM}, the family has dim {dim}")
+    return None
 
 
 def _untamed(cfg: RunConfig) -> str | None:
@@ -565,77 +555,81 @@ def _untamed(cfg: RunConfig) -> str | None:
     return None
 
 
-_ALPHA = _in_range("alpha", lambda a: a > 1.0, "must exceed 1")
-_N_MAX = _in_range("n_max", lambda n: n >= 1, "must be >= 1")
 # read by every estimate that classifies a window trace
 _GROWTH_TOL = ("tau_abs", "rel", "kappa_div")
+# the largest Abel residual that passes
+_ABEL_RESIDUAL_TOL = 1e-9
 
+# A config sets the dimension of perturbed_linear and translation.  Of the
+# experiments that take them, validate and eigen_check sample tables, so
+# they check it; wandering samples none.
 _EXPERIMENTS = {
     "validate": Experiment(_exp_validate, tuple(FAMILIES),
-                           {"gauge": _GAUGE}, ("tau_abs",), (_OWN_GAUGE,)),
+                           {"gauge": _GAUGE}, ("tau_abs",),
+                           (_own_gauge, _table_dim)),
     "eigen_check": Experiment(_exp_eigen_check, tuple(FAMILIES), {
         "alpha": Param("number", "gate exponent > 1; contraction_pair has "
-                       "its own, other families need one", None),
+                       "its own, other families need one", None,
+                       check=_ABOVE_ONE),
         "gauge": _GAUGE,
-    }, _GROWTH_TOL, (_OWN_GAUGE, _ALPHA,
-        (lambda c: not _is_pair(c) and c.options["alpha"] is None,
-         "options.alpha: required for eigen_check outside contraction_pair"))),
+    }, _GROWTH_TOL, (_own_gauge, _table_dim,
+        lambda c: None if _is_pair(c) or c.options["alpha"] is not None else
+            "options.alpha: required for eigen_check outside "
+            "contraction_pair")),
     "picard": Experiment(_exp_picard, ("contraction_pair",), {
         "alpha": Param("number", "gate exponent > 1; default: the family's",
-                       None),
+                       None, check=_ABOVE_ONE),
         "h0": Param("string", "initial map", "g", ("g", "identity")),
         "n_max": Param("integer", "step budget",
-                       _default_of(PicardContext, "n_max")),
+                       _default_of(PicardContext, "n_max"),
+                       check=_AT_LEAST_ONE),
         "n_bnd": Param("integer", "boundedness probe over |n| <= n_bnd",
-                       _default_of(PicardContext, "n_bnd")),
-    }, _GROWTH_TOL + ("tol_conj", "tau_env"), (_ALPHA, _N_MAX,
-        _in_range("n_bnd", lambda n: n >= 0, "must be >= 0"))),
+                       _default_of(PicardContext, "n_bnd"),
+                       check=_AT_LEAST_ZERO),
+    }, _GROWTH_TOL + ("tol_conj", "tau_env")),
     "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {},
                                   _GROWTH_TOL),
     "koenigs": Experiment(_exp_koenigs, ("contraction_pair", "pure_linear"), {
         "use": Param("string", "which contraction_pair map to linearize",
                      "g", ("f", "g")),
         "multiplier": Param("number", "in (0, 1); default: eta or scale",
-                            None),
+                            None, check=_IN_UNIT),
         "n_max": Param("integer", "step budget",
-                       _default_of(koenigs_eigenfunction, "n_max")),
-    }, ("tol_koenigs",), (_N_MAX,
-        _in_range("multiplier", lambda m: 0.0 < m < 1.0, "must lie in (0, 1)"),
-        (lambda c: not _is_pair(c) and _given(c, "use"),
-         "options.use: only contraction_pair has two maps to choose from"),
-        (lambda c: not (_is_pair(c) or 0.0 < c.family.params["scale"] < 1.0),
-         "family.params.scale: the linearization needs scale in (0, 1)"))),
+                       _default_of(koenigs_eigenfunction, "n_max"),
+                       check=_AT_LEAST_ONE),
+    }, ("tol_koenigs",), (
+        lambda c: None if _is_pair(c) or not _given(c, "use") else
+            "options.use: only contraction_pair has two maps to choose from",
+        lambda c: None if _is_pair(c) or 0.0 < c.params["scale"] < 1.0 else
+            "family.params.scale: the linearization needs scale in (0, 1)")),
     "abel": Experiment(_exp_abel, ("pure_linear",), {
         "inner_radius": Param("number", "radius of the ball cut out at 0",
-                              0.125),
-        "residual_tol": Param("number", "largest residual that passes", 1e-9),
-    }, (), (_in_range("inner_radius", lambda r: r > 0.0, "must be positive"),
-        (lambda c: not (c.family.params["scale"] > 0
-                        and c.family.params["scale"] != 1.0),
-         "family.params.scale: need scale > 0 and scale != 1"))),
+                              0.125, check=_POSITIVE),
+    }, (), (
+        lambda c: None if c.params["scale"] > 0 and c.params["scale"] != 1.0
+            else "family.params.scale: need scale > 0 and scale != 1",)),
     "wandering": Experiment(_exp_wandering, ("translation", "pure_linear"), {
         "cloud": Param("points", "sample points of the compact"),
-        "covering_radius": Param("number", "covering radius of the cloud"),
-        "nu": Param("integer", "smallest iterate gap checked, >= 1", 1),
+        "covering_radius": Param("number", "covering radius of the cloud",
+                                 check=_POSITIVE),
+        "nu": Param("integer", "smallest iterate gap checked, >= 1", 1,
+                    check=_AT_LEAST_ONE),
         "n_max": Param("integer", "largest iterate checked, >= nu", 8),
-    }, (), (_in_range("nu", lambda n: n >= 1, "must be >= 1"),
-        _in_range("covering_radius", lambda r: r > 0.0, "must be positive"),
-        (lambda c: c.options["cloud"].shape[1] != c.built.domain.dim,
-         "options.cloud: points must have the family's dimension"),
-        (lambda c: c.options["n_max"] < c.options["nu"],
-         "options.n_max: must be >= nu, or no pair of iterates is compared"))),
+    }, (), (
+        lambda c: None if c.options["cloud"].shape[1] == c.built.domain.dim
+            else "options.cloud: points must have the family's dimension",
+        lambda c: None if c.options["n_max"] >= c.options["nu"] else
+            "options.n_max: must be >= nu, or no pair of iterates is "
+            "compared")),
     "fk_sweep": Experiment(_exp_fk_sweep, (), {
-        "epsilons": Param("numbers", "envelope seeds, > 0",
-                          (1e-3, 1e-2, 1e-1)),
+        "epsilons": Param("numbers", "envelope seeds, > 0", (1e-3, 1e-2, 1e-1),
+                          check=(lambda e: 0.0 < e and 1.0 / e < np.inf,
+                                 "must be positive, with a finite "
+                                 "reciprocal")),
         "Cs": Param("numbers", "contraction factors in (0, 1)",
-                    (0.3, 0.5, 0.9)),
-        "k_max": Param("integer", "envelope steps", 64),
-    }, ("tau_env",), (
-        _in_range("epsilons", lambda e: 0.0 < e and 1.0 / e < np.inf,
-                  "must be positive, with a finite reciprocal"),
-        _in_range("Cs", lambda c: 0.0 < c < 1.0, "must lie in (0, 1)"),
-        _in_range("k_max", lambda k: k >= 0, "must be >= 0"),
-        (lambda c: _untamed(c) is not None, _untamed))),
+                    (0.3, 0.5, 0.9), check=_IN_UNIT),
+        "k_max": Param("integer", "envelope steps", 64, check=_AT_LEAST_ZERO),
+    }, ("tau_env",), (_untamed,)),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -645,20 +639,13 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 # record writing
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """json's hook for the values it cannot encode: numpy scalars and
+    arrays, as their Python values.  (A numpy float64 is a float, which
+    json encodes by its float value without the hook.)"""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _csv_cell(v) -> str:
@@ -672,15 +659,24 @@ def _csv_cell(v) -> str:
         return str(int(v))
     if isinstance(v, str):
         return v
-    return json.dumps(_to_jsonable(v), sort_keys=True)
+    return json.dumps(v, sort_keys=True, default=_json_default)
 
 
-def _flatten(obj, prefix: str, out: list):
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k), out)
-    else:
-        out.append((prefix, _csv_cell(obj)))
+def _flatten(obj, prefix: str = ""):
+    """(dotted key, value) of each leaf of nested dicts, keys sorted."""
+    if not isinstance(obj, dict):
+        yield prefix, obj
+        return
+    for k in sorted(obj):
+        yield from _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k))
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
 
 
 @functools.cache
@@ -713,36 +709,22 @@ def _write_record_json(outdir: Path, cfg: RunConfig, wall_time: float,
         "config": cfg.raw,
     }
     if results is not None:
-        record["results"] = _to_jsonable(results)
-    (outdir / "record.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n")
+        record["results"] = results
+    (outdir / "record.json").write_text(json.dumps(
+        record, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def _write_record(outdir: Path, cfg: RunConfig, outcome: Outcome,
                   wall_time: float) -> None:
-    _write_record_json(outdir, cfg, wall_time, outcome.results,
+    results = outcome.results
+    if cfg.family is not None:
+        results = {"family": cfg.family, **results}
+    _write_record_json(outdir, cfg, wall_time, results,
                        notes=list(outcome.warnings))
-
-    with (outdir / "results.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if outcome.results_rows is not None:
-            header, rows = outcome.results_rows
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_csv_cell(v) for v in row])
-        else:
-            writer.writerow(("key", "value"))
-            flat = []
-            _flatten(_to_jsonable(outcome.results), "", flat)
-            for key, val in flat:
-                writer.writerow((key, val))
-
+    _write_csv(outdir / "results.csv", *(
+        outcome.results_rows or (("key", "value"), _flatten(results))))
     if outcome.trace_rows is not None:
-        with (outdir / "trace.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for row in outcome.trace_rows:
-                writer.writerow([_csv_cell(row[c]) for c in TRACE_COLUMNS])
+        _write_csv(outdir / "trace.csv", TRACE_COLUMNS, outcome.trace_rows)
 
 
 def _make_run_dir(root: Path, cfg: RunConfig) -> Path:
@@ -750,7 +732,7 @@ def _make_run_dir(root: Path, cfg: RunConfig) -> Path:
     -2, -3, ... appended when a run of the same config in the same second
     took the name, so no run writes over another's records."""
     digest = hashlib.sha256(
-        json.dumps(_to_jsonable(cfg.raw), sort_keys=True).encode()).hexdigest()
+        json.dumps(cfg.raw, sort_keys=True).encode()).hexdigest()
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     name = f"{cfg.experiment}-{stamp}-{digest[:8]}"
     root.mkdir(parents=True, exist_ok=True)
@@ -769,7 +751,7 @@ def _make_run_dir(root: Path, cfg: RunConfig) -> Path:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    root = args.out or cfg.output_dir or os.environ.get(ENV_RUNS) or "runs"
+    root = args.out or os.environ.get(ENV_RUNS) or "runs"
     outdir = _make_run_dir(Path(root), cfg)
 
     start = time.perf_counter()
@@ -820,10 +802,8 @@ def cmd_report(args) -> int:
         print(f"error: {error.get('type', '?')} in phase "
               f"{error.get('phase', '?')}: {error.get('message', '')}")
     print("results:")
-    flat = []
-    _flatten(record.get("results", {}), "", flat)
-    for key, val in flat:
-        print(f"  {key}: {val}")
+    for key, val in _flatten(record.get("results", {})):
+        print(f"  {key}: {_csv_cell(val)}")
     trace_path = run_dir / "trace.csv"
     if trace_path.is_file():
         with trace_path.open() as fh:
@@ -871,8 +851,8 @@ def cmd_validate(args) -> int:
     except ConfigError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return 2
-    fam = "-" if cfg.family is None else cfg.family.family
-    print(f"config valid: experiment={cfg.experiment} family={fam}")
+    print(f"config valid: experiment={cfg.experiment} "
+          f"family={cfg.family or '-'}")
     return 0
 
 

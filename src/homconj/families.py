@@ -47,7 +47,6 @@ from .homspace import Homeo, _gate_constant, primitive
 __all__ = [
     "BumpSpec",
     "Family",
-    "FamilySpec",
     "Param",
     "REQUIRED",
     "ContractionPairBundle",
@@ -154,14 +153,6 @@ def _bump_with_slope(spec: BumpSpec, x: np.ndarray) -> tuple:
 
 def bump_lipschitz(spec: BumpSpec) -> float:
     return BUMP_SLOPE_FACTOR * spec.height / spec.halfwidth
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Name + parameter map, the addressable form used by configs."""
-
-    family: str
-    params: dict
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +546,15 @@ REQUIRED = inspect.Parameter.empty
 @dataclass(frozen=True)
 class Param:
     """Kind of JSON value (the CLI parses each kind), default (or REQUIRED)
-    and one-line doc of a config parameter or option."""
+    and one-line doc of a config parameter or option, with the values it
+    may take: one of ``choices``, if any, and each value (each entry, for
+    a list) passing ``check``, a (predicate, message) pair, if given."""
 
     kind: str
     doc: str
     default: object = REQUIRED
     choices: tuple = ()
+    check: tuple | None = None
 
 
 @dataclass(frozen=True)

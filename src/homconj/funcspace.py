@@ -324,14 +324,17 @@ class SampleScheme:
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# quasirandom points take one prime per axis
+QUASIRANDOM_MAX_DIM = len(_PRIMES)
 
 
 def _kronecker(n: int, dim: int) -> np.ndarray:
     # additive low-discrepancy sequence; deterministic, independent of seed
     if n <= 0:
         return np.zeros((0, dim))
-    if dim > len(_PRIMES):
-        raise ValueError("quasirandom sampling supports dim <= 8")
+    if dim > QUASIRANDOM_MAX_DIM:
+        raise ValueError(
+            f"quasirandom sampling supports dim <= {QUASIRANDOM_MAX_DIM}")
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
     steps = np.arange(1, n + 1, dtype=float)[:, None]
     return np.modf(steps * alphas[None, :])[0]
@@ -754,8 +757,9 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
     vals = _table_gauge(phi, domain, scheme)[0]
     if np.any(~np.isfinite(vals)):
         raise ValueError("gauge evaluated to a non-finite value")
-    radius, inner = table.levels[0]
-    inner_min = _shell_min(phi.eval(inner), domain.norm_of(inner), radius)
+    inner = table.level == 0
+    inner_min = _shell_min(vals[inner], table.geo.norms[inner],
+                           table.geo.radii[0])
     outer_min = _shell_min(vals, table.geo.norms, table.geo.radii[-1])
     Rn = growth.eval(table.geo.norms)
     where = tuple(table.pts.T)

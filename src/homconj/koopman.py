@@ -599,6 +599,8 @@ def wandering_check(f: Homeo, cloud: np.ndarray, covering_radius: float,
     """Checks f^n(cloud) against f^m(cloud) for all n - m >= nu, n <= n_max."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
+    if not 0.0 < covering_radius < np.inf:
+        raise ValueError("covering_radius must be positive and finite")
     if n_max < nu:
         raise ValueError("n_max must be >= nu, or no pair of iterates is "
                          "compared")
@@ -642,6 +644,9 @@ def periodic_obstruction(f: Homeo, alpha: float, lambda_r: float,
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     if orbit.shape[0] != p or p < 1:
         raise ValueError("orbit must supply exactly p points")
+    if np.isnan(alpha * lambda_r):
+        # an undetermined lambda_r is NaN, which no comparison rejects
+        raise ValueError("alpha * lambda_r is NaN")
     domain = f.domain
     images = _images(f, orbit, "orbit")
     target = np.roll(orbit, -1, axis=0)

@@ -68,7 +68,7 @@ def test_parse_minimal_fk_sweep():
 
 def test_parse_picard_with_sampling():
     cfg = parse_config(picard_payload())
-    assert cfg.family.family == "contraction_pair"
+    assert cfg.family == "contraction_pair"
     assert cfg.scheme.window_radius == 4.0
     assert cfg.scheme.grid_points_per_axis == 15
 
@@ -202,6 +202,17 @@ REJECTED = [
      r"tolerances: unknown key\(s\) 'tol_conj' \(allowed: tau_env\)"),
     (_with_tol(_cfg("abel", ("pure_linear", {"scale": 0.5})), tau_abs=1e-9),
      r"tolerances: unknown key\(s\) 'tau_abs' \(allowed: none\)"),
+    # --out or $HOMCONJ_RUNS set the output root; abel passes at 1e-9
+    ({**fk_sweep_payload(), "output_dir": "elsewhere"},
+     r"unknown key\(s\) 'output_dir'"),
+    (_cfg("abel", ("pure_linear", {"scale": 0.5}), residual_tol=1e-6),
+     r"options: unknown key\(s\) 'residual_tol'"),
+    # quasirandom points exist up to dim 8 (2 grid points per axis keep
+    # the table small)
+    ({**_cfg("validate", ("perturbed_linear", {"scale": 2.0, "dim": 9})),
+      "sampling": {"window_radius": 4.0, "grid_points_per_axis": 2,
+                   "quasirandom_count": 4}},
+     "quasirandom_count: quasirandom sampling supports dim <= 8"),
 ]
 REJECTED_IDS = [f"{p['experiment']}-{frag}" for p, frag in REJECTED]
 
@@ -219,6 +230,19 @@ def test_rejected_config_fails_validate_and_run(tmp_path, payload, fragment):
     out = tmp_path / "runs"
     assert main(["run", cfg, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_only_runs_that_sample_a_table_limit_its_dimension():
+    # wandering samples no table, and a table without quasirandom points
+    # takes any dimension (parsing samples nothing, so dim 9 is cheap here)
+    family = ("translation", {"offset": [1.0] * 9})
+    parse_config(_cfg("wandering", family, cloud=[[0.0] * 9],
+                      covering_radius=0.025))
+    for payload in (_cfg("validate", family),
+                    _cfg("eigen_check", family, alpha=1.1)):
+        parse_config({**payload, "sampling": {"quasirandom_count": 0}})
+        with pytest.raises(ConfigError, match="supports dim <= 8"):
+            parse_config(payload)
 
 
 def test_bump_parameters_reach_eigen_check_and_koenigs(tmp_path):

@@ -1095,6 +1095,17 @@ def test_wandering_rejects_n_max_below_nu():
                            n_max=1).verdict == "collision"
 
 
+@pytest.mark.parametrize("radius", [np.nan, -1.0, 0.0, np.inf])
+def test_wandering_rejects_a_covering_radius_outside_zero_and_inf(radius):
+    # every point of the identity is fixed, yet a NaN radius compared false
+    # with every distance and a negative one shrank none, so both read as
+    # wandering
+    f = identity(Domain(dim=1))
+    cloud = np.array([[1.0], [1.1]])
+    with pytest.raises(ValueError, match="covering_radius must be positive"):
+        wandering_check(f, cloud, covering_radius=radius, nu=1, n_max=3)
+
+
 def test_wandering_raises_on_an_iterate_that_is_not_finite():
     # f is NaN beyond 1.6, so the second iterate of the cloud is NaN: its
     # radius and its distances would compare false and read as wandering
@@ -1172,6 +1183,15 @@ def test_periodic_obstruction_raises_on_an_orbit_image_that_is_not_finite():
                        match=r"not finite on orbit at \[3\.2\]"):
         periodic_obstruction(f, alpha=1.2, lambda_r=0.5,
                              orbit=np.array([[3.2], [3.3]]), p=2)
+
+
+def test_periodic_obstruction_rejects_an_undetermined_lambda_r():
+    # an undetermined r_lipschitz value is NaN, and (alpha * NaN)^p > 1 is
+    # false, so the report read "no obstruction: ... = nan <= 1"
+    f = build_pure_linear(-1.0, Domain(dim=1))
+    with pytest.raises(ValueError, match="alpha \\* lambda_r is NaN"):
+        periodic_obstruction(f, alpha=1.2, lambda_r=np.nan,
+                             orbit=np.array([[1.0], [-1.0]]), p=2)
 
 
 def test_periodic_obstruction_verifies_the_orbit():
