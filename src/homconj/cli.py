@@ -49,10 +49,10 @@ from .families import (
 )
 from .funcspace import (
     BUILTIN_TRIPLE_NAMES,
-    QUASIRANDOM_MAX_DIM,
     Domain,
     SampleScheme,
     Tolerances,
+    _sampling_problem,
     builtin_triple,
     doubling_sample_sets,
     validate_gauge,
@@ -132,8 +132,10 @@ def _string(val, path: str) -> str:
 
 
 def _numbers(val, path: str) -> list:
-    if not isinstance(val, list):
-        raise ConfigError(f"{path}: expected a list of numbers, got {val!r}")
+    # an empty grid or vector runs nothing, so it cannot pass
+    if not isinstance(val, list) or not val:
+        raise ConfigError(
+            f"{path}: expected a nonempty list of numbers, got {val!r}")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(val)]
 
 
@@ -533,13 +535,10 @@ def _own_gauge(cfg: RunConfig) -> str | None:
     return None
 
 
-def _table_dim(cfg: RunConfig) -> str | None:
-    """Why the run cannot sample the family's tables, or None."""
-    dim = cfg.built.domain.dim
-    if dim > QUASIRANDOM_MAX_DIM and cfg.scheme.quasirandom_count > 0:
-        return (f"sampling.quasirandom_count: quasirandom sampling supports "
-                f"dim <= {QUASIRANDOM_MAX_DIM}, the family has dim {dim}")
-    return None
+def _samples(cfg: RunConfig) -> str | None:
+    """Why the run cannot sample tables of the family's domain, or None."""
+    problem = _sampling_problem(cfg.built.domain.dim, cfg.scheme)
+    return problem and f"sampling.{problem}"
 
 
 def _untamed(cfg: RunConfig) -> str | None:
@@ -560,19 +559,20 @@ _GROWTH_TOL = ("tau_abs", "rel", "kappa_div")
 # the largest Abel residual that passes
 _ABEL_RESIDUAL_TOL = 1e-9
 
-# A config sets the dimension of perturbed_linear and translation.  Of the
-# experiments that take them, validate and eigen_check sample tables, so
-# they check it; wandering samples none.
+# Every experiment but wandering and fk_sweep samples tables, so each checks
+# that its scheme can sample them on the family's domain (abel samples its
+# own, of pure_linear's dimension 1): a config sets the dimension of
+# perturbed_linear and translation.
 _EXPERIMENTS = {
     "validate": Experiment(_exp_validate, tuple(FAMILIES),
                            {"gauge": _GAUGE}, ("tau_abs",),
-                           (_own_gauge, _table_dim)),
+                           (_own_gauge, _samples)),
     "eigen_check": Experiment(_exp_eigen_check, tuple(FAMILIES), {
         "alpha": Param("number", "gate exponent > 1; contraction_pair has "
                        "its own, other families need one", None,
                        check=_ABOVE_ONE),
         "gauge": _GAUGE,
-    }, _GROWTH_TOL, (_own_gauge, _table_dim,
+    }, _GROWTH_TOL, (_own_gauge, _samples,
         lambda c: None if _is_pair(c) or c.options["alpha"] is not None else
             "options.alpha: required for eigen_check outside "
             "contraction_pair")),
@@ -586,9 +586,9 @@ _EXPERIMENTS = {
         "n_bnd": Param("integer", "boundedness probe over |n| <= n_bnd",
                        _default_of(PicardContext, "n_bnd"),
                        check=_AT_LEAST_ZERO),
-    }, _GROWTH_TOL + ("tol_conj", "tau_env")),
+    }, _GROWTH_TOL + ("tol_conj", "tau_env"), (_samples,)),
     "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {},
-                                  _GROWTH_TOL),
+                                  _GROWTH_TOL, (_samples,)),
     "koenigs": Experiment(_exp_koenigs, ("contraction_pair", "pure_linear"), {
         "use": Param("string", "which contraction_pair map to linearize",
                      "g", ("f", "g")),
@@ -601,13 +601,15 @@ _EXPERIMENTS = {
         lambda c: None if _is_pair(c) or not _given(c, "use") else
             "options.use: only contraction_pair has two maps to choose from",
         lambda c: None if _is_pair(c) or 0.0 < c.params["scale"] < 1.0 else
-            "family.params.scale: the linearization needs scale in (0, 1)")),
+            "family.params.scale: the linearization needs scale in (0, 1)",
+        _samples)),
     "abel": Experiment(_exp_abel, ("pure_linear",), {
         "inner_radius": Param("number", "radius of the ball cut out at 0",
                               0.125, check=_POSITIVE),
     }, (), (
         lambda c: None if c.params["scale"] > 0 and c.params["scale"] != 1.0
-            else "family.params.scale: need scale > 0 and scale != 1",)),
+            else "family.params.scale: need scale > 0 and scale != 1",
+        _samples)),
     "wandering": Experiment(_exp_wandering, ("translation", "pure_linear"), {
         "cloud": Param("points", "sample points of the compact"),
         "covering_radius": Param("number", "covering radius of the cloud",

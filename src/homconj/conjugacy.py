@@ -29,10 +29,10 @@ from .homspace import (
     Homeo,
     InequalityReport,
     MembershipVerdict,
-    _apply,
     _chain_memo,
     _gate_constant,
     _images,
+    _walk,
     compose,
     group_membership,
     invert,
@@ -270,7 +270,7 @@ def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray,
     for key, h in chains.items():
         k = _leading_run(h.chain, step.chain)
         rest = Homeo(h.domain, h.chain[k * len(step.chain):])
-        runs[key] = (k, rest.forward(pts)[rows])
+        runs[key] = (k, _walk(rest, pts)[rows])
     order = sorted(runs, key=lambda key: -runs[key][0])
     stack = np.concatenate([runs[key][1] for key in order])
     norm_of, m = step.domain.norm_of, runs[order[0]][1].shape[0]
@@ -280,9 +280,7 @@ def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray,
             live -= 1
             norms[order[live]] = norm_of(stack[live * m:(live + 1) * m])
         if live:
-            stack = stack[:live * m]
-            for atom_step in reversed(step.chain):
-                stack = _apply(atom_step, stack)
+            stack = step.forward(stack[:live * m])
     return norms
 
 

@@ -311,8 +311,8 @@ class SampleScheme:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.window_radius > 0:
-            raise ValueError("window_radius must be positive")
+        if not 0 < self.window_radius < math.inf:
+            raise ValueError("window_radius must be positive and finite")
         if self.grid_points_per_axis < 2:
             raise ValueError("grid_points_per_axis must be >= 2")
         if self.quasirandom_count < 0:
@@ -326,15 +326,32 @@ class SampleScheme:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # quasirandom points take one prime per axis
 QUASIRANDOM_MAX_DIM = len(_PRIMES)
+# The most rows, grid_points_per_axis ** dim, of a window's grid: building
+# the table of four 3-d windows of 64^3 rows peaks at 63 MiB of arrays.  The
+# default 41 per axis reaches 3-d, not 4-d (2.8 million rows) or 5-d (4.6 GB
+# a window).
+_GRID_ROWS_MAX = 1 << 18
+
+
+def _sampling_problem(dim: int, scheme: SampleScheme) -> str | None:
+    """Why no table of a ``dim``-dimensional domain can be sampled under
+    ``scheme``, led by the field at fault, or None: the one statement of
+    which (domain, scheme) can be sampled, checked before any allocation."""
+    if dim > QUASIRANDOM_MAX_DIM and scheme.quasirandom_count > 0:
+        return (f"quasirandom_count: quasirandom sampling supports dim <= "
+                f"{QUASIRANDOM_MAX_DIM}, got dim {dim}")
+    rows = scheme.grid_points_per_axis ** dim
+    if rows > _GRID_ROWS_MAX:
+        return (f"grid_points_per_axis: {scheme.grid_points_per_axis} ** "
+                f"{dim} = {rows:,} grid rows per window, above "
+                f"{_GRID_ROWS_MAX:,}")
+    return None
 
 
 def _kronecker(n: int, dim: int) -> np.ndarray:
     # additive low-discrepancy sequence; deterministic, independent of seed
     if n <= 0:
         return np.zeros((0, dim))
-    if dim > QUASIRANDOM_MAX_DIM:
-        raise ValueError(
-            f"quasirandom sampling supports dim <= {QUASIRANDOM_MAX_DIM}")
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
     steps = np.arange(1, n + 1, dtype=float)[:, None]
     return np.modf(steps * alphas[None, :])[0]
@@ -415,6 +432,8 @@ def sample_points(domain: Domain, scheme: SampleScheme,
                   radius: float | None = None) -> np.ndarray:
     """Finite sample of domain ∩ ball(0, radius); grid, low-discrepancy,
     seeded random points, and the origin anchor, deduplicated."""
+    if problem := _sampling_problem(domain.dim, scheme):
+        raise ValueError(problem)
     return _distinct_rows(_window_points(domain, scheme, radius))[0]
 
 
@@ -501,6 +520,8 @@ def _table(domain: Domain, scheme: SampleScheme) -> _Table:
     """The :class:`_Table` of (domain, scheme).  One :func:`_distinct_rows`
     sorts the raw points of all four levels; no level is sorted on its
     own."""
+    if problem := _sampling_problem(domain.dim, scheme):
+        raise ValueError(problem)
     radii = doubling_radii(scheme)
     raw = [_window_points(domain, scheme, radius) for radius in radii]
     level = np.repeat(np.arange(len(raw)), [len(lvl) for lvl in raw])
@@ -646,21 +667,18 @@ def _positive_check(name: str, vals: np.ndarray,
 _PAIR_BLOCK_CELLS = 8192
 
 
-def _fold_worst(worst, excess: np.ndarray, base: int):
-    """The running (largest excess, flat index of its first cell) of the
-    cells before one more block ``excess`` whose first cell has flat index
-    ``base``, folded with that block as ``np.max`` and ``np.argmax`` fold
-    the whole grid: the first NaN wins and sticks, and a tie keeps the
-    earlier cell.  ``worst`` is None before the first block.  The value
-    kept is the first cell's, so a largest excess of zero reached by both
-    +0.0 and -0.0 keeps the first one's sign, where ``np.max`` leaves it to
-    its SIMD lanes."""
+def _first_max(cands) -> tuple:
+    """Of per-block first maxima (value, *witness), the one ``np.argmax``
+    picks by value, so as over the whole grid the first NaN wins and a tie
+    keeps the earlier block; each keeps its own ±0, where ``np.max`` leaves
+    the sign of a zero maximum to its SIMD lanes."""
+    return cands[int(np.argmax([cand[0] for cand in cands]))]
+
+
+def _block_max(excess: np.ndarray, base: int) -> tuple:
+    """(first maximum of a block, its flat index past ``base``)."""
     k = int(np.argmax(excess))
-    m = float(excess.flat[k])
-    if worst is None or (not math.isnan(worst[0])
-                         and (m > worst[0] or math.isnan(m))):
-        return m, base + k
-    return worst
+    return float(excess.flat[k]), base + k
 
 
 def _pair_checks(growth: RadialFn, scale: RadialFn, sub: np.ndarray,
@@ -672,18 +690,17 @@ def _pair_checks(growth: RadialFn, scale: RadialFn, sub: np.ndarray,
     r and R are evaluated once more per block, on its pair sums."""
     n = sub.shape[0]
     rows = max(1, _PAIR_BLOCK_CELLS // n)
-    mono = r_add = R_add = None
+    blocks = []
     for i0 in range(0, n, rows):
         x, rx, Rx = (v[i0:i0 + rows, None] for v in (sub, r_sub, R_sub))
         # r(min(x, y)) - r(max(x, y)), the samples being distinct
         up = x <= sub
-        mono = _fold_worst(mono, np.where(up, rx, r_sub)
-                           - np.where(up, r_sub, rx), i0 * n)
         s = (x + sub).ravel()
-        r_add = _fold_worst(r_add, np.reshape(scale.eval(s), up.shape)
-                            - rx - r_sub, i0 * n)
-        R_add = _fold_worst(R_add, np.reshape(growth.eval(s), up.shape)
-                            - Rx - R_sub, i0 * n)
+        blocks.append([_block_max(excess, i0 * n) for excess in (
+            np.where(up, rx, r_sub) - np.where(up, r_sub, rx),
+            np.reshape(scale.eval(s), up.shape) - rx - r_sub,
+            np.reshape(growth.eval(s), up.shape) - Rx - R_sub)])
+    mono, r_add, R_add = map(_first_max, zip(*blocks))
 
     def pair(k):
         return float(sub[k // n]), float(sub[k % n])

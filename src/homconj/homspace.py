@@ -10,11 +10,13 @@ parts are always computed from the composed map, never combined from
 separate per-factor estimates, because separate estimates can both be
 infinite while the composition is the identity.
 
-Chain memos.  ``Homeo.forward`` walks a chain right to left.  A run is a
-maximal block of one repeated (atom, direction) step, and a memo entry is
-one run: keyed by (root identity, step), it holds the images step^k(root)
-in order, for k up to the deepest walk so far.  Under a memo a walk looks
-up each of its chain's first two runs from its root once, reads a
+Chain memos.  A chain is walked right to left.  A run is a maximal block
+of one repeated (atom, direction) step, and a memo entry is one run: keyed
+by (root identity, step), it holds the images step^k(root) in order, for k
+up to the deepest walk so far.  :func:`_walk` is the one place where a walk
+meets a memo: it walks through the open run memo, else through the memo
+its caller passes, else plainly, caching nothing.  Under a memo a walk
+looks up each of its chain's first two runs from its root once, reads a
 shallower image from the entry and computes only the deeper ones it is
 missing.  So a suffix image such as g^-k(P) or f^j∘g^-k(P) is computed
 once and reused by every later walk that passes through it.  The steps
@@ -31,20 +33,16 @@ nowhere.  There are two lifetimes:
   f^-k(P) and f^-k∘g(P), and the residuals' f^k∘g^-m(P).  The premetric
   differences f^{n+1}∘g^-1∘f^-n, g^n∘f^-1∘g^-(n-1) and g^n∘f^-(n+1)∘g
   have a third run, which starts on a new root per step that no later
-  walk meets, so none of its images is filed.  Every walk of the run,
-  from any root array, goes through the memo, with one exception: the
-  probe applies the leading runs of f or f^-1 of its iterates to a stack
-  of its own, and files none of those images, since no other walk starts
-  from them.  The memo's images are dropped when the run ends, so the
-  orbits of a finished run do not stay resident.
-* the process memo, through which :func:`_on_table`, the one walk of a
-  map over the top table P, walks while no run memo is open.  Premetrics
-  that share a factor g then compute g^-1(P) and g(P) once.  P is a
-  read-only array that ``funcspace`` owns, so its images cannot go stale.
-  No other walk consults this memo: ``Homeo.forward`` outside a run walks
-  plainly and caches nothing, since the values of any other root, a
-  writable array or a read-only view of one included, could change under
-  the cache.
+  walk meets, so none of its images is filed.  The memo's images are
+  dropped when the run ends, so the orbits of a finished run do not stay
+  resident.
+* the process memo, which only :func:`_on_table`, the one walk of a map
+  over the top table P, passes to :func:`_walk`, so it serves while no
+  run memo is open.  Premetrics that share a factor g then compute
+  g^-1(P) and g(P) once.  P is a read-only array that ``funcspace`` owns,
+  so its images cannot go stale; the values of any other root, a writable
+  array or a read-only view of one included, could change under the
+  cache.
 
 An entry holds its root and its step, so no other array or atom can take
 over that identity while the entry lives.  A cached image is the same atom
@@ -57,14 +55,10 @@ number.
 Cached images are shared, so they are read-only; atoms must not write to
 their input.  The memos are not locked: the package is single-threaded.
 
-Table geometry.  Two cache rules hold in the package.  Data derived from
-a sample table is cached with ``functools.lru_cache``, keyed by value:
-``funcspace._table`` keeps one record per (domain, scheme), the top table
-with its norms, their stable order, the largest norm and the cuts at the
-doubling radii, and phi on that table per (gauge, domain, scheme).  Chain
-images are cached in the run and process memos above, keyed by identity.
-So a ``displacement`` whose map keeps every row computes only the images
-and their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax.
+Table geometry.  A displacement reads the top table, its geometry and phi
+on it from the value caches of ``funcspace``, whose comment states both
+cache rules, so one whose map keeps every row computes only the images and
+their checks, r(|f(P) - P|)/phi(P), one running maximum and one argmax.
 """
 
 import math
@@ -156,9 +150,6 @@ class Homeo:
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
         out = np.atleast_2d(np.asarray(pts, dtype=float))
-        memo = _MEMO.get()
-        if memo is not None:
-            return memo.forward(self.chain, out)
         for step in reversed(self.chain):
             out = _apply(step, out)
         return out
@@ -286,13 +277,23 @@ def compose(f: Homeo, g: Homeo) -> Homeo:
     return Homeo(domain=f.domain, chain=chain, label=label)
 
 
+def _walk(f: Homeo, pts: np.ndarray,
+          fallback: _ChainMemo | None = None) -> np.ndarray:
+    """f(pts), walked through the open run memo, else through
+    ``fallback``, else plainly: the one place where a walk meets a chain
+    memo.  ``Homeo.forward`` walks plainly, so a map that an atom or a
+    gauge calls on a scratch array of its own reads no stale image."""
+    memo, out = _MEMO.get() or fallback, np.atleast_2d(np.asarray(pts, float))
+    return f.forward(out) if memo is None else memo.forward(f.chain, out)
+
+
 def _images(f: Homeo, pts: np.ndarray, on: str = "samples",
-            memo: _ChainMemo | None = None) -> np.ndarray:
-    """f(pts), walked through ``memo`` if one is given, or EvaluationError
-    naming the map, ``on`` and the first row of ``pts`` whose image is not
-    finite: the one finiteness rule of every estimator, since a NaN
-    compares false with every threshold."""
-    fx = f.forward(pts) if memo is None else memo.forward(f.chain, pts)
+            fallback: _ChainMemo | None = None) -> np.ndarray:
+    """:func:`_walk` of f on pts, or EvaluationError naming the map, ``on``
+    and the first row of ``pts`` whose image is not finite: the one
+    finiteness rule of every estimator, since a NaN compares false with
+    every threshold."""
+    fx = _walk(f, pts, fallback)
     if not np.isfinite(fx).all():   # the per-row search only on failure
         bad = ~np.all(np.isfinite(fx), axis=1)
         raise EvaluationError(
@@ -340,7 +341,7 @@ def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
     """(kept points, their images, phi on them, their geometry, dropped
     count) of f on the top table of (f.domain, scheme): the one walk of a
     map over the samples that weighs its images by the gauge, and the one
-    walk through the process memo while no run memo is open.
+    walk that falls back on the process memo.
 
     An image outside the domain by more than 1e-9 * (1 + the table's
     largest norm) is dropped.  When none is, the kept points, the gauge
@@ -350,7 +351,7 @@ def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
     """
     table = _table(f.domain, scheme)
     kept, geo = table.pts, table.geo
-    fx = _images(f, kept, memo=_MEMO.get() or _PROCESS_MEMO)
+    fx = _images(f, kept, fallback=_PROCESS_MEMO)
     keep = f.domain.contains(fx, slack=1e-9 * (1.0 + geo.radius))
     dropped = int(kept.shape[0] - np.count_nonzero(keep))
     if dropped:

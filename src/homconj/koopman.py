@@ -24,6 +24,7 @@ from .funcspace import (
     SampleScheme,
     Tolerances,
     _TABLE_CACHE_SIZE,
+    _first_max,
     _norm_geometry,
     _read_only,
     _strided_subset,
@@ -193,8 +194,7 @@ def _all_pairs(f: Homeo, r: RadialFn, scheme: SampleScheme,
     floor = _SEP_FLOOR * (1.0 + norms)
     column = np.full(len(pts), -np.inf)
     seen = np.zeros(len(pts), dtype=bool)       # columns with a kept pair
-    value, witness = np.nan, None
-    kept = 0
+    blocks, kept = [], 0
     # the folded cloud separation, a scratch for the later axes and the
     # folded images, and the quotients, which serve the image fold as its
     # later-axis scratch first; then two masks.  r.eval may hand back its
@@ -232,15 +232,15 @@ def _all_pairs(f: Homeo, r: RadialFn, scheme: SampleScheme,
         block.fill(-np.inf)
         np.divide(r.eval(image), sep, out=block, where=ok)
         np.maximum(column[lo + 1:], block.max(0), out=column[lo + 1:])
-        # np.argmax takes the first NaN as the maximum; so does the fold
+        # np.argmax takes the first NaN as the maximum; so does _first_max
         k = int(np.argmax(block))
         if not ok.flat[k]:      # a masked -inf cell ties every kept one
             k = int(np.argmax(ok))
-        if witness is None or not (np.isnan(value) or block.flat[k] <= value):
-            row, col = divmod(k, ok.shape[1])
-            value = float(block.flat[k])
-            witness = tuple(pts[[lo + row, lo + 1 + col]])
-    return _estimate(value, witness, column[seen],
+        row, col = divmod(k, ok.shape[1])
+        blocks.append((float(block.flat[k]), lo + row, lo + 1 + col))
+    value, *witness = _first_max(blocks) if blocks else (np.nan,)
+    return _estimate(value, tuple(pts[witness]) if witness else None,
+                     column[seen],
                      _norm_geometry(norms[seen], doubling_radii(scheme)), tol,
                      2 * kept)
 

@@ -213,6 +213,28 @@ REJECTED = [
       "sampling": {"window_radius": 4.0, "grid_points_per_axis": 2,
                    "quasirandom_count": 4}},
      "quasirandom_count: quasirandom sampling supports dim <= 8"),
+    # an empty grid ran no (epsilon, C) pair and passed
+    (_cfg("fk_sweep", epsilons=[]),
+     r"options.epsilons: expected a nonempty list of numbers, got \[\]"),
+    (_cfg("fk_sweep", Cs=[]),
+     r"options.Cs: expected a nonempty list of numbers, got \[\]"),
+    # 41 ** 5 grid rows a window, 4.6 GB; every run that samples a table
+    # bounds its grid, picard, koenigs and abel on the half line or the line
+    (_cfg("validate", ("translation", {"offset": [1.0] * 5})),
+     r"sampling.grid_points_per_axis: 41 \*\* 5 = 115,856,201 grid rows"),
+    (_cfg("eigen_check", ("translation", {"offset": [1.0] * 5}), alpha=1.1),
+     r"sampling.grid_points_per_axis: 41 \*\* 5 = 115,856,201 grid rows"),
+    ({**_cfg("picard", PAIR), "sampling": {"grid_points_per_axis": 2**18 + 1}},
+     r"sampling.grid_points_per_axis: 262145 \*\* 1 = 262,145 grid rows"),
+    ({**_cfg("lozi_membership", ("lozi", {"a": 1.4, "b": 0.3})),
+      "sampling": {"grid_points_per_axis": 513}},
+     r"sampling.grid_points_per_axis: 513 \*\* 2 = 263,169 grid rows"),
+    ({**_cfg("koenigs", ("pure_linear", {"scale": 0.5})),
+      "sampling": {"grid_points_per_axis": 2**18 + 1}},
+     r"sampling.grid_points_per_axis: 262145 \*\* 1 = 262,145 grid rows"),
+    ({**_cfg("abel", ("pure_linear", {"scale": 0.5})),
+      "sampling": {"grid_points_per_axis": 2**18 + 1}},
+     r"sampling.grid_points_per_axis: 262145 \*\* 1 = 262,145 grid rows"),
 ]
 REJECTED_IDS = [f"{p['experiment']}-{frag}" for p, frag in REJECTED]
 
@@ -234,13 +256,15 @@ def test_rejected_config_fails_validate_and_run(tmp_path, payload, fragment):
 
 def test_only_runs_that_sample_a_table_limit_its_dimension():
     # wandering samples no table, and a table without quasirandom points
-    # takes any dimension (parsing samples nothing, so dim 9 is cheap here)
+    # takes any dimension its grid bound allows (parsing samples nothing, so
+    # dim 9 is cheap here)
     family = ("translation", {"offset": [1.0] * 9})
     parse_config(_cfg("wandering", family, cloud=[[0.0] * 9],
                       covering_radius=0.025))
     for payload in (_cfg("validate", family),
                     _cfg("eigen_check", family, alpha=1.1)):
-        parse_config({**payload, "sampling": {"quasirandom_count": 0}})
+        parse_config({**payload, "sampling": {"quasirandom_count": 0,
+                                              "grid_points_per_axis": 2}})
         with pytest.raises(ConfigError, match="supports dim <= 8"):
             parse_config(payload)
 

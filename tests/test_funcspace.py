@@ -37,12 +37,17 @@ from homconj import (
     validate_scale_pair,
 )
 from conftest import churn_tables
+from homconj import funcspace
 from homconj.funcspace import (
+    _GRID_ROWS_MAX,
     _PAIR_BLOCK_CELLS,
     _TABLE_CACHE_SIZE,
     _distinct_rows,
+    _first_max,
     _norm_geometry,
+    _pair_checks,
     _positive_check,
+    _sampling_problem,
     _scale_pair_report,
     _strided_subset,
     _table,
@@ -185,13 +190,41 @@ def test_sample_points_deterministic_and_contained(half_dom):
 
 @pytest.mark.parametrize("field, value", [
     ("window_radius", 0.0), ("grid_points_per_axis", 1),
-    ("quasirandom_count", -1), ("exhaustion_levels", 0), ("seed", -1)])
+    ("quasirandom_count", -1), ("exhaustion_levels", 0), ("seed", -1),
+    ("window_radius", math.inf)])
 def test_sample_scheme_rejects_what_sampling_cannot_honour(field, value):
     # numpy's seed sequence takes no negative entropy, so a negative seed
-    # must fail here, not at the first table built from the scheme
+    # must fail here, not at the first table built from the scheme; an
+    # infinite radius failed at the first table with an OverflowError
     with pytest.raises(ValueError, match=f"{field} must be"):
         SampleScheme(**{"window_radius": 8.0, field: value})
     SampleScheme(window_radius=8.0, seed=0)
+
+
+def test_a_window_that_cannot_be_sampled_is_rejected_before_any_is_built(
+        monkeypatch, table_caches):
+    # 41 ** 5 grid rows a window would be 4.6 GB; dim 9 has no quasirandom
+    # points.  Neither builds a window before it is rejected
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(funcspace, "_window_points", no_window)
+    cases = [
+        (5, SampleScheme(window_radius=8.0),
+         r"grid_points_per_axis: 41 \*\* 5 = 115,856,201 grid rows"),
+        (9, SampleScheme(window_radius=8.0, grid_points_per_axis=2),
+         "quasirandom_count: quasirandom sampling supports dim <= 8")]
+    for dim, scheme, message in cases:
+        domain = Domain(dim=dim, region="box")
+        for build in (_table, sample_points):
+            with pytest.raises(ValueError, match=message):
+                build(domain, scheme)
+    # the bound holds the grid, not the points around it
+    edge = round(_GRID_ROWS_MAX ** (1 / 3))
+    assert edge ** 3 == _GRID_ROWS_MAX
+    assert _sampling_problem(3, SampleScheme(8.0, edge, 10**6)) is None
+    assert _sampling_problem(3, SampleScheme(8.0, edge + 1, 0))
+    assert _sampling_problem(9, SampleScheme(8.0, 2, 0)) is None
 
 
 def test_sample_points_unique_rows(half_dom):
@@ -767,6 +800,33 @@ def test_pair_checks_keep_the_first_of_tied_cells(half_dom, scheme,
         check = next(c for c in rep.checks if c.name == name)
         assert check.passed and check.witness == (0.0, 0.0)
     assert not rep.passed
+
+
+def test_pair_checks_keep_the_first_tied_block_and_take_a_later_nan():
+    # 200 samples take five blocks of 40 rows.  Every r_nondecreasing cell
+    # ties at 0; scale and growth reach 1 on the sum 45, in blocks 0 and
+    # 1; growth is NaN on the sum 398, the last cell alone
+    sub = np.arange(200.0)
+    assert _PAIR_BLOCK_CELLS // len(sub) == 40
+    scale = RadialFn(lambda s: np.where(s == 45.0, 1.0, 0.0), "spike")
+    growth = RadialFn(lambda s: np.where(
+        s == 398.0, np.nan, np.where(s == 45.0, 1.0, 0.0)), "spike_nan")
+    zeros = np.zeros_like(sub)
+    mono, r_add, R_add = _pair_checks(growth, scale, sub, zeros, zeros,
+                                      Tolerances())
+    assert (mono.margin, mono.witness) == (0.0, (0.0, 0.0))
+    assert (r_add.margin, r_add.witness) == (1.0, (0.0, 45.0))
+    assert np.isnan(R_add.margin) and R_add.witness == (199.0, 199.0)
+
+
+def test_first_max_takes_the_first_nan_else_the_first_tie():
+    nan = float("nan")
+    assert _first_max([(1.0, "a"), (nan, "b"), (2.0, "c"), (nan, "d")]) \
+        [1] == "b"
+    assert _first_max([(1.0, "a"), (2.0, "b"), (2.0, "c")])[1] == "b"
+    # each candidate keeps its own zero: -0.0 first stays -0.0
+    value, name = _first_max([(-0.0, "a"), (0.0, "b")])
+    assert name == "a" and math.copysign(1.0, value) == -1.0
 
 
 def test_squared_scale_is_witnessed_at_its_largest_pair(half_dom, scheme,

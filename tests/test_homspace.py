@@ -31,7 +31,7 @@ from homconj import (
 )
 from homconj import (build_pure_linear, build_translation, funcspace,
                      homspace)
-from homconj.homspace import _chain_memo
+from homconj.homspace import _chain_memo, _walk
 
 from conftest import MissingEntries, bump_member, seeded_members
 
@@ -141,12 +141,12 @@ def test_chain_memo_walks_each_suffix_once(half_dom):
     orbits = [Homeo(half_dom, head.chain[1:]) for head in heads]
     del calls[:]
     with _chain_memo():
-        cached = [h.forward(pts) for h in hs]
+        cached = [_walk(h, pts) for h in hs]
         with _chain_memo():     # a nested memo is the outer one
-            again = [h.forward(pts) for h in hs]
-            shared = [head.forward(pts) for head in heads]
-            orbit = [g_k.forward(pts) for g_k in orbits]
-            assert all(head.forward(pts) is s
+            again = [_walk(h, pts) for h in hs]
+            shared = [_walk(head, pts) for head in heads]
+            orbit = [_walk(g_k, pts) for g_k in orbits]
+            assert all(_walk(head, pts) is s
                        for head, s in zip(heads, shared))
         memo = homspace._MEMO.get()
     assert len(calls) == 8      # g^-k(pts) once for each k
@@ -188,13 +188,13 @@ def test_chain_memo_files_the_first_two_runs_only(half_dom):
     del calls[:]
     with _chain_memo():
         memo = homspace._MEMO.get()
-        first = word.forward(pts)
+        first = _walk(word, pts)
         # the second run is renewed first, so it is the older entry
         g_run, h_run = memo.entries.values()
         assert h_run[0] is pts and len(h_run) == 4
         assert g_run[0] is h_run[3] and len(g_run) == 3
         assert memo.nbytes == 5 * pts.nbytes
-        second = word.forward(pts)
+        second = _walk(word, pts)
         assert _same(memo.entries.values(), (g_run, h_run))
         assert memo.nbytes == 5 * pts.nbytes
     assert calls == ["h", "h", "h", "g", "g", "f", "f"]
@@ -205,7 +205,7 @@ def test_chain_memo_files_the_first_two_runs_only(half_dom):
     with _chain_memo():
         memo = homspace._MEMO.get()
         head = compose(compose(g, g), compose(h, h))
-        assert head.forward(pts) is head.forward(pts)
+        assert _walk(head, pts) is _walk(head, pts)
         assert len(memo.entries) == 2 and calls == ["h", "h", "g", "g"]
         assert len(_filed(memo)) == 4
 
@@ -222,13 +222,13 @@ def test_chain_memo_reads_and_extends_a_filed_run(half_dom):
 
     with _chain_memo():
         memo = homspace._MEMO.get()
-        five = g_inv(5).forward(pts)
+        five = _walk(g_inv(5), pts)
         assert len(calls) == 5
         run, = memo.entries.values()
         assert run[0] is pts and run[5] is five
-        assert g_inv(3).forward(pts) is run[3]
+        assert _walk(g_inv(3), pts) is run[3]
         assert len(calls) == 5
-        seven = g_inv(7).forward(pts)
+        seven = _walk(g_inv(7), pts)
         assert len(calls) == 7
         longer, = memo.entries.values()
         assert _same(longer, run + (longer[6], seven))
@@ -250,7 +250,7 @@ def test_chain_memo_eviction_keeps_values_and_orbits(half_dom, monkeypatch):
         memo = homspace._MEMO.get()
         for rep in range(2):
             for h, p in zip(hs, plain):
-                assert h.forward(pts).tobytes() == p.tobytes()
+                assert _walk(h, pts).tobytes() == p.tobytes()
                 assert memo.nbytes <= cap
             if rep == 0:
                 # walked in Picard order, each iterate renews the orbit
@@ -278,7 +278,7 @@ def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
             memo = homspace._MEMO.get()
             for _ in range(2):
                 for h in hs:
-                    h.forward(pts)
+                    _walk(h, pts)
                     live = memo.entries.values()
                     filed = {id(image) for image in _filed(memo)}
                     # every live entry can still be reached from the root
@@ -292,6 +292,27 @@ def test_chain_memo_evicts_only_entries_no_other_entry_builds_on(
         # pass walks its g^-k afresh
         assert len(calls) == (12 if images == 14
                               else 2 * (6 + sum(range(7, 13))))
+
+
+def test_an_atom_walking_its_own_scratch_buffer_reads_no_stale_image(
+        half_dom):
+    # an atom that copies its input into one scratch buffer and walks an
+    # inner map on it: under a run memo the inner walk is a plain walk, so
+    # the second call reads the buffer's new values, not the first images
+    inner = scaling(half_dom, 2.0)
+    inner = compose(translation(half_dom, 1.0), inner)      # x -> 2x + 1
+    scratch = np.empty((3, 1))
+
+    def fwd(p):
+        scratch[:] = p
+        return inner.forward(scratch).copy()
+
+    outer = primitive(half_dom, fwd, lambda p: (p - 1.0) / 2.0, "outer")
+    with _chain_memo():
+        walked = [_walk(outer, np.array([[1.0], [2.0], [3.0]])),
+                  _walk(outer, np.array([[11.0], [12.0], [13.0]]))]
+    assert [w.ravel().tolist() for w in walked] == [[3.0, 5.0, 7.0],
+                                                   [23.0, 25.0, 27.0]]
 
 
 def test_process_memo_caches_sample_tables_only(half_dom, sqrt_triple,

@@ -453,6 +453,26 @@ def test_r_lipschitz_without_pairs_is_undetermined(half_dom, sqrt_triple,
     assert np.isnan(est.value) and est.witness_pair is None
 
 
+def test_pair_walk_keeps_the_first_tied_block_and_takes_a_later_nan(
+        half_dom, scheme, monkeypatch):
+    # x -> 2x doubles every separation exactly, so on the cloud 0, 1, ...,
+    # 198, 1000.5 every kept quotient of the identity scale ties at 2, in
+    # each of the four blocks; a scale that is NaN at 1605 = 2 * (1000.5 -
+    # 198) leaves one NaN cell, (198, 1000.5), in the last block
+    pts = np.append(np.arange(199.0), 1000.5)[:, None]
+    monkeypatch.setattr(koopman, "_pair_cloud",
+                        lambda *args: (pts, pts[:, 0], None))
+    assert len(pts) - 1 > 3 * _BLOCK_ROWS
+    double = primitive(half_dom, lambda p: 2.0 * p, lambda p: p / 2.0, "2x")
+    nan_at = RadialFn(lambda u: np.where(u == 1605.0, np.nan, u),
+                      "nan_at_1605")
+    for r, value, witness in ((make_radial("identity"), 2.0, (0.0, 1.0)),
+                              (nan_at, np.nan, (198.0, 1000.5))):
+        est = _all_pairs(double, r, scheme, Tolerances())
+        assert _same_bits(est.value, value)
+        assert tuple(float(x[0]) for x in est.witness_pair) == witness
+
+
 def test_r_lipschitz_nan_ratio_is_undetermined(half_dom, scheme):
     # a scale function that is NaN beyond 5 makes every ratio of a pair
     # whose images lie further apart NaN; the first such pair in row-major
