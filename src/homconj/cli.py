@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .conjugacy import (
+    _TAU_ENV,
     PicardContext,
     cauchy_envelope,
     envelope_threshold,
@@ -51,7 +52,6 @@ from .funcspace import (
     BUILTIN_TRIPLE_NAMES,
     Domain,
     SampleScheme,
-    Tolerances,
     _sampling_problem,
     builtin_triple,
     doubling_sample_sets,
@@ -91,8 +91,7 @@ class ConfigError(ValueError):
 # config parsing
 
 
-_TOP_KEYS = ("schema", "experiment", "family", "sampling", "tolerances",
-             "options")
+_TOP_KEYS = ("schema", "experiment", "family", "sampling", "options")
 
 def _check_keys(obj: dict, path: str, allowed, required=()):
     unknown = sorted(set(obj) - set(allowed))
@@ -202,7 +201,6 @@ class RunConfig:
     params: dict | None          # its typed parameters, as given
     built: object                # the family's builder output, or None
     scheme: SampleScheme
-    tol: Tolerances
     options: dict                # typed, every option's default filled in
 
 
@@ -253,18 +251,13 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
     path = f"{source}.sampling"
     scheme = _call(SampleScheme, {"window_radius": 8.0, **_typed(
         _fields_schema(SampleScheme), raw.get("sampling", {}), path)}, path)
-    path = f"{source}.tolerances"
-    read = {k: p for k, p in _fields_schema(Tolerances).items()
-            if k in exp.tolerances}
-    tol = _call(Tolerances, _typed(read, raw.get("tolerances", {}), path),
-                path)
 
     options = {k: p.default for k, p in exp.options.items()}
     options.update(_typed(exp.options, raw.get("options", {}),
                           f"{source}.options"))
 
     cfg = RunConfig(raw=raw, experiment=experiment, family=family,
-                    params=params, built=built, scheme=scheme, tol=tol,
+                    params=params, built=built, scheme=scheme,
                     options=options)
     for check in exp.checks:
         problem = check(cfg)
@@ -335,9 +328,8 @@ def _triple(cfg: RunConfig) -> tuple:
 def _exp_validate(cfg: RunConfig) -> Outcome:
     """Sampled check of the scale/growth pair and the gauge."""
     growth, r, cross, phi, warnings = _triple(cfg)
-    scale_rep = validate_scale_pair(growth, r, cross, cfg.scheme, cfg.tol)
-    gauge_rep = validate_gauge(phi, growth, cfg.built.domain, cfg.scheme,
-                               cfg.tol)
+    scale_rep = validate_scale_pair(growth, r, cross, cfg.scheme)
+    gauge_rep = validate_gauge(phi, growth, cfg.built.domain, cfg.scheme)
     passed = scale_rep.passed and gauge_rep.passed
     results = {
         "scale_pair": scale_rep.as_dict(),
@@ -357,7 +349,7 @@ def _exp_eigen_check(cfg: RunConfig) -> Outcome:
         alpha = cfg.built.alpha if alpha is None else alpha
     else:
         f, g = cfg.built, None
-    rep = check_p_alpha(f, g, phi, r, alpha, cfg.scheme, cfg.tol)
+    rep = check_p_alpha(f, g, phi, r, alpha, cfg.scheme)
     return Outcome(exit_code=0 if rep.satisfied else 2,
                    results={"eigen": _fields(rep)}, warnings=warnings)
 
@@ -368,8 +360,7 @@ def _exp_picard(cfg: RunConfig) -> Outcome:
     alpha = bundle.alpha if opts["alpha"] is None else opts["alpha"]
     h0 = bundle.g if opts["h0"] == "g" else identity(bundle.domain)
     est = EstimateContext(domain=bundle.domain, scheme=cfg.scheme,
-                          phi=bundle.phi, r=bundle.r, cross=bundle.cross,
-                          tol=cfg.tol)
+                          phi=bundle.phi, r=bundle.r, cross=bundle.cross)
     pctx = PicardContext(est=est, alpha=alpha, n_max=opts["n_max"],
                          n_bnd=opts["n_bnd"])
     res = picard_solve(bundle.f, bundle.g, h0, pctx)
@@ -401,8 +392,8 @@ def _exp_lozi_membership(cfg: RunConfig) -> Outcome:
     """Group membership, r-Lipschitz constant and round trip of a Lozi map."""
     mp = cfg.built
     _, r, cross, phi = builtin_triple(_GAUGE.default, mp.domain)
-    verdict = group_membership(mp, phi, r, cfg.scheme, cfg.tol)
-    lam = r_lipschitz(mp, r, cfg.scheme, cfg.tol)
+    verdict = group_membership(mp, phi, r, cfg.scheme)
+    lam = r_lipschitz(mp, r, cfg.scheme)
     coeff = None
     if verdict.forward.finiteness == "finite":
         coeff = koopman_lambda(verdict.forward.value, phi, cross)
@@ -432,7 +423,7 @@ def _exp_koenigs(cfg: RunConfig) -> Outcome:
     try:
         _, rep = koenigs_eigenfunction(
             mp, np.zeros(mp.domain.dim), multiplier, cfg.scheme,
-            n_max=opts["n_max"], tol=cfg.tol)
+            n_max=opts["n_max"])
     except ConvergenceError as e:
         return Outcome(exit_code=2, results={"converged": False,
                                              "reason": str(e)})
@@ -484,7 +475,7 @@ def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
             grid.append({"epsilon": eps, "C": c, "threshold_n": n_star,
                          "a_m": env.a_m, "tail": env.tail, "bound": env.bound,
                          "max_envelope": max_env,
-                         "ok": bool(max_env <= 2.0 * eps + cfg.tol.tau_env)})
+                         "ok": bool(max_env <= 2.0 * eps + _TAU_ENV)})
     all_ok = all(entry["ok"] for entry in grid)
     header = ("epsilon", "C", "threshold_n", "a_m", "tail", "bound",
               "max_envelope", "ok")
@@ -500,19 +491,18 @@ def _exp_fk_sweep(cfg: RunConfig) -> Outcome:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Runner, allowed families, typed options and read tolerances.
+    """Runner, allowed families and typed options.
 
-    ``tolerances`` names the ``Tolerances`` fields the runner reads; a
-    config may set only those.  Each option's own range is its ``Param``'s
-    ``check``; ``checks`` hold the rules that span fields, each a function
-    of the config that returns the problem, or None.  All of them run at
-    parse time, so the runner gets typed values and re-checks nothing.
+    Each option's own range is its ``Param``'s ``check``; ``checks`` hold
+    the rules that span fields, each a function of the config that returns
+    the problem, or None.  All of them run at parse time, so the runner
+    gets typed values and re-checks nothing.  No config sets a tolerance:
+    each is a constant of the module that reads it.
     """
 
     run: Callable[[RunConfig], Outcome]
     families: tuple
     options: dict                   # name -> Param
-    tolerances: tuple
     checks: tuple = ()              # cfg -> problem text or None
 
 
@@ -554,8 +544,6 @@ def _untamed(cfg: RunConfig) -> str | None:
     return None
 
 
-# read by every estimate that classifies a window trace
-_GROWTH_TOL = ("tau_abs", "rel", "kappa_div")
 # the largest Abel residual that passes
 _ABEL_RESIDUAL_TOL = 1e-9
 
@@ -565,14 +553,13 @@ _ABEL_RESIDUAL_TOL = 1e-9
 # perturbed_linear and translation.
 _EXPERIMENTS = {
     "validate": Experiment(_exp_validate, tuple(FAMILIES),
-                           {"gauge": _GAUGE}, ("tau_abs",),
-                           (_own_gauge, _samples)),
+                           {"gauge": _GAUGE}, (_own_gauge, _samples)),
     "eigen_check": Experiment(_exp_eigen_check, tuple(FAMILIES), {
         "alpha": Param("number", "gate exponent > 1; contraction_pair has "
                        "its own, other families need one", None,
                        check=_ABOVE_ONE),
         "gauge": _GAUGE,
-    }, _GROWTH_TOL, (_own_gauge, _samples,
+    }, (_own_gauge, _samples,
         lambda c: None if _is_pair(c) or c.options["alpha"] is not None else
             "options.alpha: required for eigen_check outside "
             "contraction_pair")),
@@ -586,9 +573,9 @@ _EXPERIMENTS = {
         "n_bnd": Param("integer", "boundedness probe over |n| <= n_bnd",
                        _default_of(PicardContext, "n_bnd"),
                        check=_AT_LEAST_ZERO),
-    }, _GROWTH_TOL + ("tol_conj", "tau_env"), (_samples,)),
+    }, (_samples,)),
     "lozi_membership": Experiment(_exp_lozi_membership, ("lozi",), {},
-                                  _GROWTH_TOL, (_samples,)),
+                                  (_samples,)),
     "koenigs": Experiment(_exp_koenigs, ("contraction_pair", "pure_linear"), {
         "use": Param("string", "which contraction_pair map to linearize",
                      "g", ("f", "g")),
@@ -597,7 +584,7 @@ _EXPERIMENTS = {
         "n_max": Param("integer", "step budget",
                        _default_of(koenigs_eigenfunction, "n_max"),
                        check=_AT_LEAST_ONE),
-    }, ("tol_koenigs",), (
+    }, (
         lambda c: None if _is_pair(c) or not _given(c, "use") else
             "options.use: only contraction_pair has two maps to choose from",
         lambda c: None if _is_pair(c) or 0.0 < c.params["scale"] < 1.0 else
@@ -606,7 +593,7 @@ _EXPERIMENTS = {
     "abel": Experiment(_exp_abel, ("pure_linear",), {
         "inner_radius": Param("number", "radius of the ball cut out at 0",
                               0.125, check=_POSITIVE),
-    }, (), (
+    }, (
         lambda c: None if c.params["scale"] > 0 and c.params["scale"] != 1.0
             else "family.params.scale: need scale > 0 and scale != 1",
         _samples)),
@@ -617,7 +604,7 @@ _EXPERIMENTS = {
         "nu": Param("integer", "smallest iterate gap checked, >= 1", 1,
                     check=_AT_LEAST_ONE),
         "n_max": Param("integer", "largest iterate checked, >= nu", 8),
-    }, (), (
+    }, (
         lambda c: None if c.options["cloud"].shape[1] == c.built.domain.dim
             else "options.cloud: points must have the family's dimension",
         lambda c: None if c.options["n_max"] >= c.options["nu"] else
@@ -631,7 +618,7 @@ _EXPERIMENTS = {
         "Cs": Param("numbers", "contraction factors in (0, 1)",
                     (0.3, 0.5, 0.9), check=_IN_UNIT),
         "k_max": Param("integer", "envelope steps", 64, check=_AT_LEAST_ZERO),
-    }, ("tau_env",), (_untamed,)),
+    }, (_untamed,)),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -842,7 +829,6 @@ def cmd_list_families(args) -> int:
         print(f"  {name} [families: {families}]: {exp.run.__doc__}")
         for oname, param in exp.options.items():
             print(_param_line(oname, param))
-        print(f"    tolerances read: {', '.join(exp.tolerances) or 'none'}")
     print("gauges:", ", ".join(BUILTIN_TRIPLE_NAMES))
     return 0
 

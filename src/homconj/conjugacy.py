@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspace import (
-    Tolerances,
+    _KAPPA_DIV,
+    _TAU_ABS,
     _table,
 )
 from .homspace import (
@@ -57,6 +58,10 @@ __all__ = [
     "picard_solve",
 ]
 
+_TOL_CONJ = 1e-8    # Picard stopping tolerance
+_TAU_ENV = 1e-9     # envelope-monitor slack
+_TAU_CONTR = 1e-9   # contraction-inequality slack
+
 
 @dataclass(frozen=True)
 class GateConstants:
@@ -88,10 +93,10 @@ def contraction_check(f: Homeo, g: Homeo, h1: Homeo, h2: Homeo,
                       alpha: float, ctx: EstimateContext) -> InequalityReport:
     """rho(L(h1), L(h2)) <= rho(h1, h2) / alpha, up to the sampling slack."""
     lhs = premetric(conjugacy_operator(f, g, h1), conjugacy_operator(f, g, h2),
-                    ctx.phi, ctx.r, ctx.scheme, ctx.tol)
-    rhs = premetric(h1, h2, ctx.phi, ctx.r, ctx.scheme, ctx.tol)
+                    ctx.phi, ctx.r, ctx.scheme)
+    rhs = premetric(h1, h2, ctx.phi, ctx.r, ctx.scheme)
     bound = rhs.rho / alpha
-    passed = bool(lhs.rho <= bound + ctx.tol.tau_contr)
+    passed = bool(lhs.rho <= bound + _TAU_CONTR)
     return InequalityReport(
         name="operator_contraction",
         lhs=float(lhs.rho),
@@ -191,7 +196,7 @@ class BoundReport:
 
     The doubly-infinite boundedness requirement is realized on the finite
     symmetric range |n| <= n_bnd; ``flagged`` means the outer half of the
-    range grew past kappa_div times the inner half, the window-doubling
+    range grew past _KAPPA_DIV times the inner half, the window-doubling
     idiom applied to the iteration index, or that some value is not finite
     (``notes`` then names the first such n).  ``rows[n]`` holds the
     per-point norms whose maximum is ``values[n]``.
@@ -215,7 +220,7 @@ def _iterates(f: Homeo, g: Homeo, h0: Homeo):
 
 
 def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
-                            n_bnd: int, tol: Tolerances = Tolerances(),
+                            n_bnd: int,
                             rows: np.ndarray | None = None) -> BoundReport:
     """Sup norms of f^n∘h0∘g^-n over ``pts[rows]`` for |n| <= n_bnd.
 
@@ -243,7 +248,7 @@ def negative_iterates_bound(f: Homeo, g: Homeo, h0: Homeo, pts: np.ndarray,
         norms = _lockstep_norms(pos, f, pts, rows)
         norms.update(_lockstep_norms(neg, invert(f), pts, rows))
     order = sorted(norms, key=lambda n: (abs(n), n < 0))
-    return _bound_report({n: norms[n] for n in order}, n_bnd, tol)
+    return _bound_report({n: norms[n] for n in order}, n_bnd)
 
 
 def _leading_run(chain: tuple, block: tuple) -> int:
@@ -284,7 +289,7 @@ def _lockstep_norms(chains: dict, step: Homeo, pts: np.ndarray,
     return norms
 
 
-def _bound_report(rows: dict, n_bnd: int, tol: Tolerances) -> BoundReport:
+def _bound_report(rows: dict, n_bnd: int) -> BoundReport:
     """The report whose value at each n is the maximum of ``rows[n]``."""
     values = {n: float(np.max(norms)) for n, norms in rows.items()}
     half = max(v for k, v in values.items() if abs(k) <= n_bnd // 2)
@@ -294,8 +299,7 @@ def _bound_report(rows: dict, n_bnd: int, tol: Tolerances) -> BoundReport:
     bad = next((n for n, v in values.items() if not np.isfinite(v)), None)
     notes = () if bad is None else (
         f"boundedness probe: iterate n={bad} is not finite",)
-    flagged = bad is not None or bool(full > tol.kappa_div * half
-                                      + tol.tau_abs)
+    flagged = bad is not None or bool(full > _KAPPA_DIV * half + _TAU_ABS)
     return BoundReport(values=values, n_bnd=n_bnd, flagged=flagged,
                        max_value=full, notes=notes, rows=rows)
 
@@ -401,9 +405,9 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     """Iterate h <- f∘h∘g^-1 from h0 under the three gates.
 
     Stops when both the increment rho(h_{n+1}, h_n) and the conjugation
-    residual drop below tol_conj.  The eigenvalue gate is checked here
+    residual drop below _TOL_CONJ.  The eigenvalue gate is checked here
     unless ``ctx.eigen_report`` brings it; a report whose ``inputs`` are not
-    this solve's f, g, gauge, scale, scheme and tolerances raises
+    this solve's f, g, gauge, scale and scheme raises
     ValueError.  Never weakens a gate: a failed gate or a flagged
     boundedness probe ends the run with its verdict, no steps and no
     membership.  The probe walks the top sample table and reports its rows
@@ -430,12 +434,11 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     """
     est = ctx.est
     _check_domains(est, f, g, h0)
-    tol = est.tol
     eigen = ctx.eigen_report or check_p_alpha(f, g, est.phi, est.r,
-                                              ctx.alpha, est.scheme, tol)
-    if eigen.inputs != (f, g, est.phi, est.r, est.scheme, tol):
+                                              ctx.alpha, est.scheme)
+    if eigen.inputs != (f, g, est.phi, est.r, est.scheme):
         raise ValueError("eigen_report was computed on other maps, gauge, "
-                         "scale, scheme or tolerances than this solve's")
+                         "scale or scheme than this solve's")
     C = 1.0 / ctx.alpha
 
     table = _table(est.domain, est.scheme)
@@ -447,7 +450,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     in_inner = np.isin(outer, inner)
 
     delta_est = premetric(conjugacy_operator(f, g, h0), h0,
-                          est.phi, est.r, est.scheme, tol)
+                          est.phi, est.r, est.scheme)
     constants = GateConstants(A=_gate_constant(est.phi, est.cross),
                               delta=float(delta_est.rho), C=C)
 
@@ -462,10 +465,10 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         failed = ("gate_failed", "initial_defect",
                   float(constants.threshold - constants.delta))
     else:
-        bound = negative_iterates_bound(f, g, h0, top, ctx.n_bnd, tol, outer)
+        bound = negative_iterates_bound(f, g, h0, top, ctx.n_bnd, outer)
         bound_pre = _bound_report(
             {n: norms[in_inner] for n, norms in bound.rows.items()},
-            ctx.n_bnd, tol)
+            ctx.n_bnd)
         if bound_pre.flagged:
             failed = ("unbounded_on_compacts", "iterate_boundedness", None)
     verdict, failed_gate, margin = failed or ("budget_exhausted", None, None)
@@ -480,10 +483,10 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                                        _envelope(1, constants.delta, C)):
         try:
             inc = constants.delta if n == 0 else premetric(
-                h_next, h, est.phi, est.r, est.scheme, tol).rho
+                h_next, h, est.phi, est.r, est.scheme).rho
             step_residual = conjugacy_residual(f, g, h_next, est)
             observed = inc if n == 0 else premetric(
-                h_next, h0, est.phi, est.r, est.scheme, tol).rho
+                h_next, h0, est.phi, est.r, est.scheme).rho
         except EvaluationError as exc:
             # once f^-n leaves the float range no estimate of step n exists;
             # the steps before it stand
@@ -502,7 +505,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
         measured.append((n, float(inc), float(residual), float(env_val)))
 
         h = h_next
-        if inc < tol.tol_conj and residual < tol.tol_conj:
+        if inc < _TOL_CONJ and residual < _TOL_CONJ:
             verdict = "converged"
             break
 
@@ -510,7 +513,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     # inner compact; a run that outlived the probe walks one probe of the
     # inner compact as far as it went, for its steps alone
     probe = bound_pre if len(measured) <= ctx.n_bnd else \
-        negative_iterates_bound(f, g, h0, top, len(measured), tol, inner)
+        negative_iterates_bound(f, g, h0, top, len(measured), inner)
     steps = tuple(StepRecord(
         n=n, rho_increment=inc, conj_residual=res,
         compact_bound=float(np.maximum(probe.values[n + 1],
@@ -524,7 +527,7 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
                      "after convergence")
         notes.extend(bound_post.notes)
 
-    incr_ok = all(obs <= env + tol.tau_env
+    incr_ok = all(obs <= env + _TAU_ENV
                   for _, obs, env in anchored) if anchored else None
 
     trace = IterationTrace(
@@ -536,6 +539,6 @@ def picard_solve(f: Homeo, g: Homeo, h0: Homeo,
     )
     membership = None
     if failed is None and verdict not in ("non_finite", "undetermined"):
-        membership = group_membership(h, est.phi, est.r, est.scheme, tol)
+        membership = group_membership(h, est.phi, est.r, est.scheme)
     return ConjugacyResult(h=h, trace=trace, membership=membership,
                            residual=float(residual))

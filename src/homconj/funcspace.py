@@ -1,8 +1,9 @@
 """Scale functions, growth functions, gauges, domains, and sampling.
 
-Every supremum this package reports is taken over a finite sample window
-and is therefore a certified lower bound of the true sup, never an upper
-bound.  This module owns the shared ingredients: the scale function r
+Every supremum this package reports is taken over a finite sample window,
+so it is a lower bound of the true sup up to the rounding of the
+evaluations, which can lift a sampled value above it (ROADMAP item 18).
+This module owns the shared ingredients: the scale function r
 (vanishing only at 0, nondecreasing, subadditive), the growth function R
 (positive, subadditive) tied to r through the cross bound
 R(u) <= a*r(u) + b, gauges pinched inside the cone
@@ -29,7 +30,6 @@ __all__ = [
     "Gauge",
     "Domain",
     "SampleScheme",
-    "Tolerances",
     "ConditionCheck",
     "ValidationReport",
     "make_radial",
@@ -46,25 +46,12 @@ __all__ = [
 
 DOUBLINGS = 3  # finiteness classification always uses three window doublings
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric knobs shared across the package; all overridable per run."""
-
-    tau_abs: float = 1e-12       # absolute slack for exact identities
-    rel: float = 1e-9            # relative comparison slack
-    tau_inv: float = 1e-8        # round-trip tolerance for inverses
-    tau_tri: float = 1e-9        # relaxed-triangle slack
-    tau_contr: float = 1e-9      # contraction-inequality slack
-    tau_env: float = 1e-9        # envelope-monitor slack
-    tol_conj: float = 1e-8       # Picard stopping tolerance
-    tol_koenigs: float = 1e-10   # linearization convergence tolerance
-    kappa_div: float = 1.5       # growth factor triggering "divergent"
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
+# The tolerances shared across modules; each other one lives in the one
+# module that reads it.  None is settable: a test that needs another value
+# monkeypatches the constant in the module that reads it.
+_TAU_ABS = 1e-12    # absolute slack for exact identities
+_REL = 1e-9         # relative comparison slack
+_KAPPA_DIV = 1.5    # growth factor triggering "divergent"
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +430,7 @@ def doubling_radii(scheme: SampleScheme) -> tuple:
 
 # Two cache rules.  Data derived from a sample table depends on (domain,
 # scheme[, gauge or cap]) alone, and a scale-pair report on (growth, r,
-# cross, scheme, tol) alone, so each is cached with functools.lru_cache,
+# cross, scheme) alone, so each is cached with functools.lru_cache,
 # keyed by value, at most _TABLE_CACHE_SIZE entries per function; a table's own
 # data is one _Table record, so no part of it outlives the rest and hands out a
 # second copy of the table.  Chain images are not values: homspace caches them
@@ -634,21 +621,19 @@ def _worst(excess: np.ndarray, args) -> tuple:
     return tuple(float(np.asarray(a).ravel()[idx]) for a in args)
 
 
-def _max_check(name: str, worst: float, witness,
-               tol: Tolerances) -> ConditionCheck:
-    """Condition excess <= tau_abs on every sample, given the largest
+def _max_check(name: str, worst: float, witness) -> ConditionCheck:
+    """Condition excess <= _TAU_ABS on every sample, given the largest
     excess ``worst`` and the sample ``witness`` first reaching it; a NaN
     excess fails it, with margin NaN."""
-    return ConditionCheck(name, worst <= tol.tau_abs,
+    return ConditionCheck(name, worst <= _TAU_ABS,
                           float(np.maximum(0.0, worst)), witness)
 
 
-def _sup_check(name: str, excess: np.ndarray, args,
-               tol: Tolerances) -> ConditionCheck:
+def _sup_check(name: str, excess: np.ndarray, args) -> ConditionCheck:
     """:func:`_max_check` of an excess array, witnessed at its argmax."""
     if not excess.size:
-        return _max_check(name, 0.0, None, tol)
-    return _max_check(name, float(np.max(excess)), _worst(excess, args), tol)
+        return _max_check(name, 0.0, None)
+    return _max_check(name, float(np.max(excess)), _worst(excess, args))
 
 
 def _positive_check(name: str, vals: np.ndarray,
@@ -682,8 +667,7 @@ def _block_max(excess: np.ndarray, base: int) -> tuple:
 
 
 def _pair_checks(growth: RadialFn, scale: RadialFn, sub: np.ndarray,
-                 r_sub: np.ndarray, R_sub: np.ndarray,
-                 tol: Tolerances) -> tuple:
+                 r_sub: np.ndarray, R_sub: np.ndarray) -> tuple:
     """The r_nondecreasing, r_subadditive and R_subadditive checks over
     every ordered pair (x, y) of the distinct samples ``sub``, x == y
     included, x outer, given ``r_sub`` = r(sub) and ``R_sub`` = R(sub).
@@ -706,14 +690,13 @@ def _pair_checks(growth: RadialFn, scale: RadialFn, sub: np.ndarray,
         return float(sub[k // n]), float(sub[k % n])
 
     return (_max_check("r_nondecreasing", mono[0],
-                       tuple(sorted(pair(mono[1]))), tol),
-            _max_check("r_subadditive", r_add[0], pair(r_add[1]), tol),
-            _max_check("R_subadditive", R_add[0], pair(R_add[1]), tol))
+                       tuple(sorted(pair(mono[1])))),
+            _max_check("r_subadditive", r_add[0], pair(r_add[1])),
+            _max_check("R_subadditive", R_add[0], pair(R_add[1])))
 
 
 def validate_scale_pair(growth: RadialFn, scale: RadialFn, cross: CrossConstants,
-                        scheme: SampleScheme,
-                        tol: Tolerances = Tolerances()) -> ValidationReport:
+                        scheme: SampleScheme) -> ValidationReport:
     """Sampled verification of the scale/growth axioms and the cross bound.
 
     Reported, never raised: each condition carries a pass flag and the worst
@@ -722,15 +705,15 @@ def validate_scale_pair(growth: RadialFn, scale: RadialFn, cross: CrossConstants
     value depends on its own argument alone, as the rule that no estimate
     depends on its batch already requires: each is evaluated once per sample
     and once per pair sum, in blocks.  Memoized on (growth, r, cross,
-    scheme, tol): equal keys get the same report.
+    scheme): equal keys get the same report.
     """
-    return _scale_pair_report(growth, scale, cross, scheme, tol)
+    return _scale_pair_report(growth, scale, cross, scheme)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _scale_pair_report(growth: RadialFn, scale: RadialFn,
-                       cross: CrossConstants, scheme: SampleScheme,
-                       tol: Tolerances) -> ValidationReport:
+                       cross: CrossConstants,
+                       scheme: SampleScheme) -> ValidationReport:
     """The report of :func:`validate_scale_pair`."""
     u = _u_samples(scheme)
     pos = u > 0
@@ -739,15 +722,15 @@ def _scale_pair_report(growth: RadialFn, scale: RadialFn,
     kept = _strided_subset(u.shape[0], 250_000)
     zero = np.zeros(1)
     r_nondecreasing, r_subadditive, R_subadditive = _pair_checks(
-        growth, scale, u[kept], ru[kept], Ru[kept], tol)
+        growth, scale, u[kept], ru[kept], Ru[kept])
     return ValidationReport(checks=(
-        _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,), tol),
+        _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,)),
         _positive_check("r_positive_off_origin", ru[pos], u[pos]),
         r_nondecreasing,
         r_subadditive,
         _positive_check("R_positive", Ru, u),
         R_subadditive,
-        _sup_check("cross_bound", Ru - cross.a * ru - cross.b, (u,), tol),
+        _sup_check("cross_bound", Ru - cross.a * ru - cross.b, (u,)),
     ))
 
 
@@ -759,8 +742,7 @@ def _shell_min(vals: np.ndarray, norms: np.ndarray, radius: float) -> float:
 
 
 def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
-                   scheme: SampleScheme,
-                   tol: Tolerances = Tolerances()) -> ValidationReport:
+                   scheme: SampleScheme) -> ValidationReport:
     """Sampled verification of the gauge conditions.
 
     The floor and the cone are pointwise inequalities, checked as in
@@ -782,11 +764,11 @@ def validate_gauge(phi: Gauge, growth: RadialFn, domain: Domain,
     where = tuple(table.pts.T)
     # the shortfall of the outer minimum against the growth it must show,
     # so the margin is positive exactly when the check fails
-    shortfall = inner_min + tol.tau_abs - outer_min
+    shortfall = inner_min + _TAU_ABS - outer_min
     return ValidationReport(checks=(
-        _sup_check("floor_m", phi.m - vals, where, tol),
-        _sup_check("cone_lower", phi.gamma * Rn - vals, where, tol),
-        _sup_check("cone_upper", vals - phi.beta * Rn, where, tol),
+        _sup_check("floor_m", phi.m - vals, where),
+        _sup_check("cone_lower", phi.gamma * Rn - vals, where),
+        _sup_check("cone_upper", vals - phi.beta * Rn, where),
         ConditionCheck("coercive_shell_growth", shortfall < 0,
                        max(0.0, shortfall),
                        (inner_min, outer_min)),

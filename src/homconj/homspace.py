@@ -76,7 +76,9 @@ from .funcspace import (
     Gauge,
     RadialFn,
     SampleScheme,
-    Tolerances,
+    _KAPPA_DIV,
+    _REL,
+    _TAU_ABS,
     _gauge_values,
     _norm_geometry,
     _table,
@@ -316,7 +318,8 @@ def roundtrip_error(f: Homeo, pts: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DisplacementEstimate:
-    """Windowed lower bound of sup_x r(|f(x)-x|) / phi(x).
+    """Windowed estimate of sup_x r(|f(x)-x|) / phi(x): a lower bound up to
+    the rounding of the evaluations (ROADMAP item 18).
 
     ``finiteness`` is "finite", "divergent", or "undetermined", decided by
     how the estimate grows over three window doublings.  ``dropped`` counts
@@ -365,11 +368,11 @@ def _on_table(f: Homeo, phi: Gauge, scheme: SampleScheme) -> tuple:
     return kept, fx, den, geo, dropped
 
 
-def _classify(trace, kappa_div: float, tau_abs: float, rel: float) -> str:
+def _classify(trace) -> str:
     """Growth label for a nondecreasing window trace.
 
     Divergent needs the total growth over the three doublings to exceed
-    kappa_div AND the last doubling to still be growing: a jump followed
+    _KAPPA_DIV AND the last doubling to still be growing: a jump followed
     by a flat tail means the sup lives inside a bounded shell, not that it
     escapes with the window.
     """
@@ -377,8 +380,8 @@ def _classify(trace, kappa_div: float, tau_abs: float, rel: float) -> str:
     if not all(map(math.isfinite, values)):
         return "undetermined"
     first, last = values[0], values[-1]
-    total_growth = last > kappa_div * first + tau_abs
-    still_growing = last > (1.0 + rel) * values[-2] + tau_abs
+    total_growth = last > _KAPPA_DIV * first + _TAU_ABS
+    still_growing = last > (1.0 + _REL) * values[-2] + _TAU_ABS
     if total_growth and still_growing:
         return "divergent"
     return "finite"
@@ -404,8 +407,8 @@ def _shell_trace(ratio: np.ndarray, geo) -> tuple:
                  for radius, cut in zip(geo.radii, geo.cuts))
 
 
-def displacement(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
-                 tol: Tolerances = Tolerances()) -> DisplacementEstimate:
+def displacement(f: Homeo, phi: Gauge, r: RadialFn,
+                 scheme: SampleScheme) -> DisplacementEstimate:
     """Displacement of f relative to (phi, r) on the sample window.
 
     The identity chain short-circuits to an exact 0 independent of phi, r
@@ -429,7 +432,7 @@ def displacement(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
     i = int(np.argmax(ratio))
     # the top shell holds every kept point, so a non-finite best ratio makes
     # the trace, and with it the label, undetermined
-    finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    finiteness = _classify(trace)
     value = np.nan if finiteness == "undetermined" else float(ratio[i])
     # a copy: never a view of a read-only table
     return DisplacementEstimate(value, kept[i].copy(), finiteness, trace,
@@ -455,16 +458,15 @@ class PremetricEstimate:
 
 
 def premetric(f: Homeo, g: Homeo, phi: Gauge, r: RadialFn,
-              scheme: SampleScheme,
-              tol: Tolerances = Tolerances()) -> PremetricEstimate:
+              scheme: SampleScheme) -> PremetricEstimate:
     """Composes first, estimates second.
 
     Both parts are displacements of composed chains; nothing is assembled
     from per-factor displacement numbers, so mutually cancelling factors
     give an exact zero.
     """
-    left = displacement(compose(f, invert(g)), phi, r, scheme, tol)
-    right = displacement(compose(invert(f), g), phi, r, scheme, tol)
+    left = displacement(compose(f, invert(g)), phi, r, scheme)
+    right = displacement(compose(invert(f), g), phi, r, scheme)
     finiteness = _combined(left.finiteness, right.finiteness)
     rho = np.inf if finiteness == "divergent" else (
         np.nan if finiteness == "undetermined"
@@ -500,6 +502,9 @@ def koopman_lambda(disp_value: float, phi: Gauge, cross: CrossConstants) -> floa
 # inequality checks
 
 
+_TAU_TRI = 1e-9     # relaxed-triangle slack
+
+
 @dataclass(frozen=True)
 class EstimateContext:
     """Everything the composite premetric checks need, bundled once."""
@@ -509,7 +514,6 @@ class EstimateContext:
     phi: Gauge
     r: RadialFn
     cross: CrossConstants
-    tol: Tolerances = Tolerances()
 
     @property
     def affine_coeff(self) -> float:
@@ -537,14 +541,14 @@ class InequalityReport:
 def check_relaxed_triangle(f: Homeo, g: Homeo, h: Homeo,
                            ctx: EstimateContext) -> InequalityReport:
     """rho(f,g) <= a*beta*rho(f,h)*rho(h,g) + (b*beta/m + beta/gamma)*rho(f,h) + rho(h,g)."""
-    fg = premetric(f, g, ctx.phi, ctx.r, ctx.scheme, ctx.tol)
-    fh = premetric(f, h, ctx.phi, ctx.r, ctx.scheme, ctx.tol)
-    hg = premetric(h, g, ctx.phi, ctx.r, ctx.scheme, ctx.tol)
+    fg = premetric(f, g, ctx.phi, ctx.r, ctx.scheme)
+    fh = premetric(f, h, ctx.phi, ctx.r, ctx.scheme)
+    hg = premetric(h, g, ctx.phi, ctx.r, ctx.scheme)
     # an exact 0 factor makes the product 0, even against an infinite rho
     product = 0.0 if fh.rho == 0 or hg.rho == 0 else \
         ctx.product_coeff * fh.rho * hg.rho
     rhs = product + ctx.affine_coeff * fh.rho + hg.rho
-    passed = bool(fg.rho <= rhs + ctx.tol.tau_tri)
+    passed = bool(fg.rho <= rhs + _TAU_TRI)
     return InequalityReport(
         name="relaxed_triangle",
         lhs=float(fg.rho),
@@ -582,10 +586,10 @@ class MembershipVerdict:
     inverse: DisplacementEstimate
 
 
-def group_membership(f: Homeo, phi: Gauge, r: RadialFn, scheme: SampleScheme,
-                     tol: Tolerances = Tolerances()) -> MembershipVerdict:
-    fwd = displacement(f, phi, r, scheme, tol)
-    inv = displacement(invert(f), phi, r, scheme, tol)
+def group_membership(f: Homeo, phi: Gauge, r: RadialFn,
+                     scheme: SampleScheme) -> MembershipVerdict:
+    fwd = displacement(f, phi, r, scheme)
+    inv = displacement(invert(f), phi, r, scheme)
     verdict = {"divergent": "non_member", "undetermined": "undetermined",
                "finite": "member"}[_combined(fwd.finiteness, inv.finiteness)]
     return MembershipVerdict(verdict, fwd, inv)

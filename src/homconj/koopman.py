@@ -4,8 +4,9 @@ linearization, and the functional-equation diagnostics.
 The gate asks for a gauge phi with phi(f(x)) >= alpha * lam_r(f) * phi(x)
 pointwise (and the same for g) at some alpha > 1; that is what buys the
 1/alpha contraction of the conjugacy operator downstream.  Everything here
-is sampled: lam_r estimates are pairwise sups and therefore lower bounds,
-and the pointwise gate inequalities are checked on the same windowed sample
+is sampled: lam_r estimates are pairwise sups and therefore lower bounds
+up to the rounding of the evaluations (ROADMAP item 18), and the
+pointwise gate inequalities are checked on the same windowed sample
 sets the rest of the package uses.
 """
 
@@ -22,8 +23,8 @@ from .funcspace import (
     Gauge,
     RadialFn,
     SampleScheme,
-    Tolerances,
     _TABLE_CACHE_SIZE,
+    _TAU_ABS,
     _first_max,
     _norm_geometry,
     _read_only,
@@ -59,6 +60,8 @@ __all__ = [
 
 PAIR_CAP = 1_000_000
 _SEP_FLOOR = 1e-9
+_TOL_KOENIGS = 1e-10    # linearization convergence tolerance
+_TAU_INV = 1e-8         # round-trip tolerance of a periodic orbit
 
 
 class ConvergenceError(RuntimeError):
@@ -114,8 +117,8 @@ def _near_partners(pts: np.ndarray, pts_norms: np.ndarray,
 # row after its first, densely, so it holds at most this many times the
 # cloud's rows of cells; a mask keeps the pairs the sup runs over.  The
 # walk's buffers are sized for its first block, the largest, and every
-# block writes into views of them.  wandering_check's separation walk
-# takes its blocks of this many rows too.
+# block writes into views of them.  wandering_check's stretch and
+# separation walks take their blocks of this many rows too.
 _BLOCK_ROWS = 64
 
 
@@ -173,17 +176,16 @@ def _later(x: np.ndarray, lo: int, hi: int, out: np.ndarray,
 
 
 def _estimate(value: float, witness: tuple | None, column: np.ndarray,
-              geo, tol: Tolerances, pair_count: int) -> RLipschitzEstimate:
+              geo, pair_count: int) -> RLipschitzEstimate:
     """The estimate of one map from its (value, witness pair) and its
     ratios ``column``, each taken at the shell of ``geo``."""
     trace = _shell_trace(column, geo)
-    finiteness = "undetermined" if np.isnan(value) else \
-        _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    finiteness = "undetermined" if np.isnan(value) else _classify(trace)
     return RLipschitzEstimate(value, witness, finiteness, trace, pair_count)
 
 
-def _all_pairs(f: Homeo, r: RadialFn, scheme: SampleScheme,
-               tol: Tolerances) -> RLipschitzEstimate:
+def _all_pairs(f: Homeo, r: RadialFn,
+               scheme: SampleScheme) -> RLipschitzEstimate:
     """The pair walk of :func:`r_lipschitz`: every pair of the cloud, in
     row blocks, each written into views of buffers allocated once here."""
     domain = f.domain
@@ -241,7 +243,7 @@ def _all_pairs(f: Homeo, r: RadialFn, scheme: SampleScheme,
     value, *witness = _first_max(blocks) if blocks else (np.nan,)
     return _estimate(value, tuple(pts[witness]) if witness else None,
                      column[seen],
-                     _norm_geometry(norms[seen], doubling_radii(scheme)), tol,
+                     _norm_geometry(norms[seen], doubling_radii(scheme)),
                      2 * kept)
 
 
@@ -268,8 +270,7 @@ def _thinned(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def _neighbour_slopes(f: Homeo, scheme: SampleScheme,
-                      tol: Tolerances) -> RLipschitzEstimate:
+def _neighbour_slopes(f: Homeo, scheme: SampleScheme) -> RLipschitzEstimate:
     """:func:`r_lipschitz` in one dimension with r the identity.
 
     Along the thinned cloud in increasing x, a chord's slope is a weighted
@@ -288,11 +289,11 @@ def _neighbour_slopes(f: Homeo, scheme: SampleScheme,
     if column.size:
         k = int(np.argmax(column))
         value, witness = float(column[k]), tuple(pts[[a[k], b[k]]])
-    return _estimate(value, witness, column, geo, tol, 2 * len(a))
+    return _estimate(value, witness, column, geo, 2 * len(a))
 
 
-def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
-                tol: Tolerances = Tolerances()) -> RLipschitzEstimate:
+def r_lipschitz(f: Homeo, r: RadialFn,
+                scheme: SampleScheme) -> RLipschitzEstimate:
     """Windowed estimate of the r-Lipschitz constant of f.
 
     All pair ratios come from one cloud, in stable norm order, built over
@@ -330,8 +331,8 @@ def r_lipschitz(f: Homeo, r: RadialFn, scheme: SampleScheme,
     pays for its images and quotients alone.
     """
     if f.domain.dim == 1 and r.eval is _BUILTIN_EVALS["identity"]:
-        return _neighbour_slopes(f, scheme, tol)
-    return _all_pairs(f, r, scheme, tol)
+        return _neighbour_slopes(f, scheme)
+    return _all_pairs(f, r, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,8 @@ class EigenReport:
 
     ``lambda_g``/``min_slack_g`` are None for the single-operator form.
     A minimum is NaN when undefined or when no sample image stays in the
-    domain; the verdict requires both to clear -tau_abs.  ``inputs`` is
-    what the gate ran on, (f, g, phi, r, scheme, tol), so a solve handed
+    domain; the verdict requires both to clear -_TAU_ABS.  ``inputs`` is
+    what the gate ran on, (f, g, phi, r, scheme), so a solve handed
     the report can tell whether it is its own; it takes no part in
     comparing or printing the report.
     """
@@ -375,8 +376,7 @@ def _slack_profile(f: Homeo, phi: Gauge, lam: float, alpha: float,
 
 
 def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
-                  alpha: float, scheme: SampleScheme,
-                  tol: Tolerances = Tolerances()) -> EigenReport:
+                  alpha: float, scheme: SampleScheme) -> EigenReport:
     """Sampled verification of the generalized eigenvalue gate at alpha > 1.
 
     Pass ``g=None`` for the single-operator form.  lam_r of f and of g
@@ -391,12 +391,12 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
         raise ValueError("the gate needs alpha > 1")
     maps = (f,) if g is None else (f, g)
     gates = []
-    for T, lam, name in zip(maps, [r_lipschitz(T, r, scheme, tol)
+    for T, lam, name in zip(maps, [r_lipschitz(T, r, scheme)
                                    for T in maps], "fg"):
         if lam.finiteness == "divergent":
             raise ValueError(f"r-Lipschitz estimate of {name} diverges")
         slack, worst = _slack_profile(T, phi, lam.value, alpha, scheme)
-        gates.append((lam, slack, worst, lam.finite and slack >= -tol.tau_abs))
+        gates.append((lam, slack, worst, lam.finite and slack >= -_TAU_ABS))
     (lam_f, slack_f, _, f_ok), *rest = gates
     lam_g, slack_g, _, g_ok = rest[0] if rest else (None, None, None, True)
     # np.argmin takes a NaN slack as least, whichever map it belongs to
@@ -409,7 +409,7 @@ def check_p_alpha(f: Homeo, g: Homeo | None, phi: Gauge, r: RadialFn,
         min_slack_g=None if slack_g is None else float(slack_g),
         satisfied=bool(f_ok and g_ok),
         worst_point=worst_pt,
-        inputs=(f, g, phi, r, scheme, tol),
+        inputs=(f, g, phi, r, scheme),
     )
 
 
@@ -427,8 +427,7 @@ class KoenigsReport:
 
 
 def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
-                          scheme: SampleScheme, n_max: int = 100,
-                          tol: Tolerances = Tolerances()):
+                          scheme: SampleScheme, n_max: int = 100):
     """Linearizing map psi(x) = lim (f^n(x) - x*) / multiplier^n.
 
     Convergence is monitored as the sup of successive increments over the
@@ -461,7 +460,7 @@ def koenigs_eigenfunction(f: Homeo, fixed_point: np.ndarray, multiplier: float,
                 f"linearization diverging at step {n}: sup {sup_now:.3e}")
         increment = float(np.max(domain.norm_of(psi - psi_prev)))
         psi_prev = psi
-        if increment < tol.tol_koenigs:
+        if increment < _TOL_KOENIGS:
             break
     else:
         raise ConvergenceError(
@@ -570,14 +569,35 @@ class WanderingReport:
 
 
 def _cloud_stretch(before: np.ndarray, after: np.ndarray, domain: Domain) -> float:
-    sub = _strided_subset(before.shape[0], 40_000)
-    before, after = before[sub], after[sub]
-    sep = domain.norm_of(before[:, None] - before[None])
-    ok = sep > 0    # drops coincident points, each point with itself too
-    if not np.any(ok):
-        return 1.0
-    out = domain.norm_of(after[:, None] - after[None])[ok] / sep[ok]
-    return float(np.max(out))
+    """The largest |after_i - after_j| / |before_i - before_j| over every
+    pair of distinct points of ``before``, or 1.0 when there is none.
+
+    Walked as the r-Lipschitz pair walk is: blocks of ``_BLOCK_ROWS`` rows,
+    each paired with every row after its first, the norms folded into
+    views of buffers allocated once, for the first and largest block.
+    Every quantity is symmetric in the pair and a maximum is exact, so the
+    bits equal those of one dense maximum over all ordered pairs; a NaN
+    stretch still reads NaN.
+    """
+    later = before.shape[0] - 1
+    size = min(_BLOCK_ROWS, later) * later
+    # the separations, the stretches and, past one axis, a scratch for the
+    # later axes
+    bufs = np.empty((2 if before.shape[1] == 1 else 3, size))
+    best = []
+    for lo in range(0, later, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, later)
+        shape = (hi - lo, later - lo)
+        sep, out, *rest = (buf[:shape[0] * shape[1]].reshape(shape)
+                           for buf in bufs)
+        scratch = rest[0] if rest else None
+        domain.fold_norm(_later(before, lo, hi, sep, scratch), out=sep)
+        ok = sep > 0    # drops coincident points, each point with itself too
+        if np.any(ok):
+            domain.fold_norm(_later(after, lo, hi, out, scratch), out=out)
+            np.divide(out, sep, out=out, where=ok)
+            best.append(np.max(out, where=ok, initial=-np.inf))
+    return float(np.max(best)) if best else 1.0
 
 
 def _cloud_distance(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
@@ -633,8 +653,7 @@ class ObstructionReport:
 
 
 def periodic_obstruction(f: Homeo, alpha: float, lambda_r: float,
-                         orbit: np.ndarray, p: int,
-                         tol: Tolerances = Tolerances()) -> ObstructionReport:
+                         orbit: np.ndarray, p: int) -> ObstructionReport:
     """Obstruction test at a verified periodic orbit.
 
     First verifies f cycles the supplied orbit with period p within the
@@ -651,7 +670,7 @@ def periodic_obstruction(f: Homeo, alpha: float, lambda_r: float,
     images = _images(f, orbit, "orbit")
     target = np.roll(orbit, -1, axis=0)
     err = domain.norm_of(images - target) / (1.0 + domain.norm_of(orbit))
-    if float(np.max(err)) > tol.tau_inv:
+    if float(np.max(err)) > _TAU_INV:
         raise ValueError(
             f"orbit is not periodic within tolerance (error {float(np.max(err)):.3e})")
     factor = float((alpha * lambda_r) ** p)

@@ -108,7 +108,7 @@ def pool_rho(pool, half_ctx):
         key = (i, j)
         if key not in cache:
             cache[key] = premetric(pool[i], pool[j], half_ctx.phi,
-                                   half_ctx.r, half_ctx.scheme, half_ctx.tol)
+                                   half_ctx.r, half_ctx.scheme)
         return cache[key]
 
     return rho
@@ -237,11 +237,11 @@ def test_criterion_05_ball_inclusion(pool, pool_rho, half_ctx, half_dom):
         member = compose(primitive(half_dom, lambda p, s=shift: p + s,
                                    lambda p, s=shift: p - s, "t"), g_map)
         rho_gm = premetric(g_map, member, half_ctx.phi, half_ctx.r,
-                           half_ctx.scheme, half_ctx.tol).rho
+                           half_ctx.scheme).rho
         if not rho_gm <= alpha:
             continue
         rho_fm = premetric(f_map, member, half_ctx.phi, half_ctx.r,
-                           half_ctx.scheme, half_ctx.tol).rho
+                           half_ctx.scheme).rho
         if rho_fm <= alpha_star + 1e-9:
             verified += 1
     ok = verified == 200

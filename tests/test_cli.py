@@ -23,7 +23,6 @@ from homconj.cli import (
 )
 from homconj import cli
 from homconj.families import FAMILIES
-from homconj.funcspace import Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -193,15 +192,21 @@ REJECTED = [
      "params.offset: not finite, got inf"),
     (_cfg("eigen_check", ("pure_linear", {"scale": 10 ** 400}), alpha=1.1),
      "params.scale: not finite, got 10{400}"),
-    # tolerances the experiment never reads
+    # every tolerance is a fixed constant, so no config sets one; a
+    # kappa_div of 1e300 turned the bundled pair's membership from
+    # non_member into member
+    ({**json.loads((CONFIG_DIR / "contraction_pair.json").read_text()),
+      "tolerances": {"kappa_div": 1e300}},
+     r"unknown key\(s\) 'tolerances' \(allowed: experiment, family, "
+     r"options, sampling, schema\)"),
     (_with_tol(_cfg("eigen_check", PAIR), tau_tri=5.0, tol_conj=0.5),
-     r"tolerances: unknown key\(s\) 'tau_tri', 'tol_conj'"),
+     r"unknown key\(s\) 'tolerances'"),
     (_with_tol(_cfg("picard", PAIR), tau_contr=1e-3),
-     r"tolerances: unknown key\(s\) 'tau_contr'"),
+     r"unknown key\(s\) 'tolerances'"),
     (_with_tol(_cfg("fk_sweep"), tol_conj=0.5),
-     r"tolerances: unknown key\(s\) 'tol_conj' \(allowed: tau_env\)"),
+     r"unknown key\(s\) 'tolerances'"),
     (_with_tol(_cfg("abel", ("pure_linear", {"scale": 0.5})), tau_abs=1e-9),
-     r"tolerances: unknown key\(s\) 'tau_abs' \(allowed: none\)"),
+     r"unknown key\(s\) 'tolerances'"),
     # --out or $HOMCONJ_RUNS set the output root; abel passes at 1e-9
     ({**fk_sweep_payload(), "output_dir": "elsewhere"},
      r"unknown key\(s\) 'output_dir'"),
@@ -322,43 +327,21 @@ def test_koenigs_reports_a_mis_specified_multiplier(tmp_path, family,
     assert results == {"family": family[0], "converged": False}
 
 
-class _RecordingTolerances:
-    """Tolerances that remember which fields were read."""
-
-    def __init__(self, tol):
-        self._tol, self.read = tol, set()
-
-    def __getattr__(self, name):
-        self.read.add(name)
-        return getattr(self._tol, name)
-
-
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
-                         ids=lambda p: p.stem)
-def test_each_experiment_reads_exactly_its_declared_tolerances(path):
-    cfg = load_config(str(path))
-    exp = _EXPERIMENTS[cfg.experiment]
-    tol = _RecordingTolerances(cfg.tol)
-    exp.run(dataclasses.replace(cfg, tol=tol))
-    assert tol.read == set(exp.tolerances)
-
-
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda p: p.stem)
 def test_validate_accepts_only_the_tolerances_the_experiment_reads(
         tmp_path, capsys, path):
-    payload = json.loads(path.read_text())
-    declared = _EXPERIMENTS[payload["experiment"]].tolerances
-    for field in dataclasses.fields(Tolerances):
-        cfg = write_cfg(tmp_path, _with_tol(payload, **{field.name: 0.5}),
-                        path.name)
-        capsys.readouterr()
-        if field.name in declared:
-            assert main(["validate", cfg]) == 0
-            continue
-        assert main(["validate", cfg]) == 2
-        assert f"{path.name}.tolerances: unknown key(s) '{field.name}'" \
-            in capsys.readouterr().err
+    # no experiment reads a tolerance from its config, each being a constant
+    # of the module that reads it, so no config may set one
+    payload = {**json.loads(path.read_text()),
+               "tolerances": {"kappa_div": 1e300}}
+    cfg = write_cfg(tmp_path, payload, path.name)
+    assert main(["validate", cfg]) == 2
+    assert f"{path.name}: unknown key(s) 'tolerances'" \
+        in capsys.readouterr().err
+    out = tmp_path / "runs"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_bundled_configs_all_parse():
@@ -651,5 +634,4 @@ def test_list_families(capsys):
         assert f"\n    {name} (" in out
     assert "norm (string, default 'euclidean')" in out
     assert "n_max (integer, default 200)" in out
-    assert "tolerances read: tau_abs, rel, kappa_div, tol_conj, tau_env" in out
-    assert "tolerances read: none" in out
+    assert "tolerances" not in out

@@ -21,7 +21,6 @@ from homconj import (
     PicardContext,
     PremetricEstimate,
     SampleScheme,
-    Tolerances,
     build_contraction_pair,
     build_lozi,
     build_perturbed_linear,
@@ -470,7 +469,7 @@ def test_picard_walks_one_g_inverse_orbit(monkeypatch, scheme, n_bnd,
     monkeypatch.setattr(atom, "inv", counted)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
                           cross=b.cross)
-    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme, est.tol)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
     del calls[:]
     res = picard_solve(b.f, b.g, b.g, PicardContext(
         est=est, alpha=b.alpha, n_bnd=n_bnd, eigen_report=eigen))
@@ -493,7 +492,7 @@ def test_picard_atom_calls_from_g_and_the_identity(monkeypatch, scheme,
     b = build_contraction_pair(0.5)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
                           cross=b.cross)
-    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme, est.tol)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
     used = {}
     for name, h in (("f", b.f), ("g", b.g)):
         atom = h.chain[0][0]
@@ -583,7 +582,7 @@ def test_picard_walks_one_g_inverse_orbit_after_table_churn(monkeypatch,
     scheme = SampleScheme(window_radius=8.0, seed=1)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
                           cross=b.cross)
-    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme, est.tol)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme)
     exhaustion_sets(b.domain, scheme)
     churn_tables(b.domain, lambda: displacement(b.f, b.phi, b.r, scheme))
     del calls[:]
@@ -641,7 +640,7 @@ def test_picard_outputs_do_not_depend_on_memo_lookups(monkeypatch,
     b = build_contraction_pair(0.5)
     est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
                           r=b.r, cross=b.cross)
-    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme_fast, est.tol)
+    eigen = check_p_alpha(b.f, b.g, b.phi, b.r, b.alpha, scheme_fast)
     ctx = PicardContext(est=est, alpha=b.alpha, n_bnd=n_bnd,
                         eigen_report=eigen)
     h0 = b.g if h0_name == "g" else identity(b.domain)
@@ -677,25 +676,28 @@ def test_picard_work_for_steps_never_taken_does_not_warn(eta):
     assert not res.trace.bound_pre.flagged
 
 
-def test_every_measured_step_is_anchored_at_step_zero(scheme_fast):
+def test_every_measured_step_is_anchored_at_step_zero(scheme_fast,
+                                                      monkeypatch):
     # the defect gate passes only with delta < min(1, 1/A) <= 1, so the
     # envelope is seeded at step 0 by delta and observes rho(h_{n+1}, h0)
     b = build_contraction_pair(0.25)
     est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
                           r=b.r, cross=b.cross)
-    tight = dataclasses.replace(est, tol=Tolerances(tol_conj=1e-300))
     overflowing = build_contraction_pair(0.001)
+    # the last two runs stop on no increment: tol_conj 1e-300
+    tol_conj = conjugacy_module._TOL_CONJ
     runs = [
-        (b, PicardContext(est=est, alpha=b.alpha)),
-        (b, PicardContext(est=est, alpha=b.alpha, n_bnd=4)),
-        (b, PicardContext(est=tight, alpha=b.alpha, n_max=5)),
+        (b, PicardContext(est=est, alpha=b.alpha), tol_conj),
+        (b, PicardContext(est=est, alpha=b.alpha, n_bnd=4), tol_conj),
+        (b, PicardContext(est=est, alpha=b.alpha, n_max=5), 1e-300),
         (overflowing, PicardContext(
-            est=dataclasses.replace(tight, phi=overflowing.phi,
+            est=dataclasses.replace(est, phi=overflowing.phi,
                                     r=overflowing.r, cross=overflowing.cross),
-            alpha=overflowing.alpha)),
+            alpha=overflowing.alpha), 1e-300),
     ]
     traces = []
-    for pair, ctx in runs:
+    for pair, ctx, tol in runs:
+        monkeypatch.setattr(conjugacy_module, "_TOL_CONJ", tol)
         with np.errstate(over="ignore", invalid="ignore"):
             tr = picard_solve(pair.f, pair.g, pair.g, ctx).trace
         traces.append(tr)
@@ -712,7 +714,7 @@ def test_every_measured_step_is_anchored_at_step_zero(scheme_fast):
     h = b.g
     for n, observed, _ in traces[0].anchored:
         h = conjugacy_operator(b.f, b.g, h)
-        rho = premetric(h, b.g, b.phi, b.r, scheme_fast, est.tol).rho
+        rho = premetric(h, b.g, b.phi, b.r, scheme_fast).rho
         assert np.float64(observed).tobytes() == np.float64(rho).tobytes()
     # a run that measures no step observes nothing
     f = scaling(b.domain, 0.9)
@@ -809,11 +811,11 @@ def test_picard_rejects_an_eigen_report_for_another_pair(scheme_fast):
     assert res.trace.failed_gate == "eigenvalue_gate"
 
 
-@pytest.mark.parametrize("change", ["g", "scheme", "tol"])
+@pytest.mark.parametrize("change", ["g", "scheme"])
 def test_picard_rejects_an_eigen_report_on_other_settings(scheme_fast,
                                                           bundle_025, change):
-    # the report records its maps, scheme and tolerances; a solve on any
-    # other one of them refuses it before doing any work
+    # the report records its maps and scheme; a solve on any other one of
+    # them refuses it before doing any work
     b = bundle_025
     est = EstimateContext(domain=b.domain, scheme=scheme_fast, phi=b.phi,
                           r=b.r, cross=b.cross)
@@ -821,8 +823,7 @@ def test_picard_rejects_an_eigen_report_on_other_settings(scheme_fast,
     scheme = SampleScheme(window_radius=2.0, grid_points_per_axis=7,
                           quasirandom_count=4, exhaustion_levels=1) \
         if change == "scheme" else scheme_fast
-    tol = Tolerances(tau_abs=1e-11) if change == "tol" else est.tol
-    eigen = check_p_alpha(b.f, g, b.phi, b.r, b.alpha, scheme, tol)
+    eigen = check_p_alpha(b.f, g, b.phi, b.r, b.alpha, scheme)
     ctx = PicardContext(est=est, alpha=b.alpha, eigen_report=eigen)
     with pytest.raises(ValueError, match="computed on other maps"):
         picard_solve(b.f, b.g, b.g, ctx)
@@ -898,13 +899,13 @@ def test_picard_converged_run_flagged_on_the_outer_compact(
     inner = exhaustion_sets(half_dom, scheme_fast)[0]
     real_bound = conjugacy_module.negative_iterates_bound
 
-    def outer_spike(f, g, h0, pts, n_bnd, tol, rows):
-        report = real_bound(f, g, h0, pts, n_bnd, tol, rows)
+    def outer_spike(f, g, h0, pts, n_bnd, rows):
+        report = real_bound(f, g, h0, pts, n_bnd, rows)
         outside = half_dom.norm_of(pts[rows]) \
             > np.max(half_dom.norm_of(inner))
         spiked = {n: np.where(outside, spike, norms) if abs(n) == n_bnd
                   else norms for n, norms in report.rows.items()}
-        return conjugacy_module._bound_report(spiked, n_bnd, tol)
+        return conjugacy_module._bound_report(spiked, n_bnd)
 
     monkeypatch.setattr(conjugacy_module, "negative_iterates_bound",
                         outer_spike)
@@ -951,15 +952,16 @@ def test_picard_limits_from_two_seeds_differ_by_g(half_dom, sqrt_triple,
     assert gap.rho < 1e-7
 
 
-def test_picard_inverse_work_is_linear_in_steps():
+def test_picard_inverse_work_is_linear_in_steps(monkeypatch):
     # criterion 11's sampling; increment and residual first reach 0.0 at
     # step 24, so tol_conj = 1e-300 is not met within either budget and
     # both runs spend it whole
+    monkeypatch.setattr(conjugacy_module, "_TOL_CONJ", 1e-300)
     b = build_contraction_pair(0.25)
     scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                           quasirandom_count=8, exhaustion_levels=2, seed=7)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
-                          cross=b.cross, tol=Tolerances(tol_conj=1e-300))
+                          cross=b.cross)
     atom = b.g.chain[0][0]
     inverse, calls = atom.inv, []
 
@@ -1034,14 +1036,15 @@ def test_estimate_context_on_another_domain_is_rejected(bundle_025,
         conjugacy_residual(b.f, b.g, b.g, est)
 
 
-def test_picard_stops_as_non_finite_when_iterates_overflow():
+def test_picard_stops_as_non_finite_when_iterates_overflow(monkeypatch):
     # eta**-n leaves the float range near n = 103 for eta = 0.001; the run
     # must end with a verdict, not raise, and keep the steps before it
+    monkeypatch.setattr(conjugacy_module, "_TOL_CONJ", 1e-300)
     b = build_contraction_pair(0.001)
     scheme = SampleScheme(window_radius=4.0, grid_points_per_axis=15,
                           quasirandom_count=8, exhaustion_levels=2, seed=7)
     est = EstimateContext(domain=b.domain, scheme=scheme, phi=b.phi, r=b.r,
-                          cross=b.cross, tol=Tolerances(tol_conj=1e-300))
+                          cross=b.cross)
     ctx = PicardContext(est=est, alpha=b.alpha, n_max=200)
     with np.errstate(over="ignore", invalid="ignore"):
         res = picard_solve(b.f, b.g, b.g, ctx)
@@ -1064,11 +1067,11 @@ def test_picard_stops_as_undetermined_on_a_nan_increment(monkeypatch,
                                                          scheme_fast):
     # a NaN increment fails both `< 1.0` and `< tol_conj`; it must end the
     # run with its own verdict, not look like slow convergence
+    monkeypatch.setattr(conjugacy_module, "_TOL_CONJ", 1e-300)
     f, g = bundle_025.f, bundle_025.g
     est = EstimateContext(domain=bundle_025.domain, scheme=scheme_fast,
                           phi=bundle_025.phi, r=bundle_025.r,
-                          cross=bundle_025.cross,
-                          tol=Tolerances(tol_conj=1e-300))
+                          cross=bundle_025.cross)
     ctx = PicardContext(est=est, alpha=bundle_025.alpha, n_max=10)
     # the boundedness probe walks the iterates of n > 0 and of n < 0
     # first, then the step loop: in the last walk, walks[-1][k] is the
@@ -1117,7 +1120,7 @@ def test_picard_recovers_a_planted_conjugacy(half_dom, scheme_fast, eta,
     g = compose(compose(invert(phi), b.f), phi)
     est = EstimateContext(domain=half_dom, scheme=scheme_fast, phi=b.phi,
                           r=b.r, cross=b.cross)
-    eigen = check_p_alpha(b.f, g, b.phi, b.r, b.alpha, scheme_fast, est.tol)
+    eigen = check_p_alpha(b.f, g, b.phi, b.r, b.alpha, scheme_fast)
     assert eigen.satisfied
     ctx = PicardContext(est=est, alpha=b.alpha, eigen_report=eigen)
     res = picard_solve(b.f, g, g, ctx)
@@ -1147,7 +1150,7 @@ def test_picard_recovers_a_planted_conjugacy_on_the_box(dim, norm, eta):
     est = EstimateContext(domain=domain, scheme=scheme, phi=gauge, r=r,
                           cross=cross)
     alpha = build_contraction_pair(eta).alpha
-    eigen = check_p_alpha(f, g, gauge, r, alpha, scheme, est.tol)
+    eigen = check_p_alpha(f, g, gauge, r, alpha, scheme)
     assert eigen.satisfied
     # Lip phi <= 1 + k and Lip phi^-1 <= 1 / (1 - k) in the euclidean
     # norm, k = Lip(bump); the sup norm pays sqrt(d) for reading |x|

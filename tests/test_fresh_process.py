@@ -14,8 +14,9 @@ The kinds are ``premetric`` (the 400 ``premetric_pool`` pairs),
 ``picard`` (the 3 ``picard_eta`` solves, each with its scale-pair and
 gauge reports), ``configs`` (the 8 bundled configs through ``cli.main``
 ``validate``, ``run`` and ``report``; they carry their own seeds, so SEED
-is not read) and ``lozi`` (the same for the 8 ``lozi_membership`` configs
-that ``ConfigSuite(SEED)`` generates).  Under pytest,
+is not read) and ``lozi`` (the same for all 39 configs that
+``ConfigSuite(SEED)`` generates, of every experiment the ``config_suite``
+workload runs, its 8 ``lozi_membership`` configs among them).  Under pytest,
 ``test_results_do_not_depend_on_call_order`` runs a kind forward and
 reversed, each in a fresh process, compares the two outputs and, for the
 two config kinds, requires every exit code to be 0;
@@ -152,10 +153,8 @@ def _configs(seed: int, reverse: bool, tmp: Path) -> list:
 
 def _lozi(seed: int, reverse: bool, tmp: Path) -> list:
     from workloads import ConfigSuite
-    suite = ConfigSuite(seed, False, tmp / "suite")
-    paths = [path for path, exp in zip(suite.paths, suite.experiments)
-             if exp == "lozi_membership"]
-    return _cli_runs(paths, reverse, tmp)
+    return _cli_runs(ConfigSuite(seed, False, tmp / "suite").paths, reverse,
+                     tmp)
 
 
 KINDS = {"premetric": _premetric, "picard": _picard, "configs": _configs,
@@ -176,7 +175,7 @@ def main(argv: list) -> int:
 
 # -- the tests -----------------------------------------------------------
 
-OPERATIONS = {"premetric": 400, "picard": 3, "configs": 8, "lozi": 8}
+OPERATIONS = {"premetric": 400, "picard": 3, "configs": 8, "lozi": 39}
 
 
 @pytest.mark.parametrize("kind, seed", [

@@ -21,7 +21,6 @@ from homconj import (
     Gauge,
     RadialFn,
     SampleScheme,
-    Tolerances,
     ValidationReport,
     builtin_triple,
     compose,
@@ -42,6 +41,7 @@ from homconj.funcspace import (
     _GRID_ROWS_MAX,
     _PAIR_BLOCK_CELLS,
     _TABLE_CACHE_SIZE,
+    _TAU_ABS,
     _distinct_rows,
     _first_max,
     _norm_geometry,
@@ -59,15 +59,8 @@ from homconj.funcspace import (
 
 
 # ===================================================================
-# tolerances and constants
+# constants
 # ===================================================================
-
-def test_tolerances_reject_nonpositive():
-    with pytest.raises(ValueError):
-        Tolerances(tau_abs=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(kappa_div=-1.0)
-
 
 def test_cross_constants_positive():
     with pytest.raises(ValueError):
@@ -567,8 +560,7 @@ def test_flat_gauge_fails_cone_and_coercivity(half_dom, scheme):
     assert not names["cone_lower"]
     assert not names["coercive_shell_growth"]
     # the shell minima are both 1, so the growth falls short by tau_abs
-    tau_abs = Tolerances().tau_abs
-    assert rep.margin_of("coercive_shell_growth") == 1.0 + tau_abs - 1.0
+    assert rep.margin_of("coercive_shell_growth") == 1.0 + _TAU_ABS - 1.0
     shipped = validate_gauge(builtin_triple("sqrt_plus", half_dom)[3],
                              growth, half_dom, scheme)
     assert shipped.passed
@@ -670,18 +662,18 @@ def test_nan_growth_fails_the_cone_with_nan_margins(half_dom, scheme):
         assert not check.passed and np.isnan(check.margin)
 
 
-def dense_sup_check(name, excess, args, tol):
-    """Condition excess <= tau_abs over a whole excess array, witnessed
+def dense_sup_check(name, excess, args):
+    """Condition excess <= _TAU_ABS over a whole excess array, witnessed
     at its first argmax: the rule the blocked pair checks must fold to."""
     worst = float(np.max(excess)) if excess.size else 0.0
     idx = int(np.argmax(excess)) if excess.size else None
     return ConditionCheck(
-        name, worst <= tol.tau_abs, float(np.maximum(0.0, worst)),
+        name, worst <= _TAU_ABS, float(np.maximum(0.0, worst)),
         tuple(float(np.asarray(a).ravel()[idx]) for a in args)
         if excess.size else None)
 
 
-def dense_scale_pair(growth, scale, cross, scheme, tol=Tolerances()):
+def dense_scale_pair(growth, scale, cross, scheme):
     """``validate_scale_pair`` with its dense pair grid: the reference the
     blocked pair checks must match bit for bit."""
     _sup_check = dense_sup_check
@@ -694,17 +686,17 @@ def dense_scale_pair(growth, scale, cross, scheme, tol=Tolerances()):
     lo, hi = np.minimum(a_u, b_u), np.maximum(a_u, b_u)
     zero = np.zeros(1)
     return ValidationReport(checks=(
-        _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,), tol),
+        _sup_check("r_zero_at_origin", np.abs(scale.eval(zero)), (zero,)),
         _positive_check("r_positive_off_origin", scale.eval(upos), upos),
         _sup_check("r_nondecreasing", scale.eval(lo) - scale.eval(hi),
-                   (lo, hi), tol),
+                   (lo, hi)),
         _sup_check("r_subadditive", scale.eval(a_u + b_u) - scale.eval(a_u)
-                   - scale.eval(b_u), (a_u, b_u), tol),
+                   - scale.eval(b_u), (a_u, b_u)),
         _positive_check("R_positive", Ru, u),
         _sup_check("R_subadditive", growth.eval(a_u + b_u) - growth.eval(a_u)
-                   - growth.eval(b_u), (a_u, b_u), tol),
+                   - growth.eval(b_u), (a_u, b_u)),
         _sup_check("cross_bound", Ru - cross.a * scale.eval(u) - cross.b,
-                   (u,), tol),
+                   (u,)),
     ))
 
 
@@ -812,8 +804,7 @@ def test_pair_checks_keep_the_first_tied_block_and_take_a_later_nan():
     growth = RadialFn(lambda s: np.where(
         s == 398.0, np.nan, np.where(s == 45.0, 1.0, 0.0)), "spike_nan")
     zeros = np.zeros_like(sub)
-    mono, r_add, R_add = _pair_checks(growth, scale, sub, zeros, zeros,
-                                      Tolerances())
+    mono, r_add, R_add = _pair_checks(growth, scale, sub, zeros, zeros)
     assert (mono.margin, mono.witness) == (0.0, (0.0, 0.0))
     assert (r_add.margin, r_add.witness) == (1.0, (0.0, 45.0))
     assert np.isnan(R_add.margin) and R_add.witness == (199.0, 199.0)
@@ -849,12 +840,10 @@ def test_scale_pair_reports_are_cached_by_value(half_dom, scheme,
     # a hit: equal inputs, built afresh, get the same report
     again = builtin_triple("sqrt_plus", half_dom)[:3]
     assert validate_scale_pair(*again, scheme) is first
-    others = [validate_scale_pair(growth, r, cross,
-                                  dataclasses.replace(scheme, seed=5)),
-              validate_scale_pair(growth, r, cross, scheme,
-                                  Tolerances(tau_abs=1e-10))]
-    assert all(rep is not first for rep in others)
-    assert _scale_pair_report.cache_info().currsize == 3
+    other = validate_scale_pair(growth, r, cross,
+                                dataclasses.replace(scheme, seed=5))
+    assert other is not first
+    assert _scale_pair_report.cache_info().currsize == 2
     _scale_pair_report.cache_clear()
     rebuilt = validate_scale_pair(growth, r, cross, scheme)
     assert rebuilt is not first and rebuilt == first

@@ -732,7 +732,5 @@ def test_compact_distance_zero_on_equal_maps(half_dom, scheme):
     ([np.float64(1.0), np.float64(2.0), 4.0, 8.0], "divergent"),
 ])
 def test_classify_labels_finite_nan_and_inf_traces(values, label):
-    tol = funcspace.Tolerances()
     trace = tuple((2.0 ** k, v) for k, v in enumerate(values))
-    assert homspace._classify(trace, tol.kappa_div, tol.tau_abs,
-                              tol.rel) == label
+    assert homspace._classify(trace) == label

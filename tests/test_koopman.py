@@ -10,7 +10,6 @@ from homconj import (
     Domain,
     Gauge,
     SampleScheme,
-    Tolerances,
     abel_check,
     build_contraction_pair,
     build_lozi,
@@ -19,6 +18,7 @@ from homconj import (
     build_translation,
     builtin_triple,
     check_p_alpha,
+    compose,
     identity,
     invert,
     koenigs_eigenfunction,
@@ -31,7 +31,7 @@ from homconj import (
     wandering_check,
 )
 from homconj import koopman
-from homconj.families import BumpSpec
+from homconj.families import BUMP_SLOPE_FACTOR, BumpSpec
 from homconj.funcspace import (
     RadialFn,
     _norm_geometry,
@@ -88,7 +88,7 @@ def test_lozi_lipschitz_bound_sup_norm(scheme_fast):
     assert est.value > 1.0
 
 
-def reference_r_lipschitz(f, r, scheme, tol=Tolerances()):
+def reference_r_lipschitz(f, r, scheme):
     """The ordered-pair estimator r_lipschitz replaced: f on both pair
     arrays, every (i, j) of the cloud strided to koopman.PAIR_CAP visited
     in stable norm order, the order whose first maximizer the walk
@@ -126,7 +126,7 @@ def reference_r_lipschitz(f, r, scheme, tol=Tolerances()):
     best = float(ratio[k])
     witness = (x[k].copy(), y[k].copy())
 
-    finiteness = _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    finiteness = _classify(trace)
     return RLipschitzEstimate(best, witness, finiteness, trace, total_pairs)
 
 
@@ -137,7 +137,7 @@ def _same_bits(a, b):
 def pair_walk(f, r, scheme):
     """The general pair walk, called directly: in one dimension with r the
     identity, r_lipschitz takes neighbour slopes instead."""
-    return _all_pairs(f, r, scheme, Tolerances())
+    return _all_pairs(f, r, scheme)
 
 
 def takes_neighbour_slopes(f, r):
@@ -266,7 +266,7 @@ def _reshaped_norm(domain, p):
     return np.sqrt(np.sum(p * p, axis=1))
 
 
-def reference_block_walk(f, r, scheme, tol=Tolerances()):
+def reference_block_walk(f, r, scheme):
     """The block walk before the axis fold, written out: each block builds
     the (rows, later, dim) tensor of differences and takes the norm over
     its reshaped rows."""
@@ -304,8 +304,7 @@ def reference_block_walk(f, r, scheme, tol=Tolerances()):
             value = float(ratio[k])
             witness = tuple(cloud[[lo + rows[k], lo + 1 + cols[k]]])
     trace = tuple(zip(map(float, radii), map(float, sup)))
-    finiteness = "undetermined" if np.isnan(value) else \
-        _classify(trace, tol.kappa_div, tol.tau_abs, tol.rel)
+    finiteness = "undetermined" if np.isnan(value) else _classify(trace)
     return RLipschitzEstimate(value, witness, finiteness, trace, 2 * kept)
 
 
@@ -468,7 +467,7 @@ def test_pair_walk_keeps_the_first_tied_block_and_takes_a_later_nan(
                       "nan_at_1605")
     for r, value, witness in ((make_radial("identity"), 2.0, (0.0, 1.0)),
                               (nan_at, np.nan, (198.0, 1000.5))):
-        est = _all_pairs(double, r, scheme, Tolerances())
+        est = _all_pairs(double, r, scheme)
         assert _same_bits(est.value, value)
         assert tuple(float(x[0]) for x in est.witness_pair) == witness
 
@@ -1149,17 +1148,52 @@ def test_wandering_raises_on_an_iterate_that_is_not_finite():
         -0.2, 0.2, (2 * _BLOCK_ROWS + 7, 2)), 2, 4),
     (build_lozi(1.4, 0.3, norm="sup"), np.random.default_rng(5).uniform(
         -0.2, 0.2, (2 * _BLOCK_ROWS + 7, 2)), 1, 3),
+    # every point twice, so coincident pairs drop out of the stretch
+    (build_pure_linear(0.5, Domain(dim=1)), np.repeat(np.linspace(
+        1.0, 1.75, _BLOCK_ROWS + 5), 2).reshape(-1, 1), 1, 3),
 ])
 def test_wandering_blocks_give_the_dense_bits(f, cloud, nu, n_max,
                                                monkeypatch):
     rep = wandering_check(f, cloud, 1e-4, nu, n_max)
-    # the unblocked formula: one dense (N, N, d) difference per pair
+
+    # the unblocked formulas: one dense (N, N, d) difference per pair
+    def dense_stretch(before, after, domain):
+        sep = domain.norm_of(before[:, None] - before[None])
+        ok = sep > 0
+        if not np.any(ok):
+            return 1.0
+        return float(np.max(domain.norm_of(after[:, None] - after[None])[ok]
+                            / sep[ok]))
+
     monkeypatch.setattr(koopman, "_cloud_distance", lambda a, b, domain:
                         float(np.min(domain.norm_of(a[:, None, :]
                                                     - b[None, :, :]))))
+    monkeypatch.setattr(koopman, "_cloud_stretch", dense_stretch)
     ref = wandering_check(f, cloud, 1e-4, nu, n_max)
     assert rep == ref
     assert rep.min_separation.hex() == ref.min_separation.hex()
+    assert [r.hex() for r in rep.radii_trace] \
+        == [r.hex() for r in ref.radii_trace]
+
+
+def test_wandering_stretch_runs_over_every_pair():
+    # x -> x + 3 + a bump of slope 0.9 that only neighbours near 0.5 of a
+    # 401-point cloud straddle: an evenly strided subset of 200 points read
+    # a stretch of 1.1958, not 1.6603, and propagated a radius of 0.001495
+    # where the stretch over every pair gives 0.002075
+    dom = Domain(dim=1)
+    bump = BumpSpec(center=0.5011, halfwidth=0.004,
+                    height=0.9 * 0.004 / BUMP_SLOPE_FACTOR)
+    f = compose(build_translation([3.0], dom),
+                build_perturbed_linear([[1.0]], bump, dom))
+    cloud = np.linspace(0.0, 1.0, 401).reshape(-1, 1)
+    images = f.forward(cloud)
+    sep = np.abs(cloud - cloud.T)
+    ok = sep > 0
+    stretch = float(np.max(np.abs(images - images.T)[ok] / sep[ok]))
+    assert 1.66 < stretch < 1.661
+    rep = wandering_check(f, cloud, covering_radius=0.00125, nu=1, n_max=1)
+    assert rep.radii_trace == (0.00125, 0.00125 * stretch)
 
 
 def test_wandering_memory_stays_within_blocks():
